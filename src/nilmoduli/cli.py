@@ -114,11 +114,35 @@ def cmd_describe(args):
 # canonicalize
 
 
+METRIC_USAGE = (
+    'pass a metric object {"algebra": "h5", "matrix": [[... 6x6 ...]]} with --metric '
+    'or in the file named by --input (--algebra supplies a missing "algebra")'
+)
+
+
+def _load_metric(args):
+    """(algebra, matrix) of the canonicalize input; ValueError names the schema."""
+    if args.input is None and args.metric is None:
+        raise ValueError(f"no metric given; {METRIC_USAGE}")
+    if args.input is not None:
+        try:
+            with open(args.input) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read --input {args.input!r}: {exc.strerror}") from exc
+    else:
+        data = json.loads(args.metric)
+    if not isinstance(data, dict) or "matrix" not in data:
+        raise ValueError(f"got a JSON {type(data).__name__} without \"matrix\"; {METRIC_USAGE}")
+    algebra = data.get("algebra", args.algebra)
+    if algebra is None:
+        raise ValueError(f"no algebra given; {METRIC_USAGE}")
+    return algebra, np.asarray(data["matrix"], dtype=float)
+
+
 def cmd_canonicalize(args):
     t0 = time.time()
-    data = json.loads(open(args.input).read() if args.input else args.metric)
-    matrix = np.asarray(data["matrix"], dtype=float)
-    algebra = data.get("algebra", args.algebra)
+    algebra, matrix = _load_metric(args)
     metric = mo.Metric(algebra, matrix)
     form, witness = mo.canonicalize(algebra, metric, tol=args.tol)
     outputs = {

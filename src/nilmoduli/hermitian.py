@@ -648,22 +648,63 @@ class SearchResult:
         }
 
 
-def _batched_residual(alg, g, js):
-    """Residual stack for a batch of candidate J's, shape (m, 147)."""
-    b = alg.bracket_tensor
-    m = js.shape[0]
-    t1 = np.einsum("kpq,mpi,mqj->mkij", b, js, js, optimize=True)
-    t2 = np.einsum("mkn,npj,mpi->mkij", js, b, js, optimize=True)
-    # J[k,n] B[n,i,q] J[q,j] = -t2 with (i, j) exchanged, by antisymmetry of B
-    nij = t1 - t2 + np.swapaxes(t2, 2, 3) - b[None]
-    iu, ju = np.triu_indices(DIM, 1)
-    r_n = nij[:, :, iu, ju].reshape(m, -1)
-    comp = np.einsum("mki,kl,mlj->mij", js, g, js, optimize=True) - g[None]
-    di, dj = np.triu_indices(DIM)
-    r_c = comp[:, di, dj]
-    invol = np.einsum("mkn,mnj->mkj", js, js, optimize=True) + np.eye(DIM)[None]
-    r_i = invol.reshape(m, -1)
-    return np.concatenate([r_n, r_c, r_i], axis=1)
+class _ResidualKernel:
+    """The oracle's residual vector of J and its exact Jacobian.
+
+    Rows: the 90 Nijenhuis entries N[k, i, j], i < j, k-major; the 21
+    entries (J^T g J - g)[i, j], i <= j; the 36 entries of J^2 + I.  The
+    residual is quadratic in J, so the Jacobian is affine in J; its column
+    a*6 + b is the derivative along J[a, b].
+    """
+
+    def __init__(self, b, g):
+        self.b = b
+        self.g = g
+        self.iu, self.ju = np.triu_indices(DIM, 1)
+        self.di, self.dj = np.triu_indices(DIM)
+
+    def residual(self, j):
+        b = self.b
+        t1 = j.T @ (b @ j)  # t1[k, i, j] = [J e_i, J e_j]_k
+        # t2[k, i, j] = (J [J e_i, e_j])_k; its (i, j)-swap is -(J [e_i, J e_j])_k
+        t2 = (j @ (j.T @ b).reshape(DIM, -1)).reshape(b.shape)
+        nij = t1 - t2 + np.swapaxes(t2, 1, 2) - b
+        comp = j.T @ self.g @ j - self.g
+        invol = j @ j
+        invol.flat[:: DIM + 1] += 1.0
+        return np.concatenate(
+            [nij[:, self.iu, self.ju].ravel(), comp[self.di, self.dj], invol.ravel()]
+        )
+
+    def jacobian(self, j):
+        """d residual / d J[a, b] in column a*6 + b, shape (147, 36).
+
+        dN[k, i, j] = delta_ib W[k, a, j] - delta_jb W[k, a, i] + delta_ka V[b, i, j]
+        with W = bJ - Jb and V[b, i, j] = (J^T b)[b, j, i] - (J^T b)[b, i, j];
+        d(J^T g J)[i, j] = delta_ib (gJ)[a, j] + delta_jb (gJ)[a, i];
+        d(J^2)[i, j] = delta_ia J[b, j] + delta_jb J[i, a].
+        """
+        b, iu, ju, di, dj = self.b, self.iu, self.ju, self.di, self.dj
+        n_nij, n_comp = DIM * iu.size, di.size
+        w = b @ j - (j @ b.reshape(DIM, -1)).reshape(b.shape)
+        jtb = j.T @ b
+        v = np.swapaxes(jtb, 1, 2) - jtb
+        gj = self.g @ j
+        diag = np.arange(DIM)
+        jac = np.zeros((n_nij + n_comp + DIM * DIM, DIM * DIM))
+        jn = jac[:n_nij].reshape(DIM, iu.size, DIM, DIM)  # [k, pair, a, b]
+        pairs = np.arange(iu.size)
+        jn[:, pairs, :, iu] = w[:, :, ju].transpose(2, 0, 1)
+        jn[:, pairs, :, ju] = -w[:, :, iu].transpose(2, 0, 1)
+        jn[diag, :, diag, :] += v[:, iu, ju].T
+        jc = jac[n_nij : n_nij + n_comp].reshape(n_comp, DIM, DIM)  # [row, a, b]
+        rows = np.arange(n_comp)
+        jc[rows, :, di] = gj[:, dj].T
+        jc[rows, :, dj] += gj[:, di].T
+        ji = jac[n_nij + n_comp :].reshape(DIM, DIM, DIM, DIM)  # [i, j, a, b]
+        ji[diag, :, diag, :] = j.T
+        ji[:, diag, :, diag] += j
+        return jac
 
 
 def _random_compatible_start(g_chol, rng):
@@ -685,31 +726,30 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=2021060
 
     Minimizes ||N_J||^2 + ||J^T g J - g||^2 + ||J^2 + I||^2 over the 36
     entries of J from ``budget`` random compatible starts (deterministic
-    in the seed).  Success means a combined residual <= tol; failure
-    verdicts report the best residual and never claim nonexistence.
+    in the seed).  Levenberg-Marquardt steps use the exact Jacobian of
+    this residual, which is quadratic in J.  Success means a combined
+    residual <= tol; failure verdicts report the best residual and never
+    claim nonexistence.  ``budget`` must be at least one start.
     """
+    if budget < 1:
+        raise InvalidParams(f"search budget must be at least 1 start, got {budget}")
     alg = get_algebra(alg)
     g = metric.matrix if isinstance(metric, Metric) else np.asarray(metric, dtype=float)
     g_chol = cholesky_lower(g)
+    kernel = _ResidualKernel(alg.bracket_tensor, g)
     best_cost = np.inf
     best_x = None
     found = False
     starts = 0
-    h = 1e-6
     for k in range(budget):
         rng = np.random.default_rng(seed + k)
         x = _random_compatible_start(g_chol, rng).reshape(-1)
         lam = 1e-3
-        cost = float(np.sum(_batched_residual(alg, g, x.reshape(1, DIM, DIM)) ** 2))
+        r0 = kernel.residual(x.reshape(DIM, DIM))
+        cost = float(np.sum(r0 ** 2))
         stall = 0
         for it in range(max_iter):
-            steps = np.maximum(1.0, np.abs(x)) * h
-            xs = np.repeat(x[None, :], 73, axis=0)
-            xs[1:37, :] += np.diag(steps)
-            xs[37:73, :] -= np.diag(steps)
-            rr = _batched_residual(alg, g, xs.reshape(-1, DIM, DIM))
-            r0 = rr[0]
-            jac = ((rr[1:37] - rr[37:73]) / (2.0 * steps[:, None])).T
+            jac = kernel.jacobian(x.reshape(DIM, DIM))
             grad = jac.T @ r0
             jtj = jac.T @ jac
             diag = np.clip(np.diag(jtj), 1e-12, None)
@@ -721,12 +761,11 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=2021060
                     lam *= 10.0
                     continue
                 x_new = x + step
-                c_new = float(
-                    np.sum(_batched_residual(alg, g, x_new.reshape(1, DIM, DIM)) ** 2)
-                )
+                r_new = kernel.residual(x_new.reshape(DIM, DIM))
+                c_new = float(np.sum(r_new ** 2))
                 if np.isfinite(c_new) and c_new < cost:
                     rel = (cost - c_new) / max(cost, 1e-300)
-                    x, cost = x_new, c_new
+                    x, r0, cost = x_new, r_new, c_new
                     lam = max(lam / 3.0, 1e-14)
                     improved = True
                     stall = stall + 1 if rel < 1e-8 else 0

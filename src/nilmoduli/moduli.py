@@ -68,6 +68,10 @@ class Metric:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
+        if m.shape != (DIM, DIM):
+            raise InvalidForm(f"metric matrix must be {DIM}x{DIM}, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidForm("metric matrix has non-finite entries (NaN or inf)")
         m = np.triu(m) + np.triu(m, 1).T
         cholesky_lower(m)  # raises NotSPD
         object.__setattr__(self, "matrix", m)

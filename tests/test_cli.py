@@ -87,6 +87,26 @@ def test_canonicalize_input_file(tmp_path, capsys):
     assert rep["outputs"]["form"]["tag"] == "h5"
 
 
+@pytest.mark.parametrize(
+    "argv, needle, names_schema",
+    [
+        ((), "no metric given", True),
+        (("--input", "no-such-dir/metric.json"), "cannot read --input", False),
+        (("--metric", json.dumps(np.eye(6).tolist())), 'without "matrix"', True),
+        (("--metric", json.dumps({"matrix": np.eye(6).tolist()})), "no algebra given", True),
+        (("--metric", json.dumps({"algebra": "h6", "matrix": np.eye(2).tolist()})), "6x6", False),
+        (("--metric", '{"algebra": "h6", "matrix": [[NaN, 0, 0, 0, 0, 0]'
+                      + ", [0, 1, 0, 0, 0, 0]" * 5 + "]}"), "non-finite", False),
+    ],
+)
+def test_canonicalize_input_errors_exit_2(capsys, argv, needle, names_schema):
+    code, out, err = run_cli(capsys, "canonicalize", *argv)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+    assert ('{"algebra": "h5", "matrix":' in err) == names_schema
+
+
 def test_isometry_command(capsys):
     code, out, _ = run_cli(
         capsys, "isometry", "--algebra", "h9hat",
@@ -134,6 +154,17 @@ def test_hermitian_search_none(capsys):
     rep = json.loads(out)
     assert rep["outputs"]["search"]["found"] is False
     assert rep["outputs"]["search"]["residual"] > 1e-3
+
+
+def test_hermitian_search_empty_budget_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "hermitian", "--algebra", "h9hat",
+        "--form", '{"A":1.0,"B":2.0,"C":1.0,"D":0.0,"E":0.0,"F":0.0}',
+        "--search", "--budget", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
 
 
 def test_tables_deterministic(capsys):

@@ -378,6 +378,57 @@ def test_search_deterministic():
     assert r1.residual == r2.residual
 
 
+def test_search_rejects_empty_budget():
+    g = mo.Metric("h9hat", np.eye(6))
+    for budget in (0, -3):
+        with pytest.raises(InvalidParams, match="budget"):
+            hm.hermitian_search("h9hat", g, budget=budget)
+
+
+def _kernel_at_random_point(label, seed):
+    """Oracle kernel for a random SPD metric, and a random J that is neither
+    an almost complex structure nor g-compatible."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(6, 6))
+    g = a @ a.T + 6.0 * np.eye(6)
+    kernel = hm._ResidualKernel(al.builtin(label).bracket_tensor, g)
+    return kernel, g, rng.normal(size=(6, 6))
+
+
+def _central_difference_jacobian(f, j, h=1e-6):
+    """Column a*6 + b is (f(J + h E_ab) - f(J - h E_ab)) / 2h."""
+    cols = []
+    for a in range(6):
+        for b in range(6):
+            e = np.zeros((6, 6))
+            e[a, b] = h
+            cols.append((f(j + e) - f(j - e)) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9hat"])
+def test_search_jacobian_matches_central_differences(label):
+    kernel, _g, j = _kernel_at_random_point(label, 31)
+    exact = kernel.jacobian(j)
+    assert exact.shape == (147, 36)
+    fd = _central_difference_jacobian(kernel.residual, j)
+    assert max_norm(exact - fd) <= 1e-6 * max_norm(fd)
+
+
+@pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9hat"])
+def test_search_residual_blocks_match_definitions(label):
+    kernel, g, j = _kernel_at_random_point(label, 32)
+    r = kernel.residual(j)
+    assert r.shape == (147,)
+    iu, ju = np.triu_indices(6, 1)
+    di, dj = np.triu_indices(6)
+    nij = al.nijenhuis_tensor(al.builtin(label), j)[:, iu, ju].reshape(-1)
+    comp = (j.T @ g @ j - g)[di, dj]
+    invol = (j @ j + np.eye(6)).reshape(-1)
+    for got, want in ((r[:90], nij), (r[90:111], comp), (r[111:], invol)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max_norm(want))
+
+
 def test_negation_closure_h4_h6():
     rng = np.random.default_rng(11)
     h4, h6 = al.builtin("h4"), al.builtin("h6")

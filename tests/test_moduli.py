@@ -74,6 +74,20 @@ def test_metric_requires_spd():
         mo.Metric("h6", np.diag([1.0, -1.0, 1, 1, 1, 1]))
 
 
+@pytest.mark.parametrize(
+    "matrix, msg",
+    [
+        (np.eye(2), "6x6"),
+        (np.ones(36), "6x6"),
+        (np.diag([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), "non-finite"),
+        (np.diag([1.0, 1.0, 1.0, 1.0, 1.0, np.inf]), "non-finite"),
+    ],
+)
+def test_metric_rejects_bad_shape_and_non_finite(matrix, msg):
+    with pytest.raises(InvalidForm, match=msg):
+        mo.Metric("h6", matrix)
+
+
 # ---------------------------------------------------------------------------
 # pullback
 
