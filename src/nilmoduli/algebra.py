@@ -17,6 +17,7 @@ the nontrivial brackets are [ê1,ê2] = +ê5, [ê1,ê5] = [ê2,ê3] = -ê6.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, replace
@@ -196,19 +197,26 @@ def render_salamon(alg):
     return "(" + ",".join(tokens) + ")"
 
 
+@functools.cache
 def builtin(identifier):
-    """One of h2, h4, h5, h6, h9 (Salamon strings above) or h9hat."""
+    """One of h2, h4, h5, h6, h9 (Salamon strings above) or h9hat.
+
+    Built on first use; every later call returns the same object, whose
+    structure tensor is read-only.
+    """
     if identifier == "h9hat":
         c = np.zeros((DIM, DIM, DIM))
         # [ê1,ê2] = +ê5, [ê1,ê5] = [ê2,ê3] = -ê6; e^k([e_i,e_j]) = -c^k_{ij}
         for k, i, j, value in ((4, 0, 1, -1.0), (5, 0, 4, 1.0), (5, 1, 2, 1.0)):
             c[k, i, j] += value
             c[k, j, i] -= value
-        return LieAlgebra(c=c, label="h9hat")
-    if identifier not in BUILTIN_SALAMON:
+        alg = LieAlgebra(c=c, label="h9hat")
+    elif identifier in BUILTIN_SALAMON:
+        alg = replace(parse_salamon(BUILTIN_SALAMON[identifier]), label=identifier)
+    else:
         raise KeyError(f"unknown builtin {identifier!r}; choose from {BUILTIN_IDS}")
-    alg = parse_salamon(BUILTIN_SALAMON[identifier])
-    return replace(alg, label=identifier)
+    alg.c.setflags(write=False)
+    return alg
 
 
 def get_algebra(spec):
@@ -273,11 +281,17 @@ def nilpotency_step(alg, tol=1e-10, max_iter=10):
     raise NotNilpotent("lower central series did not terminate")
 
 
-def nijenhuis(alg, j, x, y, tol=DEFAULT_TOL):
-    """N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]."""
+def _checked_j(alg, j, tol):
+    """The matrix of J (an AlmostComplexStructure or an array), with J^2 = -I checked."""
     jm = j.matrix if isinstance(j, AlmostComplexStructure) else np.asarray(j, dtype=float)
     if max_norm(jm @ jm + np.eye(alg.dim)) > tol:
         raise ValueError("J^2 != -I within tolerance")
+    return jm
+
+
+def nijenhuis(alg, j, x, y, tol=DEFAULT_TOL):
+    """N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]."""
+    jm = _checked_j(alg, j, tol)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     jx, jy = jm @ x, jm @ y
@@ -301,29 +315,26 @@ def nijenhuis_tensor(alg, j):
 
 def nijenhuis_residual(alg, j, tol=DEFAULT_TOL):
     """Max over basis pairs of ||N_J(e_i, e_j)||_max; 0 iff J integrable."""
-    jm = j.matrix if isinstance(j, AlmostComplexStructure) else np.asarray(j, dtype=float)
-    if max_norm(jm @ jm + np.eye(alg.dim)) > tol:
-        raise ValueError("J^2 != -I within tolerance")
-    return max_norm(nijenhuis_tensor(alg, jm))
+    return max_norm(nijenhuis_tensor(alg, _checked_j(alg, j, tol)))
 
 
 def is_abelian_structure(alg, j, tol=DEFAULT_TOL):
     """True iff [JX, JY] = [X, Y] on all basis pairs within tol."""
-    jm = j.matrix if isinstance(j, AlmostComplexStructure) else np.asarray(j, dtype=float)
-    if max_norm(jm @ jm + np.eye(alg.dim)) > tol:
-        raise ValueError("J^2 != -I within tolerance")
+    jm = _checked_j(alg, j, tol)
     b = alg.bracket_tensor
     jbj = np.einsum("kpq,pi,qj->kij", b, jm, jm, optimize=True)
     return bool(max_norm(jbj - b) <= tol)
 
 
+# J_std for the pairing (e1,e2), (e3,e4), (e5,e6): the one copy, which the
+# other modules read (with its 4x4 block) instead of rebuilding it
+_PAIRING_J = np.diag([-1.0, 0.0, -1.0, 0.0, -1.0], 1) + np.diag([1.0, 0.0, 1.0, 0.0, 1.0], -1)
+_PAIRING_J.setflags(write=False)
+
+
 def standard_pairing_j():
     """Multiplication by sqrt(-1) for the pairing (e1,e2), (e3,e4), (e5,e6)."""
-    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    out = np.zeros((DIM, DIM))
-    for k in range(3):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = j2
-    return out
+    return _PAIRING_J.copy()
 
 
 def lemma_j_h6():

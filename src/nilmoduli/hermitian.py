@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    _PAIRING_J,
     DIM,
     AlmostComplexStructure,
     builtin,
@@ -34,11 +35,10 @@ from .algebra import (
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
 from .linalg import cholesky_lower, max_norm
-from .moduli import H2Form, H4Form, H5Form, H6Form, H9Form, Metric, realize
+from .moduli import H9Form, Metric, _eq, realize
 
 SPHERE_TOL = 1e-12
 NIJENHUIS_TOL = 1e-9
-EQ_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,6 @@ def _make_solution(alg_label, triple, j, g, nij_tol=NIJENHUIS_TOL):
     return HermitianSolution(triple, acs, res)
 
 
-def _eq(x, y, scale=1.0):
-    return abs(x - y) <= EQ_RTOL * max(1.0, abs(x), abs(y), scale)
-
-
 def _dedupe(triples, tol=1e-10):
     out = []
     for t in triples:
@@ -142,16 +138,15 @@ def _dedupe(triples, tol=1e-10):
 # h5
 
 
-def h5_J(form, branch, triple):
-    """Almost Hermitian J1/J2 for the canonical h5 metric (sphere family)."""
-    form.validate()
+def _sphere_family_J(label, r, s, E, F, G, branch, triple):
+    """J1/J2 of the sphere family on diag(1, r, 1, s) + [[E,F],[F,G]].  The h4
+    family is this one at r = 1, s = r_h4 and (E, F, G) = (a, b, c)."""
     if isinstance(triple, SolutionTriple):
         triple.check_sphere()
         a, b, c = triple.a, triple.b, triple.c
     else:
         a, b, c = triple
         SolutionTriple(a, b, c, branch).check_sphere()
-    r, s, E, F, G = form.r, form.s, form.E, form.F, form.G
     sr, ss = math.sqrt(r), math.sqrt(s)
     sd = math.sqrt(E * G - F * F)
     j = np.zeros((DIM, DIM))
@@ -171,7 +166,13 @@ def h5_J(form, branch, triple):
         j[5, 4], j[5, 5] = -E / sd, -F / sd
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    return AlmostComplexStructure(j, "h5", tol=1e-11)
+    return AlmostComplexStructure(j, label, tol=1e-11)
+
+
+def h5_J(form, branch, triple):
+    """Almost Hermitian J1/J2 for the canonical h5 metric (sphere family)."""
+    form.validate()
+    return _sphere_family_J("h5", form.r, form.s, form.E, form.F, form.G, branch, triple)
 
 
 def h5_eq42_residual(form, a):
@@ -211,34 +212,47 @@ def _table_row_values(E, F, G, w):
     return x, max(sq1, 0.0), max(sq2, 0.0)
 
 
+def _table_row(E, F, G, w, scale, opposite=False):
+    """The two sign choices (x, u, v), (x, -u, -v) of one branch-table row.
+
+    x is the small root of the row's quadratic and u, v are its two square
+    terms, in three cases: F != 0, F = 0 with E/G <= w^2, and F = 0 with
+    E/G > w^2.  For F != 0 the terms share their sign, or have opposite
+    signs when ``opposite``; for F = 0 one term vanishes and stays +0.0
+    (``tables`` prints the sign of a zero).  The F = 0 rows keep their closed
+    forms: routing them through _table_row_values changes their last bits.
+    """
+    if not _eq(F, 0.0, scale):
+        x, u_sq, v_sq = _table_row_values(E, F, G, w)
+        u, v = math.sqrt(u_sq), math.sqrt(v_sq)
+        if opposite:
+            v = -v
+        return [(x, u, v), (x, -u, -v)]
+    if E / G <= w * w:
+        x = math.sqrt(E) / (math.sqrt(G) * w)
+        v = math.sqrt(max(1.0 - E / (G * w * w), 0.0))
+        return [(x, 0.0, v), (x, 0.0, -v)]
+    x = math.sqrt(G) * w / math.sqrt(E)
+    u = math.sqrt(max(1.0 - G * w * w / E, 0.0))
+    return [(x, u, 0.0), (x, -u, 0.0)]
+
+
+def _finite_set(label, branch, trips, make_j, form, g):
+    sols = tuple(
+        _make_solution(label, SolutionTriple(*t, branch), make_j(form, branch, t).matrix, g)
+        for t in _dedupe(trips)
+    )
+    return SolutionSet(branch, "finite", sols)
+
+
 def h5_hermitian_solutions(form):
     """Hermitian structures on the canonical h5 metric, per branch."""
     form.validate()
     r, s, E, F, G = form.r, form.s, form.E, form.F, form.G
-    sd = math.sqrt(E * G - F * F)
     g = realize(form).matrix
     scale = max(E, G)
-    out = {}
-
     alpha = (math.sqrt(r) + math.sqrt(s)) / (1.0 + math.sqrt(r * s))
-    if not _eq(F, 0.0, scale):
-        a, b_sq, c_sq = _table_row_values(E, F, G, alpha)
-        b, c = math.sqrt(b_sq), math.sqrt(c_sq)
-        trips = [(a, b, c), (a, -b, -c)]  # b, c share sign
-    elif E / G <= alpha * alpha:
-        a = math.sqrt(E) / (math.sqrt(G) * alpha)
-        c = math.sqrt(max(1.0 - E / (G * alpha * alpha), 0.0))
-        trips = [(a, 0.0, c), (a, 0.0, -c)]
-    else:
-        a = math.sqrt(G) * alpha / math.sqrt(E)
-        b = math.sqrt(max(1.0 - G * alpha * alpha / E, 0.0))
-        trips = [(a, b, 0.0), (a, -b, 0.0)]
-    sols = tuple(
-        _make_solution("h5", SolutionTriple(*t, "J1"), h5_J(form, "J1", t).matrix, g)
-        for t in _dedupe(trips)
-    )
-    out["J1"] = SolutionSet("J1", "finite", sols)
-
+    out = {"J1": _finite_set("h5", "J1", _table_row(E, F, G, alpha, scale), h5_J, form, g)}
     if _eq(r, 1.0) and _eq(s, 1.0):
         out["J2"] = SolutionSet("J2", "sphere")
         return out
@@ -246,23 +260,9 @@ def h5_hermitian_solutions(form):
         trips = [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]
     else:
         beta = (math.sqrt(r) - math.sqrt(s)) / (1.0 - math.sqrt(r * s))
-        if not _eq(F, 0.0, scale):
-            x, b_sq, c_sq = _table_row_values(E, F, G, beta)
-            a, b, c = -x, math.sqrt(b_sq), math.sqrt(c_sq)
-            trips = [(a, b, -c), (a, -b, c)]  # b, c have opposite signs
-        elif E / G <= beta * beta:
-            a = -math.sqrt(E) / (math.sqrt(G) * beta)
-            c = math.sqrt(max(1.0 - E / (G * beta * beta), 0.0))
-            trips = [(a, 0.0, c), (a, 0.0, -c)]
-        else:
-            a = -math.sqrt(G) * beta / math.sqrt(E)
-            b = math.sqrt(max(1.0 - G * beta * beta / E, 0.0))
-            trips = [(a, b, 0.0), (a, -b, 0.0)]
-    sols = tuple(
-        _make_solution("h5", SolutionTriple(*t, "J2"), h5_J(form, "J2", t).matrix, g)
-        for t in _dedupe(trips)
-    )
-    out["J2"] = SolutionSet("J2", "finite", sols)
+        # a = -x; b and c have opposite signs
+        trips = [(-x, u, v) for x, u, v in _table_row(E, F, G, beta, scale, opposite=True)]
+    out["J2"] = _finite_set("h5", "J2", trips, h5_J, form, g)
     return out
 
 
@@ -271,35 +271,8 @@ def h5_hermitian_solutions(form):
 
 
 def h4_J(form, branch, triple):
-    form.validate()
-    if isinstance(triple, SolutionTriple):
-        triple.check_sphere()
-        a, b, c = triple.a, triple.b, triple.c
-    else:
-        a, b, c = triple
-        SolutionTriple(a, b, c, branch).check_sphere()
-    r = form.r
-    E, F, G = form.a, form.b, form.c  # commutator block renamed (E, F, G)
-    sr = math.sqrt(r)
-    sd = math.sqrt(E * G - F * F)
-    j = np.zeros((DIM, DIM))
-    if branch == "J1":
-        j[0, 1], j[0, 2], j[0, 3] = -a, -b, -c * sr
-        j[1, 0], j[1, 2], j[1, 3] = a, -c, b * sr
-        j[2, 0], j[2, 1], j[2, 3] = b, c, -a * sr
-        j[3, 0], j[3, 1], j[3, 2] = c / sr, -b / sr, a / sr
-        j[4, 4], j[4, 5] = -F / sd, -G / sd
-        j[5, 4], j[5, 5] = E / sd, F / sd
-    elif branch == "J2":
-        j[0, 1], j[0, 2], j[0, 3] = -a, -b, -c * sr
-        j[1, 0], j[1, 2], j[1, 3] = a, c, -b * sr
-        j[2, 0], j[2, 1], j[2, 3] = b, -c, a * sr
-        j[3, 0], j[3, 1], j[3, 2] = c / sr, b / sr, -a / sr
-        j[4, 4], j[4, 5] = F / sd, G / sd
-        j[5, 4], j[5, 5] = -E / sd, -F / sd
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    return AlmostComplexStructure(j, "h4", tol=1e-11)
+    form.validate()  # commutator block (a, b, c) plays (E, F, G)
+    return _sphere_family_J("h4", 1.0, form.r, form.a, form.b, form.c, branch, triple)
 
 
 def h4_hermitian_solutions(form):
@@ -307,56 +280,23 @@ def h4_hermitian_solutions(form):
 
     The J1 table's c-entry is c^2 = 1 + E b / (alpha sqrt(D)), which is
     what the displayed integrability equations and the sphere constraint
-    force (b is negative on this branch).
+    force (b is negative on this branch).  Both tables read (a, b, c) =
+    (u, -x, v) off the shared row.
     """
     form.validate()
     r = form.r
     E, F, G = form.a, form.b, form.c
-    sd = math.sqrt(E * G - F * F)
     g = realize(form).matrix
     scale = max(E, G)
-    out = {}
-
     alpha = (1.0 + math.sqrt(r)) / math.sqrt(r)
-    if not _eq(F, 0.0, scale):
-        x, a_sq, c_sq = _table_row_values(E, F, G, alpha)
-        b, a, c = -x, math.sqrt(a_sq), math.sqrt(c_sq)
-        trips = [(a, b, c), (-a, b, -c)]  # a, c share sign
-    elif E / G <= alpha * alpha:
-        b = -math.sqrt(E) / (math.sqrt(G) * alpha)
-        c = math.sqrt(max(1.0 - E / (G * alpha * alpha), 0.0))
-        trips = [(0.0, b, c), (0.0, b, -c)]
-    else:
-        b = -math.sqrt(G) * alpha / math.sqrt(E)
-        a = math.sqrt(max(1.0 - G * alpha * alpha / E, 0.0))
-        trips = [(a, b, 0.0), (-a, b, 0.0)]
-    sols = tuple(
-        _make_solution("h4", SolutionTriple(*t, "J1"), h4_J(form, "J1", t).matrix, g)
-        for t in _dedupe(trips)
-    )
-    out["J1"] = SolutionSet("J1", "finite", sols)
-
+    trips = [(u, -x, v) for x, u, v in _table_row(E, F, G, alpha, scale)]
+    out = {"J1": _finite_set("h4", "J1", trips, h4_J, form, g)}
     if _eq(r, 1.0):
         trips = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]
     else:
         beta = (1.0 - math.sqrt(r)) / math.sqrt(r)
-        if not _eq(F, 0.0, scale):
-            x, a_sq, c_sq = _table_row_values(E, F, G, beta)
-            b, a, c = -x, math.sqrt(a_sq), math.sqrt(c_sq)
-            trips = [(a, b, c), (-a, b, -c)]
-        elif E / G <= beta * beta:
-            b = -math.sqrt(E) / (math.sqrt(G) * beta)
-            c = math.sqrt(max(1.0 - E / (G * beta * beta), 0.0))
-            trips = [(0.0, b, c), (0.0, b, -c)]
-        else:
-            b = -math.sqrt(G) * beta / math.sqrt(E)
-            a = math.sqrt(max(1.0 - G * beta * beta / E, 0.0))
-            trips = [(a, b, 0.0), (-a, b, 0.0)]
-    sols = tuple(
-        _make_solution("h4", SolutionTriple(*t, "J2"), h4_J(form, "J2", t).matrix, g)
-        for t in _dedupe(trips)
-    )
-    out["J2"] = SolutionSet("J2", "finite", sols)
+        trips = [(u, -x, v) for x, u, v in _table_row(E, F, G, beta, scale)]
+    out["J2"] = _finite_set("h4", "J2", trips, h4_J, form, g)
     return out
 
 
@@ -374,26 +314,16 @@ def h6_hermitian_solutions(form):
     u = math.sqrt(max(1.0 - alpha * alpha, 0.0))
     g = realize(form).matrix
     out = []
-    for tag, sign in (("J1+", 1.0), ("J1-", -1.0)):
+    for tag, eps, sign in (("J1+", 1.0, 1.0), ("J1-", 1.0, -1.0),
+                           ("J2+", -1.0, 1.0), ("J2-", -1.0, -1.0)):
+        # eps = -1 turns J1 into J2: it flips e2's row and column and the (e5, e6) block
         j = np.zeros((DIM, DIM))
         j[0, 2], j[0, 3] = sign * u, -alpha
-        j[1, 2], j[1, 3] = -alpha, -sign * u
-        j[2, 0], j[2, 1] = -sign * u, alpha
-        j[3, 0], j[3, 1] = alpha, sign * u
-        j[4, 5] = -1.0 / alpha
-        j[5, 4] = alpha
-        out.append(
-            _make_solution("h6", SolutionTriple(alpha, sign * u, 0.0, tag), j, g,
-                           nij_tol=1e-12)
-        )
-    for tag, sign in (("J2+", 1.0), ("J2-", -1.0)):
-        j = np.zeros((DIM, DIM))
-        j[0, 2], j[0, 3] = sign * u, -alpha
-        j[1, 2], j[1, 3] = alpha, sign * u
-        j[2, 0], j[2, 1] = -sign * u, -alpha
-        j[3, 0], j[3, 1] = alpha, -sign * u
-        j[4, 5] = 1.0 / alpha
-        j[5, 4] = -alpha
+        j[1, 2], j[1, 3] = -eps * alpha, -eps * sign * u
+        j[2, 0], j[2, 1] = -sign * u, eps * alpha
+        j[3, 0], j[3, 1] = alpha, eps * sign * u
+        j[4, 5] = -eps / alpha
+        j[5, 4] = eps * alpha
         out.append(
             _make_solution("h6", SolutionTriple(alpha, sign * u, 0.0, tag), j, g,
                            nij_tol=1e-12)
@@ -403,6 +333,15 @@ def h6_hermitian_solutions(form):
 
 # ---------------------------------------------------------------------------
 # h2
+
+
+def _h2_angles(form):
+    """alpha, beta, phi, psi and sqrt(EG - F^2) of the treated h2 family."""
+    A, B = form.a, form.b
+    alpha = math.sqrt(1.0 - A * A)
+    beta = math.sqrt(1.0 - B * B)
+    sd = math.sqrt(form.E * form.G - form.F * form.F)
+    return alpha, beta, B * alpha - A * beta, A * B + alpha * beta, sd
 
 
 def h2_J(form, triple):
@@ -418,11 +357,7 @@ def h2_J(form, triple):
         a, b, c = triple
         SolutionTriple(a, b, c, "J").check_sphere()
     E, F, G = form.E, form.F, form.G
-    alpha = math.sqrt(1.0 - A * A)
-    beta = math.sqrt(1.0 - B * B)
-    phi = B * alpha - A * beta
-    psi = A * B + alpha * beta
-    sd = math.sqrt(E * G - F * F)
+    alpha, beta, phi, psi, sd = _h2_angles(form)
     j = np.zeros((DIM, DIM))
     j[0, 0], j[0, 1], j[0, 2], j[0, 3] = -A * b / alpha, -(a * alpha + A * c) / alpha, -b / alpha, -(a * phi + c * psi) / alpha
     j[1, 0], j[1, 1], j[1, 2], j[1, 3] = (a * beta - B * c) / beta, B * b / beta, -(a * phi + c * psi) / beta, b / beta
@@ -437,11 +372,7 @@ def h2_integrability_equations(form, a, b, c):
     """The nine integrability equations of the treated h2 family."""
     A, B = form.a, form.b
     E, F, G = form.E, form.F, form.G
-    alpha = math.sqrt(1.0 - A * A)
-    beta = math.sqrt(1.0 - B * B)
-    phi = B * alpha - A * beta
-    psi = A * B + alpha * beta
-    sd = math.sqrt(E * G - F * F)
+    alpha, beta, phi, psi, sd = _h2_angles(form)
     return np.array([
         -a * a * beta * phi + b * b * A + c * c * B * psi
         + a * c * (B * phi - beta * psi) - b * (F * alpha + G * beta) / sd,
@@ -483,11 +414,7 @@ def h2_hermitian_candidates(form, tol=1e-8):
     form.validate()
     A, B = form.a, form.b
     E, F = form.E, form.F
-    alpha = math.sqrt(1.0 - A * A)
-    beta = math.sqrt(1.0 - B * B)
-    phi = B * alpha - A * beta
-    psi = A * B + alpha * beta
-    sd = math.sqrt(E * form.G - F * F)
+    _alpha, _beta, phi, psi, sd = _h2_angles(form)
     scale = max(1.0, sd, E, form.G)
     out = []
     if _eq(A, B):
@@ -712,11 +639,7 @@ def _random_compatible_start(g_chol, rng):
     z = rng.normal(size=(DIM, DIM))
     q, r = np.linalg.qr(z)
     q = q @ np.diag(np.sign(np.diag(r)))
-    jstd = np.zeros((DIM, DIM))
-    for k in range(3):
-        jstd[2 * k, 2 * k + 1] = -1.0
-        jstd[2 * k + 1, 2 * k] = 1.0
-    k_orth = q @ jstd @ q.T
+    k_orth = q @ _PAIRING_J @ q.T
     l_inv_t = np.linalg.inv(g_chol).T
     return l_inv_t @ k_orth @ g_chol.T
 
@@ -734,7 +657,9 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=2021060
     if budget < 1:
         raise InvalidParams(f"search budget must be at least 1 start, got {budget}")
     alg = get_algebra(alg)
-    g = metric.matrix if isinstance(metric, Metric) else np.asarray(metric, dtype=float)
+    if not isinstance(metric, Metric):
+        metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
+    g = metric.matrix
     g_chol = cholesky_lower(g)
     kernel = _ResidualKernel(alg.bracket_tensor, g)
     best_cost = np.inf

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from . import automorphisms as auts
-from .algebra import DIM, get_algebra, require_same_algebra
+from .algebra import _PAIRING_J, DIM, get_algebra, require_same_algebra
 from .automorphisms import (
     Automorphism,
     H2Params,
@@ -196,54 +197,86 @@ class H9Form(_FormBase):
         return self
 
 
-FORM_TYPES = {"h5": H5Form, "h6": H6Form, "h4": H4Form, "h2": H2Form, "h9": H9Form, "h9hat": H9Form}
-
-
 def form_from_dict(data):
+    if not isinstance(data, dict):
+        raise InvalidForm(f"a form must be an object of its parameters, got {data!r:.40}")
     tag = data.get("tag")
     if tag not in FORM_TYPES:
         raise InvalidForm(f"unknown form tag {tag!r}")
-    cls = FORM_TYPES[tag]
-    kwargs = {f.name: float(data[f.name]) for f in fields(cls)}
-    return cls(**kwargs).validate()
+    names = [f.name for f in fields(FORM_TYPES[tag])]
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise InvalidForm(f"{tag} form needs {', '.join(names)}; missing {', '.join(missing)}")
+    try:
+        params = {name: float(data[name]) for name in names}
+    except (TypeError, ValueError) as exc:
+        raise InvalidForm(f"{tag} form parameters must be numbers: {exc}") from None
+    return FORM_TYPES[tag](**params).validate()
+
+
+def _form_type_of(form):
+    ft = _FORM_TYPES.get(getattr(form, "algebra", None))
+    if ft is None or not isinstance(form, ft.form):
+        raise InvalidForm(f"unknown form type {type(form).__name__}")
+    return ft
+
+
+def _hat_label(label):
+    """The label whose basis the canonical forms use: h9 -> h9hat, others unchanged."""
+    ft = _FORM_TYPES.get(label)
+    return label if ft is None else ft.form.algebra
 
 
 def realize(form):
     """Exact metric matrix of a canonical form (see module docstring)."""
     form.validate()
+    return Metric(form.algebra, _form_type_of(form).matrix(form))
+
+
+def _matrix_h5(form):
     g = np.eye(DIM)
-    if isinstance(form, H5Form):
-        g[1, 1] = form.r
-        g[3, 3] = form.s
-        g[4, 4], g[5, 5] = form.E, form.G
-        g[4, 5] = g[5, 4] = form.F
-        return Metric("h5", g)
-    if isinstance(form, H6Form):
-        g[4, 4], g[5, 5] = form.a, form.b
-        return Metric("h6", g)
-    if isinstance(form, H4Form):
-        g[3, 3] = form.r
-        g[4, 4], g[5, 5] = form.a, form.c
-        g[4, 5] = g[5, 4] = form.b
-        return Metric("h4", g)
-    if isinstance(form, H2Form):
-        g[0, 2] = g[2, 0] = form.a
-        g[1, 3] = g[3, 1] = form.b
-        g[4, 4], g[5, 5] = form.E, form.G
-        g[4, 5] = g[5, 4] = form.F
-        return Metric("h2", g)
-    if isinstance(form, H9Form):
-        A, B, C, D, E, F = form.A, form.B, form.C, form.D, form.E, form.F
-        g[2, 2] = A * A + D * D
-        g[2, 3] = g[3, 2] = D * E
-        g[2, 4] = g[4, 2] = B * D
-        g[3, 3] = E * E + 1.0
-        g[3, 4] = g[4, 3] = B * E
-        g[4, 4] = B * B + F * F
-        g[4, 5] = g[5, 4] = C * F
-        g[5, 5] = C * C
-        return Metric("h9hat", g)
-    raise InvalidForm(f"unknown form type {type(form).__name__}")
+    g[1, 1] = form.r
+    g[3, 3] = form.s
+    g[4, 4], g[5, 5] = form.E, form.G
+    g[4, 5] = g[5, 4] = form.F
+    return g
+
+
+def _matrix_h6(form):
+    g = np.eye(DIM)
+    g[4, 4], g[5, 5] = form.a, form.b
+    return g
+
+
+def _matrix_h4(form):
+    g = np.eye(DIM)
+    g[3, 3] = form.r
+    g[4, 4], g[5, 5] = form.a, form.c
+    g[4, 5] = g[5, 4] = form.b
+    return g
+
+
+def _matrix_h2(form):
+    g = np.eye(DIM)
+    g[0, 2] = g[2, 0] = form.a
+    g[1, 3] = g[3, 1] = form.b
+    g[4, 4], g[5, 5] = form.E, form.G
+    g[4, 5] = g[5, 4] = form.F
+    return g
+
+
+def _matrix_h9(form):
+    A, B, C, D, E, F = form.A, form.B, form.C, form.D, form.E, form.F
+    g = np.eye(DIM)
+    g[2, 2] = A * A + D * D
+    g[2, 3] = g[3, 2] = D * E
+    g[2, 4] = g[4, 2] = B * D
+    g[3, 3] = E * E + 1.0
+    g[3, 4] = g[4, 3] = B * E
+    g[4, 4] = B * B + F * F
+    g[4, 5] = g[5, 4] = C * F
+    g[5, 5] = C * C
+    return g
 
 
 def pullback_metric(metric, phi):
@@ -251,7 +284,7 @@ def pullback_metric(metric, phi):
     m = phi.matrix if isinstance(phi, Automorphism) else np.asarray(phi, dtype=float)
     if isinstance(phi, Automorphism):
         a, b = metric.algebra, phi.algebra
-        if a != b and {a, b} != {"h9", "h9hat"}:
+        if _hat_label(a) != _hat_label(b):
             require_same_algebra(a, b)
     return Metric(metric.algebra, m.T @ metric.matrix @ m)
 
@@ -301,20 +334,11 @@ def _kill_commutator_coupling(red, make_params):
 def canonicalize(alg, metric, tol=WITNESS_RTOL):
     """Unique moduli representative of a metric plus a certified witness."""
     alg = get_algebra(alg)
-    g = metric.matrix if isinstance(metric, Metric) else np.asarray(metric, dtype=float)
-    cholesky_lower(g)  # NotSPD gate
-    label = alg.label
-    if label == "h6":
-        return _canonicalize_h6(g, tol)
-    if label == "h4":
-        return _canonicalize_h4(g, tol)
-    if label == "h5":
-        return _canonicalize_h5(g, tol)
-    if label == "h2":
-        return _canonicalize_h2(g, tol)
-    if label in ("h9", "h9hat"):
-        return _canonicalize_h9(g, tol)
-    raise Unsupported(f"canonicalization is defined for built-ins, not {label!r}")
+    if not isinstance(metric, Metric):
+        metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
+    if alg.label not in _FORM_TYPES:
+        raise Unsupported(f"canonical forms exist for the built-ins only, not {alg.label!r}")
+    return _FORM_TYPES[alg.label].canonicalize(metric.matrix, tol)
 
 
 def _canonicalize_h6(g, tol=WITNESS_RTOL):
@@ -406,21 +430,10 @@ def _canonicalize_h2(g, tol=WITNESS_RTOL):
     return _finish(red, form, g)
 
 
-_J04 = None
-
-
-def _pairing_j4():
-    global _J04
-    if _J04 is None:
-        j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-        _J04 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), j2]])
-    return _J04
-
-
 def _complex_parts(b4):
     """Hermitian and complex-symmetric pieces of a real symmetric 4x4 form
     under the identification R^4 = C^2 with i acting as the pairing J."""
-    j = _pairing_j4()
+    j = _PAIRING_J[:4, :4]
     b_inv = 0.5 * (b4 + j.T @ b4 @ j)
     b_anti = 0.5 * (b4 - j.T @ b4 @ j)
     f = [0, 2]  # complex basis vectors e1, e3
@@ -597,8 +610,7 @@ class GroupDescriptor:
         }
 
 
-def _j2():
-    return np.array([[0.0, -1.0], [1.0, 0.0]])
+_J2 = _PAIRING_J[:2, :2]
 
 
 def _blockdiag6(*blocks):
@@ -632,7 +644,7 @@ def _su2_basis_h5():
 def _u2_extra_h5():
     # the trace part i*I, whose determinant derivative rotates (e5, e6)
     x = np.array([[1j, 0.0], [0.0, 1j]])
-    return _blockdiag6(auts.realify_complex2(x), 2.0 * _j2())
+    return _blockdiag6(auts.realify_complex2(x), 2.0 * _J2)
 
 
 def _eq(x, y, scale=1.0):
@@ -643,24 +655,11 @@ def isometry_group(alg, form):
     """GroupDescriptor for the isotropy of a canonical metric, by the case
     tables of the classification."""
     label = get_algebra(alg).label
-    if label in ("h9", "h9hat"):
-        label = "h9hat"
-    if form.algebra not in (label, "h9hat") and not (
-        form.algebra == "h9hat" and label == "h9hat"
-    ):
+    ft = _form_type_of(form)
+    if _FORM_TYPES.get(label) is not ft:
         require_same_algebra(form.algebra, label)
     form.validate()
-    if isinstance(form, H5Form):
-        return _isometry_h5(form)
-    if isinstance(form, H6Form):
-        return _isometry_h6(form)
-    if isinstance(form, H4Form):
-        return _isometry_h4(form)
-    if isinstance(form, H2Form):
-        return _isometry_h2(form)
-    if isinstance(form, H9Form):
-        return _isometry_h9(form)
-    raise Unsupported(f"no isometry classification for {type(form).__name__}")
+    return ft.isometry(form)
 
 
 def _isometry_h5(form):
@@ -668,7 +667,7 @@ def _isometry_h5(form):
     k_z1 = np.diag([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     k_z4 = np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
     psi = auts.PSI_H5.copy()
-    rot_first = _blockdiag6(_j2(), np.zeros((2, 2)), _j2())  # z1 in so(2), Delta follows
+    rot_first = _blockdiag6(_J2, np.zeros((2, 2)), _J2)  # z1 in so(2), Delta follows
     rot_real = np.zeros((DIM, DIM))
     rot_real[0, 2] = rot_real[1, 3] = 1.0
     rot_real[2, 0] = rot_real[3, 1] = -1.0  # real rotation inside GL2(R) < GL2(C)
@@ -711,7 +710,7 @@ def _isometry_h6(form):
     f3 = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
     f5 = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
     if _eq(a, b, max(a, b)):
-        basis = [_blockdiag6(np.zeros((1, 1)), _j2(), np.zeros((1, 1)), _j2())]
+        basis = [_blockdiag6(np.zeros((1, 1)), _J2, np.zeros((1, 1)), _J2)]
         return _descriptor("h6", "O(2) x Z2 x Z2", 1, [f3, f2, f5], basis, 8, "a = b")
     return _descriptor(
         "h6", "Z2 x Z2 x Z2", 0, [f3, f2, f5], [], 8,
@@ -752,8 +751,8 @@ def _isometry_h2(form):
     phi3 = auts.component_representatives("h2")[4].matrix
     sg1 = np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0])  # A = B = diag(-1,1)
     sg2 = np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])  # A = B = diag(1,-1)
-    so2_first = _blockdiag6(_j2(), np.zeros((2, 2)), np.zeros((2, 2)))
-    so2_second = _blockdiag6(np.zeros((2, 2)), _j2(), np.zeros((2, 2)))
+    so2_first = _blockdiag6(_J2, np.zeros((2, 2)), np.zeros((2, 2)))
+    so2_second = _blockdiag6(np.zeros((2, 2)), _J2, np.zeros((2, 2)))
     so2_diag = so2_first + so2_second
     sc = max(E, G)
     a0 = _eq(a, 0.0, max(b, 1.0))
@@ -800,6 +799,31 @@ def _isometry_h9(form):
 
 
 # ---------------------------------------------------------------------------
+# one record per form type
+
+
+@dataclass(frozen=True)
+class _FormType:
+    """The canonical forms of one built-in algebra (h9 in the hat basis)."""
+
+    form: type  # the form class
+    canonicalize: Callable  # (g, tol) -> (form, witness)
+    matrix: Callable  # form -> canonical metric matrix
+    isometry: Callable  # form -> GroupDescriptor, by the case table
+
+
+_FORM_TYPES = {
+    "h5": _FormType(H5Form, _canonicalize_h5, _matrix_h5, _isometry_h5),
+    "h6": _FormType(H6Form, _canonicalize_h6, _matrix_h6, _isometry_h6),
+    "h4": _FormType(H4Form, _canonicalize_h4, _matrix_h4, _isometry_h4),
+    "h2": _FormType(H2Form, _canonicalize_h2, _matrix_h2, _isometry_h2),
+    "h9hat": _FormType(H9Form, _canonicalize_h9, _matrix_h9, _isometry_h9),
+}
+_FORM_TYPES["h9"] = _FORM_TYPES["h9hat"]  # alias: the forms of h9 live in the hat basis
+FORM_TYPES = {label: ft.form for label, ft in _FORM_TYPES.items()}
+
+
+# ---------------------------------------------------------------------------
 # verification
 
 
@@ -830,26 +854,14 @@ def isotropy_algebra_dimension(alg, g, tol=1e-10):
     """dim {D in Der(alg) : D^T g + g D = 0} via a stacked null space."""
     alg = get_algebra(alg)
     n = alg.dim
-    b = alg.bracket_tensor
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            block = np.zeros((n, n, n))
-            for k in range(n):
-                for m in range(n):
-                    block[k, k, m] += b[m, i, j]
-                    block[k, m, i] -= b[k, m, j]
-                    block[k, m, j] -= b[k, i, m]
-            rows.append(block.reshape(n, n * n))
     sym = np.zeros((n, n, n, n))
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 sym[i, j, k, i] += g[k, j]
                 sym[i, j, k, j] += g[i, k]
-    rows.append(sym.reshape(n * n, n * n))
-    basis = null_space(np.vstack(rows), tol=tol)
-    return basis.shape[1]
+    system = np.vstack([auts._derivation_system(alg), sym.reshape(n * n, n * n)])
+    return null_space(system, tol=tol).shape[1]
 
 
 def _generated_group(gen_matrices, cap=512, tol=1e-9):
@@ -881,8 +893,8 @@ def verify_isometry_group(alg, form, desc, tol=1e-10):
     expected order; (iii) the continuous dimension matches the isotropy
     algebra's null-space dimension."""
     alg = get_algebra(alg)
-    if alg.label == "h9":
-        alg = get_algebra("h9hat")
+    if _hat_label(alg.label) != alg.label:
+        alg = get_algebra(_hat_label(alg.label))
     g_c = realize(form).matrix
     scale = max(1.0, max_norm(g_c))
     checks = []

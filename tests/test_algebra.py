@@ -329,3 +329,16 @@ def test_bracket_bilinear_hypothesis(seed):
     lhs = al.bracket(alg, a * x + b * y, z)
     rhs = a * al.bracket(alg, x, z) + b * al.bracket(alg, y, z)
     assert max_norm(lhs - rhs) <= 1e-12 * max(1.0, max_norm(rhs))
+
+
+def test_builtins_are_built_once_and_read_only():
+    assert al.get_algebra("h5") is al.get_algebra("h5")
+    assert al.builtin("h9hat") is al.get_algebra("h9hat")
+    with pytest.raises(ValueError):
+        al.builtin("h5").c[4, 0, 2] = 2.0
+
+
+def test_custom_algebra_keeps_the_callers_array_writable():
+    c = al.builtin("h6").c.copy()
+    alg = al.LieAlgebra(c=c)
+    assert alg.c is c and c.flags.writeable

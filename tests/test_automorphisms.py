@@ -3,6 +3,7 @@ import pytest
 
 from nilmoduli import algebra as al
 from nilmoduli import automorphisms as au
+from nilmoduli import moduli as mo
 from nilmoduli.errors import DegenerateParams, Unsupported
 from nilmoduli.linalg import expm_pade6, max_norm
 
@@ -119,9 +120,44 @@ def test_structured_degenerate(name, params):
         au.structured_automorphism(name, params)
 
 
-def test_structured_unsupported():
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda alg: au.structured_automorphism(alg, au.H6Params()),
+                     id="structured_automorphism"),
+        pytest.param(lambda alg: au.component_label(alg, np.eye(6)), id="component_label"),
+        pytest.param(lambda alg: au.theorem_form_defect(alg, np.eye(6)), id="theorem_form_defect"),
+        pytest.param(lambda alg: au.random_structured_params(alg, np.random.default_rng(0)),
+                     id="random_structured_params"),
+        pytest.param(au.component_representatives, id="component_representatives"),
+        pytest.param(lambda alg: mo.canonicalize(alg, np.eye(6)), id="canonicalize"),
+    ],
+)
+def test_structured_unsupported(call):
+    # every per-algebra entry point refuses a parsed (custom) algebra
     with pytest.raises(Unsupported):
-        au.structured_automorphism(al.parse_salamon("(0,0,0,0,0,0)"), au.H6Params())
+        call(al.parse_salamon("(0,0,0,0,0,0)"))
+
+
+def test_h9_theorem_is_the_hat_theorem_conjugated():
+    hat = np.eye(6)[[1, 0, 3, 2, 4, 5]]  # swap 1<->2, 3<->4
+    rng = np.random.default_rng(9)
+    for _ in range(25):
+        p = au.random_structured_params("h9hat", rng)
+        f_hat = au.structured_automorphism("h9hat", p)
+        f_h9 = au.structured_automorphism("h9", p)
+        np.testing.assert_array_equal(f_h9.matrix, hat @ f_hat.matrix @ hat)
+        assert f_h9.component == f_hat.component
+        # off the theorem form too: the defects agree exactly under conjugation
+        m = f_hat.matrix + rng.normal(0.0, 0.1, (6, 6))
+        assert au.theorem_form_defect("h9", hat @ m @ hat) == au.theorem_form_defect("h9hat", m)
+        assert au.component_label("h9", hat @ m @ hat) == au.component_label("h9hat", m)
+    reps_h9 = au.component_representatives("h9")
+    reps_hat = au.component_representatives("h9hat")
+    assert len(reps_h9) == len(reps_hat) == 8
+    for r9, rhat in zip(reps_h9, reps_hat):
+        np.testing.assert_array_equal(r9.matrix, hat @ rhat.matrix @ hat)
+        assert r9.component == rhat.component
 
 
 # ---------------------------------------------------------------------------

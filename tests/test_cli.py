@@ -125,6 +125,23 @@ def test_isometry_invalid_form_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["isometry", "hermitian"])
+@pytest.mark.parametrize(
+    "form, needle",
+    [
+        ("[1, 2]", "must be an object"),
+        ("null", "must be an object"),
+        ('{"a": 1}', "h6 form needs a, b; missing b"),
+        ('{"a": null, "b": 2}', "must be numbers"),
+    ],
+)
+def test_form_input_errors_exit_2(capsys, command, form, needle):
+    code, out, err = run_cli(capsys, command, "--algebra", "h6", "--form", form)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
 def test_hermitian_sphere_case(capsys):
     code, out, _ = run_cli(
         capsys, "hermitian", "--algebra", "h5",
@@ -183,6 +200,15 @@ def test_verify_suites_pass(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["passed"] is True
+    assert rep["outputs"]["algebra"]["checked"] == 726
+
+
+def test_verify_hermitian_suite_count(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "hermitian", "--seed", "0")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["outputs"]["hermitian"]["checked"] == 2600
+    assert rep["passed"] is True
 
 
 def test_verify_moduli_seeded(capsys, monkeypatch):
@@ -191,7 +217,7 @@ def test_verify_moduli_seeded(capsys, monkeypatch):
     assert code == 0
     rep = json.loads(out)
     assert rep["inputs"]["seed"] == 7
-    assert rep["outputs"]["moduli"]["checked"] >= 500
+    assert rep["outputs"]["moduli"]["checked"] == 500
 
 
 def test_verify_detects_corrupted_build():

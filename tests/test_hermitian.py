@@ -378,6 +378,19 @@ def test_search_deterministic():
     assert r1.residual == r2.residual
 
 
+@pytest.mark.parametrize(
+    "g, needle",
+    [
+        pytest.param(np.diag([1.0, 1, 1, 1, np.nan, 2]), "non-finite", id="nan"),
+        pytest.param(np.eye(4), "6x6", id="4x4"),
+    ],
+)
+def test_search_checks_raw_arrays_like_metric(g, needle):
+    # a bad raw array is an input error, not a "none found" verdict
+    with pytest.raises(InvalidForm, match=needle):
+        hm.hermitian_search("h6", g, budget=2)
+
+
 def test_search_rejects_empty_budget():
     g = mo.Metric("h9hat", np.eye(6))
     for budget in (0, -3):

@@ -225,6 +225,24 @@ def test_canonicalize_rejects_non_spd():
         mo.canonicalize("h6", np.diag([1.0, 1, 1, 1, 1, -2]))
 
 
+RAW_BAD_METRICS = [
+    pytest.param(np.diag([1.0, 1, 1, 1, np.nan, 2]), "non-finite", id="nan"),
+    pytest.param(np.eye(4), "6x6", id="4x4"),
+]
+
+
+@pytest.mark.parametrize("g, needle", RAW_BAD_METRICS)
+def test_canonicalize_checks_raw_arrays_like_metric(g, needle):
+    with pytest.raises(InvalidForm, match=needle):
+        mo.canonicalize("h6", g)
+
+
+def test_isometry_group_rejects_a_form_of_another_algebra():
+    with pytest.raises(AlgebraMismatch):
+        mo.isometry_group("h5", mo.H9Form(1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
+    assert mo.isometry_group("h9", mo.H9Form(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)).component_count == 8
+
+
 def test_witness_pulls_canonical_back_to_input():
     rng = np.random.default_rng(16)
     for name in ALGEBRAS:
