@@ -18,8 +18,10 @@ involution) and a postcondition bound is enforced at construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .algebra import (
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
 from .linalg import cholesky_lower, max_norm
-from .moduli import H9Form, Metric, _eq, realize
+from .moduli import H9Form, Metric, _eq, _require_same_basis, realize
 
 SPHERE_TOL = 1e-12
 NIJENHUIS_TOL = 1e-9
@@ -575,6 +577,78 @@ class SearchResult:
         }
 
 
+@functools.cache
+def _kernel_layout():
+    """Index arrays of the residual kernel; they depend on the dimension only.
+
+    ``nij_*``: flat positions of N[k, i, j], i < j (k-major), in the (i, k, j)
+    layout of J^T (b_k J) and the (k, i, j) layout of t2 and of its
+    (i, j)-swap; ``v_*``: (J^T b_m)[j, i] and (J^T b_m)[i, j] at i < j
+    (m-major) in the (i, m, j) layout; ``pair_*`` and ``gather``: see
+    ``_jacobian_plan``.
+    """
+    iu, ju = np.triu_indices(DIM, 1)
+    k, i, j = np.repeat(np.arange(DIM), iu.size), np.tile(iu, DIM), np.tile(ju, DIM)
+    d2, d = DIM * DIM, DIM
+    pair_first, pair_second, gather = _jacobian_plan(iu, ju)
+    layout = SimpleNamespace(
+        iu=iu, comp=np.ravel_multi_index(np.triu_indices(DIM), (DIM, DIM)),
+        nij_k=k, nij_i=i, nij_j=j,
+        nij_t1=i * d2 + k * d + j, nij_t2=k * d2 + i * d + j, nij_t2s=k * d2 + j * d + i,
+        v_ji=j * d2 + k * d + i, v_ij=i * d2 + k * d + j,
+        pair_first=pair_first, pair_second=pair_second, gather=gather,
+    )
+    for arr in vars(layout).values():
+        arr.flags.writeable = False  # one layout serves every kernel
+    return layout
+
+
+def _jacobian_plan(iu, ju):
+    """How the kernel gathers the Jacobian of one J from its terms.
+
+    The terms of one J are, in order: W, -W, V[m, i, j] at i < j (m-major),
+    gJ and J (row-major), and a zero, where
+    dN[k, i, j] = delta_ib W[k, a, j] - delta_jb W[k, a, i] + delta_ka V[b, i, j]
+    with W = bJ - Jb and V[b, i, j] = (J^T b)[b, j, i] - (J^T b)[b, i, j];
+    d(J^T g J)[i, j] = delta_ib (gJ)[a, j] + delta_jb (gJ)[a, i];
+    d(J^2)[i, j] = delta_ia J[b, j] + delta_jb J[i, a].
+    Each entry is the zero, one term, or a first term plus a second.
+    Returns (pair_first, pair_second, gather): the sums terms[pair_first] +
+    terms[pair_second] go after the terms, and the flat Jacobian is that
+    source at ``gather``.  An entry with a second term only is the zero plus
+    it, as when the term is added into a zeroed matrix.
+    """
+    di, dj = np.triu_indices(DIM)
+    diag = np.arange(DIM)
+    n_nij, n_comp, n_w = DIM * iu.size, di.size, DIM ** 3
+    rows = n_nij + n_comp + DIM * DIM
+    w = np.arange(n_w).reshape(DIM, DIM, DIM)
+    neg_w = n_w + w
+    v = 2 * n_w + np.arange(n_nij).reshape(DIM, iu.size)
+    gj, jj = (2 * n_w + n_nij + np.arange(2 * DIM * DIM)).reshape(2, DIM, DIM)
+    zero = 2 * n_w + n_nij + 2 * DIM * DIM
+    first = np.full((rows, DIM * DIM), -1)
+    second = np.full((rows, DIM * DIM), -1)
+    pairs, crow = np.arange(iu.size), np.arange(n_comp)
+    shape_nij = (DIM, iu.size, DIM, DIM)  # [k, pair, a, b]
+    jn = first[:n_nij].reshape(shape_nij)
+    jn[:, pairs, :, iu] = w[:, :, ju].transpose(2, 0, 1)
+    jn[:, pairs, :, ju] = neg_w[:, :, iu].transpose(2, 0, 1)
+    second[:n_nij].reshape(shape_nij)[diag, :, diag, :] = v.T
+    shape_comp = (n_comp, DIM, DIM)  # [row, a, b]
+    first[n_nij : n_nij + n_comp].reshape(shape_comp)[crow, :, di] = gj[:, dj].T
+    second[n_nij : n_nij + n_comp].reshape(shape_comp)[crow, :, dj] = gj[:, di].T
+    shape_inv = (DIM, DIM, DIM, DIM)  # [i, j, a, b]
+    first[n_nij + n_comp :].reshape(shape_inv)[diag, :, diag, :] = jj.T
+    second[n_nij + n_comp :].reshape(shape_inv)[:, diag, :, diag] = jj
+    first[first < 0] = zero
+    has_second = np.flatnonzero(second >= 0)
+    gather = first.ravel()
+    plan = gather[has_second], second.ravel()[has_second], gather
+    gather[has_second] = zero + 1 + np.arange(has_second.size)
+    return plan
+
+
 class _ResidualKernel:
     """The oracle's residual vector of J and its exact Jacobian.
 
@@ -582,66 +656,223 @@ class _ResidualKernel:
     entries (J^T g J - g)[i, j], i <= j; the 36 entries of J^2 + I.  The
     residual is quadratic in J, so the Jacobian is affine in J; its column
     a*6 + b is the derivative along J[a, b].
+
+    Both methods take one 6x6 J or an (n, 6, 6) stack and return one result
+    per J.  A stack makes the same matmul calls for every J, so each of its
+    results is bit-identical to that J's own.  The six products b_k J, and
+    likewise J^T b_k and J^T (b_k J), are one matmul with the k side by side.
     """
 
     def __init__(self, b, g):
         self.b = b
         self.g = g
-        self.iu, self.ju = np.triu_indices(DIM, 1)
-        self.di, self.dj = np.triu_indices(DIM)
+        self.ix = _kernel_layout()
+        self.n_nij, self.n_comp = DIM * self.ix.iu.size, self.ix.comp.size
+        self.rows = self.n_nij + self.n_comp + DIM * DIM
+        self.b_rows = b.reshape(DIM * DIM, DIM)  # [(k, i), j]
+        self.b_cols = np.ascontiguousarray(b.transpose(1, 0, 2)).reshape(DIM, -1)  # [i, (k, j)]
+        self.b_nij = b[self.ix.nij_k, self.ix.nij_i, self.ix.nij_j]
 
     def residual(self, j):
-        b = self.b
-        t1 = j.T @ (b @ j)  # t1[k, i, j] = [J e_i, J e_j]_k
+        ix = self.ix
+        js = j.reshape(-1, DIM, DIM)
+        n = js.shape[0]
+        jt = js.transpose(0, 2, 1)
+        jtb, bj = jt @ self.b_cols, self.b_rows @ js  # [i, (k, j)] and [(k, i), j]
+        side = (n, DIM, DIM, DIM)
+        # t1[k, i, j] = [J e_i, J e_j]_k, in the (i, k, j) layout
+        t1 = (jt @ bj.reshape(side).transpose(0, 2, 1, 3).reshape(n, DIM, -1)).reshape(n, -1)
         # t2[k, i, j] = (J [J e_i, e_j])_k; its (i, j)-swap is -(J [e_i, J e_j])_k
-        t2 = (j @ (j.T @ b).reshape(DIM, -1)).reshape(b.shape)
-        nij = t1 - t2 + np.swapaxes(t2, 1, 2) - b
-        comp = j.T @ self.g @ j - self.g
-        invol = j @ j
-        invol.flat[:: DIM + 1] += 1.0
-        return np.concatenate(
-            [nij[:, self.iu, self.ju].ravel(), comp[self.di, self.dj], invol.ravel()]
+        t2 = (js @ jtb.reshape(side).transpose(0, 2, 1, 3).reshape(n, DIM, -1)).reshape(n, -1)
+        out = np.empty((n, self.rows))
+        nij = out[:, : self.n_nij]
+        np.subtract(t1.take(ix.nij_t1, axis=1), t2.take(ix.nij_t2, axis=1), out=nij)
+        nij += t2.take(ix.nij_t2s, axis=1)
+        nij -= self.b_nij
+        comp = jt @ self.g @ js - self.g
+        out[:, self.n_nij : self.n_nij + self.n_comp] = comp.reshape(n, -1).take(ix.comp, axis=1)
+        invol = out[:, self.n_nij + self.n_comp :]
+        np.matmul(js, js, out=invol.reshape(n, DIM, DIM))
+        invol[:, :: DIM + 1] += 1.0
+        return out if j.ndim == 3 else out[0]
+
+    def jacobian(self, j, out=None):
+        """d residual / d J[a, b] in column a*6 + b, shape (147, 36) per J;
+        written to ``out`` if given."""
+        ix = self.ix
+        js = j.reshape(-1, DIM, DIM)
+        n = js.shape[0]
+        jt = js.transpose(0, 2, 1)
+        jtb, bj = (jt @ self.b_cols).reshape(n, -1), self.b_rows @ js
+        w = bj.reshape(n, -1) - (js @ self.b.reshape(DIM, -1)).reshape(n, -1)
+        terms = np.concatenate(
+            [w, -w, jtb.take(ix.v_ji, axis=1) - jtb.take(ix.v_ij, axis=1),
+             (self.g @ js).reshape(n, -1), js.reshape(n, -1), np.zeros((n, 1))],
+            axis=1,
         )
-
-    def jacobian(self, j):
-        """d residual / d J[a, b] in column a*6 + b, shape (147, 36).
-
-        dN[k, i, j] = delta_ib W[k, a, j] - delta_jb W[k, a, i] + delta_ka V[b, i, j]
-        with W = bJ - Jb and V[b, i, j] = (J^T b)[b, j, i] - (J^T b)[b, i, j];
-        d(J^T g J)[i, j] = delta_ib (gJ)[a, j] + delta_jb (gJ)[a, i];
-        d(J^2)[i, j] = delta_ia J[b, j] + delta_jb J[i, a].
-        """
-        b, iu, ju, di, dj = self.b, self.iu, self.ju, self.di, self.dj
-        n_nij, n_comp = DIM * iu.size, di.size
-        w = b @ j - (j @ b.reshape(DIM, -1)).reshape(b.shape)
-        jtb = j.T @ b
-        v = np.swapaxes(jtb, 1, 2) - jtb
-        gj = self.g @ j
-        diag = np.arange(DIM)
-        jac = np.zeros((n_nij + n_comp + DIM * DIM, DIM * DIM))
-        jn = jac[:n_nij].reshape(DIM, iu.size, DIM, DIM)  # [k, pair, a, b]
-        pairs = np.arange(iu.size)
-        jn[:, pairs, :, iu] = w[:, :, ju].transpose(2, 0, 1)
-        jn[:, pairs, :, ju] = -w[:, :, iu].transpose(2, 0, 1)
-        jn[diag, :, diag, :] += v[:, iu, ju].T
-        jc = jac[n_nij : n_nij + n_comp].reshape(n_comp, DIM, DIM)  # [row, a, b]
-        rows = np.arange(n_comp)
-        jc[rows, :, di] = gj[:, dj].T
-        jc[rows, :, dj] += gj[:, di].T
-        ji = jac[n_nij + n_comp :].reshape(DIM, DIM, DIM, DIM)  # [i, j, a, b]
-        ji[diag, :, diag, :] = j.T
-        ji[:, diag, :, diag] += j
-        return jac
+        pairs = terms.take(ix.pair_first, axis=1)
+        pairs += terms.take(ix.pair_second, axis=1)
+        jac = np.empty((n, self.rows, DIM * DIM)) if out is None else out
+        np.take(np.concatenate([terms, pairs], axis=1), ix.gather, axis=1,
+                out=jac.reshape(n, -1), mode="clip")
+        return jac if j.ndim == 3 else jac[0]
 
 
-def _random_compatible_start(g_chol, rng):
-    """Random g-compatible orthogonal complex structure L^{-T} K L^T."""
-    z = rng.normal(size=(DIM, DIM))
+def _random_compatible_starts(l_inv_t, l_t, rngs):
+    """Random g-compatible orthogonal complex structures L^{-T} K L^T, one
+    per generator, for g = L L^T; the caller passes L^{-T} and L^T."""
+    z = np.stack([rng.normal(size=(DIM, DIM)) for rng in rngs])
     q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    k_orth = q @ _PAIRING_J @ q.T
-    l_inv_t = np.linalg.inv(g_chol).T
-    return l_inv_t @ k_orth @ g_chol.T
+    d = np.arange(DIM)
+    signs = np.zeros_like(z)
+    signs[:, d, d] = np.sign(r[:, d, d])
+    q = q @ signs
+    k_orth = q @ _PAIRING_J @ q.transpose(0, 2, 1)
+    return l_inv_t @ k_orth @ l_t
+
+
+def _solvable(a, b):
+    try:
+        np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+# Slots of the search's work queue.  A pass costs a fixed numpy overhead
+# plus a share per live start: more slots spread the overhead thinner, but
+# hold more memory and can run more starts past a success.
+_QUEUE_SLOTS = 16
+
+
+class _StartQueue:
+    """Levenberg-Marquardt from starts 0 .. budget - 1, run in a work queue.
+
+    The live starts fill slots 0 .. m-1, one start's state (x, residual,
+    cost, lambda, stall, iteration) per slot.  A pass makes one LM iteration
+    of every live start with stacked numpy calls: the Jacobian, J^T J and
+    the gradient, then up to 25 damping tries, each a batched solve and a
+    residual of the starts still trying.  A start that stops frees its slot
+    for the next start in start order.  Start 0 runs alone and the number of
+    open slots doubles with each start that stops, so that a success among
+    the first starts costs little more than those starts.
+    """
+
+    def __init__(self, kernel, starts, budget, tol2, max_iter):
+        self.kernel, self.starts, self.budget = kernel, starts, budget
+        self.tol2, self.max_iter = tol2, max_iter
+        n_slots, n = _QUEUE_SLOTS, DIM * DIM
+        self.xs = np.empty((n_slots, n))
+        self.rs = np.empty((n_slots, kernel.rows))
+        self.jac = np.empty((n_slots, kernel.rows, n))
+        self.jtj = np.empty((n_slots, n, n))
+        self.grad = np.empty((n_slots, n, 1))
+        self.lam = np.empty(n_slots)
+        self.owner = []  # start index in each live slot; cost, stall and it run in parallel
+        self.cost, self.stall, self.it = [], [], []
+        self.final = [None] * budget  # final cost by start index
+        self.first_found, self.x_found = budget, None
+        self.next_start = self.n_finished = 0
+        self.made = []  # (start index, x, residual, cost) of starts made but not yet taken
+
+    def run(self):
+        """The final cost of each start that counts (those up to the first
+        success in start order, or all) and the first success's J, or None."""
+        while self._take():
+            done = self._iterate() if self.max_iter >= 1 else [True] * len(self.owner)
+            if True in done:
+                self._retire(done)
+        return self.final[: self.first_found + 1], self.x_found
+
+    def _take(self):
+        """Fill free slots with the next starts, made a width at a time;
+        whether any start is live."""
+        width = min(_QUEUE_SLOTS, 1 << self.n_finished)
+        while len(self.owner) < width and self.first_found == self.budget:
+            if not self.made:
+                ks = range(self.next_start, min(self.next_start + width, self.budget))
+                if not ks:
+                    break
+                self.next_start = ks.stop
+                x0 = self.starts(ks).reshape(len(ks), -1)
+                r0 = self.kernel.residual(x0.reshape(-1, DIM, DIM))
+                self.made = list(zip(ks, x0, r0, (r0 ** 2).sum(axis=1).tolist()))
+            k, x0, r0, c0 = self.made.pop(0)
+            s = len(self.owner)
+            self.xs[s], self.rs[s], self.lam[s] = x0, r0, 1e-3
+            self.owner.append(k)
+            self.cost.append(c0)
+            self.stall.append(0)
+            self.it.append(0)
+        return bool(self.owner)
+
+    def _iterate(self):
+        """One LM iteration of every live start; which of them stop."""
+        xs, rs, lam, cost, stall, it = self.xs, self.rs, self.lam, self.cost, self.stall, self.it
+        m, n, tol2, max_iter = len(self.owner), DIM * DIM, self.tol2, self.max_iter
+        jac, jtj, grad = self.jac[:m], self.jtj[:m], self.grad[:m]
+        self.kernel.jacobian(xs[:m].reshape(m, DIM, DIM), out=jac)
+        np.matmul(jac.transpose(0, 2, 1), rs[:m, :, None], out=grad)
+        np.matmul(jac.transpose(0, 2, 1), jac, out=jtj)
+        scale = np.maximum(jtj.reshape(m, -1)[:, :: n + 1], 1e-12)
+        done = [False] * m
+        trying = list(range(m))
+        for _damp in range(25):
+            a = jtj[trying]
+            a.reshape(len(trying), -1)[:, :: n + 1] += lam[trying, None] * scale[trying]
+            rhs = -grad[trying]
+            try:
+                steps = np.linalg.solve(a, rhs)
+                solved, still = trying, []
+            except np.linalg.LinAlgError:  # one singular system fails the stack
+                ok = [_solvable(a[i], rhs[i]) for i in range(len(trying))]
+                solved = [s for s, good in zip(trying, ok) if good]
+                still = [s for s, good in zip(trying, ok) if not good]
+                lam[still] *= 10.0
+                steps = np.linalg.solve(a[ok], rhs[ok])
+            if solved:
+                x_new = xs[solved] + steps[:, :, 0]
+                r_new = self.kernel.residual(x_new.reshape(-1, DIM, DIM))
+                for i, (s, c) in enumerate(zip(solved, (r_new ** 2).sum(axis=1).tolist())):
+                    if math.isfinite(c) and c < cost[s]:
+                        rel = (cost[s] - c) / max(cost[s], 1e-300)
+                        xs[s], rs[s], cost[s] = x_new[i], r_new[i], c
+                        lam[s] = max(lam[s] / 3.0, 1e-14)
+                        stall[s] = stall[s] + 1 if rel < 1e-8 else 0
+                        # stop on success, on a stall, on a plateau far above
+                        # the success threshold, or at max_iter
+                        done[s] = (c <= tol2 or stall[s] >= 2 or (it[s] >= 30 and c > 1e-6)
+                                   or it[s] + 1 >= max_iter)
+                        it[s] += 1
+                        continue
+                    lam[s] *= 10.0
+                    if lam[s] > 1e10:
+                        done[s] = True  # damping past 1e10 without a decrease
+                    else:
+                        still.append(s)
+            if not still:
+                return done
+            trying = still
+        for s in trying:
+            done[s] = True  # no decrease in 25 damping tries
+        return done
+
+    def _retire(self, done):
+        """Record the stopped starts and close their slots; a success drops
+        the later starts, which never count."""
+        for s, stopped in enumerate(done):
+            if stopped:
+                k = self.owner[s]
+                self.final[k] = self.cost[s]
+                self.n_finished += 1
+                if self.cost[s] <= self.tol2 and k < self.first_found:
+                    self.first_found, self.x_found = k, self.xs[s].copy()
+        keep = [s for s, stopped in enumerate(done)
+                if not stopped and self.owner[s] < self.first_found]
+        for state in (self.owner, self.cost, self.stall, self.it):
+            state[:] = [state[s] for s in keep]
+        for state in (self.xs, self.rs, self.lam):
+            state[: len(keep)] = state[keep]
 
 
 def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=20210607):
@@ -653,64 +884,30 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=2021060
     this residual, which is quadratic in J.  Success means a combined
     residual <= tol; failure verdicts report the best residual and never
     claim nonexistence.  ``budget`` must be at least one start.
+
+    The starts run together in a small work queue (see ``_StartQueue``); each
+    start does the arithmetic it would do alone, and the verdict is the
+    serial one: the first success in start order, ``starts_used`` its index
+    + 1, or the best residual over all starts.  Verdicts, residuals and J
+    do not depend on the queue.
     """
     if budget < 1:
         raise InvalidParams(f"search budget must be at least 1 start, got {budget}")
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
+    _require_same_basis(metric.algebra, alg.label)
     g = metric.matrix
     g_chol = cholesky_lower(g)
+    l_inv_t = np.linalg.inv(g_chol).T
+
+    def starts(ks):
+        rngs = [np.random.default_rng(seed + k) for k in ks]
+        return _random_compatible_starts(l_inv_t, g_chol.T, rngs)
+
     kernel = _ResidualKernel(alg.bracket_tensor, g)
-    best_cost = np.inf
-    best_x = None
-    found = False
-    starts = 0
-    for k in range(budget):
-        rng = np.random.default_rng(seed + k)
-        x = _random_compatible_start(g_chol, rng).reshape(-1)
-        lam = 1e-3
-        r0 = kernel.residual(x.reshape(DIM, DIM))
-        cost = float(np.sum(r0 ** 2))
-        stall = 0
-        for it in range(max_iter):
-            jac = kernel.jacobian(x.reshape(DIM, DIM))
-            grad = jac.T @ r0
-            jtj = jac.T @ jac
-            diag = np.clip(np.diag(jtj), 1e-12, None)
-            improved = False
-            for _damp in range(25):
-                try:
-                    step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                x_new = x + step
-                r_new = kernel.residual(x_new.reshape(DIM, DIM))
-                c_new = float(np.sum(r_new ** 2))
-                if np.isfinite(c_new) and c_new < cost:
-                    rel = (cost - c_new) / max(cost, 1e-300)
-                    x, r0, cost = x_new, r_new, c_new
-                    lam = max(lam / 3.0, 1e-14)
-                    improved = True
-                    stall = stall + 1 if rel < 1e-8 else 0
-                    break
-                lam *= 10.0
-                if lam > 1e10:
-                    break
-            if cost <= tol * tol or not improved or stall >= 2:
-                break
-            if it >= 30 and cost > 1e-6:
-                break  # plateaued far above the success threshold
-        starts = k + 1
-        if cost < best_cost:
-            best_cost = cost
-            best_x = x.copy()
-        if cost <= tol * tol:
-            found = True
-            break
-    residual = float(math.sqrt(best_cost))
+    costs, x_found = _StartQueue(kernel, starts, budget, tol * tol, max_iter).run()
     j_out = None
-    if found:
-        j_out = AlmostComplexStructure(best_x.reshape(DIM, DIM), alg.label, tol=10 * tol)
-    return SearchResult(found, j_out, residual, starts)
+    if x_found is not None:
+        j_out = AlmostComplexStructure(x_found.reshape(DIM, DIM), alg.label, tol=10 * tol)
+    return SearchResult(x_found is not None, j_out, float(math.sqrt(min(costs))), len(costs))

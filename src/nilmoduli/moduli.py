@@ -27,6 +27,7 @@ phi^T realize(form) phi = g, enforced at 1e-8 * max|g| as a postcondition.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -207,11 +208,13 @@ def form_from_dict(data):
     missing = [name for name in names if name not in data]
     if missing:
         raise InvalidForm(f"{tag} form needs {', '.join(names)}; missing {', '.join(missing)}")
-    try:
-        params = {name: float(data[name]) for name in names}
-    except (TypeError, ValueError) as exc:
-        raise InvalidForm(f"{tag} form parameters must be numbers: {exc}") from None
-    return FORM_TYPES[tag](**params).validate()
+    # JSON true/false and numeric strings are not numbers, although float() takes them
+    bad = [name for name in names
+           if isinstance(data[name], bool) or not isinstance(data[name], numbers.Real)]
+    if bad:
+        raise InvalidForm(f"{tag} form parameters must be numbers, got "
+                          + ", ".join(f"{name}={data[name]!r}" for name in bad))
+    return FORM_TYPES[tag](**{name: float(data[name]) for name in names}).validate()
 
 
 def _form_type_of(form):
@@ -225,6 +228,13 @@ def _hat_label(label):
     """The label whose basis the canonical forms use: h9 -> h9hat, others unchanged."""
     ft = _FORM_TYPES.get(label)
     return label if ft is None else ft.form.algebra
+
+
+def _require_same_basis(label_a, label_b):
+    """AlgebraMismatch unless both labels name one algebra; h9 and h9hat
+    count as one, since both read metrics in the hat basis."""
+    if _hat_label(label_a) != _hat_label(label_b):
+        require_same_algebra(label_a, label_b)
 
 
 def realize(form):
@@ -283,9 +293,7 @@ def pullback_metric(metric, phi):
     """phi^T g phi for an automorphism phi of the metric's algebra."""
     m = phi.matrix if isinstance(phi, Automorphism) else np.asarray(phi, dtype=float)
     if isinstance(phi, Automorphism):
-        a, b = metric.algebra, phi.algebra
-        if _hat_label(a) != _hat_label(b):
-            require_same_algebra(a, b)
+        _require_same_basis(metric.algebra, phi.algebra)
     return Metric(metric.algebra, m.T @ metric.matrix @ m)
 
 
@@ -336,6 +344,7 @@ def canonicalize(alg, metric, tol=WITNESS_RTOL):
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
+    _require_same_basis(metric.algebra, alg.label)
     if alg.label not in _FORM_TYPES:
         raise Unsupported(f"canonical forms exist for the built-ins only, not {alg.label!r}")
     return _FORM_TYPES[alg.label].canonicalize(metric.matrix, tol)

@@ -142,6 +142,21 @@ def test_form_input_errors_exit_2(capsys, command, form, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("command", ["isometry", "hermitian"])
+@pytest.mark.parametrize(
+    "form, needle",
+    [
+        pytest.param('{"a": true, "b": 2}', "a=True", id="bool"),
+        pytest.param('{"a": 1, "b": "1.5"}', "b='1.5'", id="numeric-string"),
+    ],
+)
+def test_form_values_must_be_json_numbers(capsys, command, form, needle):
+    code, out, err = run_cli(capsys, command, "--algebra", "h6", "--form", form)
+    assert code == 2
+    assert out == ""
+    assert "must be numbers" in err and needle in err
+
+
 def test_hermitian_sphere_case(capsys):
     code, out, _ = run_cli(
         capsys, "hermitian", "--algebra", "h5",
@@ -171,6 +186,19 @@ def test_hermitian_search_none(capsys):
     rep = json.loads(out)
     assert rep["outputs"]["search"]["found"] is False
     assert rep["outputs"]["search"]["residual"] > 1e-3
+
+
+def test_hermitian_search_h9_label(capsys):
+    # --algebra h9 searches on realize(form), an h9hat-tagged metric
+    code, out, _ = run_cli(
+        capsys, "hermitian", "--algebra", "h9",
+        "--form", '{"A":1.0,"B":1.0,"C":1.0,"D":0.0,"E":0.0,"F":0.0}',
+        "--search", "--budget", "2",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["outputs"]["search"]["found"] is True
+    assert rep["outputs"]["search"]["starts_used"] == 1
 
 
 def test_hermitian_search_empty_budget_exit_2(capsys):

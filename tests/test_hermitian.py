@@ -4,7 +4,7 @@ import pytest
 from nilmoduli import algebra as al
 from nilmoduli import hermitian as hm
 from nilmoduli import moduli as mo
-from nilmoduli.errors import InvalidForm, InvalidParams, InvalidTriple
+from nilmoduli.errors import AlgebraMismatch, InvalidForm, InvalidParams, InvalidTriple
 from nilmoduli.linalg import max_norm
 from nilmoduli.testsupport import random_canonical_form
 
@@ -440,6 +440,189 @@ def test_search_residual_blocks_match_definitions(label):
     invol = (j @ j + np.eye(6)).reshape(-1)
     for got, want in ((r[:90], nij), (r[90:111], comp), (r[111:], invol)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max_norm(want))
+
+
+@pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9hat"])
+def test_search_kernel_stack_matches_single_calls(label):
+    kernel, _g, _j = _kernel_at_random_point(label, 33)
+    js = np.random.default_rng(34).normal(size=(8, 6, 6))
+    res, jac = kernel.residual(js), kernel.jacobian(js)
+    assert res.shape == (8, 147) and jac.shape == (8, 147, 36)
+    for i, j in enumerate(js):
+        assert np.array_equal(res[i], kernel.residual(j))
+        assert np.array_equal(jac[i], kernel.jacobian(j))
+
+
+def _serial_start(g_chol, rng):
+    """One start made alone, L^{-T} recomputed: the reference generator."""
+    z = rng.normal(size=(6, 6))
+    q, r = np.linalg.qr(z)
+    q = q @ np.diag(np.sign(np.diag(r)))
+    k_orth = q @ al._PAIRING_J @ q.T
+    l_inv_t = np.linalg.inv(g_chol).T
+    return l_inv_t @ k_orth @ g_chol.T
+
+
+def _serial_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=20210607):
+    """The oracle's serial LM loop, one start after another: the reference
+    that the queued search must reproduce bit for bit."""
+    DIM = 6
+    alg = al.get_algebra(alg)
+    g = metric.matrix
+    g_chol = hm.cholesky_lower(g)
+    kernel = hm._ResidualKernel(alg.bracket_tensor, g)
+    best_cost = np.inf
+    best_x = None
+    found = False
+    starts = 0
+    for k in range(budget):
+        rng = np.random.default_rng(seed + k)
+        x = _serial_start(g_chol, rng).reshape(-1)
+        lam = 1e-3
+        r0 = kernel.residual(x.reshape(DIM, DIM))
+        cost = float(np.sum(r0 ** 2))
+        stall = 0
+        for it in range(max_iter):
+            jac = kernel.jacobian(x.reshape(DIM, DIM))
+            grad = jac.T @ r0
+            jtj = jac.T @ jac
+            diag = np.clip(np.diag(jtj), 1e-12, None)
+            improved = False
+            for _damp in range(25):
+                try:
+                    step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                x_new = x + step
+                r_new = kernel.residual(x_new.reshape(DIM, DIM))
+                c_new = float(np.sum(r_new ** 2))
+                if np.isfinite(c_new) and c_new < cost:
+                    rel = (cost - c_new) / max(cost, 1e-300)
+                    x, r0, cost = x_new, r_new, c_new
+                    lam = max(lam / 3.0, 1e-14)
+                    improved = True
+                    stall = stall + 1 if rel < 1e-8 else 0
+                    break
+                lam *= 10.0
+                if lam > 1e10:
+                    break
+            if cost <= tol * tol or not improved or stall >= 2:
+                break
+            if it >= 30 and cost > 1e-6:
+                break  # plateaued far above the success threshold
+        starts = k + 1
+        if cost < best_cost:
+            best_cost = cost
+            best_x = x.copy()
+        if cost <= tol * tol:
+            found = True
+            break
+    residual = float(np.sqrt(best_cost))
+    j_out = None
+    if found:
+        j_out = al.AlmostComplexStructure(best_x.reshape(DIM, DIM), alg.label, tol=10 * tol)
+    return hm.SearchResult(found, j_out, residual, starts)
+
+
+def _search_metrics():
+    sigma1, _phi, _j = hm.h9_sigma_family("sigma1", A=0.7, E=1.3)  # found at start 6
+    # found at start 2, while start 3, which runs beside it, succeeds first
+    sigma3, _phi, _j = hm.h9_sigma_family("sigma3", a11=1.1760534537716414,
+                                          a44=0.7858623461498406, A=0.3916821940488159)
+    a = np.random.default_rng(1).normal(size=(6, 6))  # some starts stop on a plateau
+    return {
+        "gAB": ("h9hat", mo.Metric("h9hat", np.diag([1, 1, 1.21, 1, 4.84, 1.0]))),
+        "gAA": ("h9hat", mo.Metric("h9hat", np.diag([1, 1, 1.69, 1, 1.69, 1.0]))),
+        "h5": ("h5", mo.realize(mo.H5Form(0.7, 0.4, 1.2, 0.3, 1.9))),
+        "sigma1": ("h9hat", sigma1),
+        "sigma3": ("h9hat", sigma3),
+        "random": ("h9hat", mo.Metric("h9hat", a @ a.T + 3.0 * np.eye(6))),
+    }
+
+
+def _assert_same_verdict(got, want):
+    assert (got.found, got.starts_used, got.residual) == (want.found, want.starts_used,
+                                                          want.residual)
+    assert (got.J is None) == (want.J is None)
+    if want.J is not None:
+        assert np.array_equal(got.J.matrix, want.J.matrix)
+
+
+@pytest.mark.parametrize("budget", [1, 8, 64])
+@pytest.mark.parametrize("name", ["gAB", "gAA", "h5", "sigma1", "sigma3", "random"])
+def test_search_queue_matches_serial_reference(name, budget):
+    label, metric = _search_metrics()[name]
+    _assert_same_verdict(hm.hermitian_search(label, metric, budget=budget),
+                         _serial_search(label, metric, budget=budget))
+
+
+def test_search_sigma1_needs_several_starts():
+    label, metric = _search_metrics()["sigma1"]
+    res = hm.hermitian_search(label, metric, budget=64)
+    assert res.found and res.starts_used == 6
+
+
+@pytest.mark.parametrize("budget", [3, 21])
+def test_search_budget_ending_mid_batch(budget):
+    # 3 stops while the queue is still widening, 21 while sixteen slots are live
+    label, metric = _search_metrics()["gAB"]
+    res = hm.hermitian_search(label, metric, budget=budget)
+    assert res.starts_used == budget and not res.found
+    _assert_same_verdict(res, _serial_search(label, metric, budget=budget))
+
+
+def test_search_queue_recovers_from_singular_systems(monkeypatch):
+    # A stand-in solve calls a system singular by a bit pattern of its corner
+    # entry, so both searches meet the same failures: the queue must re-solve
+    # the rest of its stack and raise the damping of the failed start only.
+    solve = np.linalg.solve
+    calls = {"stacked_failures": 0}
+
+    def singular(a):
+        return int(np.asarray(a[0, 0]).view(np.int64)) % 4 == 0
+
+    def flaky_solve(a, b):
+        if any(singular(m) for m in a.reshape(-1, 36, 36)):
+            calls["stacked_failures"] += a.ndim == 3
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky_solve)
+    for name in ("gAB", "sigma1"):
+        label, metric = _search_metrics()[name]
+        _assert_same_verdict(hm.hermitian_search(label, metric, budget=12),
+                             _serial_search(label, metric, budget=12))
+    assert calls["stacked_failures"] > 0
+
+
+# start 0 of the default seed on g_AB = diag(1, 1, 1.1^2, 1, 2.2^2, 1)
+START_ZERO = np.array([
+    [8.506669165764232e-18, 0.3738230375833535, 0.6523053285609162, -0.08982095966418709, 1.3441315334285255, -0.35672232295695694],
+    [-0.3738230375833535, 1.0971240333917698e-17, 0.5599547198937731, -0.46575339419507233, -0.4959674015792652, 0.577386697250846],
+    [-0.5390953128602611, -0.46277249577997775, 3.688714455226983e-18, -0.19676024160430458, -0.12035204461721126, -0.5291094973077695],
+    [0.0898209596641871, 0.4657533941950723, 0.23807989234120858, 7.161000264023136e-20, -1.6314213685609236, -0.42220521950298895],
+    [-0.27771312674143084, 0.10247260363207956, 0.030088011154302777, 0.3370705306944057, -2.794815897741559e-18, 0.06798264544500822],
+    [0.3567223229569569, -0.577386697250846, 0.6402224917424011, 0.42220521950298895, -0.32903600395383986, 8.277799808111185e-18],
+])
+
+
+def test_search_start_zero_is_pinned():
+    g = np.diag([1, 1, 1.21, 1, 4.84, 1.0])
+    g_chol = hm.cholesky_lower(g)
+    rngs = [np.random.default_rng(20210607 + k) for k in range(3)]
+    got = hm._random_compatible_starts(np.linalg.inv(g_chol).T, g_chol.T, rngs)
+    for k in range(3):  # made together, each start is the one made alone
+        assert np.array_equal(got[k], _serial_start(g_chol, np.random.default_rng(20210607 + k)))
+    np.testing.assert_allclose(got[0], START_ZERO, rtol=1e-12, atol=1e-15)
+
+
+def test_search_rejects_metric_of_another_algebra():
+    g = mo.Metric("h6", np.diag([1, 1, 1, 1, 2, 3.0]))
+    with pytest.raises(AlgebraMismatch):
+        hm.hermitian_search("h5", g, budget=1)
+    # h9 and h9hat read metrics in the same basis
+    assert hm.hermitian_search("h9", mo.realize(mo.H9Form(1, 1, 1, 0, 0, 0)), budget=1).found
 
 
 def test_negation_closure_h4_h6():

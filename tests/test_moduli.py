@@ -237,6 +237,14 @@ def test_canonicalize_checks_raw_arrays_like_metric(g, needle):
         mo.canonicalize("h6", g)
 
 
+def test_canonicalize_rejects_metric_of_another_algebra():
+    g = mo.Metric("h6", np.diag([1, 1, 1, 1, 2, 3.0]))
+    with pytest.raises(AlgebraMismatch):
+        mo.canonicalize("h5", g)
+    form, _witness = mo.canonicalize("h9", mo.realize(mo.H9Form(1.0, 2.0, 1.0, 0.0, 0.0, 0.0)))
+    assert form.B == pytest.approx(2.0)
+
+
 def test_isometry_group_rejects_a_form_of_another_algebra():
     with pytest.raises(AlgebraMismatch):
         mo.isometry_group("h5", mo.H9Form(1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
