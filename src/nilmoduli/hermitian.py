@@ -37,7 +37,7 @@ from .algebra import (
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
 from .linalg import cholesky_lower, max_norm
-from .moduli import H9Form, Metric, _eq, _require_same_basis, realize
+from .moduli import H9Form, Metric, _eq, _hat_algebra, _require_same_basis, realize
 
 SPHERE_TOL = 1e-12
 NIJENHUIS_TOL = 1e-9
@@ -890,6 +890,10 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=2021060
     serial one: the first success in start order, ``starts_used`` its index
     + 1, or the best residual over all starts.  Verdicts, residuals and J
     do not depend on the queue.
+
+    For h9 the metric is read in the hat basis, as everywhere in the
+    package, so the search runs on h9hat's bracket and a J found is an
+    h9hat structure (in the hat basis).
     """
     if budget < 1:
         raise InvalidParams(f"search budget must be at least 1 start, got {budget}")
@@ -897,6 +901,7 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=2021060
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
     _require_same_basis(metric.algebra, alg.label)
+    alg = _hat_algebra(alg)
     g = metric.matrix
     g_chol = cholesky_lower(g)
     l_inv_t = np.linalg.inv(g_chol).T

@@ -1,6 +1,10 @@
 """Small dense linear-algebra kernels.
 
-Everything here is sized for 2x2 .. 6x6 problems.  The 2x2 spectral and
+Everything here is sized for 2x2 .. 6x6 problems.  Cholesky factors come
+from LAPACK (``np.linalg.cholesky``) and carry its rounding; the
+positive-definiteness decision is the package's own: ``cholesky_lower``
+checks symmetry and finiteness, applies the pivot test n*eps*max|A| to
+diag(L)**2 and raises NotSPD.  The 2x2 spectral and
 singular value decompositions are closed forms with fixed sign/angle
 conventions so that canonicalization chains built on them are reproducible
 bit-for-bit.  The nonlinear least-squares solver is a damped Gauss-Newton
@@ -9,6 +13,8 @@ bit-for-bit.  The nonlinear least-squares solver is a damped Gauss-Newton
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,54 +31,87 @@ def _as_matrix(a):
     return a
 
 
+@functools.cache
+def _strict_lower_mask(n):
+    mask = np.tril(np.ones((n, n), dtype=bool), -1)
+    mask.flags.writeable = False
+    return mask
+
+
 def symmetrize(a):
-    """Exactly symmetric copy (upper triangle is the source of truth)."""
+    """Exactly symmetric copy (upper triangle is the source of truth).
+
+    Bit for bit ``np.triu(a) + np.triu(a, 1).T``: the ``+ 0.0`` turns
+    ``-0.0`` into ``+0.0`` as that sum does.
+    """
     a = _as_matrix(a)
-    return np.triu(a) + np.triu(a, 1).T
+    out = np.where(_strict_lower_mask(a.shape[0]), a.T, a)
+    out += 0.0
+    return out
 
 
 def max_norm(a):
     a = np.asarray(a, dtype=float)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    return 0.0 if a.size == 0 else float(np.abs(a).max())
 
 
 def cholesky_lower(a, sym_tol=1e-12):
     """Cholesky factor L (lower, positive diagonal) with L L^T = A.
 
-    Raises NotSPD when a pivot falls below n*eps*max|A|, the standard
-    backward-stable positive-definiteness test.
+    The factor is LAPACK's (``np.linalg.cholesky``) on the symmetrized
+    matrix.  Raises NotSPD at the first pivot ``diag(L)**2`` at or below
+    n*eps*max|A|, the standard backward-stable positive-definiteness test,
+    and on an asymmetric matrix or one with NaN or inf entries.
     """
     a = _as_matrix(a)
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("matrix must be square")
     scale = max_norm(a)
+    if not math.isfinite(scale):
+        raise NotSPD("matrix has non-finite entries")
     if max_norm(a - a.T) > sym_tol * max(1.0, scale):
         raise NotSPD("matrix is not symmetric")
     a = symmetrize(a)
     thresh = n * EPS * scale
-    L = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - np.dot(L[j, :j], L[j, :j])
-        if pivot <= thresh:
-            raise NotSPD(f"pivot {pivot:.3e} at index {j} below threshold {thresh:.3e}")
-        L[j, j] = np.sqrt(pivot)
-        for i in range(j + 1, n):
-            L[i, j] = (a[i, j] - np.dot(L[i, :j], L[j, :j])) / L[j, j]
-    return L
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pivots = _pivots_to_failure(a)
+    else:
+        d = L.diagonal()
+        if n == 0 or min(d) ** 2 > thresh:
+            return L
+        pivots = d * d
+    j = int(np.argmax(pivots <= thresh))
+    raise NotSPD(f"pivot {pivots[j]:.3e} at index {j} below threshold {thresh:.3e}")
+
+
+def _pivots_to_failure(a):
+    """Cholesky pivots of ``a`` up to the first one LAPACK rejects: diag(L)**2
+    of the largest leading block it factors, then the Schur complement of
+    that block at the next index."""
+    L = np.zeros((0, 0))
+    for k in range(a.shape[0]):
+        try:
+            L_next = np.linalg.cholesky(a[: k + 1, : k + 1])
+        except np.linalg.LinAlgError:
+            y = np.linalg.solve(L, a[:k, k]) if k else np.zeros(0)
+            return np.append(np.diagonal(L) ** 2, a[k, k] - y @ y)
+        L = L_next
+    return np.diagonal(L) ** 2
 
 
 def reverse_cholesky_lower(a):
     """Lower-triangular X with positive diagonal and X^T X = A.
 
     This is the factorization behind actions of lower-triangular groups on
-    SPD matrices (note the transpose sits on the left, unlike Cholesky).
+    SPD matrices (note the transpose sits on the left, unlike Cholesky):
+    with the index order reversed, X is the transposed Cholesky factor.
     """
     a = _as_matrix(a)
-    n = a.shape[0]
-    P = np.eye(n)[::-1]
-    L = cholesky_lower(P @ a @ P)
-    return P @ L.T @ P
+    # C order, so that products with X run through BLAS
+    return np.ascontiguousarray(cholesky_lower(a[::-1, ::-1]).T[::-1, ::-1])
 
 
 def invert(a, cond_max=1e14):

@@ -53,6 +53,7 @@ from .linalg import (
     reverse_cholesky_lower,
     sym_eig2,
     svd2,
+    symmetrize,
     takagi2,
 )
 
@@ -74,7 +75,7 @@ class Metric:
             raise InvalidForm(f"metric matrix must be {DIM}x{DIM}, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise InvalidForm("metric matrix has non-finite entries (NaN or inf)")
-        m = np.triu(m) + np.triu(m, 1).T
+        m = symmetrize(m)
         cholesky_lower(m)  # raises NotSPD
         object.__setattr__(self, "matrix", m)
 
@@ -228,6 +229,13 @@ def _hat_label(label):
     """The label whose basis the canonical forms use: h9 -> h9hat, others unchanged."""
     ft = _FORM_TYPES.get(label)
     return label if ft is None else ft.form.algebra
+
+
+def _hat_algebra(alg):
+    """The algebra whose bracket acts in the basis metrics are read in:
+    h9 -> h9hat, any other algebra (custom ones included) unchanged."""
+    alg = get_algebra(alg)
+    return alg if _hat_label(alg.label) == alg.label else get_algebra(_hat_label(alg.label))
 
 
 def _require_same_basis(label_a, label_b):
@@ -901,9 +909,7 @@ def verify_isometry_group(alg, form, desc, tol=1e-10):
     skew-symmetric derivations; (ii) the finite part closes with the
     expected order; (iii) the continuous dimension matches the isotropy
     algebra's null-space dimension."""
-    alg = get_algebra(alg)
-    if _hat_label(alg.label) != alg.label:
-        alg = get_algebra(_hat_label(alg.label))
+    alg = _hat_algebra(alg)
     g_c = realize(form).matrix
     scale = max(1.0, max_norm(g_c))
     checks = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -201,6 +202,23 @@ def test_hermitian_search_h9_label(capsys):
     assert rep["outputs"]["search"]["starts_used"] == 1
 
 
+def test_hermitian_search_h9_label_reads_hat_basis(capsys):
+    # A = B = 1.3 is not invariant under the h9 <-> h9hat permutation, so
+    # this fails unless the search reads the metric in the hat basis
+    reports = []
+    for label in ("h9", "h9hat"):
+        code, out, _ = run_cli(
+            capsys, "hermitian", "--algebra", label,
+            "--form", '{"A":1.3,"B":1.3,"C":1,"D":0,"E":0,"F":0}',
+            "--search", "--budget", "4",
+        )
+        assert code == 0
+        reports.append(json.loads(out)["outputs"]["search"])
+    assert reports[0]["found"] is True
+    assert reports[0]["starts_used"] == 1
+    assert reports[0] == reports[1]
+
+
 def test_hermitian_search_empty_budget_exit_2(capsys):
     code, out, err = run_cli(
         capsys, "hermitian", "--algebra", "h9hat",
@@ -221,6 +239,17 @@ def test_tables_deterministic(capsys):
     assert len(rep["outputs"]["isometry"]["h5"]) == 10
     assert len(rep["outputs"]["isometry"]["h2"]) == 8
     assert len(rep["outputs"]["h6_hermitian"]) == 3
+
+
+TABLES_SHA256 = "bf2956cb27a8f82e4b2974b1cadfd41a40690e66c05a15d0f9dcf59d46b068a0"
+
+
+def test_tables_bytes_pinned(capsys):
+    # the closed-form tables are a fixed artefact: any change to their
+    # bytes, across versions as well as between runs, fails here
+    code, out, _ = run_cli(capsys, "tables")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_SHA256
 
 
 def test_verify_suites_pass(capsys):

@@ -371,6 +371,18 @@ def test_search_reports_none_for_unequal_diagonal():
     assert res.starts_used == 64
 
 
+def test_search_h9_reads_the_metric_in_the_hat_basis():
+    # g_{A,A} with A = B = 1.3 is Hermitian; its matrix is in the hat basis,
+    # so "h9" must search with h9hat's bracket, as "h9hat" does
+    metric = mo.realize(mo.H9Form(1.3, 1.3, 1.0, 0.0, 0.0, 0.0))
+    res = hm.hermitian_search("h9", metric, budget=4)
+    hat = hm.hermitian_search("h9hat", metric, budget=4)
+    assert res.found and res.residual <= 1e-8
+    assert res.starts_used == hat.starts_used == 1
+    np.testing.assert_array_equal(res.J.matrix, hat.J.matrix)
+    assert al.nijenhuis_residual(al.builtin("h9hat"), res.J.matrix, tol=1e-7) <= 1e-7
+
+
 def test_search_deterministic():
     g = mo.Metric("h9hat", np.diag([1, 1, 1.0, 1, 4.0, 1.0]))
     r1 = hm.hermitian_search("h9hat", g, budget=8)

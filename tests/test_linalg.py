@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from nilmoduli.errors import Diverged, NotSPD
 from nilmoduli.linalg import (
+    EPS,
     cholesky_lower,
     expm_pade6,
     least_squares_solve,
@@ -13,6 +16,7 @@ from nilmoduli.linalg import (
     reverse_cholesky_lower,
     svd2,
     sym_eig2,
+    symmetrize,
     takagi2,
 )
 
@@ -64,6 +68,153 @@ def test_reverse_cholesky():
         assert max_norm(np.triu(x, 1)) == 0.0
         assert np.all(np.diag(x) > 0)
         assert max_norm(x.T @ x - a) <= 1e-12 * max_norm(a)
+
+
+def _reference_cholesky_lower(a, sym_tol=1e-12):
+    # plain column-by-column elimination with the same pivot rule: the
+    # reference for cholesky_lower's factor and its NotSPD decisions
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError("matrix must be square")
+    scale = max_norm(a)
+    if max_norm(a - a.T) > sym_tol * max(1.0, scale):
+        raise NotSPD("matrix is not symmetric")
+    a = symmetrize(a)
+    thresh = n * EPS * scale
+    L = np.zeros_like(a)
+    for j in range(n):
+        pivot = a[j, j] - np.dot(L[j, :j], L[j, :j])
+        if pivot <= thresh:
+            raise NotSPD(f"pivot {pivot:.3e} at index {j} below threshold {thresh:.3e}")
+        L[j, j] = np.sqrt(pivot)
+        for i in range(j + 1, n):
+            L[i, j] = (a[i, j] - np.dot(L[i, :j], L[j, :j])) / L[j, j]
+    return L
+
+
+def _not_spd_index(factor, a):
+    """Index named by factor's NotSPD, or None when it returns a factor."""
+    try:
+        factor(a)
+    except NotSPD as exc:
+        return int(re.search(r"at index (\d+)", str(exc)).group(1))
+    return None
+
+
+def spd_with_condition(rng, n, cond):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = q @ np.diag(np.logspace(0.0, -np.log10(cond), n)) @ q.T
+    return symmetrize(a)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e8, 1e12])
+def test_cholesky_matches_reference_up_to_rounding(cond):
+    rng = np.random.default_rng(int(np.log10(cond)) + 40)
+    for n in range(1, 7):
+        for _ in range(20):
+            a = spd_with_condition(rng, n, cond)
+            bound = 8 * n * EPS * max_norm(a)
+            L = cholesky_lower(a)
+            ref = _reference_cholesky_lower(a)
+            assert np.all(np.diag(L) > 0)
+            assert max_norm(np.triu(L, 1)) == 0.0
+            assert max_norm(L @ L.T - a) <= bound
+            assert max_norm(ref @ ref.T - a) <= bound
+            assert max_norm(L @ L.T - ref @ ref.T) <= bound
+
+
+def exact_matrix_with_pivot(rng, n, j, pivot):
+    """Symmetric n x n matrix, exact in floating point, whose Cholesky pivot
+    at j is ``pivot * 16 n^2 eps`` and whose pivot test threshold
+    n*eps*max|A| is 16 n^2 eps, with square root 4n * 2^-26.
+
+    Rows before j are unit-pivot dyadic, column j is zero below the
+    diagonal, and one other index k is decoupled with A[k, k] = 16n, the
+    largest entry; every pivot other than j is 1 or 16n.
+    """
+    k = int(rng.choice([i for i in range(n) if i != j]))
+    rest = [i for i in range(n) if i != k]
+    m = len(rest)
+    L0 = np.tril(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(m, m)), -1) + np.eye(m)
+    jj = rest.index(j)
+    L0[jj + 1:, jj] = 0.0
+    L0[jj, jj] = 0.0
+    b = L0 @ L0.T  # exact: dyadic entries with few bits
+    b[jj, jj] += pivot * 16 * n * n * EPS
+    a = np.zeros((n, n))
+    a[np.ix_(rest, rest)] = b
+    a[k, k] = 16.0 * n
+    assert max_norm(a) == 16.0 * n
+    return a
+
+
+@pytest.mark.parametrize("pivot, rejected", [(0.5, True), (1.0, True), (2.0, False),
+                                             (0.0, True), (-1e14, True)])
+def test_cholesky_pivot_decision_matches_reference(pivot, rejected):
+    rng = np.random.default_rng(7)
+    for n in range(2, 7):
+        for j in range(n):
+            a = exact_matrix_with_pivot(rng, n, j, pivot)
+            expected = j if rejected else None
+            assert _not_spd_index(_reference_cholesky_lower, a) == expected
+            assert _not_spd_index(cholesky_lower, a) == expected
+
+
+def test_cholesky_not_spd_sweep_matches_reference():
+    # symmetric matrices with mixed inertia: same decision, same index
+    rng = np.random.default_rng(8)
+    rejected = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        a = rng.normal(size=(n, n))
+        a = symmetrize(a @ a.T - rng.uniform(0.0, 2.0) * np.diag(rng.uniform(0.0, 1.0, n)))
+        index = _not_spd_index(_reference_cholesky_lower, a)
+        assert _not_spd_index(cholesky_lower, a) == index
+        rejected += index is not None
+    assert 50 <= rejected <= 250
+
+
+def test_cholesky_not_spd_message():
+    # on an exact failing pivot the message is the reference's, word for word
+    a = np.diag([1.0, 1.0, -2.0, 1.0])
+    with pytest.raises(NotSPD) as ref:
+        _reference_cholesky_lower(a)
+    with pytest.raises(NotSPD, match=r"pivot -2\.000e\+00 at index 2 below threshold 1\.776e-15"):
+        cholesky_lower(a)
+    assert str(ref.value) == "pivot -2.000e+00 at index 2 below threshold 1.776e-15"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+def test_cholesky_rejects_non_finite(bad, where):
+    a = np.eye(3)
+    a[where] = a[where[::-1]] = bad
+    with pytest.raises(NotSPD, match="non-finite"):
+        cholesky_lower(a)
+
+
+def test_symmetrize_is_bit_equal_to_triu_sum():
+    rng = np.random.default_rng(9)
+    for n in range(1, 7):
+        for _ in range(20):
+            a = rng.normal(size=(n, n))
+            a[rng.random((n, n)) < 0.3] = -0.0
+            a[rng.random((n, n)) < 0.2] = 0.0
+            expected = np.triu(a) + np.triu(a, 1).T
+            got = symmetrize(a)
+            assert got.tobytes() == expected.tobytes()
+    neg_zero = np.full((3, 3), -0.0)
+    assert not np.signbit(symmetrize(neg_zero)).any()
+
+
+def test_reverse_cholesky_bit_equal_to_exchange_matrix_form():
+    rng = np.random.default_rng(10)
+    P = np.eye(6)[::-1]
+    for _ in range(50):
+        a = random_spd(rng, 6)
+        expected = P @ cholesky_lower(P @ a @ P).T @ P
+        assert reverse_cholesky_lower(a).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
