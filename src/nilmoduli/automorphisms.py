@@ -78,20 +78,23 @@ def is_automorphism(alg, m, tol=DEFAULT_TOL):
 
 def _derivation_system(alg):
     """Rows of D |-> D[e_i,e_j] - [De_i, e_j] - [e_i, De_j], i < j, acting on
-    D as a 36-vector; the null space is the derivation algebra."""
+    D as a 36-vector; the null space is the derivation algebra.
+
+    Row (pair p = (i, j), k), column (m, c) holds the coefficient of D[m, c]
+    in component k.  A cell collects at most two terms, and a sum of two
+    does not depend on their order, so the rows equal those of the
+    term-by-term loop bit for bit.
+    """
     n = alg.dim
     b = alg.bracket_tensor
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            block = np.zeros((n, n, n))
-            for k in range(n):
-                for m in range(n):
-                    block[k, k, m] += b[m, i, j]
-                    block[k, m, i] -= b[k, m, j]
-                    block[k, m, j] -= b[k, i, m]
-            rows.append(block.reshape(n, n * n))
-    return np.vstack(rows)
+    i, j = np.triu_indices(n, 1)
+    p = np.arange(i.size)
+    k = np.arange(n)
+    system = np.zeros((i.size, n, n, n))
+    system[:, k, k, :] += b[:, i, j].T[:, None, :]  # D[e_i, e_j]
+    system[p, :, :, i] -= b[:, :, j].transpose(2, 0, 1)  # [D e_i, e_j]
+    system[p, :, :, j] -= b[:, i, :].transpose(1, 0, 2)  # [e_i, D e_j]
+    return system.reshape(-1, n * n)
 
 
 def derivation_algebra(alg, tol=1e-10):

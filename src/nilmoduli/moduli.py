@@ -47,7 +47,6 @@ from .automorphisms import (
 from .errors import CanonicalizationFailed, InvalidForm, NotSPD, Unsupported
 from .linalg import (
     cholesky_lower,
-    least_squares_solve,
     max_norm,
     null_space,
     reverse_cholesky_lower,
@@ -485,8 +484,6 @@ def _canonicalize_h5(g, tol=WITNESS_RTOL):
     t = np.diag([1.0 / math.sqrt(1.0 + s1), 1.0 / math.sqrt(1.0 + s2)])
     red.apply(_h5_move(a1 @ w @ t))
     scale = max(1.0, max_norm(g))
-    if max_norm(red.g[:4, :4] - np.diag(np.diag(red.g[:4, :4]))) > 1e-11 * scale:
-        _polish_h5(red)
     r, s = red.g[1, 1], red.g[3, 3]
     if abs(r - 1.0) <= 1e-10:
         # isotropy at r = 1 rotates the commutator block: diagonalize it
@@ -507,31 +504,6 @@ def _canonicalize_h5(g, tol=WITNESS_RTOL):
         G=float(red.g[5, 5]),
     )
     return _finish(red, form, g)
-
-
-def _polish_h5(red):
-    """Least-squares refinement of the GL2(C) reduction (rarely needed)."""
-    g4 = red.g[:4, :4].copy()
-    r0, s0 = red.g[1, 1], red.g[3, 3]
-
-    def residual(x):
-        ac = np.array(
-            [[1.0 + x[0] + 1j * x[1], x[2] + 1j * x[3]],
-             [x[4] + 1j * x[5], 1.0 + x[6] + 1j * x[7]]]
-        )
-        a4 = auts.realify_complex2(ac)
-        target = np.diag([1.0, x[8], 1.0, x[9]])
-        return (a4.T @ g4 @ a4 - target)[np.triu_indices(4)]
-
-    x0 = np.zeros(10)
-    x0[8], x0[9] = r0, s0
-    result = least_squares_solve(residual, x0, tol=1e-14, max_iter=60)
-    x = result.x
-    ac = np.array(
-        [[1.0 + x[0] + 1j * x[1], x[2] + 1j * x[3]],
-         [x[4] + 1j * x[5], 1.0 + x[6] + 1j * x[7]]]
-    )
-    red.apply(_h5_move(ac))
 
 
 def _canonicalize_h9(g, tol=WITNESS_RTOL):
@@ -858,15 +830,6 @@ class IsometryReport:
         }
 
 
-def _derivation_defect(alg, d):
-    b = alg.bracket_tensor
-    lhs = np.einsum("km,mij->kij", d, b, optimize=True)
-    rhs = np.einsum("kmj,mi->kij", b, d, optimize=True) + np.einsum(
-        "kim,mj->kij", b, d, optimize=True
-    )
-    return max_norm(lhs - rhs)
-
-
 def isotropy_algebra_dimension(alg, g, tol=1e-10):
     """dim {D in Der(alg) : D^T g + g D = 0} via a stacked null space."""
     alg = get_algebra(alg)
@@ -925,10 +888,11 @@ def verify_isometry_group(alg, form, desc, tol=1e-10):
          f"bracket defect {worst_bracket:.2e}, metric defect {worst_metric:.2e}")
     )
 
+    derivation_system = auts._derivation_system(alg)
     worst_der = 0.0
     worst_skew = 0.0
     for d in desc.isotropy_basis:
-        worst_der = max(worst_der, _derivation_defect(alg, d))
+        worst_der = max(worst_der, max_norm(derivation_system @ d.reshape(-1)))
         worst_skew = max(worst_skew, max_norm(d.T @ g_c + g_c @ d))
     ok = worst_der <= tol and worst_skew <= tol * scale
     checks.append(

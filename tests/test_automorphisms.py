@@ -40,6 +40,35 @@ def test_derivation_basis_properties():
             assert max_norm(lhs - rhs) <= 1e-10
 
 
+def _derivation_system_loop(alg):
+    """Reference: the derivation system built term by term."""
+    n = alg.dim
+    b = alg.bracket_tensor
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            block = np.zeros((n, n, n))
+            for k in range(n):
+                for m in range(n):
+                    block[k, k, m] += b[m, i, j]
+                    block[k, m, i] -= b[k, m, j]
+                    block[k, m, j] -= b[k, i, m]
+            rows.append(block.reshape(n, n * n))
+    return np.vstack(rows)
+
+
+def test_derivation_system_matches_loop():
+    rng = np.random.default_rng(12)
+    algs = [al.builtin(name) for name in BUILTINS]
+    algs.append(al.parse_salamon("(0,0,12,13,14+23,34+52)"))
+    # non-integer structure constants
+    algs.append(al.change_of_basis(al.builtin("h5"), np.eye(6) + 0.3 * rng.normal(size=(6, 6))))
+    for alg in algs:
+        fast, ref = au._derivation_system(alg), _derivation_system_loop(alg)
+        assert fast.shape == ref.shape
+        assert fast.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # predicates
 

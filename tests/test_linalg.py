@@ -316,6 +316,22 @@ def test_takagi2_degenerate():
         assert np.max(np.abs(u @ np.diag([s1, s2]) @ u.T - q)) <= 1e-11
 
 
+@pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-7, 1e-5, 1e-3])
+def test_takagi2_near_degenerate(gap):
+    # singular values top / (1 + gap) and top in a random unitary frame
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        w, _r = np.linalg.qr(z)
+        top = rng.uniform(0.5, 2.0)
+        q = w @ np.diag([top / (1.0 + gap), top]) @ w.T
+        q = 0.5 * (q + q.T)
+        u, (s1, s2) = takagi2(q)
+        assert 0.0 <= s1 <= s2
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
+        assert np.max(np.abs(u @ np.diag([s1, s2]) @ u.T - q)) <= 1e-12 * max(1.0, s2)
+
+
 def test_takagi2_zero():
     u, s = takagi2(np.zeros((2, 2), dtype=complex))
     assert s == (0.0, 0.0)

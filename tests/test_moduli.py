@@ -187,6 +187,21 @@ def test_orbit_invariance_boundaries(name, boundary):
         assert max_norm(recovered.param_vector() - form.param_vector()) <= 1e-7
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4, 3.7e5])
+def test_h5_orbit_near_s_equals_r(scale):
+    # relative gap 1e-7 between r and s: the reduction's Takagi step factors
+    # a matrix with singular values that close, where an error ~eps/gap
+    # would leave the reduced 4x4 block visibly off diagonal
+    form = mo.H5Form(1e-4 * (1 + 1e-7), 1e-4, 1, 0, 2)
+    g = mo.realize(form)
+    for k in range(6):
+        g2 = scale * mo.pullback_metric(g, au.random_automorphism("h5", k)).matrix
+        recovered, wit = mo.canonicalize("h5", g2)
+        assert recovered.r == pytest.approx(form.r, rel=1e-9, abs=0)
+        assert recovered.s == pytest.approx(form.s, rel=1e-9, abs=0)
+        assert wit.residual <= 1e-8 * max_norm(g2)
+
+
 def test_uniqueness_two_preconditioning_paths():
     rng = np.random.default_rng(13)
     for name in ALGEBRAS:
