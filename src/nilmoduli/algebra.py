@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AlgebraMismatch, NotNilpotent, ParseError, SingularMatrix
-from .linalg import max_norm
+from .linalg import cutoff_rank, max_norm
 
 DIM = 6
 BUILTIN_SALAMON = {
@@ -228,6 +228,30 @@ def get_algebra(spec):
     return parse_salamon(spec)
 
 
+# The contractions below are the matmul sequences that
+# np.einsum(..., optimize=True) runs on numpy 2.4 (same pairing, operand
+# order and layout), so they give its bits without its path search.
+
+
+def _map_values(m, b):
+    """u[x, y, k] = sum_l M[k, l] b[l, x, y]: M applied to the values of b, index last."""
+    n = b.shape[0]
+    return (b.transpose(1, 2, 0).reshape(n * n, n) @ m.T).reshape(n, n, n)
+
+
+def _contract_last(t, m):
+    """r[x, y, j] = sum_q t[x, y, q] M[q, j]."""
+    n = t.shape[0]
+    return (t.reshape(n * n, n) @ m).reshape(n, n, n)
+
+
+def pullback(b, m):
+    """b(M., M.)[k, i, j] = sum_{p,q} b[k, p, q] M[p, i] M[q, j]."""
+    n = b.shape[0]
+    t = (m.T @ b.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)  # (i, k, q)
+    return _contract_last(t, m).transpose(1, 0, 2)
+
+
 def change_of_basis(alg, p, cond_max=1e12):
     """Algebra in the basis f_i = P e_i, i.e. [x, y]' = P^{-1} [Px, Py]."""
     p = np.asarray(p, dtype=float)
@@ -235,8 +259,9 @@ def change_of_basis(alg, p, cond_max=1e12):
     if s[-1] == 0.0 or s[0] / s[-1] > cond_max:
         raise SingularMatrix("change-of-basis matrix is numerically singular")
     pinv = np.linalg.inv(p)
-    b = alg.bracket_tensor
-    b_new = np.einsum("mk,kpq,pi,qj->mij", pinv, b, p, p, optimize=True)
+    u = _map_values(pinv, alg.bracket_tensor)  # (p, q, m)
+    t = _contract_last(u.transpose(2, 1, 0), p)  # (m, q, i)
+    b_new = _contract_last(t.transpose(2, 0, 1), p).transpose(1, 0, 2)
     return LieAlgebra(c=-b_new, label="custom")
 
 
@@ -250,8 +275,10 @@ def bracket(alg, x, y):
 def jacobi_residual(alg):
     """Max-norm of the Jacobi cyclic sum over all basis triples."""
     b = alg.bracket_tensor
+    n = alg.dim
     # [[e_i, e_j], e_k]_m = b[m, p, k] b[p, i, j]
-    bb = np.einsum("mpk,pij->mijk", b, b, optimize=True)
+    bb = b.transpose(1, 2, 0).reshape(n * n, n) @ b.transpose(1, 0, 2).reshape(n, n * n)
+    bb = bb.reshape(n, n, n, n).transpose(2, 0, 1, 3)
     cyc = bb + np.transpose(bb, (0, 3, 1, 2)) + np.transpose(bb, (0, 2, 3, 1))
     return max_norm(cyc)
 
@@ -263,6 +290,13 @@ def exterior_derivative(alg, theta):
     return TwoForm(np.triu(m, 1))
 
 
+def _bracket_span(b, span):
+    """g[k, i, m] = sum_q b[k, i, q] span[q, m]: [e_i, column m of span]."""
+    n, r = span.shape
+    g = span.T @ b.transpose(2, 0, 1).reshape(n, n * n)
+    return g.reshape(r, n, n).transpose(1, 2, 0)
+
+
 def nilpotency_step(alg, tol=1e-10, max_iter=10):
     """Length s of the lower central series (C^{s+1} = 0)."""
     b = alg.bracket_tensor
@@ -270,9 +304,9 @@ def nilpotency_step(alg, tol=1e-10, max_iter=10):
     step = 0
     for step in range(1, max_iter + 1):
         # C^{step+1} = [h, C^{step}]
-        gens = np.einsum("kiq,qm->kim", b, span, optimize=True).reshape(alg.dim, -1)
+        gens = _bracket_span(b, span).reshape(alg.dim, -1)
         u, s, _ = np.linalg.svd(gens)
-        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+        rank = cutoff_rank(s, tol)
         if rank == 0:
             return step
         if rank >= span.shape[1]:
@@ -307,10 +341,10 @@ def nijenhuis_tensor(alg, j):
     """N[k, i, j] = e^k-component of N_J(e_i, e_j); vanishes iff integrable."""
     jm = j.matrix if isinstance(j, AlmostComplexStructure) else np.asarray(j, dtype=float)
     b = alg.bracket_tensor
-    jbj = np.einsum("kpq,pi,qj->kij", b, jm, jm, optimize=True)
-    jb_left = np.einsum("km,mpj,pi->kij", jm, b, jm, optimize=True)
-    jb_right = np.einsum("km,miq,qj->kij", jm, b, jm, optimize=True)
-    return jbj - jb_left - jb_right - b
+    jb = _map_values(jm, b)  # (J b)[k, x, y] stored at [x, y, k]
+    jb_left = _contract_last(jb.transpose(1, 2, 0), jm).transpose(1, 2, 0)  # J[J e_i, e_j]
+    jb_right = _contract_last(jb.transpose(0, 2, 1), jm).transpose(1, 0, 2)  # J[e_i, J e_j]
+    return pullback(b, jm) - jb_left - jb_right - b
 
 
 def nijenhuis_residual(alg, j, tol=DEFAULT_TOL):
@@ -322,8 +356,7 @@ def is_abelian_structure(alg, j, tol=DEFAULT_TOL):
     """True iff [JX, JY] = [X, Y] on all basis pairs within tol."""
     jm = _checked_j(alg, j, tol)
     b = alg.bracket_tensor
-    jbj = np.einsum("kpq,pi,qj->kij", b, jm, jm, optimize=True)
-    return bool(max_norm(jbj - b) <= tol)
+    return bool(max_norm(pullback(b, jm) - b) <= tol)
 
 
 # J_std for the pairing (e1,e2), (e3,e4), (e5,e6): the one copy, which the

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _PAIRING_J, DEFAULT_TOL, DIM, get_algebra
+from .algebra import _PAIRING_J, DEFAULT_TOL, DIM, _map_values, get_algebra, pullback
 from .errors import DegenerateParams, Unsupported
 from .linalg import max_norm, null_space
 
@@ -62,9 +62,8 @@ class DerivationBasis:
 def _bracket_defect(alg, m):
     """max over basis pairs of || M[e_i,e_j] - [Me_i, Me_j] ||_max."""
     b = alg.bracket_tensor
-    lhs = np.einsum("km,mij->kij", m, b, optimize=True)
-    rhs = np.einsum("kpq,pi,qj->kij", b, m, m, optimize=True)
-    return max_norm(lhs - rhs)
+    lhs = _map_values(m, b).transpose(2, 0, 1)  # M[e_i, e_j]
+    return max_norm(lhs - pullback(b, m))
 
 
 def is_automorphism(alg, m, tol=DEFAULT_TOL):

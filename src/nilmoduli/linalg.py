@@ -216,15 +216,26 @@ def null_space(m, tol=1e-10):
 
     Returns an (n, k) array whose columns span the null space (k may be 0).
     """
+    _, s, vh = np.linalg.svd(_nonempty(m))
+    return vh[cutoff_rank(s, tol):].T.copy()
+
+
+def nullity(m, tol=1e-10):
+    """dim ker(M) under the cutoff of null_space, from the singular values alone."""
+    m = _nonempty(m)
+    return m.shape[1] - cutoff_rank(np.linalg.svd(m, compute_uv=False), tol)
+
+
+def cutoff_rank(s, tol):
+    """Number of singular values s (descending) above tol * s_max; 0 if s_max is 0."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
+
+
+def _nonempty(m):
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.size == 0:
         raise ValueError("empty matrix")
-    _, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return vh.T.copy()
-    rank = int(np.sum(s > tol * smax))
-    return vh[rank:].T.copy()
+    return m
 
 
 def expm_pade6(a):

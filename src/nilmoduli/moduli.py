@@ -48,7 +48,7 @@ from .errors import CanonicalizationFailed, InvalidForm, NotSPD, Unsupported
 from .linalg import (
     cholesky_lower,
     max_norm,
-    null_space,
+    nullity,
     reverse_cholesky_lower,
     sym_eig2,
     svd2,
@@ -831,17 +831,19 @@ class IsometryReport:
 
 
 def isotropy_algebra_dimension(alg, g, tol=1e-10):
-    """dim {D in Der(alg) : D^T g + g D = 0} via a stacked null space."""
+    """dim {D in Der(alg) : D^T g + g D = 0}, the nullity of the stacked system.
+
+    Row (i, j), column (k, l) of the symmetry block holds the coefficient of
+    D[k, l] in (D^T g + g D)[i, j]; a cell collects at most two terms.
+    """
     alg = get_algebra(alg)
     n = alg.dim
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
     sym = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                sym[i, j, k, i] += g[k, j]
-                sym[i, j, k, j] += g[i, k]
+    sym[i, j, k, i] += g[k, j]  # (D^T g)[i, j]
+    sym[i, j, k, j] += g[i, k]  # (g D)[i, j]
     system = np.vstack([auts._derivation_system(alg), sym.reshape(n * n, n * n)])
-    return null_space(system, tol=tol).shape[1]
+    return nullity(system, tol=tol)
 
 
 def _generated_group(gen_matrices, cap=512, tol=1e-9):

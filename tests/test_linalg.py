@@ -13,6 +13,7 @@ from nilmoduli.linalg import (
     least_squares_solve,
     max_norm,
     null_space,
+    nullity,
     reverse_cholesky_lower,
     svd2,
     sym_eig2,
@@ -363,6 +364,19 @@ def test_null_space_residual_bound():
         smax = np.linalg.svd(m, compute_uv=False)[0]
         for k in range(basis.shape[1]):
             assert np.linalg.norm(m @ basis[:, k]) <= 10 * tol * smax
+
+
+def test_nullity_is_null_space_dimension():
+    rng = np.random.default_rng(7)
+    mats = [np.eye(4), np.zeros((2, 3)), np.zeros((1, 1)), rng.normal(size=(7, 5))]
+    for _ in range(50):
+        m = rng.normal(size=(5, 7))
+        m[:, -1] = m[:, 0] - 2.0 * m[:, 1]
+        mats.append(m)
+    for m in mats:
+        assert nullity(m) == null_space(m).shape[1]
+    with pytest.raises(ValueError, match="empty matrix"):
+        nullity(np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------------------
