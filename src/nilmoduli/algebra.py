@@ -233,7 +233,7 @@ def get_algebra(spec):
 # order and layout), so they give its bits without its path search.
 
 
-def _map_values(m, b):
+def map_values(m, b):
     """u[x, y, k] = sum_l M[k, l] b[l, x, y]: M applied to the values of b, index last."""
     n = b.shape[0]
     return (b.transpose(1, 2, 0).reshape(n * n, n) @ m.T).reshape(n, n, n)
@@ -259,7 +259,7 @@ def change_of_basis(alg, p, cond_max=1e12):
     if s[-1] == 0.0 or s[0] / s[-1] > cond_max:
         raise SingularMatrix("change-of-basis matrix is numerically singular")
     pinv = np.linalg.inv(p)
-    u = _map_values(pinv, alg.bracket_tensor)  # (p, q, m)
+    u = map_values(pinv, alg.bracket_tensor)  # (p, q, m)
     t = _contract_last(u.transpose(2, 1, 0), p)  # (m, q, i)
     b_new = _contract_last(t.transpose(2, 0, 1), p).transpose(1, 0, 2)
     return LieAlgebra(c=-b_new, label="custom")
@@ -291,7 +291,9 @@ def exterior_derivative(alg, theta):
 
 
 def _bracket_span(b, span):
-    """g[k, i, m] = sum_q b[k, i, q] span[q, m]: [e_i, column m of span]."""
+    """g[k, i, m] = sum_q b[k, i, q] span[q, m]: [e_i, column m of span].
+
+    Not inlined in nilpotency_step, so the tests can compare its bytes with einsum's."""
     n, r = span.shape
     g = span.T @ b.transpose(2, 0, 1).reshape(n, n * n)
     return g.reshape(r, n, n).transpose(1, 2, 0)
@@ -341,7 +343,7 @@ def nijenhuis_tensor(alg, j):
     """N[k, i, j] = e^k-component of N_J(e_i, e_j); vanishes iff integrable."""
     jm = j.matrix if isinstance(j, AlmostComplexStructure) else np.asarray(j, dtype=float)
     b = alg.bracket_tensor
-    jb = _map_values(jm, b)  # (J b)[k, x, y] stored at [x, y, k]
+    jb = map_values(jm, b)  # (J b)[k, x, y] stored at [x, y, k]
     jb_left = _contract_last(jb.transpose(1, 2, 0), jm).transpose(1, 2, 0)  # J[J e_i, e_j]
     jb_right = _contract_last(jb.transpose(0, 2, 1), jm).transpose(1, 0, 2)  # J[e_i, J e_j]
     return pullback(b, jm) - jb_left - jb_right - b

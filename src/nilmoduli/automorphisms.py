@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _PAIRING_J, DEFAULT_TOL, DIM, _map_values, get_algebra, pullback
+from .algebra import _PAIRING_J, DEFAULT_TOL, DIM, get_algebra, map_values, pullback
 from .errors import DegenerateParams, Unsupported
 from .linalg import max_norm, null_space
 
@@ -62,7 +62,7 @@ class DerivationBasis:
 def _bracket_defect(alg, m):
     """max over basis pairs of || M[e_i,e_j] - [Me_i, Me_j] ||_max."""
     b = alg.bracket_tensor
-    lhs = _map_values(m, b).transpose(2, 0, 1)  # M[e_i, e_j]
+    lhs = map_values(m, b).transpose(2, 0, 1)  # M[e_i, e_j]
     return max_norm(lhs - pullback(b, m))
 
 

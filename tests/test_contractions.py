@@ -1,8 +1,12 @@
 """The algebra contractions against the einsums they replaced.
 
 Each kernel is the matmul sequence that ``np.einsum(..., optimize=True)``
-runs for its expression, so the two must agree bit for bit (zero signs included), not
-only to a tolerance.  The einsums below are the references.
+runs for its expression on numpy 2.4, where every pairwise step goes
+through ``matmul``.  On numpy 2.4 the two must therefore agree bit for bit
+(zero signs included), not only to a tolerance.  Other numpy versions may
+pair or lay out the operands differently inside einsum, so there the tests
+assert agreement to 1e-12 of the scale of the summed products instead.
+The einsums below are the references.
 """
 
 import numpy as np
@@ -10,6 +14,9 @@ import pytest
 
 from nilmoduli import algebra as al
 from nilmoduli import automorphisms as au
+
+_NUMPY = np.lib.NumpyVersion(np.__version__)
+EINSUM_BITS = (_NUMPY.major, _NUMPY.minor) == (2, 4)
 
 
 def _einsum(*args):
@@ -20,6 +27,22 @@ def same_bits(a, b):
     """Equal shapes and bytes: stricter than np.array_equal, which takes -0.0 == 0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_matches(got, ref, scale):
+    """Equal bytes on numpy 2.4; elsewhere equal within 1e-12 * scale.
+
+    ``scale`` bounds the size of the products that each entry sums.
+    """
+    if EINSUM_BITS:
+        assert same_bits(got, ref)
+    else:
+        assert np.shape(got) == np.shape(ref)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * scale)
+
+
+def _amax(*arrays):
+    return [float(np.max(np.abs(a))) for a in arrays]
 
 
 def ref_pullback(b, m):
@@ -80,9 +103,11 @@ def test_nijenhuis_and_pullback_match_einsum(scale):
         b = alg.bracket_tensor
         for _ in range(4):
             j = scale * _random_j(rng)
+            bmax, jmax = _amax(b, j)
             for jm in (j, j.T, np.asfortranarray(j)):
-                assert same_bits(al.nijenhuis_tensor(alg, jm), ref_nijenhuis_tensor(b, jm))
-                assert same_bits(al.pullback(b, jm), ref_pullback(b, jm))
+                ref = ref_nijenhuis_tensor(b, jm)
+                assert_matches(al.nijenhuis_tensor(alg, jm), ref, bmax * max(1.0, jmax) ** 2)
+                assert_matches(al.pullback(b, jm), ref_pullback(b, jm), bmax * jmax**2)
 
 
 def test_kernels_accept_an_almost_complex_structure():
@@ -90,8 +115,10 @@ def test_kernels_accept_an_almost_complex_structure():
     for alg in ALGEBRAS:
         acs = al.AlmostComplexStructure(_random_j(rng), algebra=alg.label)
         ref = ref_nijenhuis_tensor(alg.bracket_tensor, acs.matrix)
-        assert same_bits(al.nijenhuis_tensor(alg, acs), ref)
-        assert al.nijenhuis_residual(alg, acs) == np.max(np.abs(ref))
+        bmax, jmax = _amax(alg.bracket_tensor, acs.matrix)
+        scale = bmax * max(1.0, jmax) ** 2
+        assert_matches(al.nijenhuis_tensor(alg, acs), ref, scale)
+        assert_matches(al.nijenhuis_residual(alg, acs), np.max(np.abs(ref)), scale)
         abelian = np.max(np.abs(ref_pullback(alg.bracket_tensor, acs.matrix) - alg.bracket_tensor))
         assert al.is_abelian_structure(alg, acs) == bool(abelian <= al.DEFAULT_TOL)
 
@@ -104,7 +131,8 @@ def test_bracket_defect_matches_einsum(scale):
             m = scale * rng.normal(size=(6, 6))
             for mm in (m, m.T):
                 ref = ref_bracket_defect(alg.bracket_tensor, mm)
-                assert same_bits(au._bracket_defect(alg, mm), ref)
+                bmax, mmax = _amax(alg.bracket_tensor, mm)
+                assert_matches(au._bracket_defect(alg, mm), ref, bmax * max(mmax, mmax**2))
 
 
 def test_jacobi_residual_matches_einsum():
@@ -116,7 +144,8 @@ def test_jacobi_residual_matches_einsum():
         tensors.append(c - np.swapaxes(c, 1, 2))
     for c in tensors:
         alg = al.LieAlgebra(c=c)
-        assert same_bits(al.jacobi_residual(alg), ref_jacobi_residual(alg.bracket_tensor))
+        ref = ref_jacobi_residual(alg.bracket_tensor)
+        assert_matches(al.jacobi_residual(alg), ref, _amax(c)[0] ** 2)
 
 
 def test_bracket_span_matches_einsum_at_every_rank():
@@ -126,10 +155,10 @@ def test_bracket_span_matches_einsum_at_every_rank():
         u = np.linalg.svd(rng.normal(size=(6, 6)))[0]
         for rank in range(1, 7):
             span = u[:, :rank]
-            assert same_bits(al._bracket_span(b, span), ref_bracket_span(b, span))
+            assert_matches(al._bracket_span(b, span), ref_bracket_span(b, span), _amax(b)[0])
         # einsum drops a size-1 axis by summing over it, which turns -0.0 into 0.0
         for span in (np.eye(6), -np.eye(6)[:, 5:], -np.eye(6)[:, 4:]):
-            assert same_bits(al._bracket_span(b, span), ref_bracket_span(b, span))
+            assert_matches(al._bracket_span(b, span), ref_bracket_span(b, span), _amax(b)[0])
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -139,4 +168,6 @@ def test_change_of_basis_matches_einsum(scale):
         for _ in range(3):
             p = scale * (np.eye(6) + 0.4 * rng.normal(size=(6, 6)))
             got = al.change_of_basis(alg, p).c
-            assert same_bits(got, ref_change_of_basis(alg.bracket_tensor, p))
+            ref = ref_change_of_basis(alg.bracket_tensor, p)
+            bmax, pmax, pinvmax = _amax(alg.bracket_tensor, p, np.linalg.inv(p))
+            assert_matches(got, ref, pinvmax * bmax * pmax**2)

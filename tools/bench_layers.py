@@ -1,6 +1,6 @@
 """Layer timings of the algebra kernels and the warm CLI commands.
 
-Times each item with ``time.perf_counter``: a warm-up, then ``--repeats``
+Times each item with ``time.perf_counter``: WARMUP calls, then REPEATS
 runs of ``inner`` calls each, and reports the median (and quartiles) of
 the per-call time over the runs.  The items are
 
@@ -11,23 +11,23 @@ the per-call time over the runs.  The items are
   * the warm ``describe``, ``isometry``, ``hermitian`` and ``tables``
     commands, each a ``cli.main(argv)`` call in this process.
 
-Only public names that have not changed are used, so the same script times
-any checkout: put its ``src`` first on the path, e.g.
+Every name used has the same name and signature in the parent checkout;
+``automorphisms._bracket_defect`` is private, and is timed on both sides
+because its name and signature did not change.  So the same script times
+either checkout: put its ``src`` first on the path, e.g.
 
     PYTHONPATH=src python3 tools/bench_layers.py --label change
     PYTHONPATH=/path/to/other/src python3 tools/bench_layers.py --label parent
 
 Each run stores its numbers under ``--label`` in ``--out`` (default
 ``BENCH_layers.json``), keeping the other labels, together with the
-Python and numpy versions, the core count and a digest of the package
-source.
+Python and numpy versions and the core count.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -36,29 +36,22 @@ import statistics
 import sys
 import time
 
+REPEATS = 21
+WARMUP = 3
 
-def _time(fn, inner, repeats, warmup):
-    for _ in range(warmup):
+
+def _time(fn, inner):
+    for _ in range(WARMUP):
         fn()
     per_call = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(inner):
             fn()
         per_call.append((time.perf_counter() - t0) / inner)
     q1, median, q3 = statistics.quantiles(per_call, n=4)
     return {"median_us": median * 1e6, "q1_us": q1 * 1e6, "q3_us": q3 * 1e6,
-            "inner": inner, "repeats": repeats}
-
-
-def _source_digest(package_dir):
-    """sha256 over the package's .py files, in name order."""
-    h = hashlib.sha256()
-    for name in sorted(os.listdir(package_dir)):
-        if name.endswith(".py"):
-            with open(os.path.join(package_dir, name), "rb") as fh:
-                h.update(name.encode() + b"\0" + fh.read())
-    return h.hexdigest()
+            "inner": inner, "repeats": REPEATS}
 
 
 def _items():
@@ -105,23 +98,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key to store this run under")
     parser.add_argument("--out", default="BENCH_layers.json")
-    parser.add_argument("--repeats", type=int, default=21)
-    parser.add_argument("--warmup", type=int, default=3)
     args = parser.parse_args(argv)
 
     import numpy as np
 
-    import nilmoduli
-
-    layers = {name: _time(fn, inner, args.repeats, args.warmup) for name, fn, inner in _items()}
+    layers = {name: _time(fn, inner) for name, fn, inner in _items()}
     entry = {
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-            "source_sha256": _source_digest(os.path.dirname(nilmoduli.__file__)),
-            "measured_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
         "layers": layers,
     }
