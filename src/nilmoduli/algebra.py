@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AlgebraMismatch, NotNilpotent, ParseError, SingularMatrix
-from .linalg import cutoff_rank, max_norm
+from .linalg import max_norm
 
 DIM = 6
 BUILTIN_SALAMON = {
@@ -303,12 +303,15 @@ def nilpotency_step(alg, tol=1e-10, max_iter=10):
     """Length s of the lower central series (C^{s+1} = 0)."""
     b = alg.bracket_tensor
     span = np.eye(alg.dim)  # columns span C^1 = h
-    step = 0
+    scale = None
     for step in range(1, max_iter + 1):
         # C^{step+1} = [h, C^{step}]
         gens = _bracket_span(b, span).reshape(alg.dim, -1)
         u, s, _ = np.linalg.svd(gens)
-        rank = cutoff_rank(s, tol)
+        # every rank is cut at the size of [h, h]: the orthonormal span keeps
+        # the later generators on that scale, and the last ones are rounding
+        scale = s[0] if scale is None else scale
+        rank = int(np.sum(s > tol * scale))
         if rank == 0:
             return step
         if rank >= span.shape[1]:

@@ -37,7 +37,7 @@ from .algebra import (
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
 from .linalg import cholesky_lower, max_norm
-from .moduli import H9Form, Metric, _eq, _hat_algebra, _require_same_basis, realize
+from .moduli import H9Form, Metric, _hat_algebra, _require_same_basis, realize
 
 SPHERE_TOL = 1e-12
 NIJENHUIS_TOL = 1e-9
@@ -214,17 +214,18 @@ def _table_row_values(E, F, G, w):
     return x, max(sq1, 0.0), max(sq2, 0.0)
 
 
-def _table_row(E, F, G, w, scale, opposite=False):
+def _table_row(E, F, G, w, f0, opposite=False):
     """The two sign choices (x, u, v), (x, -u, -v) of one branch-table row.
 
     x is the small root of the row's quadratic and u, v are its two square
     terms, in three cases: F != 0, F = 0 with E/G <= w^2, and F = 0 with
-    E/G > w^2.  For F != 0 the terms share their sign, or have opposite
-    signs when ``opposite``; for F = 0 one term vanishes and stays +0.0
+    E/G > w^2; ``f0`` says whether the form lies on its F = 0 stratum.  For
+    F != 0 the terms share their sign, or have opposite signs when
+    ``opposite``; for F = 0 one term vanishes and stays +0.0
     (``tables`` prints the sign of a zero).  The F = 0 rows keep their closed
     forms: routing them through _table_row_values changes their last bits.
     """
-    if not _eq(F, 0.0, scale):
+    if not f0:
         x, u_sq, v_sq = _table_row_values(E, F, G, w)
         u, v = math.sqrt(u_sq), math.sqrt(v_sq)
         if opposite:
@@ -252,18 +253,18 @@ def h5_hermitian_solutions(form):
     form.validate()
     r, s, E, F, G = form.r, form.s, form.E, form.F, form.G
     g = realize(form).matrix
-    scale = max(E, G)
+    on = form.on_strata()
     alpha = (math.sqrt(r) + math.sqrt(s)) / (1.0 + math.sqrt(r * s))
-    out = {"J1": _finite_set("h5", "J1", _table_row(E, F, G, alpha, scale), h5_J, form, g)}
-    if _eq(r, 1.0) and _eq(s, 1.0):
+    out = {"J1": _finite_set("h5", "J1", _table_row(E, F, G, alpha, "F0" in on), h5_J, form, g)}
+    if "r1" in on and "sr" in on:
         out["J2"] = SolutionSet("J2", "sphere")
         return out
-    if _eq(s, r):
+    if "sr" in on:
         trips = [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]
     else:
         beta = (math.sqrt(r) - math.sqrt(s)) / (1.0 - math.sqrt(r * s))
         # a = -x; b and c have opposite signs
-        trips = [(-x, u, v) for x, u, v in _table_row(E, F, G, beta, scale, opposite=True)]
+        trips = [(-x, u, v) for x, u, v in _table_row(E, F, G, beta, "F0" in on, opposite=True)]
     out["J2"] = _finite_set("h5", "J2", trips, h5_J, form, g)
     return out
 
@@ -289,15 +290,15 @@ def h4_hermitian_solutions(form):
     r = form.r
     E, F, G = form.a, form.b, form.c
     g = realize(form).matrix
-    scale = max(E, G)
+    on = form.on_strata()
     alpha = (1.0 + math.sqrt(r)) / math.sqrt(r)
-    trips = [(u, -x, v) for x, u, v in _table_row(E, F, G, alpha, scale)]
+    trips = [(u, -x, v) for x, u, v in _table_row(E, F, G, alpha, "b0" in on)]
     out = {"J1": _finite_set("h4", "J1", trips, h4_J, form, g)}
-    if _eq(r, 1.0):
+    if "r1" in on:
         trips = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]
     else:
         beta = (1.0 - math.sqrt(r)) / math.sqrt(r)
-        trips = [(u, -x, v) for x, u, v in _table_row(E, F, G, beta, scale)]
+        trips = [(u, -x, v) for x, u, v in _table_row(E, F, G, beta, "b0" in on)]
     out["J2"] = _finite_set("h4", "J2", trips, h4_J, form, g)
     return out
 
@@ -310,8 +311,6 @@ def h6_hermitian_solutions(form):
     """The four Hermitian structures J1+-, J2+- on diag(1,1,1,1,E,G)."""
     form.validate()
     E, G = form.a, form.b
-    if E > G * (1.0 + 1e-12):
-        raise InvalidForm("h6 Hermitian classification needs E <= G")
     alpha = math.sqrt(E / G)
     u = math.sqrt(max(1.0 - alpha * alpha, 0.0))
     g = realize(form).matrix
@@ -350,8 +349,6 @@ def h2_J(form, triple):
     """The treated connected component of the compatible family on h2."""
     form.validate()
     A, B = form.a, form.b
-    if A > B * (1.0 + 1e-12):
-        raise InvalidForm("h2 family needs A <= B")
     if isinstance(triple, SolutionTriple):
         triple.check_sphere()
         a, b, c = triple.a, triple.b, triple.c
@@ -419,7 +416,7 @@ def h2_hermitian_candidates(form, tol=1e-8):
     _alpha, _beta, phi, psi, sd = _h2_angles(form)
     scale = max(1.0, sd, E, form.G)
     out = []
-    if _eq(A, B):
+    if "ab" in form.on_strata():
         for a in (1.0, -1.0):
             t = SolutionTriple(a, 0.0, 0.0, "J")
             j = h2_J(form, t)

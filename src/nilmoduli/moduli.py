@@ -21,7 +21,14 @@ representatives all orbit tests use):
     block by arbitrary elements of SO(2)).
 
 Every canonicalization returns a Witness phi with
-phi^T realize(form) phi = g, enforced at 1e-8 * max|g| as a postcondition.
+phi^T realize(form) phi = g, enforced at 1e-8 * max(1, max|g|) as a
+postcondition.
+
+Each form class lists its case boundaries as ``strata`` (stratum,
+parameter, its value on the stratum, unit; see the README for the list).
+A form lies on a stratum when |parameter - value| <= EQ_RTOL * unit, a test
+that rescaling the metric leaves unchanged: canonicalize() snaps onto every
+stratum it lies on, and isometry_group() and the Hermitian tables branch on it.
 """
 
 from __future__ import annotations
@@ -56,9 +63,9 @@ from .linalg import (
     takagi2,
 )
 
-EQ_RTOL = 1e-9  # relative tolerance for parameter (in)equality branching
+EQ_RTOL = 1e-9  # relative tolerance of the stratum test
 WITNESS_RTOL = 1e-8
-SNAP = 1e-12
+SNAP = 1e-12  # validate's allowance for forms given as input
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +107,41 @@ class Witness:
 # canonical forms
 
 
+def _read(params, spec):
+    """A number, a parameter's value, or for a tuple of names their largest value."""
+    if isinstance(spec, str):
+        return params[spec]
+    if isinstance(spec, tuple):
+        return max(params[name] for name in spec)
+    return spec
+
+
+def _lies_on(params, parameter, value, unit):
+    return abs(params[parameter] - _read(params, value)) <= EQ_RTOL * _read(params, unit)
+
+
 class _FormBase:
     algebra = "custom"
+    # the case boundaries: (stratum, parameter, its value on the stratum, unit)
+    strata = ()
 
     def params(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def on_strata(self):
+        """The strata the form lies on: |parameter - value| <= EQ_RTOL * unit.
+        Each unit moves like its parameter when the metric is rescaled."""
+        params = self.params()
+        return {name for name, *test in self.strata if _lies_on(params, *test)}
+
+    def snapped(self):
+        """The form with each parameter set to its value on every stratum it
+        lies on, in the order of ``strata``: each test sees the earlier snaps."""
+        params = self.params()
+        for _name, parameter, value, unit in self.strata:
+            if _lies_on(params, parameter, value, unit):
+                params[parameter] = _read(params, value)
+        return type(self)(**params)
 
     def to_json_dict(self):
         d = {"tag": self.algebra}
@@ -128,11 +165,13 @@ class H5Form(_FormBase):
     F: float
     G: float
     algebra = "h5"
+    strata = (("r1", "r", 1.0, 1.0), ("sr", "s", "r", "r"),
+              ("F0", "F", 0.0, ("E", "G")), ("EG", "G", "E", ("E", "G")))
 
-    def validate(self, tol=SNAP):
-        _check(0.0 < self.s <= self.r * (1 + tol), "h5 requires 0 < s <= r")
-        _check(self.r <= 1.0 + tol, "h5 requires r <= 1")
-        _check(self.F >= -tol, "h5 requires F >= 0")
+    def validate(self):
+        _check(0.0 < self.s <= self.r * (1 + SNAP), "h5 requires 0 < s <= r")
+        _check(self.r <= 1.0 + SNAP, "h5 requires r <= 1")
+        _check(self.F >= -SNAP, "h5 requires F >= 0")
         _check(self.E * self.G - self.F ** 2 > 0.0, "h5 requires EG - F^2 > 0")
         return self
 
@@ -142,9 +181,10 @@ class H6Form(_FormBase):
     a: float
     b: float
     algebra = "h6"
+    strata = (("ab", "b", "a", "b"),)
 
-    def validate(self, tol=SNAP):
-        _check(0.0 < self.a <= self.b * (1 + tol), "h6 requires 0 < a <= b")
+    def validate(self):
+        _check(0.0 < self.a <= self.b * (1 + SNAP), "h6 requires 0 < a <= b")
         return self
 
 
@@ -155,11 +195,12 @@ class H4Form(_FormBase):
     b: float
     c: float
     algebra = "h4"
+    strata = (("r1", "r", 1.0, 1.0), ("b0", "b", 0.0, ("a", "c")))
 
-    def validate(self, tol=SNAP):
-        _check(0.0 < self.r <= 1.0 + tol, "h4 requires 0 < r <= 1")
+    def validate(self):
+        _check(0.0 < self.r <= 1.0 + SNAP, "h4 requires 0 < r <= 1")
         _check(self.a >= 0.0 and self.c >= 0.0, "h4 requires a, c >= 0")
-        _check(self.b >= -tol, "h4 requires b >= 0")
+        _check(self.b >= -SNAP, "h4 requires b >= 0")
         _check(self.a * self.c - self.b ** 2 > 0.0, "h4 requires ac - b^2 > 0")
         return self
 
@@ -172,9 +213,11 @@ class H2Form(_FormBase):
     F: float
     G: float
     algebra = "h2"
+    strata = (("a0", "a", 0.0, 1.0), ("ab", "a", "b", 1.0),
+              ("F0", "F", 0.0, ("E", "G")), ("EG", "G", "E", ("E", "G")))
 
-    def validate(self, tol=SNAP):
-        _check(-tol <= self.a <= self.b * (1 + tol), "h2 requires 0 <= a <= b")
+    def validate(self):
+        _check(-SNAP <= self.a <= self.b * (1 + SNAP), "h2 requires 0 <= a <= b")
         _check(self.b < 1.0, "h2 requires b < 1")
         _check(self.E > 0.0 and self.G > 0.0, "h2 requires E, G > 0")
         # the sign of F is an orbit invariant when a > 0, so both signs
@@ -192,8 +235,9 @@ class H9Form(_FormBase):
     E: float
     F: float
     algebra = "h9hat"
+    strata = (("D0", "D", 0.0, "A"), ("E0", "E", 0.0, 1.0), ("F0", "F", 0.0, "B"))
 
-    def validate(self, tol=SNAP):
+    def validate(self):
         _check(self.A > 0.0 and self.B > 0.0 and self.C > 0.0, "h9 requires A, B, C > 0")
         return self
 
@@ -323,7 +367,7 @@ class _Reduction:
 
 
 def _finish(red, form, g_input):
-    form.validate()
+    form = form.snapped().validate()
     g_c = realize(form).matrix
     wit_matrix = np.linalg.inv(red.phi)
     residual = max_norm(wit_matrix.T @ g_c @ wit_matrix - g_input)
@@ -374,8 +418,7 @@ def _canonicalize_h6(g, tol=WITNESS_RTOL):
     )
     (_l1, _l2), rot = sym_eig2(red.g[4:6, 4:6])
     red.apply(H6Params(At=tuple(map(tuple, rot))))
-    a, b = red.g[4, 4], red.g[5, 5]
-    return _finish(red, H6Form(a=float(a), b=float(max(b, a))), g)
+    return _finish(red, H6Form(a=float(red.g[4, 4]), b=float(red.g[5, 5])), g)
 
 
 def _canonicalize_h4(g, tol=WITNESS_RTOL):
@@ -401,19 +444,14 @@ def _canonicalize_h4(g, tol=WITNESS_RTOL):
     )
     if red.g[4, 5] < 0.0:
         red.apply(H4Params(x=-1.0))
-    r = min(red.g[3, 3], 1.0)
-    b = red.g[4, 5]
-    form = H4Form(
-        r=float(r),
-        a=float(red.g[4, 4]),
-        b=float(0.0 if abs(b) <= SNAP * max(1.0, max_norm(red.g)) else b),
-        c=float(red.g[5, 5]),
-    )
+    form = H4Form(r=float(red.g[3, 3]), a=float(red.g[4, 4]), b=float(red.g[4, 5]),
+                  c=float(red.g[5, 5]))
     return _finish(red, form, g)
 
 
-def _h2_reflect_first():
-    return H2Params(A=((-1.0, 0.0), (0.0, 1.0)))
+def _h2_form(g):
+    return H2Form(a=float(g[0, 2]), b=float(g[1, 3]),
+                  E=float(g[4, 4]), F=float(g[4, 5]), G=float(g[5, 5]))
 
 
 def _canonicalize_h2(g, tol=WITNESS_RTOL):
@@ -427,22 +465,12 @@ def _canonicalize_h2(g, tol=WITNESS_RTOL):
     red.apply(H2Params(A=tuple(map(tuple, a_move)), B=tuple(map(tuple, b_move))))
     u, (a0, b0), v = svd2(red.g[:2, 2:4])
     red.apply(H2Params(A=tuple(map(tuple, u)), B=tuple(map(tuple, v))))
-    scale = max(1.0, max_norm(red.g))
     if red.g[4, 4] > red.g[5, 5]:
         red.apply(H2Params(swap=True))
-    if abs(red.g[0, 2]) <= 1e-10 * scale and red.g[4, 5] < 0.0:
-        red.apply(_h2_reflect_first())
-    a = red.g[0, 2]
-    f_val = red.g[4, 5]
-    form = H2Form(
-        a=float(0.0 if abs(a) <= SNAP * scale else a),
-        b=float(red.g[1, 3]),
-        E=float(red.g[4, 4]),
-        F=float(0.0 if abs(f_val) <= SNAP * scale else f_val),
-        G=float(red.g[5, 5]),
-    )
-    if form.b < form.a:  # only by rounding dust
-        form = H2Form(a=form.b, b=form.a, E=form.E, F=form.F, G=form.G)
+    form = _h2_form(red.g)
+    if "a0" in form.on_strata() and form.F < 0.0:
+        red.apply(H2Params(A=((-1.0, 0.0), (0.0, 1.0))))  # reflect the first factor
+        form = _h2_form(red.g)
     return _finish(red, form, g)
 
 
@@ -472,6 +500,11 @@ def _h5_move(ac, m=None, psi=False):
     )
 
 
+def _h5_form(g):
+    return H5Form(r=float(g[1, 1]), s=float(g[3, 3]),
+                  E=float(g[4, 4]), F=float(g[4, 5]), G=float(g[5, 5]))
+
+
 def _canonicalize_h5(g, tol=WITNESS_RTOL):
     red = _Reduction("h5", g, tol)
     _kill_commutator_coupling(red, lambda m: _h5_move(np.eye(2), m=m))
@@ -483,27 +516,14 @@ def _canonicalize_h5(g, tol=WITNESS_RTOL):
     w = np.conj(u)
     t = np.diag([1.0 / math.sqrt(1.0 + s1), 1.0 / math.sqrt(1.0 + s2)])
     red.apply(_h5_move(a1 @ w @ t))
-    scale = max(1.0, max_norm(g))
-    r, s = red.g[1, 1], red.g[3, 3]
-    if abs(r - 1.0) <= 1e-10:
+    if "r1" in _h5_form(red.g).on_strata():
         # isotropy at r = 1 rotates the commutator block: diagonalize it
         (_l1, _l2), rot = sym_eig2(red.g[4:6, 4:6])
         theta = math.atan2(rot[1, 0], rot[0, 0])
         red.apply(_h5_move(np.diag([np.exp(1j * theta), 1.0])))
-        r = 1.0
     if red.g[4, 5] < 0.0:
         red.apply(_h5_move(np.eye(2), psi=True))
-    r = min(float(r), 1.0)
-    s = min(float(red.g[3, 3]), r)
-    f_val = red.g[4, 5]
-    form = H5Form(
-        r=r,
-        s=s,
-        E=float(red.g[4, 4]),
-        F=float(0.0 if abs(f_val) <= SNAP * scale else f_val),
-        G=float(red.g[5, 5]),
-    )
-    return _finish(red, form, g)
+    return _finish(red, _h5_form(red.g), g)
 
 
 def _canonicalize_h9(g, tol=WITNESS_RTOL):
@@ -542,15 +562,8 @@ def _canonicalize_h9(g, tol=WITNESS_RTOL):
     if (e1, e2, e3) != (1.0, 1.0, 1.0):
         red.apply(H9Params(a11=e1, a22=e2, a44=e3))
     xf = reverse_cholesky_lower(red.g)
-    scale = max(1.0, max_norm(red.g))
-    form = H9Form(
-        A=float(xf[2, 2]),
-        B=float(xf[4, 4]),
-        C=float(xf[5, 5]),
-        D=float(0.0 if abs(xf[4, 2]) <= SNAP * scale else xf[4, 2]),
-        E=float(0.0 if abs(xf[4, 3]) <= SNAP * scale else xf[4, 3]),
-        F=float(0.0 if abs(xf[5, 4]) <= SNAP * scale else xf[5, 4]),
-    )
+    form = H9Form(A=float(xf[2, 2]), B=float(xf[4, 4]), C=float(xf[5, 5]),
+                  D=float(xf[4, 2]), E=float(xf[4, 3]), F=float(xf[5, 4]))
     return _finish(red, form, g)
 
 
@@ -636,10 +649,6 @@ def _u2_extra_h5():
     return _blockdiag6(auts.realify_complex2(x), 2.0 * _J2)
 
 
-def _eq(x, y, scale=1.0):
-    return abs(x - y) <= EQ_RTOL * max(1.0, abs(x), abs(y), scale)
-
-
 def isometry_group(alg, form):
     """GroupDescriptor for the isotropy of a canonical metric, by the case
     tables of the classification."""
@@ -652,7 +661,6 @@ def isometry_group(alg, form):
 
 
 def _isometry_h5(form):
-    r, s, E, F, G = form.r, form.s, form.E, form.F, form.G
     k_z1 = np.diag([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     k_z4 = np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
     psi = auts.PSI_H5.copy()
@@ -660,11 +668,8 @@ def _isometry_h5(form):
     rot_real = np.zeros((DIM, DIM))
     rot_real[0, 2] = rot_real[1, 3] = 1.0
     rot_real[2, 0] = rot_real[3, 1] = -1.0  # real rotation inside GL2(R) < GL2(C)
-    scale = max(E, G)
-    f0 = _eq(F, 0.0, scale)
-    ge = _eq(G, E, scale)
-    r1 = _eq(r, 1.0)
-    sr = _eq(s, r)
+    on = form.on_strata()
+    f0, ge, r1, sr = "F0" in on, "EG" in on, "r1" in on, "sr" in on
     if sr and r1:
         if not f0:
             return _descriptor("h5", "SU(2) : Z2", 3, [k_z4], _su2_basis_h5(), 2,
@@ -694,11 +699,10 @@ def _isometry_h5(form):
 
 
 def _isometry_h6(form):
-    a, b = form.a, form.b
     f2 = np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
     f3 = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
     f5 = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
-    if _eq(a, b, max(a, b)):
+    if "ab" in form.on_strata():
         basis = [_blockdiag6(np.zeros((1, 1)), _J2, np.zeros((1, 1)), _J2)]
         return _descriptor("h6", "O(2) x Z2 x Z2", 1, [f3, f2, f5], basis, 8, "a = b")
     return _descriptor(
@@ -708,15 +712,14 @@ def _isometry_h6(form):
 
 
 def _isometry_h4(form):
-    r, b = form.r, form.b
     refl = np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])  # A = diag(1,-1), x = 1
     neg = np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0])  # A = -I, x = 1
     xflip = np.diag([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])  # A = I, x = -1
     so2 = np.zeros((DIM, DIM))
     so2[0, 1], so2[1, 0] = 1.0, -1.0
     so2[2, 3], so2[3, 2] = -1.0, 1.0  # derivation: d12 = 1, d21 = -1 pattern
-    r1 = _eq(r, 1.0)
-    b0 = _eq(b, 0.0, max(form.a, form.c))
+    on = form.on_strata()
+    r1, b0 = "r1" in on, "b0" in on
     if r1 and b0:
         return _descriptor("h4", "O(2) : Z2", 1, [refl, xflip], [so2], 4, "r = 1, b = 0")
     if r1:
@@ -733,7 +736,6 @@ def _isometry_h4(form):
 
 
 def _isometry_h2(form):
-    a, b, E, F, G = form.a, form.b, form.E, form.F, form.G
     phi1 = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
     phi2 = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
     phi12 = phi1 @ phi2
@@ -743,11 +745,8 @@ def _isometry_h2(form):
     so2_first = _blockdiag6(_J2, np.zeros((2, 2)), np.zeros((2, 2)))
     so2_second = _blockdiag6(np.zeros((2, 2)), _J2, np.zeros((2, 2)))
     so2_diag = so2_first + so2_second
-    sc = max(E, G)
-    a0 = _eq(a, 0.0, max(b, 1.0))
-    ab = _eq(a, b, max(b, 1.0))
-    f0 = _eq(F, 0.0, sc)
-    ge = _eq(E, G, sc)
+    on = form.on_strata()
+    a0, ab, f0, ge = "a0" in on, "ab" in on, "F0" in on, "EG" in on
     if a0 and ab:  # a = b = 0
         basis = [so2_first, so2_second]
         if f0 and ge:
@@ -773,13 +772,11 @@ def _isometry_h2(form):
 
 
 def _isometry_h9(form):
-    scale = max(form.A, form.B, form.C, 1.0)
-    g_c = realize(form).matrix
-    members = []
-    for rep in auts.component_representatives("h9hat"):
-        if max_norm(rep.matrix.T @ g_c @ rep.matrix - g_c) <= EQ_RTOL * max_norm(g_c):
-            members.append(rep.matrix)
-    k = sum(1 for v in (form.D, form.E, form.F) if _eq(v, 0.0, scale))
+    # the sign flips that fix the form snapped onto its strata, exactly
+    g_s = realize(form.snapped()).matrix
+    members = [rep.matrix for rep in auts.component_representatives("h9hat")
+               if np.array_equal(rep.matrix.T @ g_s @ rep.matrix, g_s)]
+    k = len(form.on_strata())  # the strata D0, E0 and F0
     count = 2 ** k
     gens = [m for m in members if max_norm(m - np.eye(DIM)) > 0.0]
     name = {0: "trivial", 1: "Z2", 2: "Z2 x Z2", 3: "Z2 x Z2 x Z2"}[k]

@@ -230,6 +230,16 @@ def test_nilpotency_steps(name, step):
     assert al.nilpotency_step(al.builtin(name)) == step
 
 
+def test_nilpotency_steps_in_a_dense_basis():
+    # non-integer structure constants: the terminating step's generators are
+    # rounding, far below the size of [h, h] though not below their own
+    rng = np.random.default_rng(0)
+    p = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
+    steps = [al.nilpotency_step(al.change_of_basis(al.builtin(name), p))
+             for name in ("h2", "h4", "h5", "h6", "h9", "h9hat")]
+    assert steps == [2, 2, 2, 2, 3, 3]
+
+
 def test_nilpotency_abelian():
     assert al.nilpotency_step(al.parse_salamon("(0,0,0,0,0,0)")) == 1
 

@@ -174,6 +174,17 @@ def test_h4_sweep_residuals():
                 assert sol.residuals["involution"] <= 1e-12
 
 
+def test_small_commutator_blocks_keep_their_table_rows():
+    # F = 5e-11 is half of E: far from the F = 0 stratum at this scale
+    h5 = hm.h5_hermitian_solutions(mo.H5Form(0.5, 0.3, 1e-10, 5e-11, 2e-10))
+    h4 = hm.h4_hermitian_solutions(mo.H4Form(0.5, 1e-10, 5e-11, 2e-10))
+    for sset in (*h5.values(), *h4.values()):
+        assert len(sset.solutions) == 2
+        for sol in sset.solutions:
+            assert sol.residuals["nijenhuis"] <= 1e-9
+            assert 0.0 not in (sol.triple.a, sol.triple.b, sol.triple.c)
+
+
 # ---------------------------------------------------------------------------
 # h6
 

@@ -202,6 +202,46 @@ def test_h5_orbit_near_s_equals_r(scale):
         assert wit.residual <= 1e-8 * max_norm(g2)
 
 
+# (parameter, its value on the stratum) for each case boundary
+EXACT_STRATA = {
+    "h5": [("r", 1.0), ("s", "r"), ("F", 0.0), ("G", "E")],
+    "h6": [("b", "a")], "h4": [("r", 1.0), ("b", 0.0)],
+    "h2": [("a", 0.0), ("a", "b"), ("F", 0.0), ("G", "E")],
+    "h9hat": [("D", 0.0), ("E", 0.0), ("F", 0.0)],
+}
+
+
+def _exact_strata(name, form):
+    """Which parameters equal their stratum value exactly."""
+    p = form.params()
+    return [p[q] == (p[v] if isinstance(v, str) else v) for q, v in EXACT_STRATA[name]]
+
+
+def test_strata_survive_rescaling():
+    # rescaling the metric by 4^k moves the parameters by a grading dilation,
+    # exactly in binary; the canonical form must land on the same strata
+    rng = np.random.default_rng(41)
+    for name, boundaries in ISOTROPY_BOUNDARIES.items():
+        for boundary in boundaries:
+            for seed in range(4):
+                form = random_canonical_form(name, rng, boundary=boundary)
+                g = mo.pullback_metric(mo.realize(form), au.random_automorphism(name, seed))
+                expected = _exact_strata(name, mo.canonicalize(name, g)[0])
+                assert expected == _exact_strata(name, form), (name, boundary, seed)
+                for k in range(-10, 11):
+                    got = _exact_strata(name, mo.canonicalize(name, 4.0 ** k * g.matrix)[0])
+                    assert got == expected, (name, boundary, seed, k)
+
+
+def test_stratum_units_follow_small_forms():
+    # the units scale with the form: a = b/2 and F = E/2 stay off their strata at any size
+    assert mo.isometry_group("h6", mo.H6Form(1e-12, 2e-12)).name == "Z2 x Z2 x Z2"
+    assert mo.isometry_group("h5", mo.H5Form(0.5, 0.3, 1e-10, 5e-11, 2e-10)).name == "Z2 x Z2"
+    # E just off its stratum: the E flip is no generator, so the group closes at order 2
+    form = mo.H9Form(1.0, 0.1, 1.0, 0.0, 1.5e-9, 0.4)
+    assert mo.verify_isometry_group("h9hat", form, mo.isometry_group("h9hat", form)).passed
+
+
 def test_uniqueness_two_preconditioning_paths():
     rng = np.random.default_rng(13)
     for name in ALGEBRAS:
@@ -417,7 +457,7 @@ def test_group_descriptor_json():
 
 
 # ---------------------------------------------------------------------------
-# open faults, pinned until they are mended (see CHANGES.md)
+# faults pinned by tests (see CHANGES.md); the xfail-strict ones are still open
 
 
 @pytest.mark.xfail(raises=NotSPD, strict=True, reason=(
@@ -429,9 +469,6 @@ def test_realize_accepts_h5_form_with_tiny_s():
     assert np.all(np.linalg.eigvalsh(mo.realize(form).matrix) > 0.0)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
-    "canonicalize returns F = 5.0e-8 next to E = 1e8: the F snap "
-    "SNAP * max(1, max|g|) does not follow F, which scales as 1/c"))
 def test_h5_f_snap_survives_rescaling():
     form = mo.H5Form(0.6, 0.6 * (1 - 1e-6), 1.0, 0.0, 2.0)
     g = mo.pullback_metric(mo.realize(form), au.random_automorphism("h5", 0)).matrix
@@ -457,9 +494,6 @@ H4_B0_ORBIT_METRIC = [
 ]
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
-    "canonicalize returns b = 2.53e-11 on this b = 0 orbit metric at unit scale: "
-    "the b snap SNAP * max(1, max|g|) is tighter than the reduction's rounding"))
 def test_h4_b0_orbit_lands_on_its_stratum():
     form, _witness = mo.canonicalize("h4", mo.Metric("h4", np.array(H4_B0_ORBIT_METRIC)))
     assert form.b == 0.0

@@ -8,6 +8,9 @@ the per-call time over the runs.  The items are
     ``automorphisms._bracket_defect``, ``jacobi_residual``,
     ``nilpotency_step``, ``change_of_basis``;
   * ``moduli.isotropy_algebra_dimension``;
+  * ``moduli.canonicalize`` on one orbit metric per algebra, each of a form
+    on a case boundary (so the stratum snaps run), and
+    ``moduli.isometry_group`` on one case row;
   * the warm ``describe``, ``isometry``, ``hermitian`` and ``tables``
     commands, each a ``cli.main(argv)`` call in this process.
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -78,8 +82,18 @@ def _items():
                     raise RuntimeError(f"nilmoduli {' '.join(argv)} failed")
         return call
 
+    boundary_forms = {
+        "h5": mo.H5Form(1.0, 0.3, 1.5, 0.0, 1.5), "h6": mo.H6Form(2.0, 2.0),
+        "h4": mo.H4Form(0.5, 1.2, 0.0, 0.7), "h2": mo.H2Form(0.0, 0.4, 1.0, 0.3, 2.0),
+        "h9hat": mo.H9Form(1.2, 0.8, 1.5, 0.0, 0.7, 0.4),
+    }
+    orbit = {name: mo.pullback_metric(mo.realize(f), au.random_automorphism(name, 0)).matrix
+             for name, f in boundary_forms.items()}
+    row = mo.H5Form(1.0, 0.3, 1.5, 0.0, 1.5)
     form = json.dumps({"r": 0.6, "s": 0.6, "E": 1.0, "F": 0.1, "G": 2.0})
-    return [
+    return [(f"moduli.canonicalize.{name}", functools.partial(mo.canonicalize, name, metric), 200)
+            for name, metric in orbit.items()] + [
+        ("moduli.isometry_group", lambda: mo.isometry_group("h5", row), 200),
         ("kernel.nijenhuis_tensor", lambda: al.nijenhuis_tensor(h5, j), 200),
         ("kernel.is_abelian_structure", lambda: al.is_abelian_structure(h5, j), 200),
         ("kernel.bracket_defect", lambda: au._bracket_defect(h5, m), 200),
