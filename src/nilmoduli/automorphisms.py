@@ -26,6 +26,7 @@ by the hat permutation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -585,11 +586,23 @@ def theorem_form_defect(alg, m):
 
 
 def component_representatives(alg):
-    """Diagonal (plus swap) representatives, one per connected component."""
-    label, theorem = _theorem(alg)
-    out = [Automorphism(m, label, theorem.component(m)) for m in theorem.representatives()]
-    out.sort(key=lambda f: f.component)
-    return out
+    """Diagonal (plus swap) representatives, one per connected component,
+    in component order.
+
+    The list is new on each call; its matrices are built once per process
+    and are read-only (copy one before writing to it).
+    """
+    label, _ = _theorem(alg)
+    return list(_representatives(label))
+
+
+@functools.cache
+def _representatives(label):
+    theorem = _THEOREMS[label]
+    reps = [Automorphism(m, label, theorem.component(m)) for m in theorem.representatives()]
+    for rep in reps:
+        rep.matrix.setflags(write=False)
+    return tuple(sorted(reps, key=lambda f: f.component))
 
 
 def random_structured_params(alg, rng):

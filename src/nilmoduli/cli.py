@@ -10,6 +10,7 @@ Structured output is JSON (sorted keys, schema "nilmoduli/1") on stdout;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -207,6 +208,7 @@ def cmd_hermitian(args):
         outputs["note"] = (
             "closed-form families: J0 conjugates (sigma/G'); use --search for the oracle"
         )
+        lines.append(outputs["note"])
     for key, val in outputs.items():
         if key == "solutions":
             for branch, sset in val.items():
@@ -487,7 +489,10 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree of every command, built once per process:
+    ``parse_args`` leaves the parser unchanged, so ``main`` reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(

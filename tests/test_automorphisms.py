@@ -250,6 +250,24 @@ def test_representatives_unsupported_for_custom():
         au.component_representatives(al.parse_salamon("(0,0,0,0,0,0)"))
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_representatives_built_once_and_read_only(name):
+    reps = au.component_representatives(name)
+    reps.clear()  # each call returns a new list
+    reps = au.component_representatives(name)
+    assert len(reps) == COMPONENT_COUNTS[name]
+    theorem = au._THEOREMS[name]
+    fresh = sorted(theorem.representatives(), key=theorem.component)
+    for rep, m in zip(reps, fresh):
+        np.testing.assert_array_equal(rep.matrix, m)
+        assert rep.component == theorem.component(m)
+        with pytest.raises(ValueError):
+            rep.matrix[0, 0] = 2.0
+    # built once: a later call hands out the same matrices
+    again = au.component_representatives(name)
+    assert all(a.matrix is b.matrix for a, b in zip(again, reps))
+
+
 # ---------------------------------------------------------------------------
 # random sampling
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,56 @@ def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "--format", "text", "describe", "h2")
     assert code == 0
     assert "nilpotency step: 2" in out
+
+
+def test_hermitian_h9_text_prints_note(capsys):
+    argv = ["hermitian", "--algebra", "h9hat", "--form",
+            '{"A":1,"B":2,"C":1,"D":0,"E":0,"F":0}']
+    code, out, _ = run_cli(capsys, *argv)
+    note = "closed-form families: J0 conjugates (sigma/G'); use --search for the oracle"
+    assert code == 0 and json.loads(out)["outputs"] == {"note": note}
+    code, out, _ = run_cli(capsys, "--format", "text", *argv)
+    assert code == 0 and out == note + "\n"
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+EVERY_COMMAND = [
+    ["describe", "h5"],
+    ["--format", "text", "describe", "h2"],
+    ["canonicalize", "--metric",
+     json.dumps({"algebra": "h6", "matrix": np.diag([1, 1, 1, 1, 3.0, 2.0]).tolist()})],
+    ["isometry", "--algebra", "h5", "--form", '{"r":0.6,"s":0.6,"E":1.0,"F":0.1,"G":2.0}'],
+    ["hermitian", "--algebra", "h4", "--form", '{"r":1.0,"a":1.0,"b":0.4,"c":2.0}'],
+    ["tables"],
+    ["verify", "--suite", "algebra", "--seed", "0"],
+]
+
+
+def _stdout_without_wall_time(capsys):
+    return re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": null', capsys.readouterr().out)
+
+
+def test_main_reuses_parser_after_errors(capsys, monkeypatch):
+    # a parse error and --help exit through the shared parser and leave it
+    # as it was: every command then prints what a freshly built parser gives
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["isometry"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    shared = []
+    for argv in EVERY_COMMAND:
+        assert cli.main(argv) == 0
+        shared.append(_stdout_without_wall_time(capsys))
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    for argv, out in zip(EVERY_COMMAND, shared):
+        assert cli.main(argv) == 0
+        assert _stdout_without_wall_time(capsys) == out
 
 
 def test_shrink_failure_helper():

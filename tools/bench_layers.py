@@ -7,12 +7,13 @@ the per-call time over the runs.  The items are
   * the contraction kernels: ``nijenhuis_tensor``, ``is_abelian_structure``,
     ``automorphisms._bracket_defect``, ``jacobi_residual``,
     ``nilpotency_step``, ``change_of_basis``;
-  * ``moduli.isotropy_algebra_dimension``;
+  * ``moduli.isotropy_algebra_dimension`` and
+    ``automorphisms.component_representatives`` on h2;
   * ``moduli.canonicalize`` on one orbit metric per algebra, each of a form
     on a case boundary (so the stratum snaps run), and
     ``moduli.isometry_group`` on one case row;
-  * the warm ``describe``, ``isometry``, ``hermitian`` and ``tables``
-    commands, each a ``cli.main(argv)`` call in this process.
+  * the warm ``describe``, ``isometry``, ``hermitian``, ``canonicalize``
+    and ``tables`` commands, each a ``cli.main(argv)`` call in this process.
 
 Every name used has the same name and signature in the parent checkout;
 ``automorphisms._bracket_defect`` is private, and is timed on both sides
@@ -91,6 +92,7 @@ def _items():
              for name, f in boundary_forms.items()}
     row = mo.H5Form(1.0, 0.3, 1.5, 0.0, 1.5)
     form = json.dumps({"r": 0.6, "s": 0.6, "E": 1.0, "F": 0.1, "G": 2.0})
+    metric_json = json.dumps({"algebra": "h5", "matrix": orbit["h5"].tolist()})
     return [(f"moduli.canonicalize.{name}", functools.partial(mo.canonicalize, name, metric), 200)
             for name, metric in orbit.items()] + [
         ("moduli.isometry_group", lambda: mo.isometry_group("h5", row), 200),
@@ -101,9 +103,12 @@ def _items():
         ("kernel.nilpotency_step", lambda: al.nilpotency_step(h9), 100),
         ("kernel.change_of_basis", lambda: al.change_of_basis(h5, p), 200),
         ("moduli.isotropy_algebra_dimension", lambda: mo.isotropy_algebra_dimension("h5", g), 50),
+        ("automorphisms.component_representatives",
+         lambda: au.component_representatives("h2"), 200),
         ("cli.describe", command(["describe", "h5"]), 10),
         ("cli.isometry", command(["isometry", "--algebra", "h5", "--form", form]), 10),
         ("cli.hermitian", command(["hermitian", "--algebra", "h5", "--form", form]), 10),
+        ("cli.canonicalize", command(["canonicalize", "--metric", metric_json]), 10),
         ("cli.tables", command(["tables"]), 2),
     ]
 
