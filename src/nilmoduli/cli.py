@@ -148,7 +148,7 @@ def cmd_canonicalize(args):
     outputs = {
         "form": form.to_json_dict(),
         "witness": witness.to_json_dict(),
-        "certificate_bound": args.tol * max(1.0, float(np.max(np.abs(matrix)))),
+        "certificate_bound": mo.certificate_bound(metric.matrix, args.tol),
     }
     lines = [
         f"canonical form: {form.to_json_dict()}",

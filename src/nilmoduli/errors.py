@@ -50,7 +50,8 @@ class InvalidTriple(NilmoduliError):
 
 
 class InvalidParams(NilmoduliError):
-    """Parameters outside the admissible range of a special family."""
+    """Parameters outside their admissible range: of a special family, a
+    search budget or a certificate tolerance."""
 
 
 class CanonicalizationFailed(NilmoduliError):

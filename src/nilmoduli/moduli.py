@@ -51,7 +51,7 @@ from .automorphisms import (
     H9Params,
     structured_automorphism,
 )
-from .errors import CanonicalizationFailed, InvalidForm, NotSPD, Unsupported
+from .errors import CanonicalizationFailed, InvalidForm, InvalidParams, NotSPD, Unsupported
 from .linalg import (
     cholesky_lower,
     max_norm,
@@ -355,15 +355,18 @@ def pullback_metric(metric, phi):
 class _Reduction:
     def __init__(self, alg_label, g, tol=WITNESS_RTOL):
         self.alg = alg_label
+        # the theorem's constructor alone: a step needs neither the component
+        # tag nor the Automorphism wrapper, and _finish certifies the product
+        self.construct = auts._THEOREMS[alg_label].construct
         self.g = np.asarray(g, dtype=float).copy()
         self.phi = np.eye(DIM)
         self.tol = tol
 
     def apply(self, params):
-        f = structured_automorphism(self.alg, params)
-        self.g = f.matrix.T @ self.g @ f.matrix
+        f = self.construct(params)
+        self.g = f.T @ self.g @ f
         self.g = 0.5 * (self.g + self.g.T)
-        self.phi = self.phi @ f.matrix
+        self.phi = self.phi @ f
 
 
 def _finish(red, form, g_input):
@@ -371,7 +374,7 @@ def _finish(red, form, g_input):
     g_c = realize(form).matrix
     wit_matrix = np.linalg.inv(red.phi)
     residual = max_norm(wit_matrix.T @ g_c @ wit_matrix - g_input)
-    bound = red.tol * max(1.0, max_norm(g_input))
+    bound = certificate_bound(g_input, red.tol)
     if residual > bound:
         raise CanonicalizationFailed(
             f"{red.alg}: witness residual {residual:.3e} exceeds {bound:.3e}", residual
@@ -390,8 +393,19 @@ def _kill_commutator_coupling(red, make_params):
     red.apply(make_params(m))
 
 
+def certificate_bound(g, tol=WITNESS_RTOL):
+    """The witness residual canonicalize() accepts for the metric matrix g."""
+    return tol * max(1.0, max_norm(g))
+
+
 def canonicalize(alg, metric, tol=WITNESS_RTOL):
-    """Unique moduli representative of a metric plus a certified witness."""
+    """Unique moduli representative of a metric plus a certified witness.
+
+    ``tol`` must be finite and positive: the witness must satisfy
+    max|phi^T g_c phi - g| <= certificate_bound(g, tol).
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks

@@ -99,6 +99,9 @@ def test_canonicalize_input_file(tmp_path, capsys):
         (("--metric", json.dumps({"algebra": "h6", "matrix": np.eye(2).tolist()})), "6x6", False),
         (("--metric", '{"algebra": "h6", "matrix": [[NaN, 0, 0, 0, 0, 0]'
                       + ", [0, 1, 0, 0, 0, 0]" * 5 + "]}"), "non-finite", False),
+        *[(("--metric", json.dumps({"algebra": "h6", "matrix": np.eye(6).tolist()}),
+            "--tol", tol), "tol must be finite and > 0", False)
+          for tol in ("nan", "inf", "0", "-1")],
     ],
 )
 def test_canonicalize_input_errors_exit_2(capsys, argv, needle, names_schema):
@@ -107,6 +110,17 @@ def test_canonicalize_input_errors_exit_2(capsys, argv, needle, names_schema):
     assert out == ""
     assert needle in err
     assert ('{"algebra": "h5", "matrix":' in err) == names_schema
+
+
+def test_canonicalize_reports_the_enforced_certificate_bound(capsys):
+    # Metric reads the upper triangle, so the 50 below the diagonal is not
+    # part of the metric the witness is checked against
+    g = np.diag([1.0, 1, 1, 1, 2, 3])
+    g[5, 4] = 50.0
+    metric = {"algebra": "h6", "matrix": g.tolist()}
+    code, out, _ = run_cli(capsys, "canonicalize", "--metric", json.dumps(metric))
+    assert code == 0
+    assert json.loads(out)["outputs"]["certificate_bound"] == 1e-8 * 3.0
 
 
 def test_isometry_command(capsys):

@@ -176,6 +176,22 @@ def test_cholesky_not_spd_sweep_matches_reference():
     assert 50 <= rejected <= 250
 
 
+@pytest.mark.parametrize("gap, rejected", [(0.5, False), (1.0, False), (2.0, True)])
+def test_cholesky_symmetry_decision_matches_reference(gap, rejected):
+    # max|A - A^T| at gap times the tolerance sym_tol * max(1, max|A|)
+    a = np.diag([4.0, 3.0, 2.0, 1.0])
+    a[3, 0] = gap * 1e-12 * 4.0
+    for factor in (_reference_cholesky_lower, cholesky_lower):
+        if rejected:
+            with pytest.raises(NotSPD, match="matrix is not symmetric"):
+                factor(a)
+        else:
+            factor(a)
+    if not rejected:
+        # the upper triangle is factored, at the threshold of the input's scale
+        assert cholesky_lower(a).tobytes() == cholesky_lower(symmetrize(a)).tobytes()
+
+
 def test_cholesky_not_spd_message():
     # on an exact failing pivot the message is the reference's, word for word
     a = np.diag([1.0, 1.0, -2.0, 1.0])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from nilmoduli import algebra as al
 from nilmoduli import automorphisms as au
 from nilmoduli import moduli as mo
-from nilmoduli.errors import AlgebraMismatch, InvalidForm, NotSPD
-from nilmoduli.linalg import max_norm, null_space
+from nilmoduli.errors import AlgebraMismatch, InvalidForm, InvalidParams, NilmoduliError, NotSPD
+from nilmoduli.linalg import EPS, cholesky_lower, max_norm, null_space, symmetrize
 from nilmoduli.testsupport import random_canonical_form
 
 ALGEBRAS = ["h6", "h4", "h5", "h2", "h9hat"]
@@ -86,6 +87,66 @@ def test_metric_requires_spd():
 def test_metric_rejects_bad_shape_and_non_finite(matrix, msg):
     with pytest.raises(InvalidForm, match=msg):
         mo.Metric("h6", matrix)
+
+
+def _checked_metric_matrix(m):
+    """Metric's matrix through every check: finiteness, then cholesky_lower
+    (squareness, finiteness, symmetry, pivots) on the symmetrized matrix."""
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise InvalidForm("metric matrix has non-finite entries (NaN or inf)")
+    m = symmetrize(m)
+    cholesky_lower(m)
+    return m
+
+
+def _metric_case(entries=(), diag=(1.0,) * 6):
+    m = np.diag(np.asarray(diag, dtype=float))
+    for (i, j), v in entries:
+        m[i, j] = v
+    return m
+
+
+# pivot test threshold of diag(96, 1, ...): 6 * eps * 96 = 576 eps, whose
+# square root 24 * 2^-26 is exact, so the pivot at 1x the threshold is exact
+_THRESH = 6 * EPS * 96.0
+
+METRIC_DECISION_CASES = [
+    pytest.param(_metric_case([((0, 5), np.nan)]), InvalidForm, id="nan-upper"),
+    pytest.param(_metric_case([((5, 0), np.nan)]), InvalidForm, id="nan-lower"),
+    pytest.param(_metric_case([((2, 2), np.inf)]), InvalidForm, id="inf-diagonal"),
+    pytest.param(_metric_case([((4, 1), -np.inf)]), InvalidForm, id="minus-inf-lower"),
+    pytest.param(_metric_case([((5, 4), 50.0)], diag=(1, 1, 1, 1, 2, 3)), None,
+                 id="asymmetric"),
+    pytest.param(_metric_case([((1, 3), 0.9)], diag=(1, 1, 1, 1, 2, 3)), None,
+                 id="upper-only"),
+    pytest.param(_metric_case([((3, 3), 0.5 * _THRESH)], diag=(96, 1, 1, 1, 1, 1)), NotSPD,
+                 id="pivot-half-threshold"),
+    pytest.param(_metric_case([((3, 3), _THRESH)], diag=(96, 1, 1, 1, 1, 1)), NotSPD,
+                 id="pivot-at-threshold"),
+    pytest.param(_metric_case([((3, 3), 2.0 * _THRESH)], diag=(96, 1, 1, 1, 1, 1)), None,
+                 id="pivot-twice-threshold"),
+    pytest.param(_metric_case([((3, 3), 0.0)]), NotSPD, id="zero-pivot"),
+    pytest.param(_metric_case([((3, 3), -1.0)]), NotSPD, id="negative-pivot"),
+    pytest.param(_metric_case([((1, 2), 2.0), ((2, 1), 2.0)]), NotSPD, id="lapack-fails"),
+    pytest.param(_metric_case([((5, 0), -0.0), ((3, 1), -0.0)]), None, id="minus-zero-lower"),
+    pytest.param(_metric_case([((0, 5), -0.0), ((1, 3), -0.0)]), None, id="minus-zero-upper"),
+]
+
+
+@pytest.mark.parametrize("m, outcome", METRIC_DECISION_CASES)
+def test_metric_decides_like_checked_cholesky(m, outcome):
+    try:
+        expected = _checked_metric_matrix(m)
+    except NilmoduliError as exc:
+        assert type(exc) is outcome
+        with pytest.raises(outcome) as got:
+            mo.Metric("h6", m)
+        assert type(got.value) is outcome
+        assert str(got.value) == str(exc)
+    else:
+        assert outcome is None
+        assert mo.Metric("h6", m).matrix.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +351,21 @@ RAW_BAD_METRICS = [
 def test_canonicalize_checks_raw_arrays_like_metric(g, needle):
     with pytest.raises(InvalidForm, match=needle):
         mo.canonicalize("h6", g)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_canonicalize_rejects_tolerance_without_a_certificate(tol):
+    # residual > nan is never true and residual > inf almost never, so
+    # neither bound certifies anything; 0 and -1 fail every witness
+    with pytest.raises(InvalidParams, match="tol must be finite and > 0"):
+        mo.canonicalize("h6", np.eye(6), tol=tol)
+
+
+def test_certificate_bound_reads_the_symmetrized_metric():
+    g = np.diag([1.0, 1, 1, 1, 2, 3])
+    g[5, 4] = 50.0  # below the diagonal: Metric reads the upper triangle
+    assert mo.certificate_bound(mo.Metric("h6", g).matrix) == 1e-8 * 3.0
+    assert mo.certificate_bound(np.eye(6) * 0.25, tol=1e-6) == 1e-6
 
 
 def test_canonicalize_rejects_metric_of_another_algebra():
@@ -508,3 +584,45 @@ H4_B0_ORBIT_METRIC = [
 def test_h4_b0_orbit_lands_on_its_stratum():
     form, _witness = mo.canonicalize("h4", mo.Metric("h4", np.array(H4_B0_ORBIT_METRIC)))
     assert form.b == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the reduction against its step-by-step reference
+
+
+def _reference_apply(self, params):
+    # each step through structured_automorphism, component tag and
+    # Automorphism wrapper included
+    f = au.structured_automorphism(self.alg, params)
+    self.g = f.matrix.T @ self.g @ f.matrix
+    self.g = 0.5 * (self.g + self.g.T)
+    self.phi = self.phi @ f.matrix
+
+
+BOUNDARY_OPTIONS = {
+    "h5": [None, "r1", "sr", "sr1", "F0"], "h6": [None, "ab"], "h4": [None, "r1", "b0"],
+    "h2": [None, "a0", "ab", "F0", "EG"], "h9hat": [None, "zeros"],
+}
+
+
+def _canonicalize_outcome(name, g):
+    try:
+        form, wit = mo.canonicalize(name, g)
+    except NilmoduliError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(form), wit.automorphism.matrix.tobytes(), wit.automorphism.component, wit.residual
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_reduction_bytes_match_step_by_step_reference(name, monkeypatch):
+    rng = np.random.default_rng(31)
+    inputs = []
+    for boundary in BOUNDARY_OPTIONS[name]:
+        for seed in range(4):
+            form = random_canonical_form(name, rng, boundary=boundary)
+            g = mo.pullback_metric(mo.realize(form), au.random_automorphism(name, 60 + seed))
+            inputs += [4.0 ** k * g.matrix for k in (-9, -3, 0, 4, 10)]
+    got = [_canonicalize_outcome(name, g) for g in inputs]
+    monkeypatch.setattr(mo._Reduction, "apply", _reference_apply)
+    expected = [_canonicalize_outcome(name, g) for g in inputs]
+    assert got == expected

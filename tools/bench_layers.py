@@ -9,6 +9,8 @@ the per-call time over the runs.  The items are
     ``nilpotency_step``, ``change_of_basis``;
   * ``moduli.isotropy_algebra_dimension`` and
     ``automorphisms.component_representatives`` on h2;
+  * ``moduli.Metric`` and ``linalg.cholesky_lower`` on one 6x6 SPD matrix
+    (an h5 orbit metric): the checks every metric pays;
   * ``moduli.canonicalize`` on one orbit metric per algebra, each of a form
     on a case boundary (so the stratum snaps run), and
     ``moduli.isometry_group`` on one case row;
@@ -65,6 +67,7 @@ def _items():
     import nilmoduli.algebra as al
     import nilmoduli.automorphisms as au
     import nilmoduli.cli as cli
+    import nilmoduli.linalg as la
     import nilmoduli.moduli as mo
 
     rng = np.random.default_rng(0)
@@ -96,6 +99,8 @@ def _items():
     return [(f"moduli.canonicalize.{name}", functools.partial(mo.canonicalize, name, metric), 200)
             for name, metric in orbit.items()] + [
         ("moduli.isometry_group", lambda: mo.isometry_group("h5", row), 200),
+        ("moduli.Metric", lambda: mo.Metric("h5", orbit["h5"]), 500),
+        ("linalg.cholesky_lower", lambda: la.cholesky_lower(orbit["h5"]), 500),
         ("kernel.nijenhuis_tensor", lambda: al.nijenhuis_tensor(h5, j), 200),
         ("kernel.is_abelian_structure", lambda: al.is_abelian_structure(h5, j), 200),
         ("kernel.bracket_defect", lambda: au._bracket_defect(h5, m), 200),
