@@ -18,14 +18,13 @@ the nontrivial brackets are [ê1,ê2] = +ê5, [ê1,ê5] = [ê2,ê3] = -ê6.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AlgebraMismatch, NotNilpotent, ParseError, SingularMatrix
-from .linalg import max_norm
+from .linalg import RANK_RTOL, max_norm
 
 DIM = 6
 BUILTIN_SALAMON = {
@@ -37,7 +36,10 @@ BUILTIN_SALAMON = {
 }
 BUILTIN_IDS = ("h2", "h4", "h5", "h6", "h9", "h9hat")
 
+# default tolerance of the J^2 = -I check, the abelian test, is_automorphism
+# and matches_theorem_form
 DEFAULT_TOL = 1e-9
+COND_MAX = 1e12  # change_of_basis rejects a matrix of larger condition number
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,6 @@ class LieAlgebra:
     def bracket_tensor(self):
         """b[k, i, j] = e^k-component of [e_i, e_j] (equals -c[k, i, j])."""
         return -self.c
-
-    def basis_vector(self, i):
-        v = np.zeros(self.dim)
-        v[i] = 1.0
-        return v
-
-    def to_json_dict(self):
-        return {"label": self.label, "dim": self.dim, "d": render_salamon(self).strip("()").split(",")}
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
@@ -103,9 +97,6 @@ class TwoForm:
     def __add__(self, other):
         return TwoForm(self.coeffs + other.coeffs)
 
-    def __sub__(self, other):
-        return TwoForm(self.coeffs - other.coeffs)
-
 
 @dataclass(frozen=True, eq=False)
 class AlmostComplexStructure:
@@ -123,9 +114,6 @@ class AlmostComplexStructure:
         res = max_norm(j @ j + np.eye(DIM))
         if res > self.tol:
             raise ValueError(f"J^2 + I has max-norm {res:.3e} > {self.tol:.1e}")
-
-    def involution_residual(self):
-        return max_norm(self.matrix @ self.matrix + np.eye(DIM))
 
 
 _PAIR_RE = re.compile(r"^\d\d$")
@@ -252,11 +240,11 @@ def pullback(b, m):
     return _contract_last(t, m).transpose(1, 0, 2)
 
 
-def change_of_basis(alg, p, cond_max=1e12):
+def change_of_basis(alg, p):
     """Algebra in the basis f_i = P e_i, i.e. [x, y]' = P^{-1} [Px, Py]."""
     p = np.asarray(p, dtype=float)
     s = np.linalg.svd(p, compute_uv=False)
-    if s[-1] == 0.0 or s[0] / s[-1] > cond_max:
+    if s[-1] == 0.0 or s[0] / s[-1] > COND_MAX:
         raise SingularMatrix("change-of-basis matrix is numerically singular")
     pinv = np.linalg.inv(p)
     u = map_values(pinv, alg.bracket_tensor)  # (p, q, m)
@@ -299,25 +287,27 @@ def _bracket_span(b, span):
     return g.reshape(r, n, n).transpose(1, 2, 0)
 
 
-def nilpotency_step(alg, tol=1e-10, max_iter=10):
-    """Length s of the lower central series (C^{s+1} = 0)."""
+def nilpotency_step(alg):
+    """Length s of the lower central series (C^{s+1} = 0).
+
+    Each step either ends the series or lowers the rank, so the loop ends
+    within alg.dim steps."""
     b = alg.bracket_tensor
     span = np.eye(alg.dim)  # columns span C^1 = h
     scale = None
-    for step in range(1, max_iter + 1):
+    for step in range(1, alg.dim + 1):
         # C^{step+1} = [h, C^{step}]
         gens = _bracket_span(b, span).reshape(alg.dim, -1)
         u, s, _ = np.linalg.svd(gens)
         # every rank is cut at the size of [h, h]: the orthonormal span keeps
         # the later generators on that scale, and the last ones are rounding
         scale = s[0] if scale is None else scale
-        rank = int(np.sum(s > tol * scale))
+        rank = int(np.sum(s > RANK_RTOL * scale))
         if rank == 0:
             return step
         if rank >= span.shape[1]:
             raise NotNilpotent("lower central series does not decrease")
         span = u[:, :rank]
-    raise NotNilpotent("lower central series did not terminate")
 
 
 def _checked_j(alg, j, tol):
@@ -328,9 +318,9 @@ def _checked_j(alg, j, tol):
     return jm
 
 
-def nijenhuis(alg, j, x, y, tol=DEFAULT_TOL):
+def nijenhuis(alg, j, x, y):
     """N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]."""
-    jm = _checked_j(alg, j, tol)
+    jm = _checked_j(alg, j, DEFAULT_TOL)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     jx, jy = jm @ x, jm @ y
@@ -382,13 +372,6 @@ def lemma_j_h6():
         j[dst, src] = 1.0
         j[src, dst] = -1.0
     return AlmostComplexStructure(matrix=j, algebra="h6")
-
-
-def algebra_from_json(text_or_dict):
-    data = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
-    tokens = ",".join(data["d"])
-    alg = parse_salamon(f"({tokens})")
-    return replace(alg, label=data.get("label", "custom"))
 
 
 def require_same_algebra(label_a, label_b):

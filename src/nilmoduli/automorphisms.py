@@ -34,7 +34,11 @@ import numpy as np
 
 from .algebra import _PAIRING_J, DEFAULT_TOL, DIM, get_algebra, map_values, pullback
 from .errors import DegenerateParams, Unsupported
-from .linalg import max_norm, null_space
+from .linalg import RANK_RTOL, max_norm, null_space
+
+# |det| below which a matrix counts as singular: is_automorphism and the
+# nondegeneracy guards of the theorem constructors
+DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +74,7 @@ def _bracket_defect(alg, m):
 def is_automorphism(alg, m, tol=DEFAULT_TOL):
     alg = get_algebra(alg)
     m = np.asarray(m, dtype=float)
-    if abs(np.linalg.det(m)) < 1e-12:
+    if abs(np.linalg.det(m)) < DET_FLOOR:
         return False
     scale = max(1.0, max_norm(m) ** 2)
     return bool(_bracket_defect(alg, m) <= tol * scale)
@@ -97,7 +101,7 @@ def _derivation_system(alg):
     return system.reshape(-1, n * n)
 
 
-def derivation_algebra(alg, tol=1e-10):
+def derivation_algebra(alg, tol=RANK_RTOL):
     """Orthonormal basis of {D : D[x,y] = [Dx,y] + [x,Dy]} as 36-vectors."""
     alg = get_algebra(alg)
     basis = null_space(_derivation_system(alg), tol=tol)
@@ -209,11 +213,16 @@ def _sign_bits(*values):
     return idx
 
 
-def _rand_gl2(rng, det_min=0.15, entry_scale=1.0):
-    """Random well-conditioned 2x2 with positive determinant."""
+# the samplers' 2x2 blocks (complex for h5) have |det| at least this
+_SAMPLE_DET_MIN = 0.15
+
+
+def _rand_gl2(rng):
+    """Random well-conditioned 2x2 with positive determinant (standard normal
+    entries)."""
     while True:
-        a = rng.normal(0.0, entry_scale, size=(2, 2))
-        if np.linalg.det(a) >= det_min:
+        a = rng.normal(0.0, 1.0, size=(2, 2))
+        if np.linalg.det(a) >= _SAMPLE_DET_MIN:
             return a
 
 
@@ -233,7 +242,7 @@ def _construct_h6(p: H6Params):
     at = np.asarray(p.At, dtype=float)
     if p.r == 0.0 or p.s == 0.0:
         raise DegenerateParams("h6 requires r != 0 and s != 0")
-    if abs(np.linalg.det(at)) < 1e-12:
+    if abs(np.linalg.det(at)) < DET_FLOOR:
         raise DegenerateParams("h6 requires det At != 0")
     a = np.zeros((4, 4))
     a[0, 0] = p.r
@@ -286,7 +295,7 @@ def _sample_h6(rng):
 def _construct_h4(p: H4Params):
     a = np.asarray(p.A, dtype=float)
     b = np.asarray(p.B, dtype=float)
-    if abs(np.linalg.det(a)) < 1e-12:
+    if abs(np.linalg.det(a)) < DET_FLOOR:
         raise DegenerateParams("h4 requires det A != 0")
     if p.x == 0.0:
         raise DegenerateParams("h4 requires x != 0")
@@ -344,7 +353,7 @@ def _sample_h4(rng):
 def _construct_h5(p: H5Params):
     ac = np.array([[p.z1, p.z2], [p.z3, p.z4]], dtype=complex)
     det = complex(np.linalg.det(ac))
-    if abs(det) < 1e-12:
+    if abs(det) < DET_FLOOR:
         raise DegenerateParams("h5 requires det_C A != 0")
     m6 = np.zeros((DIM, DIM))
     m6[:4, :4] = realify_complex2(ac)
@@ -391,7 +400,7 @@ def _sample_h5(rng):
             complex(z[4], z[5]),
             complex(z[6], z[7]),
         )
-        if abs(z1 * z4 - z2 * z3) >= 0.15:
+        if abs(z1 * z4 - z2 * z3) >= _SAMPLE_DET_MIN:
             break
     return H5Params(z1=z1, z2=z2, z3=z3, z4=z4, M=_rand_block(rng, (2, 4)), psi=False)
 
@@ -400,7 +409,7 @@ def _construct_h2(p: H2Params):
     a = np.asarray(p.A, dtype=float)
     b = np.asarray(p.B, dtype=float)
     da, db = float(np.linalg.det(a)), float(np.linalg.det(b))
-    if abs(da) < 1e-12 or abs(db) < 1e-12:
+    if abs(da) < DET_FLOOR or abs(db) < DET_FLOOR:
         raise DegenerateParams("h2 requires det A != 0 and det B != 0")
     m6 = np.zeros((DIM, DIM))
     if not p.swap:

@@ -22,13 +22,7 @@ from . import algebra as al
 from . import automorphisms as auts
 from . import hermitian as hm
 from . import moduli as mo
-from .errors import (
-    CanonicalizationFailed,
-    InvalidForm,
-    NilmoduliError,
-    NotSPD,
-    ParseError,
-)
+from .errors import CanonicalizationFailed, NilmoduliError, NotSPD, ParseError
 
 SCHEMA = "nilmoduli/1"
 
@@ -37,6 +31,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NOT_SPD = 3
 EXIT_SOLVER = 4
+
+SHRINK_ROUNDS = 12  # halvings of a failing case's perturbation
+MODULI_SUITE_COUNT = 100  # orbit checks per algebra in the moduli suite
+HERMITIAN_SUITE_COUNT = 200  # random h5, h4, h6 and h2 forms each in the hermitian suite
 
 
 def _report(command, inputs, outputs, passed=True, t0=None):
@@ -346,10 +344,10 @@ def cmd_tables(args):
 # verify
 
 
-def _shrink_failure(check, base, perturbed, rounds=12):
+def _shrink_failure(check, base, perturbed):
     """Halve the perturbation toward ``base`` while the check still fails."""
     lo, hi = np.asarray(base, dtype=float), np.asarray(perturbed, dtype=float)
-    for _ in range(rounds):
+    for _ in range(SHRINK_ROUNDS):
         mid = 0.5 * (lo + hi)
         if check(mid):
             lo = mid
@@ -388,14 +386,14 @@ def verify_suite_algebra(seed, algebras=None):
     return checked, failures
 
 
-def verify_suite_moduli(seed, count=100):
+def verify_suite_moduli(seed):
     from .testsupport import random_canonical_form
 
     failures = []
     checked = 0
     rng = np.random.default_rng(seed)
     for name in ("h6", "h4", "h5", "h2", "h9hat"):
-        for i in range(count):
+        for i in range(MODULI_SUITE_COUNT):
             form = random_canonical_form(name, rng)
             g0 = mo.realize(form)
             phi = auts.random_automorphism(name, int(rng.integers(0, 2 ** 31)))
@@ -432,13 +430,13 @@ def _minimized_case(name, form, g_bad):
     return {"form": form.to_json_dict(), "minimized_metric": np.round(g_min, 12).tolist()}
 
 
-def verify_suite_hermitian(seed, count=200):
+def verify_suite_hermitian(seed):
     from .testsupport import random_canonical_form
 
     failures = []
     checked = 0
     rng = np.random.default_rng(seed)
-    for i in range(count):
+    for i in range(HERMITIAN_SUITE_COUNT):
         for name, solve in (("h5", hm.h5_hermitian_solutions), ("h4", hm.h4_hermitian_solutions)):
             for sset in solve(random_canonical_form(name, rng)).values():
                 for sol in sset.solutions:
@@ -550,9 +548,6 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InvalidForm, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NotSPD as exc:
         print(f"not positive definite: {exc}", file=sys.stderr)
         return EXIT_NOT_SPD
@@ -560,8 +555,8 @@ def main(argv=None):
         print(f"canonicalization failed: {exc} (best residual {exc.residual})",
               file=sys.stderr)
         return EXIT_SOLVER
-    except NilmoduliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NilmoduliError, KeyError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -41,6 +41,8 @@ from .moduli import H9Form, Metric, _hat_algebra, _require_same_basis, realize
 
 SPHERE_TOL = 1e-12
 NIJENHUIS_TOL = 1e-9
+DEDUPE_TOL = 1e-10  # table triples within this l1 distance (normalized) are one
+H2_EQUATION_RTOL = 1e-8  # an h2 candidate is verified when its equations are this small
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,9 @@ class SolutionTriple:
     def as_array(self):
         return np.array([self.a, self.b, self.c])
 
-    def check_sphere(self, tol=SPHERE_TOL):
+    def check_sphere(self):
         err = abs(self.a ** 2 + self.b ** 2 + self.c ** 2 - 1.0)
-        if err > tol:
+        if err > SPHERE_TOL:
             raise InvalidTriple(f"a^2+b^2+c^2 deviates from 1 by {err:.3e}")
         return self
 
@@ -124,13 +126,13 @@ def _make_solution(alg_label, triple, j, g, nij_tol=NIJENHUIS_TOL):
     return HermitianSolution(triple, acs, res)
 
 
-def _dedupe(triples, tol=1e-10):
+def _dedupe(triples):
     out = []
     for t in triples:
         nrm = math.sqrt(t[0] ** 2 + t[1] ** 2 + t[2] ** 2)
         t = (t[0] / nrm, t[1] / nrm, t[2] / nrm)
         if not any(
-            abs(t[0] - u[0]) + abs(t[1] - u[1]) + abs(t[2] - u[2]) <= tol for u in out
+            abs(t[0] - u[0]) + abs(t[1] - u[1]) + abs(t[2] - u[2]) <= DEDUPE_TOL for u in out
         ):
             out.append(t)
     return out
@@ -183,12 +185,6 @@ def h5_eq42_residual(form, a):
     gamma = form.E / alpha + form.G * alpha
     sd = math.sqrt(form.E * form.G - form.F ** 2)
     return a * a - a * gamma / sd + 1.0
-
-
-def _quadratic_small_root(coef, sd):
-    """Smaller root of x^2 - coef*x + 1 = 0 (product of roots is 1)."""
-    disc = max(coef * coef - 4.0, 0.0)
-    return 2.0 / (coef + math.sqrt(disc))
 
 
 def _table_row_values(E, F, G, w):
@@ -402,7 +398,7 @@ class H2Candidate:
         }
 
 
-def h2_hermitian_candidates(form, tol=1e-8):
+def h2_hermitian_candidates(form):
     """At most two complex-structure candidates in the treated family.
 
     A = B forces (a, b, c) = (+-1, 0, 0) (abelian).  For A < B the pair
@@ -422,7 +418,7 @@ def h2_hermitian_candidates(form, tol=1e-8):
             j = h2_J(form, t)
             verified = bool(
                 np.max(np.abs(h2_integrability_equations(form, a, 0.0, 0.0)))
-                <= tol * scale
+                <= H2_EQUATION_RTOL * scale
             )
             out.append(H2Candidate(t, j, verified, is_abelian_structure(builtin("h2"), j)))
         return out
@@ -446,7 +442,7 @@ def h2_hermitian_candidates(form, tol=1e-8):
         j = h2_J(form, t)
         resid = float(np.max(np.abs(h2_integrability_equations(form, a, b, c))))
         out.append(
-            H2Candidate(t, j, bool(resid <= tol * scale),
+            H2Candidate(t, j, bool(resid <= H2_EQUATION_RTOL * scale),
                         is_abelian_structure(builtin("h2"), j, tol=1e-8))
         )
     return out
@@ -465,7 +461,7 @@ def h9_J0():
     return AlmostComplexStructure(j, "h9hat", tol=1e-12)
 
 
-def _h9_check_pair(g, j, tol=1e-10):
+def _h9_check_pair(g, j, tol):
     res = _residuals("h9hat", j, g)
     worst = max(res.values())
     if worst > tol:
@@ -736,6 +732,8 @@ def _solvable(a, b):
     return True
 
 
+SEARCH_MAX_ITER = 60  # LM iterations of one oracle start
+
 # Slots of the search's work queue.  A pass costs a fixed numpy overhead
 # plus a share per live start: more slots spread the overhead thinner, but
 # hold more memory and can run more starts past a success.
@@ -755,9 +753,8 @@ class _StartQueue:
     the first starts costs little more than those starts.
     """
 
-    def __init__(self, kernel, starts, budget, tol2, max_iter):
-        self.kernel, self.starts, self.budget = kernel, starts, budget
-        self.tol2, self.max_iter = tol2, max_iter
+    def __init__(self, kernel, starts, budget, tol2):
+        self.kernel, self.starts, self.budget, self.tol2 = kernel, starts, budget, tol2
         n_slots, n = _QUEUE_SLOTS, DIM * DIM
         self.xs = np.empty((n_slots, n))
         self.rs = np.empty((n_slots, kernel.rows))
@@ -776,7 +773,7 @@ class _StartQueue:
         """The final cost of each start that counts (those up to the first
         success in start order, or all) and the first success's J, or None."""
         while self._take():
-            done = self._iterate() if self.max_iter >= 1 else [True] * len(self.owner)
+            done = self._iterate()
             if True in done:
                 self._retire(done)
         return self.final[: self.first_found + 1], self.x_found
@@ -806,7 +803,7 @@ class _StartQueue:
     def _iterate(self):
         """One LM iteration of every live start; which of them stop."""
         xs, rs, lam, cost, stall, it = self.xs, self.rs, self.lam, self.cost, self.stall, self.it
-        m, n, tol2, max_iter = len(self.owner), DIM * DIM, self.tol2, self.max_iter
+        m, n, tol2 = len(self.owner), DIM * DIM, self.tol2
         jac, jtj, grad = self.jac[:m], self.jtj[:m], self.grad[:m]
         self.kernel.jacobian(xs[:m].reshape(m, DIM, DIM), out=jac)
         np.matmul(jac.transpose(0, 2, 1), rs[:m, :, None], out=grad)
@@ -837,9 +834,9 @@ class _StartQueue:
                         lam[s] = max(lam[s] / 3.0, 1e-14)
                         stall[s] = stall[s] + 1 if rel < 1e-8 else 0
                         # stop on success, on a stall, on a plateau far above
-                        # the success threshold, or at max_iter
+                        # the success threshold, or at SEARCH_MAX_ITER
                         done[s] = (c <= tol2 or stall[s] >= 2 or (it[s] >= 30 and c > 1e-6)
-                                   or it[s] + 1 >= max_iter)
+                                   or it[s] + 1 >= SEARCH_MAX_ITER)
                         it[s] += 1
                         continue
                     lam[s] *= 10.0
@@ -872,7 +869,7 @@ class _StartQueue:
             state[: len(keep)] = state[keep]
 
 
-def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=20210607):
+def hermitian_search(alg, metric, tol=1e-8, budget=64, seed=20210607):
     """Numeric Hermitian-existence oracle.
 
     Minimizes ||N_J||^2 + ||J^T g J - g||^2 + ||J^2 + I||^2 over the 36
@@ -897,7 +894,7 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=2021060
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
-    _require_same_basis(metric.algebra, alg.label)
+    _require_same_basis(metric.algebra, alg)
     alg = _hat_algebra(alg)
     g = metric.matrix
     g_chol = cholesky_lower(g)
@@ -908,7 +905,7 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=2021060
         return _random_compatible_starts(l_inv_t, g_chol.T, rngs)
 
     kernel = _ResidualKernel(alg.bracket_tensor, g)
-    costs, x_found = _StartQueue(kernel, starts, budget, tol * tol, max_iter).run()
+    costs, x_found = _StartQueue(kernel, starts, budget, tol * tol).run()
     j_out = None
     if x_found is not None:
         j_out = AlmostComplexStructure(x_found.reshape(DIM, DIM), alg.label, tol=10 * tol)

@@ -22,6 +22,11 @@ import numpy as np
 from .errors import Diverged, NotSPD
 
 EPS = np.finfo(float).eps
+# asymmetry accepted by cholesky_lower and takagi2, relative to max(1, max|A|)
+SYM_RTOL = 1e-12
+# singular values at or below RANK_RTOL * s_max count as zero: the rank cutoff
+# of null_space, nullity, the derivation algebra and the lower central series
+RANK_RTOL = 1e-10
 
 
 def _as_matrix(a):
@@ -55,13 +60,14 @@ def max_norm(a):
     return 0.0 if a.size == 0 else float(np.abs(a).max())
 
 
-def cholesky_lower(a, sym_tol=1e-12):
+def cholesky_lower(a):
     """Cholesky factor L (lower, positive diagonal) with L L^T = A.
 
     The factor is LAPACK's (``np.linalg.cholesky``) on the symmetrized
     matrix.  Raises NotSPD at the first pivot ``diag(L)**2`` at or below
     n*eps*max|A|, the standard backward-stable positive-definiteness test,
-    and on an asymmetric matrix or one with NaN or inf entries.
+    and on an asymmetric matrix (beyond SYM_RTOL) or one with NaN or inf
+    entries.
     """
     a = _as_matrix(a)
     n = a.shape[0]
@@ -70,7 +76,7 @@ def cholesky_lower(a, sym_tol=1e-12):
     scale = max_norm(a)
     if not math.isfinite(scale):
         raise NotSPD("matrix has non-finite entries")
-    if max_norm(a - a.T) > sym_tol * max(1.0, scale):
+    if max_norm(a - a.T) > SYM_RTOL * max(1.0, scale):
         raise NotSPD("matrix is not symmetric")
     a = symmetrize(a)
     thresh = n * EPS * scale
@@ -170,12 +176,12 @@ def svd2(q):
     return U, (s1v, s2v), V
 
 
-def takagi2(q, tol=1e-12):
+def takagi2(q):
     """Takagi factorization of a complex symmetric 2x2 matrix.
 
     Returns (U, (s1, s2)) with U unitary, 0 <= s1 <= s2 and
-    Q = U diag(s1, s2) U^T.  ``tol`` bounds the asymmetry accepted,
-    relative to max(1, max|Q|).
+    Q = U diag(s1, s2) U^T.  The asymmetry accepted is SYM_RTOL, relative
+    to max(1, max|Q|).
 
     One formula at every gap between the singular values: with the SVD
     Q = W S V^H, symmetry gives conj(V) = W K for the unitary K = W^H conj(V),
@@ -191,7 +197,7 @@ def takagi2(q, tol=1e-12):
     q = np.asarray(q, dtype=complex)
     if q.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if np.max(np.abs(q - q.T)) > tol * max(1.0, np.max(np.abs(q))):
+    if np.max(np.abs(q - q.T)) > SYM_RTOL * max(1.0, np.max(np.abs(q))):
         raise ValueError("matrix is not complex symmetric")
     q = 0.5 * (q + q.T)
     scale = float(np.max(np.abs(q)))
@@ -211,7 +217,7 @@ def takagi2(q, tol=1e-12):
     return U, sigma
 
 
-def null_space(m, tol=1e-10):
+def null_space(m, tol=RANK_RTOL):
     """Orthonormal basis of ker(M) with singular-value cutoff tol * s_max.
 
     Returns an (n, k) array whose columns span the null space (k may be 0).
@@ -220,10 +226,11 @@ def null_space(m, tol=1e-10):
     return vh[cutoff_rank(s, tol):].T.copy()
 
 
-def nullity(m, tol=1e-10):
-    """dim ker(M) under the cutoff of null_space, from the singular values alone."""
+def nullity(m):
+    """dim ker(M) under the cutoff RANK_RTOL of null_space, from the singular
+    values alone."""
     m = _nonempty(m)
-    return m.shape[1] - cutoff_rank(np.linalg.svd(m, compute_uv=False), tol)
+    return m.shape[1] - cutoff_rank(np.linalg.svd(m, compute_uv=False), RANK_RTOL)
 
 
 def cutoff_rank(s, tol):
@@ -236,28 +243,6 @@ def _nonempty(m):
     if m.size == 0:
         raise ValueError("empty matrix")
     return m
-
-
-def expm_pade6(a):
-    """Matrix exponential by scaling-and-squaring with a fixed Pade(6,6) core."""
-    a = _as_matrix(a)
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.25))) if norm > 0.25 else 0)
-    x = a / (2.0 ** squarings)
-    # Pade(6,6) coefficients of exp
-    b = [1.0, 0.5, 3.0 / 26.0, 5.0 / 312.0, 5.0 / 3432.0, 1.0 / 11440.0, 1.0 / 308880.0]
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    even = b[0] * np.eye(n) + b[2] * x2 + b[4] * x4 + b[6] * x6
-    odd = x @ (b[1] * np.eye(n) + b[3] * x2 + b[5] * x4)
-    p = even + odd
-    q = even - odd
-    r = np.linalg.solve(q, p)
-    for _ in range(squarings):
-        r = r @ r
-    return r
 
 
 @dataclass

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import automorphisms as auts
-from .algebra import _PAIRING_J, DIM, get_algebra, require_same_algebra
+from .algebra import _PAIRING_J, DIM, LieAlgebra, get_algebra, require_same_algebra
 from .automorphisms import (
     Automorphism,
     H2Params,
@@ -51,7 +51,14 @@ from .automorphisms import (
     H9Params,
     structured_automorphism,
 )
-from .errors import CanonicalizationFailed, InvalidForm, InvalidParams, NotSPD, Unsupported
+from .errors import (
+    CanonicalizationFailed,
+    InvalidForm,
+    InvalidParams,
+    NotSPD,
+    ParseError,
+    Unsupported,
+)
 from .linalg import (
     cholesky_lower,
     max_norm,
@@ -66,6 +73,11 @@ from .linalg import (
 EQ_RTOL = 1e-9  # relative tolerance of the stratum test
 WITNESS_RTOL = 1e-8
 SNAP = 1e-12  # validate's allowance for forms given as input
+# verify_isometry_group: the largest bracket and derivation defect it accepts,
+# and the metric and symmetry defect relative to max(1, max|g|)
+ISOMETRY_DEFECT_TOL = 1e-10
+GROUP_ORDER_CAP = 512  # the closure of the generators gives up beyond this order
+GROUP_MATCH_TOL = 1e-9  # max-norm distance at which two group elements are one
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +96,6 @@ class Metric:
         m = symmetrize(m)
         cholesky_lower(m)  # raises NotSPD
         object.__setattr__(self, "matrix", m)
-
-    def to_json_dict(self):
-        return {"algebra": self.algebra, "matrix": [[float(v) for v in r] for r in self.matrix]}
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,10 +290,19 @@ def _hat_algebra(alg):
     return alg if _hat_label(alg.label) == alg.label else get_algebra(_hat_label(alg.label))
 
 
-def _require_same_basis(label_a, label_b):
-    """AlgebraMismatch unless both labels name one algebra; h9 and h9hat
-    count as one, since both read metrics in the hat basis."""
-    if _hat_label(label_a) != _hat_label(label_b):
+def _require_same_basis(a, b):
+    """AlgebraMismatch unless a and b (tags or algebras) name one algebra in
+    the basis metrics are read in: h9 and h9hat count as one, since both read
+    metrics in the hat basis, and a Salamon string counts as the algebra it
+    parses to (equal structure constants)."""
+    label_a, label_b = (x.label if isinstance(x, LieAlgebra) else x for x in (a, b))
+    if _hat_label(label_a) == _hat_label(label_b):
+        return
+    try:
+        same = _hat_algebra(a) == _hat_algebra(b)
+    except ParseError:  # a tag that names no algebra, such as "custom"
+        same = False
+    if not same:
         require_same_algebra(label_a, label_b)
 
 
@@ -353,7 +371,7 @@ def pullback_metric(metric, phi):
 
 
 class _Reduction:
-    def __init__(self, alg_label, g, tol=WITNESS_RTOL):
+    def __init__(self, alg_label, g, tol):
         self.alg = alg_label
         # the theorem's constructor alone: a step needs neither the component
         # tag nor the Automorphism wrapper, and _finish certifies the product
@@ -409,13 +427,13 @@ def canonicalize(alg, metric, tol=WITNESS_RTOL):
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
-    _require_same_basis(metric.algebra, alg.label)
     if alg.label not in _FORM_TYPES:
         raise Unsupported(f"canonical forms exist for the built-ins only, not {alg.label!r}")
+    _require_same_basis(metric.algebra, alg)
     return _FORM_TYPES[alg.label].canonicalize(metric.matrix, tol)
 
 
-def _canonicalize_h6(g, tol=WITNESS_RTOL):
+def _canonicalize_h6(g, tol):
     red = _Reduction("h6", g, tol)
     _kill_commutator_coupling(red, lambda m: H6Params(M=tuple(map(tuple, m))))
     x = reverse_cholesky_lower(red.g[:4, :4])
@@ -435,7 +453,7 @@ def _canonicalize_h6(g, tol=WITNESS_RTOL):
     return _finish(red, H6Form(a=float(red.g[4, 4]), b=float(red.g[5, 5])), g)
 
 
-def _canonicalize_h4(g, tol=WITNESS_RTOL):
+def _canonicalize_h4(g, tol):
     red = _Reduction("h4", g, tol)
     _kill_commutator_coupling(red, lambda m: H4Params(M=tuple(map(tuple, m))))
     p4 = red.g[:4, :4]
@@ -468,7 +486,7 @@ def _h2_form(g):
                   E=float(g[4, 4]), F=float(g[4, 5]), G=float(g[5, 5]))
 
 
-def _canonicalize_h2(g, tol=WITNESS_RTOL):
+def _canonicalize_h2(g, tol):
     red = _Reduction("h2", g, tol)
     _kill_commutator_coupling(
         red, lambda m: H2Params(M1=tuple(map(tuple, m[:, :2])), M2=tuple(map(tuple, m[:, 2:4])))
@@ -519,7 +537,7 @@ def _h5_form(g):
                   E=float(g[4, 4]), F=float(g[4, 5]), G=float(g[5, 5]))
 
 
-def _canonicalize_h5(g, tol=WITNESS_RTOL):
+def _canonicalize_h5(g, tol):
     red = _Reduction("h5", g, tol)
     _kill_commutator_coupling(red, lambda m: _h5_move(np.eye(2), m=m))
     b4 = red.g[:4, :4]
@@ -540,7 +558,7 @@ def _canonicalize_h5(g, tol=WITNESS_RTOL):
     return _finish(red, _h5_form(red.g), g)
 
 
-def _canonicalize_h9(g, tol=WITNESS_RTOL):
+def _canonicalize_h9(g, tol):
     red = _Reduction("h9hat", g, tol)
     x = reverse_cholesky_lower(red.g)
     a11, a22, a44 = x[0, 0], x[1, 1], x[3, 3]
@@ -841,7 +859,7 @@ class IsometryReport:
         }
 
 
-def isotropy_algebra_dimension(alg, g, tol=1e-10):
+def isotropy_algebra_dimension(alg, g):
     """dim {D in Der(alg) : D^T g + g D = 0}, the nullity of the stacked system.
 
     Row (i, j), column (k, l) of the symmetry block holds the coefficient of
@@ -854,15 +872,15 @@ def isotropy_algebra_dimension(alg, g, tol=1e-10):
     sym[i, j, k, i] += g[k, j]  # (D^T g)[i, j]
     sym[i, j, k, j] += g[i, k]  # (g D)[i, j]
     system = np.vstack([auts._derivation_system(alg), sym.reshape(n * n, n * n)])
-    return nullity(system, tol=tol)
+    return nullity(system)
 
 
-def _generated_group(gen_matrices, cap=512, tol=1e-9):
-    """Closure of the generated set; None if the cap is exceeded."""
+def _generated_group(gen_matrices):
+    """Closure of the generated set; None beyond GROUP_ORDER_CAP elements."""
     elems = [np.eye(DIM)]
 
     def find(m):
-        return any(max_norm(m - e) <= tol for e in elems)
+        return any(max_norm(m - e) <= GROUP_MATCH_TOL for e in elems)
 
     frontier = [np.eye(DIM)]
     while frontier:
@@ -873,13 +891,13 @@ def _generated_group(gen_matrices, cap=512, tol=1e-9):
                 if not find(prod):
                     elems.append(prod)
                     new.append(prod)
-                    if len(elems) > cap:
+                    if len(elems) > GROUP_ORDER_CAP:
                         return None
         frontier = new
     return elems
 
 
-def verify_isometry_group(alg, form, desc, tol=1e-10):
+def verify_isometry_group(alg, form, desc):
     """Verify a GroupDescriptor against the algebra and the realized metric:
     (i) generators preserve bracket and metric, basis elements are
     skew-symmetric derivations; (ii) the finite part closes with the
@@ -895,7 +913,7 @@ def verify_isometry_group(alg, form, desc, tol=1e-10):
     for gen in desc.generators:
         worst_bracket = max(worst_bracket, auts._bracket_defect(alg, gen.matrix))
         worst_metric = max(worst_metric, max_norm(gen.matrix.T @ g_c @ gen.matrix - g_c))
-    ok = worst_bracket <= tol and worst_metric <= tol * scale
+    ok = worst_bracket <= ISOMETRY_DEFECT_TOL and worst_metric <= ISOMETRY_DEFECT_TOL * scale
     checks.append(
         ("generators_preserve_bracket_and_metric", bool(ok),
          f"bracket defect {worst_bracket:.2e}, metric defect {worst_metric:.2e}")
@@ -907,7 +925,7 @@ def verify_isometry_group(alg, form, desc, tol=1e-10):
     for d in desc.isotropy_basis:
         worst_der = max(worst_der, max_norm(derivation_system @ d.reshape(-1)))
         worst_skew = max(worst_skew, max_norm(d.T @ g_c + g_c @ d))
-    ok = worst_der <= tol and worst_skew <= tol * scale
+    ok = worst_der <= ISOMETRY_DEFECT_TOL and worst_skew <= ISOMETRY_DEFECT_TOL * scale
     checks.append(
         ("isotropy_basis_in_isotropy_algebra", bool(ok),
          f"derivation defect {worst_der:.2e}, symmetry defect {worst_skew:.2e}")

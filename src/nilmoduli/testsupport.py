@@ -11,10 +11,12 @@ import numpy as np
 
 from .moduli import H2Form, H4Form, H5Form, H6Form, H9Form
 
+SPD2_FLOOR = 0.3  # random_spd2 adds this multiple of I, bounding its eigenvalues below
 
-def random_spd2(rng, floor=0.3):
+
+def random_spd2(rng):
     a = rng.normal(0.0, 1.0, (2, 2))
-    return a @ a.T + floor * np.eye(2)
+    return a @ a.T + SPD2_FLOOR * np.eye(2)
 
 
 def random_canonical_form(name, rng, boundary=None):

@@ -245,6 +245,33 @@ def test_hermitian_search_empty_budget_exit_2(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (("canonicalize", "--metric", json.dumps({"algebra": "h6", "matrix": np.eye(6).tolist()}),
+          "--tol", "nan"), "tol must be finite"),
+        (("hermitian", "--algebra", "h9hat",
+          "--form", '{"A":1.0,"B":2.0,"C":1.0,"D":0.0,"E":0.0,"F":0.0}',
+          "--search", "--budget", "0"), "budget"),
+        (("isometry", "--algebra", "h6",
+          "--form", '{"tag": "h5", "r": 0.5, "s": 0.3, "E": 1.0, "F": 0.1, "G": 2.0}'),
+         "algebra tags differ"),
+        (("canonicalize", "--metric",
+          json.dumps({"algebra": "(0,0,0,0,12,13)", "matrix": np.eye(6).tolist()})),
+         "built-ins only"),
+    ],
+    ids=["tol-nan", "budget-0", "form-of-another-algebra", "salamon-tag"],
+)
+def test_exit_2_errors_share_the_input_error_prefix(capsys, argv, needle):
+    # InvalidParams, AlgebraMismatch and Unsupported print like every other
+    # input error
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert needle in err
+
+
 def test_tables_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "tables")
     code2, out2, _ = run_cli(capsys, "tables")

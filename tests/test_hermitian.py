@@ -648,6 +648,22 @@ def test_search_rejects_metric_of_another_algebra():
     assert hm.hermitian_search("h9", mo.realize(mo.H9Form(1, 1, 1, 0, 0, 0)), budget=1).found
 
 
+def test_search_reads_a_salamon_tag_as_the_algebra_it_parses_to():
+    s = "(0,0,0,0,12,13)"  # h6's Salamon string; its parsed algebra is "custom"
+    g = np.diag([1, 1, 1, 1, 2, 3.0])
+    untagged = hm.hermitian_search(s, g, budget=2)
+    for alg in (s, "h6"):  # equal structure constants
+        tagged = hm.hermitian_search(alg, mo.Metric(s, g), budget=2)
+        assert (tagged.found, tagged.starts_used, tagged.residual) == (
+            untagged.found, untagged.starts_used, untagged.residual)
+        assert np.array_equal(tagged.J.matrix, untagged.J.matrix)
+    # another custom algebra, another built-in, and h9's Salamon string
+    # (whose basis is not the hat basis h9 metrics are read in) still mismatch
+    for alg, tag in (("(0,0,0,0,12,34)", s), ("h5", s), ("h9", al.BUILTIN_SALAMON["h9"])):
+        with pytest.raises(AlgebraMismatch):
+            hm.hermitian_search(alg, mo.Metric(tag, g), budget=1)
+
+
 def test_negation_closure_h4_h6():
     rng = np.random.default_rng(11)
     h4, h6 = al.builtin("h4"), al.builtin("h6")

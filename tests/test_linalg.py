@@ -9,7 +9,6 @@ from nilmoduli.errors import Diverged, NotSPD
 from nilmoduli.linalg import (
     EPS,
     cholesky_lower,
-    expm_pade6,
     least_squares_solve,
     max_norm,
     null_space,
@@ -20,6 +19,8 @@ from nilmoduli.linalg import (
     symmetrize,
     takagi2,
 )
+
+from expm_reference import expm_pade6
 
 
 def random_spd(rng, n, floor=0.1):

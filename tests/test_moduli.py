@@ -7,7 +7,14 @@ import pytest
 from nilmoduli import algebra as al
 from nilmoduli import automorphisms as au
 from nilmoduli import moduli as mo
-from nilmoduli.errors import AlgebraMismatch, InvalidForm, InvalidParams, NilmoduliError, NotSPD
+from nilmoduli.errors import (
+    AlgebraMismatch,
+    InvalidForm,
+    InvalidParams,
+    NilmoduliError,
+    NotSPD,
+    Unsupported,
+)
 from nilmoduli.linalg import EPS, cholesky_lower, max_norm, null_space, symmetrize
 from nilmoduli.testsupport import random_canonical_form
 
@@ -374,6 +381,19 @@ def test_canonicalize_rejects_metric_of_another_algebra():
         mo.canonicalize("h5", g)
     form, _witness = mo.canonicalize("h9", mo.realize(mo.H9Form(1.0, 2.0, 1.0, 0.0, 0.0, 0.0)))
     assert form.B == pytest.approx(2.0)
+
+
+def test_canonicalize_rejects_a_custom_algebra_before_comparing_tags():
+    s = "(0,0,0,0,12,13)"
+    g = np.diag([1, 1, 1, 1, 2, 3.0])
+    for tag in (s, "h5"):
+        with pytest.raises(Unsupported, match="built-ins only"):
+            mo.canonicalize(s, mo.Metric(tag, g))
+    # h6's Salamon string names h6 in h6's basis
+    form, _witness = mo.canonicalize("h6", mo.Metric(s, g))
+    assert (form.a, form.b) == (2.0, 3.0)
+    with pytest.raises(AlgebraMismatch):
+        mo.canonicalize("h5", mo.Metric(s, g))
 
 
 def test_isometry_group_rejects_a_form_of_another_algebra():
