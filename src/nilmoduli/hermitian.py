@@ -41,8 +41,14 @@ from .moduli import H9Form, Metric, _hat_algebra, _require_same_basis, realize
 
 SPHERE_TOL = 1e-12
 NIJENHUIS_TOL = 1e-9
+H6_NIJENHUIS_TOL = 1e-12  # the Nijenhuis residual each of the four h6 structures must meet
+J_BUILD_TOL = 1e-11  # max|J^2 + I| of a J built from a triple (and of a returned solution)
+INVOLUTION_TOL = 1e-12  # max|J^2 + I| of a tabulated solution, and of h9's J0
 DEDUPE_TOL = 1e-10  # table triples within this l1 distance (normalized) are one
 H2_EQUATION_RTOL = 1e-8  # an h2 candidate is verified when its equations are this small
+H2_ABELIAN_TOL = 1e-8  # is_abelian_structure's tolerance for an a < b h2 candidate
+SIGMA_FAMILY_TOL = 1e-10  # worst residual of a Sigma1-3 pair, and max|J^2 + I| of its J
+GPRIME_FAMILY_TOL = 1e-9  # worst residual of a G' pair
 
 
 @dataclass(frozen=True)
@@ -115,14 +121,14 @@ def _residuals(alg_label, j, g):
 
 def _make_solution(alg_label, triple, j, g, nij_tol=NIJENHUIS_TOL):
     res = _residuals(alg_label, j, g)
-    if res["involution"] > 1e-12:
+    if res["involution"] > INVOLUTION_TOL:
         raise InvalidTriple(f"J^2 + I residual {res['involution']:.3e}")
     if res["nijenhuis"] > nij_tol:
         raise InvalidForm(
             f"{alg_label} {triple.branch}: nijenhuis residual {res['nijenhuis']:.3e} "
             f"exceeds {nij_tol:.1e}"
         )
-    acs = AlmostComplexStructure(j, alg_label, tol=1e-11)
+    acs = AlmostComplexStructure(j, alg_label, tol=J_BUILD_TOL)
     return HermitianSolution(triple, acs, res)
 
 
@@ -143,34 +149,25 @@ def _dedupe(triples):
 
 
 def _sphere_family_J(label, r, s, E, F, G, branch, triple):
-    """J1/J2 of the sphere family on diag(1, r, 1, s) + [[E,F],[F,G]].  The h4
-    family is this one at r = 1, s = r_h4 and (E, F, G) = (a, b, c)."""
-    if isinstance(triple, SolutionTriple):
-        triple.check_sphere()
-        a, b, c = triple.a, triple.b, triple.c
-    else:
-        a, b, c = triple
-        SolutionTriple(a, b, c, branch).check_sphere()
+    """J1/J2 of the sphere family on diag(1, r, 1, s) + [[E,F],[F,G]] at the
+    triple (a, b, c).  The h4 family is this one at r = 1, s = r_h4 and
+    (E, F, G) = (a, b, c)."""
+    if branch not in ("J1", "J2"):
+        raise ValueError(f"unknown branch {branch!r}")
+    a, b, c = triple
+    SolutionTriple(a, b, c, branch).check_sphere()
     sr, ss = math.sqrt(r), math.sqrt(s)
     sd = math.sqrt(E * G - F * F)
+    # eps = -1 turns J1 into J2: it negates the (e2, e3, e4) block and the (e5, e6) block
+    eps = 1.0 if branch == "J1" else -1.0
     j = np.zeros((DIM, DIM))
-    if branch == "J1":
-        j[0, 1], j[0, 2], j[0, 3] = -a * sr, -b, -c * ss
-        j[1, 0], j[1, 2], j[1, 3] = a / sr, -c / sr, b * ss / sr
-        j[2, 0], j[2, 1], j[2, 3] = b, c * sr, -a * ss
-        j[3, 0], j[3, 1], j[3, 2] = c / ss, -b * sr / ss, a / ss
-        j[4, 4], j[4, 5] = -F / sd, -G / sd
-        j[5, 4], j[5, 5] = E / sd, F / sd
-    elif branch == "J2":
-        j[0, 1], j[0, 2], j[0, 3] = -a * sr, -b, -c * ss
-        j[1, 0], j[1, 2], j[1, 3] = a / sr, c / sr, -b * ss / sr
-        j[2, 0], j[2, 1], j[2, 3] = b, -c * sr, a * ss
-        j[3, 0], j[3, 1], j[3, 2] = c / ss, b * sr / ss, -a / ss
-        j[4, 4], j[4, 5] = F / sd, G / sd
-        j[5, 4], j[5, 5] = -E / sd, -F / sd
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    return AlmostComplexStructure(j, label, tol=1e-11)
+    j[0, 1], j[0, 2], j[0, 3] = -a * sr, -b, -c * ss
+    j[1, 0], j[1, 2], j[1, 3] = a / sr, -eps * c / sr, eps * b * ss / sr
+    j[2, 0], j[2, 1], j[2, 3] = b, eps * c * sr, -eps * a * ss
+    j[3, 0], j[3, 1], j[3, 2] = c / ss, -eps * b * sr / ss, eps * a / ss
+    j[4, 4], j[4, 5] = -eps * F / sd, -eps * G / sd
+    j[5, 4], j[5, 5] = eps * E / sd, eps * F / sd
+    return AlmostComplexStructure(j, label, tol=J_BUILD_TOL)
 
 
 def h5_J(form, branch, triple):
@@ -323,7 +320,7 @@ def h6_hermitian_solutions(form):
         j[5, 4] = eps * alpha
         out.append(
             _make_solution("h6", SolutionTriple(alpha, sign * u, 0.0, tag), j, g,
-                           nij_tol=1e-12)
+                           nij_tol=H6_NIJENHUIS_TOL)
         )
     return out
 
@@ -345,12 +342,8 @@ def h2_J(form, triple):
     """The treated connected component of the compatible family on h2."""
     form.validate()
     A, B = form.a, form.b
-    if isinstance(triple, SolutionTriple):
-        triple.check_sphere()
-        a, b, c = triple.a, triple.b, triple.c
-    else:
-        a, b, c = triple
-        SolutionTriple(a, b, c, "J").check_sphere()
+    a, b, c = triple
+    SolutionTriple(a, b, c, "J").check_sphere()
     E, F, G = form.E, form.F, form.G
     alpha, beta, phi, psi, sd = _h2_angles(form)
     j = np.zeros((DIM, DIM))
@@ -360,7 +353,7 @@ def h2_J(form, triple):
     j[3, 0], j[3, 1], j[3, 2], j[3, 3] = c / beta, -b / beta, (a * alpha + A * c) / beta, -B * b / beta
     j[4, 4], j[4, 5] = -F / sd, -G / sd
     j[5, 4], j[5, 5] = E / sd, F / sd
-    return AlmostComplexStructure(j, "h2", tol=1e-11)
+    return AlmostComplexStructure(j, "h2", tol=J_BUILD_TOL)
 
 
 def h2_integrability_equations(form, a, b, c):
@@ -415,7 +408,7 @@ def h2_hermitian_candidates(form):
     if "ab" in form.on_strata():
         for a in (1.0, -1.0):
             t = SolutionTriple(a, 0.0, 0.0, "J")
-            j = h2_J(form, t)
+            j = h2_J(form, (a, 0.0, 0.0))
             verified = bool(
                 np.max(np.abs(h2_integrability_equations(form, a, 0.0, 0.0)))
                 <= H2_EQUATION_RTOL * scale
@@ -439,11 +432,11 @@ def h2_hermitian_candidates(form):
         norm = math.sqrt(a * a + b * b + c * c)
         a, b, c = a / norm, b / norm, c / norm
         t = SolutionTriple(a, b, c, "J")
-        j = h2_J(form, t)
+        j = h2_J(form, (a, b, c))
         resid = float(np.max(np.abs(h2_integrability_equations(form, a, b, c))))
         out.append(
             H2Candidate(t, j, bool(resid <= H2_EQUATION_RTOL * scale),
-                        is_abelian_structure(builtin("h2"), j, tol=1e-8))
+                        is_abelian_structure(builtin("h2"), j, tol=H2_ABELIAN_TOL))
         )
     return out
 
@@ -458,7 +451,7 @@ def h9_J0():
     j[1, 0], j[0, 1] = -1.0, 1.0   # J ê1 = -ê2
     j[4, 2], j[2, 4] = 1.0, -1.0   # J ê3 = ê5
     j[5, 3], j[3, 5] = -1.0, 1.0   # J ê4 = -ê6
-    return AlmostComplexStructure(j, "h9hat", tol=1e-12)
+    return AlmostComplexStructure(j, "h9hat", tol=INVOLUTION_TOL)
 
 
 def _h9_check_pair(g, j, tol):
@@ -473,7 +466,7 @@ def h9_sigma_family(which, **params):
     """Special Hermitian families (Sigma1, Sigma2, Sigma3) on h9.
 
     Returns (Metric, Automorphism phi, J = phi J0 phi^{-1}); the pair
-    (metric, J) is verified Hermitian at 1e-10.
+    (metric, J) is verified Hermitian at SIGMA_FAMILY_TOL.
 
       sigma1(A > 0, E):        a63 = A E / sqrt(E^2 + 1)
       sigma2(A > 0, F):        a43 = -F
@@ -506,11 +499,11 @@ def h9_sigma_family(which, **params):
         raise ValueError(f"unknown family {which!r}")
     metric = realize(form)
     j = phi @ j0 @ np.linalg.inv(phi)
-    _h9_check_pair(metric.matrix, j, tol=1e-10)
+    _h9_check_pair(metric.matrix, j, tol=SIGMA_FAMILY_TOL)
     return (
         metric,
         Automorphism(phi, "h9hat"),
-        AlmostComplexStructure(j, "h9hat", tol=1e-10),
+        AlmostComplexStructure(j, "h9hat", tol=SIGMA_FAMILY_TOL),
     )
 
 
@@ -541,7 +534,7 @@ def h9_gprime_metric(a11, a43, a44, a63, A):
     phi[4, 4] = a11 ** 2
     phi[5, 2], phi[5, 5] = a63, a11 ** 3
     j = phi @ h9_J0().matrix @ np.linalg.inv(phi)
-    _h9_check_pair(realize(form).matrix, j, tol=1e-9)
+    _h9_check_pair(realize(form).matrix, j, tol=GPRIME_FAMILY_TOL)
     return form, Automorphism(phi, "h9hat")
 
 

@@ -294,7 +294,8 @@ def _require_same_basis(a, b):
     """AlgebraMismatch unless a and b (tags or algebras) name one algebra in
     the basis metrics are read in: h9 and h9hat count as one, since both read
     metrics in the hat basis, and a Salamon string counts as the algebra it
-    parses to (equal structure constants)."""
+    parses to (equal structure constants).  The one rule by which an
+    algebra argument and a metric's, form's or automorphism's tag agree."""
     label_a, label_b = (x.label if isinstance(x, LieAlgebra) else x for x in (a, b))
     if _hat_label(label_a) == _hat_label(label_b):
         return
@@ -424,11 +425,12 @@ def canonicalize(alg, metric, tol=WITNESS_RTOL):
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
+    given = getattr(alg, "label", alg)  # the name the caller gave, for the message
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
     if alg.label not in _FORM_TYPES:
-        raise Unsupported(f"canonical forms exist for the built-ins only, not {alg.label!r}")
+        raise Unsupported(f"canonical forms exist for the built-ins only, not {given!r}")
     _require_same_basis(metric.algebra, alg)
     return _FORM_TYPES[alg.label].canonicalize(metric.matrix, tol)
 
@@ -683,11 +685,10 @@ def _u2_extra_h5():
 
 def isometry_group(alg, form):
     """GroupDescriptor for the isotropy of a canonical metric, by the case
-    tables of the classification."""
-    label = get_algebra(alg).label
+    tables of the classification.  ``alg`` and the form's tag must name one
+    algebra (``_require_same_basis``)."""
     ft = _form_type_of(form)
-    if _FORM_TYPES.get(label) is not ft:
-        require_same_algebra(form.algebra, label)
+    _require_same_basis(form.algebra, alg)
     form.validate()
     return ft.isometry(form)
 

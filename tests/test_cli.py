@@ -7,6 +7,7 @@ import pytest
 
 from nilmoduli import algebra as al
 from nilmoduli import cli
+from nilmoduli.errors import InvalidForm
 
 
 def run_cli(capsys, *argv):
@@ -259,8 +260,21 @@ def test_hermitian_search_empty_budget_exit_2(capsys):
         (("canonicalize", "--metric",
           json.dumps({"algebra": "(0,0,0,0,12,13)", "matrix": np.eye(6).tolist()})),
          "built-ins only"),
+        (("canonicalize", "--metric",
+          json.dumps({"algebra": "(0,0,0,0,12,13)", "matrix": np.eye(6).tolist()})),
+         "not '(0,0,0,0,12,13)'"),
+        (("hermitian", "--algebra", "h5",
+          "--form", '{"tag": "h4", "r": 1, "a": 1, "b": 0.3, "c": 2}'),
+         "algebra tags differ: 'h4' vs 'h5'"),
+        (("hermitian", "--algebra", "h6",
+          "--form", '{"tag": "h2", "a": 0.2, "b": 0.6, "E": 1.0, "F": 0.3, "G": 2.0}'),
+         "algebra tags differ: 'h2' vs 'h6'"),
+        (("hermitian", "--algebra", "(0,0,0,12,13,23)", "--form", '{"tag": "h6", "a": 1, "b": 4}'),
+         "algebra tags differ: 'h6' vs '(0,0,0,12,13,23)'"),
     ],
-    ids=["tol-nan", "budget-0", "form-of-another-algebra", "salamon-tag"],
+    ids=["tol-nan", "budget-0", "form-of-another-algebra", "salamon-tag",
+         "salamon-tag-named-as-given", "hermitian-h5-h4-form", "hermitian-h6-h2-form",
+         "hermitian-salamon-h6-form"],
 )
 def test_exit_2_errors_share_the_input_error_prefix(capsys, argv, needle):
     # InvalidParams, AlgebraMismatch and Unsupported print like every other
@@ -270,6 +284,64 @@ def test_exit_2_errors_share_the_input_error_prefix(capsys, argv, needle):
     assert out == ""
     assert err.startswith("input error: ")
     assert needle in err
+
+
+@pytest.mark.parametrize("command", ["isometry", "hermitian"])
+def test_malformed_salamon_algebra_is_a_parse_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--algebra", "(0,0,0,0,0,99)",
+                             "--form", '{"tag": "h6", "a": 1, "b": 4}')
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("command", ["isometry", "hermitian"])
+def test_salamon_string_of_a_builtin_gives_the_builtins_outputs(capsys, command):
+    # one match rule: h2's Salamon string names h2, so a form tagged h2 is its form
+    form = '{"tag": "h2", "a": 0.2, "b": 0.6, "E": 1.0, "F": 0.3, "G": 2.0}'
+    reports = []
+    for algebra in ("h2", "(0,0,0,0,12,34)"):
+        code, out, _ = run_cli(capsys, command, "--algebra", algebra, "--form", form)
+        assert code == 0
+        reports.append(json.loads(out))
+        code, text, _ = run_cli(capsys, "--format", "text", command,
+                                "--algebra", algebra, "--form", form)
+        assert code == 0
+        reports[-1]["text"] = text
+    assert reports[0]["outputs"]  # not the empty outputs of an unmatched algebra
+    for key in ("outputs", "passed", "text"):
+        assert reports[0][key] == reports[1][key]
+
+
+@pytest.mark.parametrize(
+    "algebra, form, lines",
+    [
+        pytest.param("h5", '{"r":1,"s":1,"E":1,"F":0.3,"G":2}', [
+            "J1: (a,b,c) = (+0.663449, +0.199725, +0.721072)",
+            "J1: (a,b,c) = (+0.663449, -0.199725, -0.721072)",
+            "J2: sphere (every (a,b,c) on S^2)",
+        ], id="h5-sphere"),
+        pytest.param("h6", '{"a":1,"b":4}', [
+            "J1+: (a,b,c) = (+0.500000, +0.866025, +0.000000)",
+            "J1-: (a,b,c) = (+0.500000, -0.866025, +0.000000)",
+            "J2+: (a,b,c) = (+0.500000, +0.866025, +0.000000)",
+            "J2-: (a,b,c) = (+0.500000, -0.866025, +0.000000)",
+        ], id="h6"),
+        pytest.param("h2", '{"a":0.2,"b":0.6,"E":1.5,"F":0.3,"G":1.5}', [
+            "candidate (a,b,c) = (+0.959095, -0.183503, -0.215552) verified=True abelian=False",
+            "candidate (a,b,c) = (-0.959095, -0.183503, +0.215552) verified=True abelian=False",
+        ], id="h2-a-below-b"),
+        pytest.param("h2", '{"a":0.4,"b":0.4,"E":1.0,"F":0.2,"G":2.0}', [
+            "candidate (a,b,c) = (+1.000000, +0.000000, +0.000000) verified=True abelian=True",
+            "candidate (a,b,c) = (-1.000000, +0.000000, +0.000000) verified=True abelian=True",
+        ], id="h2-a-equals-b"),
+    ],
+)
+def test_hermitian_text_lines(capsys, algebra, form, lines):
+    code, out, _ = run_cli(capsys, "--format", "text", "hermitian",
+                           "--algebra", algebra, "--form", form)
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_tables_deterministic(capsys):
@@ -308,6 +380,25 @@ def test_verify_hermitian_suite_count(capsys):
     rep = json.loads(out)
     assert rep["outputs"]["hermitian"]["checked"] == 2600
     assert rep["passed"] is True
+
+
+def test_verify_hermitian_suite_reports_a_solver_failure(capsys, monkeypatch):
+    # a solver that raises is a failed check of the suite (exit 1), not an
+    # input error; the other solvers still run on the same forms
+    def fails(form):
+        raise InvalidForm(f"h6 check fails at {form.a:.3f}")
+
+    monkeypatch.setattr(cli.hm, "h6_hermitian_solutions", fails)
+    code, out, err = run_cli(capsys, "verify", "--suite", "hermitian", "--seed", "0")
+    assert code == 1
+    assert err == ""
+    suite = json.loads(out)["outputs"]["hermitian"]
+    assert suite["passed"] is False
+    assert suite["checked"] == 2600 - 200 * 4  # the four h6 structures of each form
+    assert len(suite["failures"]) == 10  # the first ten of 200
+    name, detail = suite["failures"][0]
+    assert name == "h6_solver[#0]"
+    assert "InvalidForm" in detail and "h6 check fails" in detail
 
 
 def test_verify_moduli_seeded(capsys, monkeypatch):

@@ -50,6 +50,21 @@ def test_h5_j1_symplectic_rotation_at_unit_params():
     np.testing.assert_array_equal(j[:4, :4], expected4)
 
 
+def test_sphere_family_j2_is_j1_with_two_blocks_negated():
+    # bit for bit: J2 negates the (e2, e3, e4) block and the (e5, e6) block of J1
+    rng = np.random.default_rng(3)
+    negated = np.zeros((6, 6), dtype=bool)
+    negated[1:4, 1:4] = negated[4:, 4:] = True
+    for form, make_j in ((random_canonical_form("h5", rng), hm.h5_J),
+                         (random_canonical_form("h4", rng), hm.h4_J)):
+        for _ in range(5):
+            triple = sphere_point(rng)
+            j1 = make_j(form, "J1", triple).matrix
+            j2 = make_j(form, "J2", triple).matrix
+            expected = np.where(negated, -j1, j1)
+            assert np.array_equal(j2, expected)
+
+
 def test_h5_off_sphere_rejected():
     with pytest.raises(InvalidTriple):
         hm.h5_J(mo.H5Form(1, 1, 1, 0, 1), "J1", (1.0, 1.0, 0.0))
