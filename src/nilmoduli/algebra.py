@@ -333,13 +333,25 @@ def nijenhuis(alg, j, x, y):
 
 
 def nijenhuis_tensor(alg, j):
-    """N[k, i, j] = e^k-component of N_J(e_i, e_j); vanishes iff integrable."""
+    """N[k, i, j] = e^k-component of N_J(e_i, e_j); vanishes iff integrable.
+
+    ``j`` is one J or an (n, 6, 6) stack, which gives one tensor per J.  For
+    one J these are the matmul calls of ``map_values``, ``_contract_last`` and
+    ``pullback``.  The axes are counted from the end, so a stack makes the
+    same calls, with the same layouts, on each of its J: each of its tensors
+    has the bits of that J's own call."""
     jm = j.matrix if isinstance(j, AlmostComplexStructure) else np.asarray(j, dtype=float)
-    b = alg.bracket_tensor
-    jb = map_values(jm, b)  # (J b)[k, x, y] stored at [x, y, k]
-    jb_left = _contract_last(jb.transpose(1, 2, 0), jm).transpose(1, 2, 0)  # J[J e_i, e_j]
-    jb_right = _contract_last(jb.transpose(0, 2, 1), jm).transpose(1, 0, 2)  # J[e_i, J e_j]
-    return pullback(b, jm) - jb_left - jb_right - b
+    b, d = alg.bracket_tensor, alg.dim
+    cube, rows = (*jm.shape[:-2], d, d, d), (*jm.shape[:-2], d * d, d)
+    jb = (b.transpose(1, 2, 0).reshape(d * d, d) @ jm.swapaxes(-1, -2)).reshape(cube)  # [x, y, k]
+    # J[J e_i, e_j]: the (y, k, x) rows times J, read as (k, j, y)
+    jb_left = (jb.swapaxes(-3, -2).swapaxes(-2, -1).reshape(rows) @ jm).reshape(cube)
+    jb_left = jb_left.swapaxes(-3, -2).swapaxes(-2, -1)
+    # J[e_i, J e_j]: the (x, k, y) rows times J, read as (k, x, j)
+    jb_right = (jb.swapaxes(-2, -1).reshape(rows) @ jm).reshape(cube).swapaxes(-3, -2)
+    t = jm.swapaxes(-1, -2) @ b.transpose(1, 0, 2).reshape(d, d * d)  # (i, k, q)
+    pulled = (t.reshape(rows) @ jm).reshape(cube).swapaxes(-3, -2)  # [J e_i, J e_j]
+    return pulled - jb_left - jb_right - b
 
 
 def nijenhuis_residual(alg, j, tol=DEFAULT_TOL):

@@ -53,7 +53,7 @@ class Automorphism:
     def to_json_dict(self):
         return {
             "algebra": self.algebra,
-            "matrix": [float(v) for v in self.matrix.reshape(-1)],
+            "matrix": self.matrix.reshape(-1).tolist(),
             "component": self.component,
         }
 

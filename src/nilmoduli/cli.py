@@ -22,7 +22,7 @@ from . import algebra as al
 from . import automorphisms as auts
 from . import hermitian as hm
 from . import moduli as mo
-from .errors import CanonicalizationFailed, NilmoduliError, NotSPD, ParseError
+from .errors import AlgebraMismatch, CanonicalizationFailed, NilmoduliError, NotSPD, ParseError
 
 SCHEMA = "nilmoduli/1"
 
@@ -62,11 +62,25 @@ def _seed(args):
     return int(env) if env else 0
 
 
+def _form_tag(algebra):
+    """The tag of a form given without one: ``algebra`` itself, or the built-in
+    that a Salamon string names by ``moduli._require_same_basis``'s rule."""
+    if algebra in mo.FORM_TYPES:
+        return algebra
+    for label in mo.FORM_TYPES:
+        try:
+            mo._require_same_basis(label, algebra)
+        except AlgebraMismatch:
+            continue
+        return label
+    return algebra  # names no built-in: form_from_dict reports the unknown tag
+
+
 def _load_form(args):
     al.get_algebra(args.algebra)  # a malformed Salamon string is a parse error, not a mismatch
     data = json.loads(args.form)
     if isinstance(data, dict) and "tag" not in data:
-        data = {**data, "tag": args.algebra}
+        data = {**data, "tag": _form_tag(args.algebra)}
     return mo.form_from_dict(data)  # rejects a non-object and names missing parameters
 
 
@@ -471,7 +485,7 @@ def cmd_verify(args):
         all_ok &= ok
         outputs[name] = {
             "checked": checked,
-            "failures": [[f, repr(v)] for f, v in failures[:10]],
+            "failures": [[f, v if isinstance(v, str) else repr(v)] for f, v in failures[:10]],
             "passed": ok,
         }
         lines.append(f"suite {name}: {checked} checks, "

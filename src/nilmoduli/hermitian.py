@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
-from .linalg import cholesky_lower, max_norm
+from .linalg import cholesky_lower
 from .moduli import H9Form, Metric, _hat_algebra, _require_same_basis, realize
 
 SPHERE_TOL = 1e-12
@@ -46,7 +46,7 @@ J_BUILD_TOL = 1e-11  # max|J^2 + I| of a J built from a triple (and of a returne
 INVOLUTION_TOL = 1e-12  # max|J^2 + I| of a tabulated solution, and of h9's J0
 DEDUPE_TOL = 1e-10  # table triples within this l1 distance (normalized) are one
 H2_EQUATION_RTOL = 1e-8  # an h2 candidate is verified when its equations are this small
-H2_ABELIAN_TOL = 1e-8  # is_abelian_structure's tolerance for an a < b h2 candidate
+H2_ABELIAN_TOL = 1e-8  # is_abelian_structure's tolerance for an h2 candidate
 SIGMA_FAMILY_TOL = 1e-10  # worst residual of a Sigma1-3 pair, and max|J^2 + I| of its J
 GPRIME_FAMILY_TOL = 1e-9  # worst residual of a G' pair
 
@@ -80,8 +80,8 @@ class HermitianSolution:
             "a": self.triple.a,
             "b": self.triple.b,
             "c": self.triple.c,
-            "J": [float(v) for v in self.J.matrix.reshape(-1)],
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
+            "J": self.J.matrix.reshape(-1).tolist(),
+            "residuals": dict(self.residuals),
         }
 
 
@@ -110,17 +110,20 @@ class SolutionSet:
         }
 
 
-def _residuals(alg_label, j, g):
-    alg = get_algebra(alg_label)
-    return {
-        "nijenhuis": float(max_norm(nijenhuis_tensor(alg, j))),
-        "compatibility": float(max_norm(j.T @ g @ j - g)),
-        "involution": float(max_norm(j @ j + np.eye(DIM))),
-    }
+def _residuals(alg_label, js, g):
+    """The residuals (nijenhuis, compatibility, involution) of each J of an
+    (n, 6, 6) stack, one dict per J, from one Nijenhuis call for the stack."""
+    nijenhuis = np.abs(nijenhuis_tensor(get_algebra(alg_label), js)).max(axis=(1, 2, 3))
+    compatibility = np.abs(js.transpose(0, 2, 1) @ g @ js - g).max(axis=(1, 2))
+    involution = np.abs(js @ js + np.eye(DIM)).max(axis=(1, 2))
+    return [{"nijenhuis": n, "compatibility": c, "involution": i}
+            for n, c, i in zip(nijenhuis.tolist(), compatibility.tolist(), involution.tolist())]
 
 
-def _make_solution(alg_label, triple, j, g, nij_tol=NIJENHUIS_TOL):
-    res = _residuals(alg_label, j, g)
+def _make_solution(alg_label, triple, j, res, nij_tol):
+    """The solution of one J of a verified stack, given its residuals: J is
+    wrapped once, and the solution keeps that object."""
+    acs = AlmostComplexStructure(j, alg_label, tol=J_BUILD_TOL)
     if res["involution"] > INVOLUTION_TOL:
         raise InvalidTriple(f"J^2 + I residual {res['involution']:.3e}")
     if res["nijenhuis"] > nij_tol:
@@ -128,7 +131,6 @@ def _make_solution(alg_label, triple, j, g, nij_tol=NIJENHUIS_TOL):
             f"{alg_label} {triple.branch}: nijenhuis residual {res['nijenhuis']:.3e} "
             f"exceeds {nij_tol:.1e}"
         )
-    acs = AlmostComplexStructure(j, alg_label, tol=J_BUILD_TOL)
     return HermitianSolution(triple, acs, res)
 
 
@@ -148,26 +150,34 @@ def _dedupe(triples):
 # h5
 
 
+def _sphere_family_matrices(r, s, E, F, G, triples):
+    """The J1/J2 matrices of the sphere family on diag(1, r, 1, s) +
+    [[E,F],[F,G]], one per SolutionTriple (a, b, c, branch), as an (n, 6, 6)
+    stack.  The h4 family is this one at r = 1, s = r_h4 and (E, F, G) = (a, b, c)."""
+    sr, ss = math.sqrt(r), math.sqrt(s)
+    sd = math.sqrt(E * G - F * F)
+    js = np.zeros((len(triples), DIM, DIM))
+    for j, t in zip(js, triples):
+        a, b, c = t.a, t.b, t.c
+        # eps = -1 turns J1 into J2: it negates the (e2, e3, e4) block and the (e5, e6) block
+        eps = 1.0 if t.branch == "J1" else -1.0
+        j[0, 1], j[0, 2], j[0, 3] = -a * sr, -b, -c * ss
+        j[1, 0], j[1, 2], j[1, 3] = a / sr, -eps * c / sr, eps * b * ss / sr
+        j[2, 0], j[2, 1], j[2, 3] = b, eps * c * sr, -eps * a * ss
+        j[3, 0], j[3, 1], j[3, 2] = c / ss, -eps * b * sr / ss, eps * a / ss
+        j[4, 4], j[4, 5] = -eps * F / sd, -eps * G / sd
+        j[5, 4], j[5, 5] = eps * E / sd, eps * F / sd
+    return js
+
+
 def _sphere_family_J(label, r, s, E, F, G, branch, triple):
-    """J1/J2 of the sphere family on diag(1, r, 1, s) + [[E,F],[F,G]] at the
-    triple (a, b, c).  The h4 family is this one at r = 1, s = r_h4 and
-    (E, F, G) = (a, b, c)."""
+    """J1/J2 of the sphere family at the triple (a, b, c)."""
     if branch not in ("J1", "J2"):
         raise ValueError(f"unknown branch {branch!r}")
     a, b, c = triple
-    SolutionTriple(a, b, c, branch).check_sphere()
-    sr, ss = math.sqrt(r), math.sqrt(s)
-    sd = math.sqrt(E * G - F * F)
-    # eps = -1 turns J1 into J2: it negates the (e2, e3, e4) block and the (e5, e6) block
-    eps = 1.0 if branch == "J1" else -1.0
-    j = np.zeros((DIM, DIM))
-    j[0, 1], j[0, 2], j[0, 3] = -a * sr, -b, -c * ss
-    j[1, 0], j[1, 2], j[1, 3] = a / sr, -eps * c / sr, eps * b * ss / sr
-    j[2, 0], j[2, 1], j[2, 3] = b, eps * c * sr, -eps * a * ss
-    j[3, 0], j[3, 1], j[3, 2] = c / ss, -eps * b * sr / ss, eps * a / ss
-    j[4, 4], j[4, 5] = -eps * F / sd, -eps * G / sd
-    j[5, 4], j[5, 5] = eps * E / sd, eps * F / sd
-    return AlmostComplexStructure(j, label, tol=J_BUILD_TOL)
+    t = SolutionTriple(a, b, c, branch).check_sphere()
+    return AlmostComplexStructure(_sphere_family_matrices(r, s, E, F, G, [t])[0], label,
+                                  tol=J_BUILD_TOL)
 
 
 def h5_J(form, branch, triple):
@@ -233,32 +243,39 @@ def _table_row(E, F, G, w, f0, opposite=False):
     return [(x, u, 0.0), (x, -u, 0.0)]
 
 
-def _finite_set(label, branch, trips, make_j, form, g):
-    sols = tuple(
-        _make_solution(label, SolutionTriple(*t, branch), make_j(form, branch, t).matrix, g)
-        for t in _dedupe(trips)
-    )
-    return SolutionSet(branch, "finite", sols)
+def _finite_sets(label, family, rows, g):
+    """One finite SolutionSet per branch of ``rows`` (branch -> table triples)
+    of the sphere family with parameters ``family`` = (r, s, E, F, G).
+
+    The residuals of all the J of the call come from one stack; then each J,
+    in order, has its triple checked on the sphere and its residuals bounded
+    (``_make_solution``).
+    """
+    triples = [SolutionTriple(*t, branch) for branch, trips in rows.items() for t in _dedupe(trips)]
+    js = _sphere_family_matrices(*family, triples)
+    sols = [_make_solution(label, t.check_sphere(), j, res, NIJENHUIS_TOL)
+            for t, j, res in zip(triples, js, _residuals(label, js, g))]
+    return {branch: SolutionSet(branch, "finite",
+                                tuple(s for s in sols if s.triple.branch == branch))
+            for branch in rows}
 
 
 def h5_hermitian_solutions(form):
     """Hermitian structures on the canonical h5 metric, per branch."""
-    form.validate()
+    g = realize(form).matrix  # validates the form
     r, s, E, F, G = form.r, form.s, form.E, form.F, form.G
-    g = realize(form).matrix
     on = form.on_strata()
     alpha = (math.sqrt(r) + math.sqrt(s)) / (1.0 + math.sqrt(r * s))
-    out = {"J1": _finite_set("h5", "J1", _table_row(E, F, G, alpha, "F0" in on), h5_J, form, g)}
-    if "r1" in on and "sr" in on:
-        out["J2"] = SolutionSet("J2", "sphere")
-        return out
-    if "sr" in on:
-        trips = [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]
-    else:
+    rows = {"J1": _table_row(E, F, G, alpha, "F0" in on)}
+    if "sr" not in on:
         beta = (math.sqrt(r) - math.sqrt(s)) / (1.0 - math.sqrt(r * s))
         # a = -x; b and c have opposite signs
-        trips = [(-x, u, v) for x, u, v in _table_row(E, F, G, beta, "F0" in on, opposite=True)]
-    out["J2"] = _finite_set("h5", "J2", trips, h5_J, form, g)
+        rows["J2"] = [(-x, u, v) for x, u, v in _table_row(E, F, G, beta, "F0" in on, opposite=True)]
+    elif "r1" not in on:
+        rows["J2"] = [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]
+    out = _finite_sets("h5", (r, s, E, F, G), rows, g)
+    if "J2" not in out:  # r = s = 1: every J2 is Hermitian
+        out["J2"] = SolutionSet("J2", "sphere")
     return out
 
 
@@ -279,21 +296,18 @@ def h4_hermitian_solutions(form):
     force (b is negative on this branch).  Both tables read (a, b, c) =
     (u, -x, v) off the shared row.
     """
-    form.validate()
+    g = realize(form).matrix  # validates the form
     r = form.r
     E, F, G = form.a, form.b, form.c
-    g = realize(form).matrix
     on = form.on_strata()
     alpha = (1.0 + math.sqrt(r)) / math.sqrt(r)
-    trips = [(u, -x, v) for x, u, v in _table_row(E, F, G, alpha, "b0" in on)]
-    out = {"J1": _finite_set("h4", "J1", trips, h4_J, form, g)}
+    rows = {"J1": [(u, -x, v) for x, u, v in _table_row(E, F, G, alpha, "b0" in on)]}
     if "r1" in on:
-        trips = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]
+        rows["J2"] = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]
     else:
         beta = (1.0 - math.sqrt(r)) / math.sqrt(r)
-        trips = [(u, -x, v) for x, u, v in _table_row(E, F, G, beta, "b0" in on)]
-    out["J2"] = _finite_set("h4", "J2", trips, h4_J, form, g)
-    return out
+        rows["J2"] = [(u, -x, v) for x, u, v in _table_row(E, F, G, beta, "b0" in on)]
+    return _finite_sets("h4", (1.0, r, E, F, G), rows, g)
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +316,24 @@ def h4_hermitian_solutions(form):
 
 def h6_hermitian_solutions(form):
     """The four Hermitian structures J1+-, J2+- on diag(1,1,1,1,E,G)."""
-    form.validate()
+    g = realize(form).matrix  # validates the form
     E, G = form.a, form.b
     alpha = math.sqrt(E / G)
     u = math.sqrt(max(1.0 - alpha * alpha, 0.0))
-    g = realize(form).matrix
-    out = []
-    for tag, eps, sign in (("J1+", 1.0, 1.0), ("J1-", 1.0, -1.0),
-                           ("J2+", -1.0, 1.0), ("J2-", -1.0, -1.0)):
+    branches = (("J1+", 1.0, 1.0), ("J1-", 1.0, -1.0), ("J2+", -1.0, 1.0), ("J2-", -1.0, -1.0))
+    js = np.zeros((len(branches), DIM, DIM))
+    triples = []
+    for j, (tag, eps, sign) in zip(js, branches):
         # eps = -1 turns J1 into J2: it flips e2's row and column and the (e5, e6) block
-        j = np.zeros((DIM, DIM))
         j[0, 2], j[0, 3] = sign * u, -alpha
         j[1, 2], j[1, 3] = -eps * alpha, -eps * sign * u
         j[2, 0], j[2, 1] = -sign * u, eps * alpha
         j[3, 0], j[3, 1] = alpha, eps * sign * u
         j[4, 5] = -eps / alpha
         j[5, 4] = eps * alpha
-        out.append(
-            _make_solution("h6", SolutionTriple(alpha, sign * u, 0.0, tag), j, g,
-                           nij_tol=H6_NIJENHUIS_TOL)
-        )
-    return out
+        triples.append(SolutionTriple(alpha, sign * u, 0.0, tag))
+    return [_make_solution("h6", t, j, res, H6_NIJENHUIS_TOL)
+            for t, j, res in zip(triples, js, _residuals("h6", js, g))]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +398,7 @@ class H2Candidate:
         return {
             "a": self.triple.a, "b": self.triple.b, "c": self.triple.c,
             "verified": self.verified, "abelian": self.abelian,
-            "J": [float(v) for v in self.J.matrix.reshape(-1)],
+            "J": self.J.matrix.reshape(-1).tolist(),
         }
 
 
@@ -413,7 +424,8 @@ def h2_hermitian_candidates(form):
                 np.max(np.abs(h2_integrability_equations(form, a, 0.0, 0.0)))
                 <= H2_EQUATION_RTOL * scale
             )
-            out.append(H2Candidate(t, j, verified, is_abelian_structure(builtin("h2"), j)))
+            out.append(H2Candidate(t, j, verified,
+                                   is_abelian_structure(builtin("h2"), j, tol=H2_ABELIAN_TOL)))
         return out
     # From the two linear-in-(b, c) equations: b = -(1-a^2) sqrt(D)/(E phi)
     # and c = -(1-a^2)(F/E + psi)/(a phi); the sphere constraint then gives
@@ -455,7 +467,7 @@ def h9_J0():
 
 
 def _h9_check_pair(g, j, tol):
-    res = _residuals("h9hat", j, g)
+    (res,) = _residuals("h9hat", j[None], g)
     worst = max(res.values())
     if worst > tol:
         raise InvalidParams(f"h9 family pair fails Hermitian check at {worst:.3e}")
@@ -559,7 +571,7 @@ class SearchResult:
             "found": self.found,
             "residual": self.residual,
             "starts_used": self.starts_used,
-            "J": None if self.J is None else [float(v) for v in self.J.matrix.reshape(-1)],
+            "J": None if self.J is None else self.J.matrix.reshape(-1).tolist(),
         }
 
 

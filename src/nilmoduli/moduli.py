@@ -641,7 +641,7 @@ class GroupDescriptor:
             "finite_order": "inf" if math.isinf(self.finite_order) else int(self.finite_order),
             "component_count": self.component_count,
             "generators": [g.to_json_dict() for g in self.generators],
-            "isotropy_basis": [[[float(v) for v in row] for row in m] for m in self.isotropy_basis],
+            "isotropy_basis": self.isotropy_basis.tolist(),
             "notes": self.notes,
         }
 

@@ -295,10 +295,9 @@ def test_malformed_salamon_algebra_is_a_parse_error(capsys, command):
     assert err.startswith("parse error: ")
 
 
-@pytest.mark.parametrize("command", ["isometry", "hermitian"])
-def test_salamon_string_of_a_builtin_gives_the_builtins_outputs(capsys, command):
-    # one match rule: h2's Salamon string names h2, so a form tagged h2 is its form
-    form = '{"tag": "h2", "a": 0.2, "b": 0.6, "E": 1.0, "F": 0.3, "G": 2.0}'
+def _h2_and_its_salamon_string(capsys, command, form):
+    """The reports of ``command`` on ``form`` under --algebra h2 and under
+    h2's Salamon string, each with its --format text output under "text"."""
     reports = []
     for algebra in ("h2", "(0,0,0,0,12,34)"):
         code, out, _ = run_cli(capsys, command, "--algebra", algebra, "--form", form)
@@ -311,6 +310,30 @@ def test_salamon_string_of_a_builtin_gives_the_builtins_outputs(capsys, command)
     assert reports[0]["outputs"]  # not the empty outputs of an unmatched algebra
     for key in ("outputs", "passed", "text"):
         assert reports[0][key] == reports[1][key]
+    return reports
+
+
+@pytest.mark.parametrize("command", ["isometry", "hermitian"])
+def test_salamon_string_of_a_builtin_gives_the_builtins_outputs(capsys, command):
+    # one match rule: h2's Salamon string names h2, so a form tagged h2 is its form
+    form = '{"tag": "h2", "a": 0.2, "b": 0.6, "E": 1.0, "F": 0.3, "G": 2.0}'
+    _h2_and_its_salamon_string(capsys, command, form)
+
+
+@pytest.mark.parametrize("command", ["isometry", "hermitian"])
+def test_untagged_form_under_a_builtins_salamon_string_is_that_builtins_form(capsys, command):
+    form = '{"a": 0.2, "b": 0.6, "E": 1, "F": 0.3, "G": 2}'
+    reports = _h2_and_its_salamon_string(capsys, command, form)
+    assert reports[1]["inputs"]["form"]["tag"] == "h2"
+
+
+@pytest.mark.parametrize("command", ["isometry", "hermitian"])
+def test_untagged_form_under_a_salamon_string_of_no_builtin_keeps_the_tag_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--algebra", "(0,0,0,0,12,13+24)",
+                             "--form", '{"a": 0.2, "b": 0.6, "E": 1, "F": 0.3, "G": 2}')
+    assert code == 2
+    assert out == ""
+    assert err == "input error: unknown form tag '(0,0,0,0,12,13+24)'\n"
 
 
 @pytest.mark.parametrize(
@@ -399,6 +422,16 @@ def test_verify_hermitian_suite_reports_a_solver_failure(capsys, monkeypatch):
     name, detail = suite["failures"][0]
     assert name == "h6_solver[#0]"
     assert "InvalidForm" in detail and "h6 check fails" in detail
+
+    # a failure stored as a string is the detail itself, not a repr of it
+    def boom(form):
+        raise InvalidForm("boom")
+
+    monkeypatch.setattr(cli.hm, "h6_hermitian_solutions", boom)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "hermitian", "--seed", "0")
+    assert code == 1
+    assert json.loads(out)["outputs"]["hermitian"]["failures"][0] == ["h6_solver[#0]",
+                                                                      "InvalidForm('boom')"]
 
 
 def test_verify_moduli_seeded(capsys, monkeypatch):

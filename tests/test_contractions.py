@@ -110,6 +110,19 @@ def test_nijenhuis_and_pullback_match_einsum(scale):
                 assert_matches(al.pullback(b, jm), ref_pullback(b, jm), bmax * jmax**2)
 
 
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("spec", list(al.BUILTIN_IDS) + ["(0,0,12,13,14,15)"])
+def test_nijenhuis_tensor_of_a_stack_has_the_bits_of_each_single_call(spec, n):
+    # on any numpy: a stack makes the single call's matmuls once per J
+    alg = al.get_algebra(spec)
+    rng = np.random.default_rng(n)
+    js = np.array([scale * _random_j(rng) for scale in (1.0, 1e-3, 10.0, 1e3)[:n]])
+    stack = al.nijenhuis_tensor(alg, js)
+    assert stack.shape == (n, 6, 6, 6)
+    for j, tensor in zip(js, stack):
+        assert same_bits(tensor, al.nijenhuis_tensor(alg, j))
+
+
 def test_kernels_accept_an_almost_complex_structure():
     rng = np.random.default_rng(5)
     for alg in ALGEBRAS:

@@ -66,7 +66,7 @@ def test_sphere_family_j2_is_j1_with_two_blocks_negated():
 
 
 def test_h5_off_sphere_rejected():
-    with pytest.raises(InvalidTriple):
+    with pytest.raises(InvalidTriple, match=r"^a\^2\+b\^2\+c\^2 deviates from 1 by 1\.000e\+00$"):
         hm.h5_J(mo.H5Form(1, 1, 1, 0, 1), "J1", (1.0, 1.0, 0.0))
 
 
@@ -231,8 +231,82 @@ def test_h6_commutator_block():
 
 
 def test_h6_invalid_ordering():
-    with pytest.raises(InvalidForm):
+    with pytest.raises(InvalidForm, match=r"^h6 requires 0 < a <= b$"):
         hm.h6_hermitian_solutions(mo.H6Form(1.0, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# one verified stack per closed-form call
+
+STACK_CASES = {  # a form per finite and sphere case, its solver and its Nijenhuis bound
+    "h5": (mo.H5Form(0.5, 0.3, 1.0, 0.1, 2.0), hm.h5_hermitian_solutions, "NIJENHUIS_TOL"),
+    "h5-sr": (mo.H5Form(0.6, 0.6, 1.0, 0.0, 2.0), hm.h5_hermitian_solutions, "NIJENHUIS_TOL"),
+    "h5-sphere": (mo.H5Form(1.0, 1.0, 1.0, 0.3, 2.0), hm.h5_hermitian_solutions, "NIJENHUIS_TOL"),
+    "h4": (mo.H4Form(0.5, 1.2, 0.3, 0.7), hm.h4_hermitian_solutions, "NIJENHUIS_TOL"),
+    "h4-r1": (mo.H4Form(1.0, 1.2, 0.0, 0.7), hm.h4_hermitian_solutions, "NIJENHUIS_TOL"),
+    "h6": (mo.H6Form(1.0, 4.0), hm.h6_hermitian_solutions, "H6_NIJENHUIS_TOL"),
+}
+
+
+def _structures(result):
+    if isinstance(result, dict):
+        return [s for sset in result.values() for s in sset.solutions]
+    return list(result)
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_each_returned_structure_is_wrapped_once(monkeypatch, case):
+    made = []
+
+    class Counted(al.AlmostComplexStructure):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+    monkeypatch.setattr(hm, "AlmostComplexStructure", Counted)
+    form, solve, _bound = STACK_CASES[case]
+    sols = _structures(solve(form))
+    assert sols
+    assert len(made) == len(sols)
+    assert all(sol.J is acs for sol, acs in zip(sols, made))
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stacked_residuals_equal_single_j_residuals(case):
+    form, solve, _bound = STACK_CASES[case]
+    alg, g = al.builtin(form.algebra), mo.realize(form).matrix
+    for sol in _structures(solve(form)):
+        j = sol.J.matrix
+        assert sol.residuals == {
+            "nijenhuis": max_norm(al.nijenhuis_tensor(alg, j)),
+            "compatibility": max_norm(j.T @ g @ j - g),
+            "involution": max_norm(j @ j + np.eye(6)),
+        }
+
+
+@pytest.mark.parametrize("case", ["h5", "h4", "h6"])
+def test_a_nijenhuis_failure_names_the_first_structure_over_the_bound(monkeypatch, case):
+    # the residuals come from one stack, but the structures are checked in order
+    form, solve, bound_name = STACK_CASES[case]
+    sols = _structures(solve(form))
+    bound = min(s.residuals["nijenhuis"] for s in sols)
+    if bound == max(s.residuals["nijenhuis"] for s in sols):
+        bound *= 0.5
+    first = next(s for s in sols if s.residuals["nijenhuis"] > bound)
+    monkeypatch.setattr(hm, bound_name, bound)
+    message = (f"{form.algebra} {first.triple.branch}: nijenhuis residual "
+               f"{first.residuals['nijenhuis']:.3e} exceeds {bound:.1e}")
+    with pytest.raises(InvalidForm) as info:
+        solve(form)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", ["h5", "h4"])
+def test_an_off_sphere_table_triple_raises_in_the_solver(monkeypatch, case):
+    monkeypatch.setattr(hm, "_dedupe", lambda trips: [(1.0, 1.0, 0.0)])
+    form, solve, _bound = STACK_CASES[case]
+    with pytest.raises(InvalidTriple, match=r"^a\^2\+b\^2\+c\^2 deviates from 1 by 1\.000e\+00$"):
+        solve(form)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +335,19 @@ def test_h2_equal_coupling_gives_abelian_pair():
     triples = sorted(tuple(c.triple.as_array()) for c in cands)
     assert triples == [(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
     assert all(c.verified and c.abelian for c in cands)
+
+
+def test_h2_candidates_judge_abelian_at_one_tolerance(monkeypatch):
+    tols = []
+
+    def recording(alg, j, **kw):
+        tols.append(kw.get("tol"))
+        return al.is_abelian_structure(alg, j, **kw)
+
+    monkeypatch.setattr(hm, "is_abelian_structure", recording)
+    assert len(hm.h2_hermitian_candidates(mo.H2Form(0.3, 0.3, 1.0, 0.2, 2.0))) == 2  # a = b
+    assert len(hm.h2_hermitian_candidates(mo.H2Form(0.2, 0.6, 1.0, 0.3, 2.0))) == 2  # a < b
+    assert tols == [hm.H2_ABELIAN_TOL] * 4
 
 
 def test_h2_distinct_coupling_candidates():

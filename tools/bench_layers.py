@@ -4,7 +4,8 @@ Times each item with ``time.perf_counter``: WARMUP calls, then REPEATS
 runs of ``inner`` calls each, and reports the median (and quartiles) of
 the per-call time over the runs.  The items are
 
-  * the contraction kernels: ``nijenhuis_tensor``, ``is_abelian_structure``,
+  * the contraction kernels: ``nijenhuis_tensor`` (of one J, and of four
+    J as one stack where the checkout takes stacks), ``is_abelian_structure``,
     ``automorphisms._bracket_defect``, ``jacobi_residual``,
     ``nilpotency_step``, ``change_of_basis``;
   * ``moduli.isotropy_algebra_dimension`` and
@@ -28,6 +29,18 @@ either checkout: put its ``src`` first on the path, e.g.
 Each run stores its numbers under ``--label`` in ``--out`` (default
 ``BENCH_layers.json``), keeping the other labels, together with the
 Python and numpy versions and the core count.
+
+Two runs made minutes apart see the shared machine drift between them.
+``--parent PATH`` compares two checkouts on the same footing instead: each
+row is timed in ``--pairs`` pairs of fresh processes, one per checkout
+(``PATH/src`` for the parent, this checkout's ``src`` for the change), the
+order alternating from pair to pair, e.g.
+
+    python3 tools/bench_layers.py --label change --parent /path/to/parent
+
+Each side's row then holds the median and quartiles of its processes'
+medians, and the change's row counts the pairs it won (``faster_pairs`` of
+``pairs``).  The parent is stored under ``parent``.
 """
 
 from __future__ import annotations
@@ -40,6 +53,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -78,6 +92,13 @@ def _items():
     h9 = al.builtin("h9")
     dense = al.change_of_basis(h9, p)
     g = mo.realize(mo.H5Form(1.0, 1.0, 1.5, 0.0, 1.5)).matrix
+    js4 = np.array([j, -j, j.T, -j.T])
+    try:
+        al.nijenhuis_tensor(h5, js4)
+        nijenhuis_x4 = functools.partial(al.nijenhuis_tensor, h5, js4)
+    except ValueError:  # a checkout whose nijenhuis_tensor takes one J at a time
+        def nijenhuis_x4():
+            return [al.nijenhuis_tensor(h5, jm) for jm in js4]
 
     def command(argv):
         def call():
@@ -102,6 +123,7 @@ def _items():
         ("moduli.Metric", lambda: mo.Metric("h5", orbit["h5"]), 500),
         ("linalg.cholesky_lower", lambda: la.cholesky_lower(orbit["h5"]), 500),
         ("kernel.nijenhuis_tensor", lambda: al.nijenhuis_tensor(h5, j), 200),
+        ("kernel.nijenhuis_tensor.x4", nijenhuis_x4, 200),
         ("kernel.is_abelian_structure", lambda: al.is_abelian_structure(h5, j), 200),
         ("kernel.bracket_defect", lambda: au._bracket_defect(h5, m), 200),
         ("kernel.jacobi_residual", lambda: al.jacobi_residual(dense), 200),
@@ -118,33 +140,90 @@ def _items():
     ]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="key to store this run under")
-    parser.add_argument("--out", default="BENCH_layers.json")
-    args = parser.parse_args(argv)
-
+def _environment():
     import numpy as np
 
-    layers = {name: _time(fn, inner) for name, fn, inner in _items()}
-    entry = {
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
-        "layers": layers,
-    }
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count()}
+
+
+def _time_row(name):
+    """One row timed in this process, with the package file it imported."""
+    import nilmoduli
+
+    fn, inner = next((fn, inner) for row, fn, inner in _items() if row == name)
+    return {"package": nilmoduli.__file__, "timing": _time(fn, inner)}
+
+
+def _quartile_row(medians, inner):
+    q1, median, q3 = statistics.quantiles(medians, n=4)
+    return {"median_us": median, "q1_us": q1, "q3_us": q3, "inner": inner,
+            "repeats": REPEATS, "processes": len(medians)}
+
+
+def _interleaved(parent, pairs):
+    """{label: layers} of the parent checkout and this one, each row timed in
+    ``pairs`` alternating pairs of processes."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    srcs = {"parent": os.path.join(os.path.abspath(parent), "src"),
+            "change": os.path.join(here, "src")}
+    sys.path.insert(0, srcs["change"])  # the row names come from this checkout's items
+    names = [(name, inner) for name, _fn, inner in _items()]
+    layers = {"parent": {}, "change": {}}
+    for name, inner in names:
+        medians = {"parent": [], "change": []}
+        for pair in range(pairs):
+            for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+                env = {**os.environ, "PYTHONPATH": srcs[side]}
+                out = subprocess.run([sys.executable, os.path.abspath(__file__), "--row", name],
+                                     env=env, capture_output=True, text=True, check=True).stdout
+                row = json.loads(out.strip().splitlines()[-1])
+                if not row["package"].startswith(srcs[side] + os.sep):
+                    raise RuntimeError(f"{side} process imported {row['package']}")
+                medians[side].append(row["timing"]["median_us"])
+        for side in layers:
+            layers[side][name] = _quartile_row(medians[side], inner)
+        layers["change"][name]["faster_pairs"] = sum(
+            c < p for c, p in zip(medians["change"], medians["parent"]))
+        layers["change"][name]["pairs"] = pairs
+        print(f"{name:40s} {layers['parent'][name]['median_us']:10.1f} -> "
+              f"{layers['change'][name]['median_us']:10.1f} us  "
+              f"(change faster in {layers['change'][name]['faster_pairs']}/{pairs})")
+    return layers
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", help="key to store this run under (the change's, with --parent)")
+    parser.add_argument("--out", default="BENCH_layers.json")
+    parser.add_argument("--parent", help="a second checkout to interleave with this one")
+    parser.add_argument("--pairs", type=int, default=6, help="process pairs per row with --parent")
+    parser.add_argument("--row", help=argparse.SUPPRESS)  # child process: time one row, print JSON
+    args = parser.parse_args(argv)
+
+    if args.row is not None:
+        print(json.dumps(_time_row(args.row)))
+        return 0
+    if args.label is None:
+        parser.error("--label is required")
+    if args.parent is not None:
+        if args.pairs < 2:
+            parser.error("--pairs must be at least 2")
+        layers = _interleaved(args.parent, args.pairs)
+        entries = {"parent": layers["parent"], args.label: layers["change"]}
+    else:
+        entries = {args.label: {name: _time(fn, inner) for name, fn, inner in _items()}}
+        for name, row in entries[args.label].items():
+            print(f"{name:40s} {row['median_us']:10.1f} us  [{row['q1_us']:.1f}, {row['q3_us']:.1f}]")
     data = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             data = json.load(fh)
-    data[args.label] = entry
+    for label, layers in entries.items():
+        data[label] = {"environment": _environment(), "layers": layers}
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for name, row in layers.items():
-        print(f"{name:40s} {row['median_us']:10.1f} us  [{row['q1_us']:.1f}, {row['q3_us']:.1f}]")
     return 0
 
 
