@@ -218,26 +218,30 @@ def get_algebra(spec):
 
 # The contractions below are the matmul sequences that
 # np.einsum(..., optimize=True) runs on numpy 2.4 (same pairing, operand
-# order and layout), so they give its bits without its path search.
+# order and layout), so they give its bits without its path search.  M may
+# be an (..., n, n) stack: the axes are counted from the end, so each M of a
+# stack gets the calls, and the bits, of its own call.
 
 
 def map_values(m, b):
-    """u[x, y, k] = sum_l M[k, l] b[l, x, y]: M applied to the values of b, index last."""
+    """u[..., x, y, k] = sum_l M[..., k, l] b[l, x, y]: M applied to the values of b, index last."""
     n = b.shape[0]
-    return (b.transpose(1, 2, 0).reshape(n * n, n) @ m.T).reshape(n, n, n)
+    u = b.transpose(1, 2, 0).reshape(n * n, n) @ m.swapaxes(-1, -2)
+    return u.reshape(*m.shape[:-2], n, n, n)
 
 
 def _contract_last(t, m):
-    """r[x, y, j] = sum_q t[x, y, q] M[q, j]."""
-    n = t.shape[0]
-    return (t.reshape(n * n, n) @ m).reshape(n, n, n)
+    """r[..., x, y, j] = sum_q t[..., x, y, q] M[..., q, j]."""
+    n, lead = t.shape[-1], t.shape[:-3]
+    return (t.reshape(*lead, n * n, n) @ m).reshape(*lead, n, n, n)
 
 
 def pullback(b, m):
-    """b(M., M.)[k, i, j] = sum_{p,q} b[k, p, q] M[p, i] M[q, j]."""
+    """b(M., M.)[..., k, i, j] = sum_{p,q} b[k, p, q] M[..., p, i] M[..., q, j]."""
     n = b.shape[0]
-    t = (m.T @ b.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)  # (i, k, q)
-    return _contract_last(t, m).transpose(1, 0, 2)
+    t = m.swapaxes(-1, -2) @ b.transpose(1, 0, 2).reshape(n, n * n)
+    t = t.reshape(*m.shape[:-2], n, n, n)  # (i, k, q)
+    return _contract_last(t, m).swapaxes(-3, -2)
 
 
 def change_of_basis(alg, p):
@@ -335,23 +339,15 @@ def nijenhuis(alg, j, x, y):
 def nijenhuis_tensor(alg, j):
     """N[k, i, j] = e^k-component of N_J(e_i, e_j); vanishes iff integrable.
 
-    ``j`` is one J or an (n, 6, 6) stack, which gives one tensor per J.  For
-    one J these are the matmul calls of ``map_values``, ``_contract_last`` and
-    ``pullback``.  The axes are counted from the end, so a stack makes the
-    same calls, with the same layouts, on each of its J: each of its tensors
-    has the bits of that J's own call."""
+    ``j`` is one J or an (n, 6, 6) stack, which gives one tensor per J, each
+    with the bits of that J's own call."""
     jm = j.matrix if isinstance(j, AlmostComplexStructure) else np.asarray(j, dtype=float)
-    b, d = alg.bracket_tensor, alg.dim
-    cube, rows = (*jm.shape[:-2], d, d, d), (*jm.shape[:-2], d * d, d)
-    jb = (b.transpose(1, 2, 0).reshape(d * d, d) @ jm.swapaxes(-1, -2)).reshape(cube)  # [x, y, k]
-    # J[J e_i, e_j]: the (y, k, x) rows times J, read as (k, j, y)
-    jb_left = (jb.swapaxes(-3, -2).swapaxes(-2, -1).reshape(rows) @ jm).reshape(cube)
+    b = alg.bracket_tensor
+    jb = map_values(jm, b)  # (J b)[k, x, y] stored at [x, y, k]
+    jb_left = _contract_last(jb.swapaxes(-3, -2).swapaxes(-2, -1), jm)  # J[J e_i, e_j]
     jb_left = jb_left.swapaxes(-3, -2).swapaxes(-2, -1)
-    # J[e_i, J e_j]: the (x, k, y) rows times J, read as (k, x, j)
-    jb_right = (jb.swapaxes(-2, -1).reshape(rows) @ jm).reshape(cube).swapaxes(-3, -2)
-    t = jm.swapaxes(-1, -2) @ b.transpose(1, 0, 2).reshape(d, d * d)  # (i, k, q)
-    pulled = (t.reshape(rows) @ jm).reshape(cube).swapaxes(-3, -2)  # [J e_i, J e_j]
-    return pulled - jb_left - jb_right - b
+    jb_right = _contract_last(jb.swapaxes(-2, -1), jm).swapaxes(-3, -2)  # J[e_i, J e_j]
+    return pullback(b, jm) - jb_left - jb_right - b
 
 
 def nijenhuis_residual(alg, j, tol=DEFAULT_TOL):

@@ -410,7 +410,7 @@ def verify_suite_moduli(seed):
             try:
                 f2, wit = mo.canonicalize(name, g1)
             except NilmoduliError as exc:
-                failures.append((f"canonicalize[{name}#{i}]", repr(exc)))
+                failures.append((f"canonicalize[{name}#{i}]", exc))
                 continue
             checked += 1
             err = float(np.max(np.abs(f2.param_vector() - form.param_vector())))
@@ -463,7 +463,7 @@ def verify_suite_hermitian(seed):
             try:
                 checked += count(solve(forms[name]))
             except NilmoduliError as exc:
-                failures.append((f"{name}_solver[#{i}]", repr(exc)))
+                failures.append((f"{name}_solver[#{i}]", exc))
     return checked, failures
 
 
@@ -485,7 +485,7 @@ def cmd_verify(args):
         all_ok &= ok
         outputs[name] = {
             "checked": checked,
-            "failures": [[f, v if isinstance(v, str) else repr(v)] for f, v in failures[:10]],
+            "failures": [[f, repr(v)] for f, v in failures[:10]],
             "passed": ok,
         }
         lines.append(f"suite {name}: {checked} checks, "

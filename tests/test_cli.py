@@ -423,7 +423,7 @@ def test_verify_hermitian_suite_reports_a_solver_failure(capsys, monkeypatch):
     assert name == "h6_solver[#0]"
     assert "InvalidForm" in detail and "h6 check fails" in detail
 
-    # a failure stored as a string is the detail itself, not a repr of it
+    # the detail is one repr of the exception, not a repr of a repr
     def boom(form):
         raise InvalidForm("boom")
 

@@ -4,8 +4,7 @@ Times each item with ``time.perf_counter``: WARMUP calls, then REPEATS
 runs of ``inner`` calls each, and reports the median (and quartiles) of
 the per-call time over the runs.  The items are
 
-  * the contraction kernels: ``nijenhuis_tensor`` (of one J, and of four
-    J as one stack where the checkout takes stacks), ``is_abelian_structure``,
+  * the contraction kernels: ``nijenhuis_tensor``, ``is_abelian_structure``,
     ``automorphisms._bracket_defect``, ``jacobi_residual``,
     ``nilpotency_step``, ``change_of_basis``;
   * ``moduli.isotropy_algebra_dimension`` and
@@ -32,7 +31,7 @@ Python and numpy versions and the core count.
 
 Two runs made minutes apart see the shared machine drift between them.
 ``--parent PATH`` compares two checkouts on the same footing instead: each
-row is timed in ``--pairs`` pairs of fresh processes, one per checkout
+row is timed in PAIRS pairs of fresh processes, one per checkout
 (``PATH/src`` for the parent, this checkout's ``src`` for the change), the
 order alternating from pair to pair, e.g.
 
@@ -59,6 +58,7 @@ import time
 
 REPEATS = 21
 WARMUP = 3
+PAIRS = 10  # process pairs per row with --parent
 
 
 def _time(fn, inner):
@@ -92,13 +92,6 @@ def _items():
     h9 = al.builtin("h9")
     dense = al.change_of_basis(h9, p)
     g = mo.realize(mo.H5Form(1.0, 1.0, 1.5, 0.0, 1.5)).matrix
-    js4 = np.array([j, -j, j.T, -j.T])
-    try:
-        al.nijenhuis_tensor(h5, js4)
-        nijenhuis_x4 = functools.partial(al.nijenhuis_tensor, h5, js4)
-    except ValueError:  # a checkout whose nijenhuis_tensor takes one J at a time
-        def nijenhuis_x4():
-            return [al.nijenhuis_tensor(h5, jm) for jm in js4]
 
     def command(argv):
         def call():
@@ -123,7 +116,6 @@ def _items():
         ("moduli.Metric", lambda: mo.Metric("h5", orbit["h5"]), 500),
         ("linalg.cholesky_lower", lambda: la.cholesky_lower(orbit["h5"]), 500),
         ("kernel.nijenhuis_tensor", lambda: al.nijenhuis_tensor(h5, j), 200),
-        ("kernel.nijenhuis_tensor.x4", nijenhuis_x4, 200),
         ("kernel.is_abelian_structure", lambda: al.is_abelian_structure(h5, j), 200),
         ("kernel.bracket_defect", lambda: au._bracket_defect(h5, m), 200),
         ("kernel.jacobi_residual", lambda: al.jacobi_residual(dense), 200),
@@ -161,9 +153,9 @@ def _quartile_row(medians, inner):
             "repeats": REPEATS, "processes": len(medians)}
 
 
-def _interleaved(parent, pairs):
+def _interleaved(parent):
     """{label: layers} of the parent checkout and this one, each row timed in
-    ``pairs`` alternating pairs of processes."""
+    PAIRS alternating pairs of processes."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     srcs = {"parent": os.path.join(os.path.abspath(parent), "src"),
             "change": os.path.join(here, "src")}
@@ -172,7 +164,7 @@ def _interleaved(parent, pairs):
     layers = {"parent": {}, "change": {}}
     for name, inner in names:
         medians = {"parent": [], "change": []}
-        for pair in range(pairs):
+        for pair in range(PAIRS):
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
                 env = {**os.environ, "PYTHONPATH": srcs[side]}
                 out = subprocess.run([sys.executable, os.path.abspath(__file__), "--row", name],
@@ -185,10 +177,10 @@ def _interleaved(parent, pairs):
             layers[side][name] = _quartile_row(medians[side], inner)
         layers["change"][name]["faster_pairs"] = sum(
             c < p for c, p in zip(medians["change"], medians["parent"]))
-        layers["change"][name]["pairs"] = pairs
+        layers["change"][name]["pairs"] = PAIRS
         print(f"{name:40s} {layers['parent'][name]['median_us']:10.1f} -> "
               f"{layers['change'][name]['median_us']:10.1f} us  "
-              f"(change faster in {layers['change'][name]['faster_pairs']}/{pairs})")
+              f"(change faster in {layers['change'][name]['faster_pairs']}/{PAIRS})")
     return layers
 
 
@@ -197,7 +189,6 @@ def main(argv=None):
     parser.add_argument("--label", help="key to store this run under (the change's, with --parent)")
     parser.add_argument("--out", default="BENCH_layers.json")
     parser.add_argument("--parent", help="a second checkout to interleave with this one")
-    parser.add_argument("--pairs", type=int, default=6, help="process pairs per row with --parent")
     parser.add_argument("--row", help=argparse.SUPPRESS)  # child process: time one row, print JSON
     args = parser.parse_args(argv)
 
@@ -207,9 +198,7 @@ def main(argv=None):
     if args.label is None:
         parser.error("--label is required")
     if args.parent is not None:
-        if args.pairs < 2:
-            parser.error("--pairs must be at least 2")
-        layers = _interleaved(args.parent, args.pairs)
+        layers = _interleaved(args.parent)
         entries = {"parent": layers["parent"], args.label: layers["change"]}
     else:
         entries = {args.label: {name: _time(fn, inner) for name, fn, inner in _items()}}
