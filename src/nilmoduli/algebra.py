@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,8 @@ BUILTIN_IDS = ("h2", "h4", "h5", "h6", "h9", "h9hat")
 # and matches_theorem_form
 DEFAULT_TOL = 1e-9
 COND_MAX = 1e12  # change_of_basis rejects a matrix of larger condition number
+_IDENTITY = np.eye(DIM)  # the one read-only identity of J^2 + I
+_IDENTITY.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -100,18 +102,22 @@ class TwoForm:
 
 @dataclass(frozen=True, eq=False)
 class AlmostComplexStructure:
-    """J with J^2 = -I (checked at construction) plus an algebra tag."""
+    """J with J^2 = -I (checked at construction) plus an algebra tag.
+
+    ``residual`` is max|J^2 + I|, taken once at construction."""
 
     matrix: np.ndarray
     algebra: str = "custom"
     tol: float = DEFAULT_TOL
+    residual: float = field(init=False)
 
     def __post_init__(self):
         j = np.asarray(self.matrix, dtype=float)
         if j.shape != (DIM, DIM):
             raise ValueError("J must be 6x6")
         object.__setattr__(self, "matrix", j)
-        res = max_norm(j @ j + np.eye(DIM))
+        res = max_norm(j @ j + _IDENTITY)
+        object.__setattr__(self, "residual", res)
         if res > self.tol:
             raise ValueError(f"J^2 + I has max-norm {res:.3e} > {self.tol:.1e}")
 

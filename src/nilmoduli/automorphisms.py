@@ -71,6 +71,18 @@ def _bracket_defect(alg, m):
     return max_norm(lhs - pullback(b, m))
 
 
+def _derivation_defect(alg, d):
+    """max over basis pairs of || D[e_i,e_j] - [De_i, e_j] - [e_i, De_j] ||_max,
+    the largest over a (k, n, n) stack of D (0.0 for an empty stack)."""
+    b = alg.bracket_tensor
+    n = alg.dim
+    lhs = map_values(d, b).swapaxes(-1, -2).swapaxes(-3, -2)  # D[e_i, e_j] at [k, i, j]
+    t = d.swapaxes(-1, -2) @ b.transpose(1, 0, 2).reshape(n, n * n)
+    left = t.reshape(*d.shape[:-2], n, n, n).swapaxes(-3, -2)  # [D e_i, e_j] at [k, i, j]
+    # [e_i, D e_j] = -[D e_j, e_i]
+    return max_norm(lhs - left + left.swapaxes(-1, -2))
+
+
 def is_automorphism(alg, m, tol=DEFAULT_TOL):
     alg = get_algebra(alg)
     m = np.asarray(m, dtype=float)

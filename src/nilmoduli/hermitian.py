@@ -26,6 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .algebra import (
+    _IDENTITY,
     _PAIRING_J,
     DIM,
     AlmostComplexStructure,
@@ -36,7 +37,7 @@ from .algebra import (
 )
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
-from .linalg import cholesky_lower
+from .linalg import cholesky_lower, max_norm
 from .moduli import H9Form, Metric, _hat_algebra, _require_same_basis, realize
 
 SPHERE_TOL = 1e-12
@@ -111,27 +112,29 @@ class SolutionSet:
 
 
 def _residuals(alg_label, js, g):
-    """The residuals (nijenhuis, compatibility, involution) of each J of an
-    (n, 6, 6) stack, one dict per J, from one Nijenhuis call for the stack."""
+    """The nijenhuis and compatibility residuals of each J of an (n, 6, 6)
+    stack, one dict per J, from one Nijenhuis call for the stack.  The
+    involution residual max|J^2 + I| is each J's own (its
+    ``AlmostComplexStructure.residual``)."""
     nijenhuis = np.abs(nijenhuis_tensor(get_algebra(alg_label), js)).max(axis=(1, 2, 3))
     compatibility = np.abs(js.transpose(0, 2, 1) @ g @ js - g).max(axis=(1, 2))
-    involution = np.abs(js @ js + np.eye(DIM)).max(axis=(1, 2))
-    return [{"nijenhuis": n, "compatibility": c, "involution": i}
-            for n, c, i in zip(nijenhuis.tolist(), compatibility.tolist(), involution.tolist())]
+    return [{"nijenhuis": n, "compatibility": c}
+            for n, c in zip(nijenhuis.tolist(), compatibility.tolist())]
 
 
 def _make_solution(alg_label, triple, j, res, nij_tol):
-    """The solution of one J of a verified stack, given its residuals: J is
-    wrapped once, and the solution keeps that object."""
+    """The solution of one J of a verified stack, given its nijenhuis and
+    compatibility residuals: J is wrapped once, the solution keeps that
+    object, and its involution residual is the wrapper's."""
     acs = AlmostComplexStructure(j, alg_label, tol=J_BUILD_TOL)
-    if res["involution"] > INVOLUTION_TOL:
-        raise InvalidTriple(f"J^2 + I residual {res['involution']:.3e}")
+    if acs.residual > INVOLUTION_TOL:
+        raise InvalidTriple(f"J^2 + I residual {acs.residual:.3e}")
     if res["nijenhuis"] > nij_tol:
         raise InvalidForm(
             f"{alg_label} {triple.branch}: nijenhuis residual {res['nijenhuis']:.3e} "
             f"exceeds {nij_tol:.1e}"
         )
-    return HermitianSolution(triple, acs, res)
+    return HermitianSolution(triple, acs, {**res, "involution": acs.residual})
 
 
 def _dedupe(triples):
@@ -468,10 +471,9 @@ def h9_J0():
 
 def _h9_check_pair(g, j, tol):
     (res,) = _residuals("h9hat", j[None], g)
-    worst = max(res.values())
+    worst = max(*res.values(), max_norm(j @ j + _IDENTITY))
     if worst > tol:
         raise InvalidParams(f"h9 family pair fails Hermitian check at {worst:.3e}")
-    return res
 
 
 def h9_sigma_family(which, **params):

@@ -64,10 +64,11 @@ def cholesky_lower(a):
     """Cholesky factor L (lower, positive diagonal) with L L^T = A.
 
     The factor is LAPACK's (``np.linalg.cholesky``) on the symmetrized
-    matrix.  Raises NotSPD at the first pivot ``diag(L)**2`` at or below
-    n*eps*max|A|, the standard backward-stable positive-definiteness test,
-    and on an asymmetric matrix (beyond SYM_RTOL) or one with NaN or inf
-    entries.
+    matrix (the upper triangle is the source of truth, as in
+    ``symmetrize``).  Raises NotSPD at the first pivot ``diag(L)**2`` at or
+    below n*eps*max|A|, the standard backward-stable positive-definiteness
+    test, and on an asymmetric matrix (beyond SYM_RTOL) or one with NaN or
+    inf entries.
     """
     a = _as_matrix(a)
     n = a.shape[0]
@@ -78,15 +79,16 @@ def cholesky_lower(a):
         raise NotSPD("matrix has non-finite entries")
     if max_norm(a - a.T) > SYM_RTOL * max(1.0, scale):
         raise NotSPD("matrix is not symmetric")
-    a = symmetrize(a)
     thresh = n * EPS * scale
     try:
-        L = np.linalg.cholesky(a)
+        # LAPACK reads the lower triangle only, and the lower triangle of
+        # a.T + 0.0 is that of symmetrize(a), bit for bit
+        L = np.linalg.cholesky(a.T + 0.0)
     except np.linalg.LinAlgError:
-        pivots = _pivots_to_failure(a)
+        pivots = _pivots_to_failure(symmetrize(a))
     else:
         d = L.diagonal()
-        if n == 0 or min(d) ** 2 > thresh:
+        if n == 0 or d.min() ** 2 > thresh:
             return L
         pivots = d * d
     j = int(np.argmax(pivots <= thresh))

@@ -33,9 +33,12 @@ stratum it lies on, and isometry_group() and the Hermitian tables branch on it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -116,17 +119,28 @@ class Witness:
 # canonical forms
 
 
-def _read(params, spec):
-    """A number, a parameter's value, or for a tuple of names their largest value."""
+def _reader(spec):
+    """params -> a number, a parameter's value, or for a tuple of names their
+    largest value."""
     if isinstance(spec, str):
-        return params[spec]
+        return operator.itemgetter(spec)
     if isinstance(spec, tuple):
-        return max(params[name] for name in spec)
-    return spec
+        return lambda params: max(params[name] for name in spec)
+    return lambda _params: spec
+
+
+@functools.cache
+def _layout(form_class):
+    """The field names of a form class, and its strata with each value and
+    unit as a reader of the parameters: built once per class."""
+    names = tuple(f.name for f in fields(form_class))
+    strata = tuple((name, parameter, _reader(value), _reader(unit))
+                   for name, parameter, value, unit in form_class.strata)
+    return names, strata
 
 
 def _lies_on(params, parameter, value, unit):
-    return abs(params[parameter] - _read(params, value)) <= EQ_RTOL * _read(params, unit)
+    return abs(params[parameter] - value(params)) <= EQ_RTOL * unit(params)
 
 
 class _FormBase:
@@ -135,21 +149,21 @@ class _FormBase:
     strata = ()
 
     def params(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _layout(type(self))[0]}
 
     def on_strata(self):
         """The strata the form lies on: |parameter - value| <= EQ_RTOL * unit.
         Each unit moves like its parameter when the metric is rescaled."""
         params = self.params()
-        return {name for name, *test in self.strata if _lies_on(params, *test)}
+        return {name for name, *test in _layout(type(self))[1] if _lies_on(params, *test)}
 
     def snapped(self):
         """The form with each parameter set to its value on every stratum it
         lies on, in the order of ``strata``: each test sees the earlier snaps."""
         params = self.params()
-        for _name, parameter, value, unit in self.strata:
+        for _name, parameter, value, unit in _layout(type(self))[1]:
             if _lies_on(params, parameter, value, unit):
-                params[parameter] = _read(params, value)
+                params[parameter] = value(params)
         return type(self)(**params)
 
     def to_json_dict(self):
@@ -660,11 +674,34 @@ def _blockdiag6(*blocks):
     return out
 
 
-def _descriptor(alg_label, name, dim, gens, basis, count, notes=""):
-    gens = tuple(Automorphism(m, alg_label, auts.component_label(alg_label, m)) for m in gens)
-    basis = np.asarray(basis, dtype=float).reshape(-1, DIM, DIM)
+def _descriptor(name, dim, gens, basis, count, notes=""):
+    """``gens`` are tagged Automorphisms and ``basis`` a (k, 6, 6) array,
+    both the read-only constants of a case table."""
     order = float(count) if dim == 0 else INFINITE
-    return GroupDescriptor(name, dim, order, gens, basis, count, notes)
+    return GroupDescriptor(name, dim, order, tuple(gens), basis, count, notes)
+
+
+# The constants of the case tables: each algebra's generators, as
+# Automorphisms with their component tag, and its isotropy bases, as (k, 6, 6)
+# arrays.  Built on first use, once per process; every array is read-only.
+
+
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _tagged(alg_label, m):
+    m = _read_only(m)
+    return Automorphism(m, alg_label, auts.component_label(alg_label, m))
+
+
+def _basis(*mats):
+    return _read_only(np.reshape(mats, (-1, DIM, DIM)))
+
+
+_NO_BASIS = _basis()
 
 
 def _su2_basis_h5():
@@ -683,10 +720,68 @@ def _u2_extra_h5():
     return _blockdiag6(auts.realify_complex2(x), 2.0 * _J2)
 
 
+@functools.cache
+def _table_h5():
+    rot_real = np.zeros((DIM, DIM))
+    rot_real[0, 2] = rot_real[1, 3] = 1.0
+    rot_real[2, 0] = rot_real[3, 1] = -1.0  # real rotation inside GL2(R) < GL2(C)
+    return SimpleNamespace(
+        k_z1=_tagged("h5", np.diag([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0])),
+        k_z4=_tagged("h5", np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])),
+        psi=_tagged("h5", auts.PSI_H5),
+        su2=_basis(*_su2_basis_h5()),
+        u2=_basis(*_su2_basis_h5(), _u2_extra_h5()),
+        rot_first=_basis(_blockdiag6(_J2, np.zeros((2, 2)), _J2)),  # z1 in so(2), Delta follows
+        rot_real=_basis(rot_real),
+    )
+
+
+@functools.cache
+def _table_h6():
+    return SimpleNamespace(
+        f2=_tagged("h6", np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0])),
+        f3=_tagged("h6", np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])),
+        f5=_tagged("h6", np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])),
+        rot=_basis(_blockdiag6(np.zeros((1, 1)), _J2, np.zeros((1, 1)), _J2)),
+    )
+
+
+@functools.cache
+def _table_h4():
+    so2 = np.zeros((DIM, DIM))
+    so2[0, 1], so2[1, 0] = 1.0, -1.0
+    so2[2, 3], so2[3, 2] = -1.0, 1.0  # derivation: d12 = 1, d21 = -1 pattern
+    return SimpleNamespace(
+        refl=_tagged("h4", np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])),  # A = diag(1,-1), x = 1
+        neg=_tagged("h4", np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0])),  # A = -I, x = 1
+        xflip=_tagged("h4", np.diag([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])),  # A = I, x = -1
+        so2=_basis(so2),
+    )
+
+
+@functools.cache
+def _table_h2():
+    phi1 = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+    phi2 = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    so2_first = _blockdiag6(_J2, np.zeros((2, 2)), np.zeros((2, 2)))
+    so2_second = _blockdiag6(np.zeros((2, 2)), _J2, np.zeros((2, 2)))
+    return SimpleNamespace(
+        phi1=_tagged("h2", phi1),
+        phi2=_tagged("h2", phi2),
+        phi12=_tagged("h2", phi1 @ phi2),
+        phi3=auts.component_representatives("h2")[4],  # the factor swap, already tagged
+        sg1=_tagged("h2", np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0])),  # A = B = diag(-1,1)
+        sg2=_tagged("h2", np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])),  # A = B = diag(1,-1)
+        both=_basis(so2_first, so2_second),
+        diag=_basis(so2_first + so2_second),
+    )
+
+
 def isometry_group(alg, form):
     """GroupDescriptor for the isotropy of a canonical metric, by the case
     tables of the classification.  ``alg`` and the form's tag must name one
-    algebra (``_require_same_basis``)."""
+    algebra (``_require_same_basis``).  The descriptor's generators and
+    isotropy basis are read-only constants shared by every call."""
     ft = _form_type_of(form)
     _require_same_basis(form.algebra, alg)
     form.validate()
@@ -694,126 +789,111 @@ def isometry_group(alg, form):
 
 
 def _isometry_h5(form):
-    k_z1 = np.diag([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
-    k_z4 = np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
-    psi = auts.PSI_H5.copy()
-    rot_first = _blockdiag6(_J2, np.zeros((2, 2)), _J2)  # z1 in so(2), Delta follows
-    rot_real = np.zeros((DIM, DIM))
-    rot_real[0, 2] = rot_real[1, 3] = 1.0
-    rot_real[2, 0] = rot_real[3, 1] = -1.0  # real rotation inside GL2(R) < GL2(C)
+    t = _table_h5()
     on = form.on_strata()
     f0, ge, r1, sr = "F0" in on, "EG" in on, "r1" in on, "sr" in on
     if sr and r1:
         if not f0:
-            return _descriptor("h5", "SU(2) : Z2", 3, [k_z4], _su2_basis_h5(), 2,
+            return _descriptor("SU(2) : Z2", 3, [t.k_z4], t.su2, 2,
                                "row 8: det_C = -1 component via diag(1,1,-1,-1,-1,-1)")
         if not ge:
-            return _descriptor("h5", "(SU(2) : Z2) : Z2", 3, [k_z4, psi],
-                               _su2_basis_h5(), 4, "row 9")
-        return _descriptor("h5", "U(2) : Z2", 4, [psi],
-                           _su2_basis_h5() + [_u2_extra_h5()], 2, "row 10")
+            return _descriptor("(SU(2) : Z2) : Z2", 3, [t.k_z4, t.psi], t.su2, 4, "row 9")
+        return _descriptor("U(2) : Z2", 4, [t.psi], t.u2, 2, "row 10")
     if sr:  # s = r < 1
         if not f0:
-            return _descriptor("h5", "O(2)", 1, [k_z4], [rot_real], 2,
+            return _descriptor("O(2)", 1, [t.k_z4], t.rot_real, 2,
                                "row 6: O(2) = GL2(R) cap O(4), reflection diag(1,1,-1,-1,-1,-1)")
-        return _descriptor("h5", "O(2) x Z2", 1, [k_z4, psi], [rot_real], 4, "row 7")
+        return _descriptor("O(2) x Z2", 1, [t.k_z4, t.psi], t.rot_real, 4, "row 7")
     if r1:  # s < r = 1
         if not f0:
-            return _descriptor("h5", "Z2 x Z2", 0, [k_z1, k_z4], [], 4, "row 3")
+            return _descriptor("Z2 x Z2", 0, [t.k_z1, t.k_z4], _NO_BASIS, 4, "row 3")
         if not ge:
-            return _descriptor("h5", "Z2 x Z2 x Z2", 0, [k_z1, k_z4, psi], [], 8, "row 4")
-        return _descriptor("h5", "O(2)", 1, [psi], [rot_first], 2,
+            return _descriptor("Z2 x Z2 x Z2", 0, [t.k_z1, t.k_z4, t.psi], _NO_BASIS, 8, "row 4")
+        return _descriptor("O(2)", 1, [t.psi], t.rot_first, 2,
                            "row 5: SO(2) acts through z1 with Delta = z1; reflection psi. "
                            "diag(1,1,-1,-1,-1,-1) is a further isometric automorphism "
                            "outside this O(2).")
     if not f0:
-        return _descriptor("h5", "Z2 x Z2", 0, [k_z1, k_z4], [], 4, "row 1")
-    return _descriptor("h5", "Z2 x Z2 x Z2", 0, [k_z1, k_z4, psi], [], 8, "row 2")
+        return _descriptor("Z2 x Z2", 0, [t.k_z1, t.k_z4], _NO_BASIS, 4, "row 1")
+    return _descriptor("Z2 x Z2 x Z2", 0, [t.k_z1, t.k_z4, t.psi], _NO_BASIS, 8, "row 2")
 
 
 def _isometry_h6(form):
-    f2 = np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
-    f3 = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
-    f5 = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+    t = _table_h6()
     if "ab" in form.on_strata():
-        basis = [_blockdiag6(np.zeros((1, 1)), _J2, np.zeros((1, 1)), _J2)]
-        return _descriptor("h6", "O(2) x Z2 x Z2", 1, [f3, f2, f5], basis, 8, "a = b")
+        return _descriptor("O(2) x Z2 x Z2", 1, [t.f3, t.f2, t.f5], t.rot, 8, "a = b")
     return _descriptor(
-        "h6", "Z2 x Z2 x Z2", 0, [f3, f2, f5], [], 8,
+        "Z2 x Z2 x Z2", 0, [t.f3, t.f2, t.f5], _NO_BASIS, 8,
         "a != b; stated group of the classification (per-axis sign flips such as "
         "diag(1,-1,1,1,-1,1) are further isometric automorphisms)")
 
 
 def _isometry_h4(form):
-    refl = np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])  # A = diag(1,-1), x = 1
-    neg = np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0])  # A = -I, x = 1
-    xflip = np.diag([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])  # A = I, x = -1
-    so2 = np.zeros((DIM, DIM))
-    so2[0, 1], so2[1, 0] = 1.0, -1.0
-    so2[2, 3], so2[3, 2] = -1.0, 1.0  # derivation: d12 = 1, d21 = -1 pattern
+    t = _table_h4()
     on = form.on_strata()
     r1, b0 = "r1" in on, "b0" in on
     if r1 and b0:
-        return _descriptor("h4", "O(2) : Z2", 1, [refl, xflip], [so2], 4, "r = 1, b = 0")
+        return _descriptor("O(2) : Z2", 1, [t.refl, t.xflip], t.so2, 4, "r = 1, b = 0")
     if r1:
-        return _descriptor("h4", "O(2)", 1, [refl], [so2], 2, "r = 1, b != 0")
+        return _descriptor("O(2)", 1, [t.refl], t.so2, 2, "r = 1, b != 0")
     if b0:
         return _descriptor(
-            "h4", "Z2 x Z2", 0, [neg, xflip], [], 4,
+            "Z2 x Z2", 0, [t.neg, t.xflip], _NO_BASIS, 4,
             "r != 1, b = 0; stated group (diag(1,-1,1,-1,-1,-1) is a further "
             "isometric automorphism)")
     return _descriptor(
-        "h4", "Z2", 0, [neg], [], 2,
+        "Z2", 0, [t.neg], _NO_BASIS, 2,
         "r != 1, b != 0; stated group (diag(1,-1,1,-1,-1,-1) is a further "
         "isometric automorphism)")
 
 
 def _isometry_h2(form):
-    phi1 = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
-    phi2 = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
-    phi12 = phi1 @ phi2
-    phi3 = auts.component_representatives("h2")[4].matrix
-    sg1 = np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0])  # A = B = diag(-1,1)
-    sg2 = np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])  # A = B = diag(1,-1)
-    so2_first = _blockdiag6(_J2, np.zeros((2, 2)), np.zeros((2, 2)))
-    so2_second = _blockdiag6(np.zeros((2, 2)), _J2, np.zeros((2, 2)))
-    so2_diag = so2_first + so2_second
+    t = _table_h2()
     on = form.on_strata()
     a0, ab, f0, ge = "a0" in on, "ab" in on, "F0" in on, "EG" in on
     if a0 and ab:  # a = b = 0
-        basis = [so2_first, so2_second]
         if f0 and ge:
-            return _descriptor("h2", "(O(2) x O(2)) : Z2", 2, [phi1, phi2, phi3], basis, 8,
+            return _descriptor("(O(2) x O(2)) : Z2", 2, [t.phi1, t.phi2, t.phi3], t.both, 8,
                                "a = b = 0, F = 0, E = G")
         if f0:
-            return _descriptor("h2", "O(2) x O(2)", 2, [phi1, phi2], basis, 4,
+            return _descriptor("O(2) x O(2)", 2, [t.phi1, t.phi2], t.both, 4,
                                "a = b = 0, F = 0, E != G")
         if ge:
-            return _descriptor("h2", "S(O(2) x O(2)) : Z2", 2, [phi12, phi3], basis, 4,
+            return _descriptor("S(O(2) x O(2)) : Z2", 2, [t.phi12, t.phi3], t.both, 4,
                                "a = b = 0, F != 0, E = G")
-        return _descriptor("h2", "S(O(2) x O(2))", 2, [phi12], basis, 2,
+        return _descriptor("S(O(2) x O(2))", 2, [t.phi12], t.both, 2,
                            "a = b = 0, F != 0, E != G")
     if ab:  # a = b != 0
         if ge:
-            return _descriptor("h2", "diag(O(2) x O(2)) : Z2", 1, [sg1, phi3], [so2_diag], 4,
+            return _descriptor("diag(O(2) x O(2)) : Z2", 1, [t.sg1, t.phi3], t.diag, 4,
                                "a = b != 0, E = G")
-        return _descriptor("h2", "diag(O(2) x O(2))", 1, [sg1], [so2_diag], 2,
-                           "a = b != 0, E != G")
+        return _descriptor("diag(O(2) x O(2))", 1, [t.sg1], t.diag, 2, "a = b != 0, E != G")
     if ge:
-        return _descriptor("h2", "D4", 0, [sg1, sg2, phi3], [], 8, "a < b, E = G")
-    return _descriptor("h2", "Z2 x Z2", 0, [sg1, sg2], [], 4, "a < b, E != G")
+        return _descriptor("D4", 0, [t.sg1, t.sg2, t.phi3], _NO_BASIS, 8, "a < b, E = G")
+    return _descriptor("Z2 x Z2", 0, [t.sg1, t.sg2], _NO_BASIS, 4, "a < b, E != G")
+
+
+@functools.cache
+def _table_h9():
+    # the sign flips: the component representatives other than the identity,
+    # which carry their tags, and their matrices as one stack
+    flips = tuple(rep for rep in auts.component_representatives("h9hat")
+                  if max_norm(rep.matrix - np.eye(DIM)) > 0.0)
+    return SimpleNamespace(flips=flips, stack=_read_only([rep.matrix for rep in flips]))
 
 
 def _isometry_h9(form):
-    # the sign flips that fix the form snapped onto its strata, exactly
-    g_s = realize(form.snapped()).matrix
-    members = [rep.matrix for rep in auts.component_representatives("h9hat")
-               if np.array_equal(rep.matrix.T @ g_s @ rep.matrix, g_s)]
+    # the sign flips that fix the form snapped onto its strata, exactly (each
+    # product with a sign flip is exact); snapping keeps A, B, C > 0, so the
+    # snapped form is valid and its matrix needs no Metric
+    t = _table_h9()
+    g_s = _matrix_h9(form.snapped())
+    fixes = (t.stack.transpose(0, 2, 1) @ g_s @ t.stack == g_s).all(axis=(1, 2))
+    gens = [rep for rep, fixed in zip(t.flips, fixes) if fixed]
     k = len(form.on_strata())  # the strata D0, E0 and F0
     count = 2 ** k
-    gens = [m for m in members if max_norm(m - np.eye(DIM)) > 0.0]
     name = {0: "trivial", 1: "Z2", 2: "Z2 x Z2", 3: "Z2 x Z2 x Z2"}[k]
-    return _descriptor("h9hat", name, 0, gens, [], count,
+    return _descriptor(name, 0, gens, _NO_BASIS, count,
                        f"k = {k} null parameters among (D, E, F)")
 
 
@@ -877,19 +957,24 @@ def isotropy_algebra_dimension(alg, g):
 
 
 def _generated_group(gen_matrices):
-    """Closure of the generated set; None beyond GROUP_ORDER_CAP elements."""
+    """Closure of the generated set; None beyond GROUP_ORDER_CAP elements.
+
+    Each new product is compared with every element found so far in one
+    array operation, over the first len(elems) rows of ``found``."""
     elems = [np.eye(DIM)]
-
-    def find(m):
-        return any(max_norm(m - e) <= GROUP_MATCH_TOL for e in elems)
-
-    frontier = [np.eye(DIM)]
+    found = np.empty((8, DIM, DIM))
+    found[0] = elems[0]
+    frontier = [elems[0]]
     while frontier:
         new = []
         for e in frontier:
             for gmat in gen_matrices:
                 prod = e @ gmat
-                if not find(prod):
+                dist = np.abs(found[: len(elems)] - prod).max(axis=(1, 2))
+                if not (dist <= GROUP_MATCH_TOL).any():
+                    if len(elems) == len(found):
+                        found = np.concatenate([found, np.empty_like(found)])
+                    found[len(elems)] = prod
                     elems.append(prod)
                     new.append(prod)
                     if len(elems) > GROUP_ORDER_CAP:
@@ -920,11 +1005,11 @@ def verify_isometry_group(alg, form, desc):
          f"bracket defect {worst_bracket:.2e}, metric defect {worst_metric:.2e}")
     )
 
-    derivation_system = auts._derivation_system(alg)
-    worst_der = 0.0
+    basis = np.asarray(desc.isotropy_basis, dtype=float).reshape(-1, DIM, DIM)
+    # the derivation system itself is built once, by isotropy_algebra_dimension
+    worst_der = auts._derivation_defect(alg, basis)
     worst_skew = 0.0
-    for d in desc.isotropy_basis:
-        worst_der = max(worst_der, max_norm(derivation_system @ d.reshape(-1)))
+    for d in basis:
         worst_skew = max(worst_skew, max_norm(d.T @ g_c + g_c @ d))
     ok = worst_der <= ISOMETRY_DEFECT_TOL and worst_skew <= ISOMETRY_DEFECT_TOL * scale
     checks.append(
