@@ -32,7 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _PAIRING_J, DEFAULT_TOL, DIM, get_algebra, map_values, pullback
+from .algebra import (
+    _PAIRING_J, BUILTIN_IDS, DEFAULT_TOL, DIM, builtin, get_algebra, map_values, pullback,
+)
 from .errors import DegenerateParams, Unsupported
 from .linalg import RANK_RTOL, max_norm, null_space
 
@@ -71,18 +73,6 @@ def _bracket_defect(alg, m):
     return max_norm(lhs - pullback(b, m))
 
 
-def _derivation_defect(alg, d):
-    """max over basis pairs of || D[e_i,e_j] - [De_i, e_j] - [e_i, De_j] ||_max,
-    the largest over a (k, n, n) stack of D (0.0 for an empty stack)."""
-    b = alg.bracket_tensor
-    n = alg.dim
-    lhs = map_values(d, b).swapaxes(-1, -2).swapaxes(-3, -2)  # D[e_i, e_j] at [k, i, j]
-    t = d.swapaxes(-1, -2) @ b.transpose(1, 0, 2).reshape(n, n * n)
-    left = t.reshape(*d.shape[:-2], n, n, n).swapaxes(-3, -2)  # [D e_i, e_j] at [k, i, j]
-    # [e_i, D e_j] = -[D e_j, e_i]
-    return max_norm(lhs - left + left.swapaxes(-1, -2))
-
-
 def is_automorphism(alg, m, tol=DEFAULT_TOL):
     alg = get_algebra(alg)
     m = np.asarray(m, dtype=float)
@@ -100,7 +90,23 @@ def _derivation_system(alg):
     in component k.  A cell collects at most two terms, and a sum of two
     does not depend on their order, so the rows equal those of the
     term-by-term loop bit for bit.
+
+    A built-in algebra's system is built once per process and is read-only
+    (copy it before writing to it).
     """
+    if alg.label in BUILTIN_IDS and alg is builtin(alg.label):
+        return _builtin_derivation_system(alg.label)
+    return _build_derivation_system(alg)
+
+
+@functools.cache
+def _builtin_derivation_system(label):
+    system = _build_derivation_system(builtin(label))
+    system.setflags(write=False)
+    return system
+
+
+def _build_derivation_system(alg):
     n = alg.dim
     b = alg.bracket_tensor
     i, j = np.triu_indices(n, 1)

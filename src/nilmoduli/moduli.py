@@ -884,10 +884,10 @@ def _table_h9():
 
 def _isometry_h9(form):
     # the sign flips that fix the form snapped onto its strata, exactly (each
-    # product with a sign flip is exact); snapping keeps A, B, C > 0, so the
-    # snapped form is valid and its matrix needs no Metric
+    # product with a sign flip is exact); snapping keeps A, B, C, so the
+    # snapped form is valid, and Metric decides whether its matrix is SPD
     t = _table_h9()
-    g_s = _matrix_h9(form.snapped())
+    g_s = Metric(form.algebra, _matrix_h9(form.snapped())).matrix
     fixes = (t.stack.transpose(0, 2, 1) @ g_s @ t.stack == g_s).all(axis=(1, 2))
     gens = [rep for rep, fixed in zip(t.flips, fixes) if fixed]
     k = len(form.on_strata())  # the strata D0, E0 and F0
@@ -959,28 +959,26 @@ def isotropy_algebra_dimension(alg, g):
 def _generated_group(gen_matrices):
     """Closure of the generated set; None beyond GROUP_ORDER_CAP elements.
 
-    Each new product is compared with every element found so far in one
-    array operation, over the first len(elems) rows of ``found``."""
-    elems = [np.eye(DIM)]
-    found = np.empty((8, DIM, DIM))
-    found[0] = elems[0]
-    frontier = [elems[0]]
+    The elements found so far are the first ``count`` rows of ``found``, and
+    each new product is compared with all of them in one array operation."""
+    found = np.empty((GROUP_ORDER_CAP, DIM, DIM))
+    found[0] = np.eye(DIM)
+    count = 1
+    frontier = [found[0]]
     while frontier:
         new = []
         for e in frontier:
             for gmat in gen_matrices:
                 prod = e @ gmat
-                dist = np.abs(found[: len(elems)] - prod).max(axis=(1, 2))
+                dist = np.abs(found[:count] - prod).max(axis=(1, 2))
                 if not (dist <= GROUP_MATCH_TOL).any():
-                    if len(elems) == len(found):
-                        found = np.concatenate([found, np.empty_like(found)])
-                    found[len(elems)] = prod
-                    elems.append(prod)
-                    new.append(prod)
-                    if len(elems) > GROUP_ORDER_CAP:
+                    if count == GROUP_ORDER_CAP:  # one more than the cap
                         return None
+                    found[count] = prod
+                    count += 1
+                    new.append(prod)
         frontier = new
-    return elems
+    return list(found[:count])
 
 
 def verify_isometry_group(alg, form, desc):
@@ -1005,11 +1003,12 @@ def verify_isometry_group(alg, form, desc):
          f"bracket defect {worst_bracket:.2e}, metric defect {worst_metric:.2e}")
     )
 
-    basis = np.asarray(desc.isotropy_basis, dtype=float).reshape(-1, DIM, DIM)
-    # the derivation system itself is built once, by isotropy_algebra_dimension
-    worst_der = auts._derivation_defect(alg, basis)
+    # a built-in's derivation system is built once per process (read-only)
+    derivation_system = auts._derivation_system(alg)
+    worst_der = 0.0
     worst_skew = 0.0
-    for d in basis:
+    for d in desc.isotropy_basis:
+        worst_der = max(worst_der, max_norm(derivation_system @ d.reshape(-1)))
         worst_skew = max(worst_skew, max_norm(d.T @ g_c + g_c @ d))
     ok = worst_der <= ISOMETRY_DEFECT_TOL and worst_skew <= ISOMETRY_DEFECT_TOL * scale
     checks.append(

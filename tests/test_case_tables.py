@@ -1,6 +1,6 @@
-"""The isometry case tables' constants, the group closure, the derivation
-defect, the stored J^2 + I residual and the per-form checks that every
-`tables` entry pays once."""
+"""The isometry case tables' constants, the group closure, the built-in
+derivation systems, the stored J^2 + I residual and the per-form checks that
+every `tables` entry pays once."""
 
 from dataclasses import fields
 
@@ -150,16 +150,37 @@ def test_generated_group_of_a_sampled_set_matches_the_pairwise_loop():
 
 
 @pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9", "h9hat"])
-def test_derivation_defect_matches_the_derivation_system(label):
+def test_builtin_derivation_system_is_built_once_and_read_only(label):
     alg = al.builtin(label)
     system = au._derivation_system(alg)
-    rng = np.random.default_rng(3)
-    stack = rng.normal(size=(4, 6, 6))
-    expected = max(max_norm(system @ d.reshape(-1)) for d in stack)
-    assert au._derivation_defect(alg, stack) == pytest.approx(expected, rel=1e-12)
-    basis = au.derivation_algebra(alg).matrices
-    assert au._derivation_defect(alg, basis) <= 1e-13
-    assert au._derivation_defect(alg, np.zeros((0, 6, 6))) == 0.0
+    assert au._derivation_system(alg) is system
+    _assert_read_only(system)
+    assert system.tobytes() == au._build_derivation_system(alg).tobytes()
+    # an algebra that is not the built-in object, though it has its label,
+    # gets a new, writable system
+    custom = al.LieAlgebra(c=alg.c.copy(), label=label)
+    fresh = au._derivation_system(custom)
+    assert fresh.flags.writeable and fresh.tobytes() == system.tobytes()
+
+
+# (form, the exception isometry_group raises and its message): the snapped
+# matrix of a valid h9 form can fail Metric's tests
+H9_DEGENERATE = [
+    (mo.H9Form(1e-9, 1.0, 1.0, 0.0, 0.0, 0.0),
+     NotSPD, "pivot 1.000e-18 at index 2 below threshold 1.332e-15"),
+    (mo.H9Form(1.0, 1.0, 1e-9, 0.0, 0.0, 0.0),
+     NotSPD, "pivot 1.000e-18 at index 5 below threshold 1.332e-15"),
+    (mo.H9Form(np.inf, 1.0, 1.0, 0.0, 0.0, 0.0),
+     InvalidForm, "metric matrix has non-finite entries (NaN or inf)"),
+]
+
+
+@pytest.mark.parametrize("form, exc_type, message", H9_DEGENERATE)
+def test_h9_isometry_group_refuses_a_snapped_matrix_that_is_not_spd(form, exc_type, message):
+    form.validate()
+    with pytest.raises(exc_type) as info:
+        mo.isometry_group("h9hat", form)
+    assert type(info.value) is exc_type and str(info.value) == message
 
 
 # diag(96, 1, 1, x, 1, 1): the pivot test threshold is 6 * eps * 96, exact
