@@ -5,14 +5,15 @@ Conventions.  An algebra is stored through its structure constants c^k_{ij}
 defined by de^k = sum_{i<j} c^k_{ij} e^{ij}, which by d(theta)(X, Y) =
 -theta([X, Y]) is equivalent to e^k([e_i, e_j]) = -c^k_{ij}.  Both the c
 tensor and the bracket tensor (its negative) are kept antisymmetric in
-(i, j).  The five built-ins h2, h4, h5, h6, h9 follow the Salamon strings
+(i, j).  The built-ins h2, h4, h5, h6 follow the Salamon strings
 
     h2 = (0,0,0,0,12,34)        h4 = (0,0,0,0,12,14+23)
     h5 = (0,0,0,0,13+42,14+23)  h6 = (0,0,0,0,12,13)
-    h9 = (0,0,0,0,12,14+25)
 
-and h9hat is the same algebra in the hat basis (swap 1<->2, 3<->4), where
-the nontrivial brackets are [ê1,ê2] = +ê5, [ê1,ê5] = [ê2,ê3] = -ê6.
+and h9hat is h9 in the hat basis, where the nontrivial brackets are
+[ê1,ê2] = +ê5, [ê1,ê5] = [ê2,ê3] = -ê6.  ``h9`` is a name for ``h9hat``; the
+paper's Salamon string for h9, (0,0,0,0,12,14+25), is in the e-basis and
+parses to a custom algebra.
 """
 
 from __future__ import annotations
@@ -193,11 +194,14 @@ def render_salamon(alg):
 
 @functools.cache
 def builtin(identifier):
-    """One of h2, h4, h5, h6, h9 (Salamon strings above) or h9hat.
+    """One of h2, h4, h5, h6 (Salamon strings above), h9hat, or h9, a name
+    for h9hat.
 
     Built on first use; every later call returns the same object, whose
     structure tensor is read-only.
     """
+    if identifier == "h9":
+        return builtin("h9hat")
     if identifier == "h9hat":
         c = np.zeros((DIM, DIM, DIM))
         # [ê1,ê2] = +ê5, [ê1,ê5] = [ê2,ê3] = -ê6; e^k([e_i,e_j]) = -c^k_{ij}
@@ -214,11 +218,15 @@ def builtin(identifier):
 
 
 def get_algebra(spec):
-    """Resolve a builtin id, a Salamon string, or pass through a LieAlgebra."""
+    """Resolve a builtin id (``h9`` names h9hat), a Salamon string, or pass
+    through a LieAlgebra."""
     if isinstance(spec, LieAlgebra):
         return spec
     if spec in BUILTIN_IDS:
         return builtin(spec)
+    if "," not in spec:
+        raise ParseError(f"unknown algebra {spec!r}: give a builtin id "
+                         f"({', '.join(BUILTIN_IDS)}) or a Salamon string", (0, 0))
     return parse_salamon(spec)
 
 

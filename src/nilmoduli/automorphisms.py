@@ -13,15 +13,15 @@ Shapes (in each algebra's working basis; blocks act on (e1..e4) | (e5, e6)):
        pairing (e1,e2),(e3,e4); second component via psi = diag(1,-1,...).
   h2:  block diag(A,B) or antidiag(A,B) over the two heis factors with
        Delta = diag(det A, det B) resp. antidiag(det A, det B).
-  h9:  lower triangular with the five dependent entries of the hat-basis
-       theorem (a33 = a11^2, a53 = -a11 a21, a55 = a11 a22,
+  h9:  lower triangular with the five dependent entries of the theorem
+       (a33 = a11^2, a53 = -a11 a21, a55 = a11 a22,
        a65 = a22 a31 - a21 a32 - a11 a52, a66 = a11^2 a22).
 
 Each algebra's theorem is one ``_AutTheorem`` record in ``_THEOREMS``: the
 structured constructor, the component tag (the discrete sign invariants
 above), the theorem-form defect, one representative per component and the
-identity-component sampler.  The h9 record is the h9hat record conjugated
-by the hat permutation.
+identity-component sampler.  ``h9`` is a name for h9hat, so its record is
+h9hat's.
 """
 
 from __future__ import annotations
@@ -220,8 +220,6 @@ def _zblock(w):
 
 
 PSI_H5 = np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-_HAT_PERM = np.eye(DIM)[[1, 0, 3, 2, 4, 5]]  # swap 1<->2, 3<->4; its own inverse
-_HAT_PERM.setflags(write=False)
 
 
 def _sign_bits(*values):
@@ -554,19 +552,6 @@ class _AutTheorem:
     sample: Callable  # rng -> parameters in the identity component
 
 
-def _in_h9_basis(hat):
-    """The h9 theorem: the h9hat one with every matrix conjugated by the hat
-    permutation (the theorem form lives in the hat basis)."""
-    p = _HAT_PERM
-    return _AutTheorem(
-        construct=lambda params: p @ hat.construct(params) @ p,
-        component=lambda m: hat.component(p @ m @ p),
-        defect=lambda m: hat.defect(p @ m @ p),
-        representatives=lambda: [p @ m @ p for m in hat.representatives()],
-        sample=hat.sample,
-    )
-
-
 _THEOREMS = {
     "h6": _AutTheorem(_construct_h6, _component_h6, _defect_h6, _reps_h6, _sample_h6),
     "h4": _AutTheorem(_construct_h4, _component_h4, _defect_h4, _reps_h4, _sample_h4),
@@ -575,7 +560,6 @@ _THEOREMS = {
     "h9hat": _AutTheorem(_construct_h9hat, _component_h9hat, _defect_h9hat, _reps_h9hat,
                          _sample_h9hat),
 }
-_THEOREMS["h9"] = _in_h9_basis(_THEOREMS["h9hat"])
 
 
 def _theorem(alg):

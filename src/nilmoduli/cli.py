@@ -516,7 +516,8 @@ def build_parser():
         return sub.add_parser(name, parents=[common], **kw)
 
     p = add_parser("describe", help="brackets, step, Der dimension, components")
-    p.add_argument("algebra", help="builtin id (h2,h4,h5,h6,h9,h9hat) or Salamon string")
+    p.add_argument("algebra", help="builtin id (h2,h4,h5,h6,h9hat; h9 names h9hat) "
+                   "or Salamon string")
     p.set_defaults(func=cmd_describe)
 
     p = add_parser("canonicalize", help="canonical form + witness for a metric")

@@ -38,7 +38,7 @@ from .algebra import (
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
 from .linalg import cholesky_lower, max_norm
-from .moduli import H9Form, Metric, _hat_algebra, _require_same_basis, realize
+from .moduli import H9Form, Metric, _require_same_basis, realize
 
 SPHERE_TOL = 1e-12
 NIJENHUIS_TOL = 1e-9
@@ -892,9 +892,8 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, seed=20210607):
     + 1, or the best residual over all starts.  Verdicts, residuals and J
     do not depend on the queue.
 
-    For h9 the metric is read in the hat basis, as everywhere in the
-    package, so the search runs on h9hat's bracket and a J found is an
-    h9hat structure (in the hat basis).
+    ``h9`` names h9hat, so for h9 the search runs on h9hat's bracket and a
+    J found is an h9hat structure.
     """
     if budget < 1:
         raise InvalidParams(f"search budget must be at least 1 start, got {budget}")
@@ -902,7 +901,6 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, seed=20210607):
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
     _require_same_basis(metric.algebra, alg)
-    alg = _hat_algebra(alg)
     g = metric.matrix
     g_chol = cholesky_lower(g)
     l_inv_t = np.linalg.inv(g_chol).T

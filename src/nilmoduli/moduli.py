@@ -291,30 +291,17 @@ def _form_type_of(form):
     return ft
 
 
-def _hat_label(label):
-    """The label whose basis the canonical forms use: h9 -> h9hat, others unchanged."""
-    ft = _FORM_TYPES.get(label)
-    return label if ft is None else ft.form.algebra
-
-
-def _hat_algebra(alg):
-    """The algebra whose bracket acts in the basis metrics are read in:
-    h9 -> h9hat, any other algebra (custom ones included) unchanged."""
-    alg = get_algebra(alg)
-    return alg if _hat_label(alg.label) == alg.label else get_algebra(_hat_label(alg.label))
-
-
 def _require_same_basis(a, b):
-    """AlgebraMismatch unless a and b (tags or algebras) name one algebra in
-    the basis metrics are read in: h9 and h9hat count as one, since both read
-    metrics in the hat basis, and a Salamon string counts as the algebra it
-    parses to (equal structure constants).  The one rule by which an
-    algebra argument and a metric's, form's or automorphism's tag agree."""
+    """AlgebraMismatch unless a and b (tags or algebras) name one algebra: the
+    same label, or equal structure constants, so h9 (a name for h9hat) and
+    h9hat count as one, and a Salamon string as the algebra it parses to.
+    The one rule by which an algebra argument and a metric's, form's or
+    automorphism's tag agree."""
     label_a, label_b = (x.label if isinstance(x, LieAlgebra) else x for x in (a, b))
-    if _hat_label(label_a) == _hat_label(label_b):
+    if label_a == label_b:
         return
     try:
-        same = _hat_algebra(a) == _hat_algebra(b)
+        same = get_algebra(a) == get_algebra(b)
     except ParseError:  # a tag that names no algebra, such as "custom"
         same = False
     if not same:
@@ -918,7 +905,7 @@ _FORM_TYPES = {
     "h2": _FormType(H2Form, _canonicalize_h2, _matrix_h2, _isometry_h2),
     "h9hat": _FormType(H9Form, _canonicalize_h9, _matrix_h9, _isometry_h9),
 }
-_FORM_TYPES["h9"] = _FORM_TYPES["h9hat"]  # alias: the forms of h9 live in the hat basis
+_FORM_TYPES["h9"] = _FORM_TYPES["h9hat"]  # a form tagged "h9" is accepted as input
 FORM_TYPES = {label: ft.form for label, ft in _FORM_TYPES.items()}
 
 
@@ -987,7 +974,7 @@ def verify_isometry_group(alg, form, desc):
     skew-symmetric derivations; (ii) the finite part closes with the
     expected order; (iii) the continuous dimension matches the isotropy
     algebra's null-space dimension."""
-    alg = _hat_algebra(alg)
+    alg = get_algebra(alg)
     g_c = realize(form).matrix
     scale = max(1.0, max_norm(g_c))
     checks = []

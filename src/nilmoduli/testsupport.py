@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import get_algebra
 from .moduli import H2Form, H4Form, H5Form, H6Form, H9Form
 
 SPD2_FLOOR = 0.3  # random_spd2 adds this multiple of I, bounding its eigenvalues below
@@ -23,8 +24,9 @@ def random_canonical_form(name, rng, boundary=None):
     """A random form in the canonical slice of an algebra.
 
     ``boundary`` options: h5: "r1", "sr", "sr1", "F0"; h6: "ab";
-    h4: "r1", "b0"; h2: "a0", "ab", "F0", "EG"; h9: "zeros".
+    h4: "r1", "b0"; h2: "a0", "ab", "F0", "EG"; h9hat: "zeros".
     """
+    name = get_algebra(name).label
     if name == "h6":
         a, b = np.sort(rng.uniform(0.2, 3.0, 2))
         if boundary == "ab":
@@ -74,7 +76,7 @@ def random_canonical_form(name, rng, boundary=None):
         fmax = 0.95 * np.sqrt(e_val * g_val)
         f_val = float(np.clip(f_val, -fmax, fmax))
         return H2Form(float(a), float(b), float(e_val), f_val, float(g_val))
-    if name in ("h9", "h9hat"):
+    if name == "h9hat":
         big = rng.uniform(0.3, 2.0, 3)
         def_ = rng.uniform(0.05, 1.5, 3)
         if boundary == "zeros":

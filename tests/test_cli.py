@@ -103,6 +103,9 @@ def test_canonicalize_input_file(tmp_path, capsys):
         *[(("--metric", json.dumps({"algebra": "h6", "matrix": np.eye(6).tolist()}),
             "--tol", tol), "tol must be finite and > 0", False)
           for tol in ("nan", "inf", "0", "-1")],
+        (("--metric", json.dumps({"algebra": "h7", "matrix": np.eye(6).tolist()})),
+         "parse error: unknown algebra 'h7': give a builtin id (h2, h4, h5, h6, h9, h9hat)",
+         False),
     ],
 )
 def test_canonicalize_input_errors_exit_2(capsys, argv, needle, names_schema):
@@ -206,7 +209,7 @@ def test_hermitian_search_none(capsys):
 
 
 def test_hermitian_search_h9_label(capsys):
-    # --algebra h9 searches on realize(form), an h9hat-tagged metric
+    # --algebra h9 names h9hat, whose basis realize(form) is in
     code, out, _ = run_cli(
         capsys, "hermitian", "--algebra", "h9",
         "--form", '{"A":1.0,"B":1.0,"C":1.0,"D":0.0,"E":0.0,"F":0.0}',

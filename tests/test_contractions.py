@@ -77,12 +77,15 @@ def ref_change_of_basis(b, p):
 
 def _algebras():
     rng = np.random.default_rng(2024)
-    algs = [al.builtin(name) for name in al.BUILTIN_IDS]
+    # "h9" names h9hat; the paper's h9 string gives the e-basis algebra, a
+    # second 3-step tensor
+    h9 = al.parse_salamon(al.BUILTIN_SALAMON["h9"])
+    algs = [al.builtin(name) for name in al.BUILTIN_IDS] + [h9]
     algs.append(al.parse_salamon("(0,0,12,13,14+23,34+52)"))
     # dense structure constants
-    for name in ("h5", "h9", "h2"):
+    for alg in (al.builtin("h5"), h9, al.builtin("h2")):
         p = np.eye(6) + 0.4 * rng.normal(size=(6, 6))
-        algs.append(al.change_of_basis(al.builtin(name), p))
+        algs.append(al.change_of_basis(alg, p))
     return algs
 
 

@@ -746,7 +746,7 @@ def test_search_rejects_metric_of_another_algebra():
     g = mo.Metric("h6", np.diag([1, 1, 1, 1, 2, 3.0]))
     with pytest.raises(AlgebraMismatch):
         hm.hermitian_search("h5", g, budget=1)
-    # h9 and h9hat read metrics in the same basis
+    # h9 is a name for h9hat
     assert hm.hermitian_search("h9", mo.realize(mo.H9Form(1, 1, 1, 0, 0, 0)), budget=1).found
 
 
@@ -760,7 +760,7 @@ def test_search_reads_a_salamon_tag_as_the_algebra_it_parses_to():
             untagged.found, untagged.starts_used, untagged.residual)
         assert np.array_equal(tagged.J.matrix, untagged.J.matrix)
     # another custom algebra, another built-in, and h9's Salamon string
-    # (whose basis is not the hat basis h9 metrics are read in) still mismatch
+    # (in the e-basis, so not h9hat) still mismatch
     for alg, tag in (("(0,0,0,0,12,34)", s), ("h5", s), ("h9", al.BUILTIN_SALAMON["h9"])):
         with pytest.raises(AlgebraMismatch):
             hm.hermitian_search(alg, mo.Metric(tag, g), budget=1)

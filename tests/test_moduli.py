@@ -255,6 +255,24 @@ def test_orbit_invariance_boundaries(name, boundary):
         assert max_norm(recovered.param_vector() - form.param_vector()) <= 1e-7
 
 
+@pytest.mark.parametrize("label", al.BUILTIN_IDS)
+def test_every_label_canonicalizes_its_own_orbits(label):
+    # a label's automorphisms act in the basis its metrics are read in, so a
+    # metric pulled back by one of them canonicalizes to the form it came from
+    rng = np.random.default_rng(16)
+    forms = [random_canonical_form(label, rng, boundary=boundary)
+             for boundary in ISOTROPY_BOUNDARIES[al.get_algebra(label).label]
+             for _ in range(3)]
+    if isinstance(forms[0], mo.H9Form):
+        forms.append(mo.H9Form(1.2, 0.8, 1.5, 0.3, 0.7, 0.4))
+    for form in forms:
+        for seed in range(6):
+            g = mo.pullback_metric(mo.realize(form), au.random_automorphism(label, seed))
+            recovered, _ = mo.canonicalize(label, g)
+            err = max_norm(recovered.param_vector() - form.param_vector())
+            assert err <= 1e-7, (form, seed, err)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e4, 3.7e5])
 def test_h5_orbit_near_s_equals_r(scale):
     # relative gap 1e-7 between r and s: the reduction's Takagi step factors
@@ -336,7 +354,7 @@ def test_canonicalize_generic_spd():
 
 
 def test_canonicalize_h9_via_e_basis_label():
-    # "h9" metrics are interpreted in the hat basis, same as "h9hat"
+    # "h9" is a name for h9hat
     rng = np.random.default_rng(15)
     form = random_canonical_form("h9hat", rng)
     f1, _ = mo.canonicalize("h9", mo.realize(form))
