@@ -1,12 +1,15 @@
 """Canonicalization of inner products to unique moduli representatives,
 with automorphism witnesses, and isometry-group classification.
 
-Canonical shapes (working bases; hat basis for h9):
+Canonical shapes (working bases; hat basis for h9).  For h5, h6, h4 and h2
+the shape is the form class's ``cells`` map, parameter -> (i, j): realize()
+writes each parameter into its cell and the mirror (j, i) of the identity,
+and canonicalize() reads its result back from the same cells.
 
-  h5:  diag(1, r, 1, s) + [[E,F],[F,G]],  0 < s <= r <= 1, F >= 0
-  h6:  diag(1, 1, 1, 1, a, b),            0 < a <= b
-  h4:  diag(1, 1, 1, r) + [[a,b],[b,c]],  0 < r <= 1, b >= 0
-  h2:  eq-coupled 4x4 (a, b) + [[E,F],[F,G]], 0 <= a <= b < 1
+  h5:  H5Form.cells (r, s on the diagonal, [[E,F],[F,G]]),  0 < s <= r <= 1, F >= 0
+  h6:  H6Form.cells (a, b on the diagonal),                 0 < a <= b
+  h4:  H4Form.cells (r on the diagonal, [[a,b],[b,c]]),     0 < r <= 1, b >= 0
+  h2:  H2Form.cells (a, b coupling the factors, [[E,F],[F,G]]), 0 <= a <= b < 1
   h9:  the Gram matrix of the triangular slice (A,B,C,D,E,F), A,B,C > 0
 
 Where the source material's slice is not actually a slice of the full
@@ -28,7 +31,8 @@ Each form class lists its case boundaries as ``strata`` (stratum,
 parameter, its value on the stratum, unit; see the README for the list).
 A form lies on a stratum when |parameter - value| <= EQ_RTOL * unit, a test
 that rescaling the metric leaves unchanged: canonicalize() snaps onto every
-stratum it lies on, and isometry_group() and the Hermitian tables branch on it.
+stratum it lies on, isometry_group() returns the descriptor of the one case
+row whose strata match, and the Hermitian tables branch on it.
 """
 
 from __future__ import annotations
@@ -147,6 +151,18 @@ class _FormBase:
     algebra = "custom"
     # the case boundaries: (stratum, parameter, its value on the stratum, unit)
     strata = ()
+    # parameter -> (i, j): the cell of the canonical metric that holds it, and
+    # its mirror (j, i); the other entries are the identity's.  None for h9.
+    cells = None
+
+    def validate(self):
+        """The form itself, when every parameter is finite and in its range:
+        InvalidForm names the first that is not."""
+        for name in _layout(type(self))[0]:
+            if not math.isfinite(value := getattr(self, name)):
+                raise InvalidForm(f"{self.algebra} parameter {name} must be finite, got {value!r}")
+        self._check_ranges()
+        return self
 
     def params(self):
         return {name: getattr(self, name) for name in _layout(type(self))[0]}
@@ -190,13 +206,13 @@ class H5Form(_FormBase):
     algebra = "h5"
     strata = (("r1", "r", 1.0, 1.0), ("sr", "s", "r", "r"),
               ("F0", "F", 0.0, ("E", "G")), ("EG", "G", "E", ("E", "G")))
+    cells = {"r": (1, 1), "s": (3, 3), "E": (4, 4), "F": (4, 5), "G": (5, 5)}
 
-    def validate(self):
+    def _check_ranges(self):
         _check(0.0 < self.s <= self.r * (1 + SNAP), "h5 requires 0 < s <= r")
         _check(self.r <= 1.0 + SNAP, "h5 requires r <= 1")
         _check(self.F >= -SNAP, "h5 requires F >= 0")
         _check(self.E * self.G - self.F ** 2 > 0.0, "h5 requires EG - F^2 > 0")
-        return self
 
 
 @dataclass(frozen=True)
@@ -205,10 +221,10 @@ class H6Form(_FormBase):
     b: float
     algebra = "h6"
     strata = (("ab", "b", "a", "b"),)
+    cells = {"a": (4, 4), "b": (5, 5)}
 
-    def validate(self):
+    def _check_ranges(self):
         _check(0.0 < self.a <= self.b * (1 + SNAP), "h6 requires 0 < a <= b")
-        return self
 
 
 @dataclass(frozen=True)
@@ -219,13 +235,13 @@ class H4Form(_FormBase):
     c: float
     algebra = "h4"
     strata = (("r1", "r", 1.0, 1.0), ("b0", "b", 0.0, ("a", "c")))
+    cells = {"r": (3, 3), "a": (4, 4), "b": (4, 5), "c": (5, 5)}
 
-    def validate(self):
+    def _check_ranges(self):
         _check(0.0 < self.r <= 1.0 + SNAP, "h4 requires 0 < r <= 1")
         _check(self.a >= 0.0 and self.c >= 0.0, "h4 requires a, c >= 0")
         _check(self.b >= -SNAP, "h4 requires b >= 0")
         _check(self.a * self.c - self.b ** 2 > 0.0, "h4 requires ac - b^2 > 0")
-        return self
 
 
 @dataclass(frozen=True)
@@ -238,15 +254,15 @@ class H2Form(_FormBase):
     algebra = "h2"
     strata = (("a0", "a", 0.0, 1.0), ("ab", "a", "b", 1.0),
               ("F0", "F", 0.0, ("E", "G")), ("EG", "G", "E", ("E", "G")))
+    cells = {"a": (0, 2), "b": (1, 3), "E": (4, 4), "F": (4, 5), "G": (5, 5)}
 
-    def validate(self):
+    def _check_ranges(self):
         _check(-SNAP <= self.a <= self.b * (1 + SNAP), "h2 requires 0 <= a <= b")
         _check(self.b < 1.0, "h2 requires b < 1")
         _check(self.E > 0.0 and self.G > 0.0, "h2 requires E, G > 0")
         # the sign of F is an orbit invariant when a > 0, so both signs
         # are admissible here (the source normal form overstates F >= 0)
         _check(self.E * self.G - self.F ** 2 > 0.0, "h2 requires EG - F^2 > 0")
-        return self
 
 
 @dataclass(frozen=True)
@@ -260,9 +276,8 @@ class H9Form(_FormBase):
     algebra = "h9hat"
     strata = (("D0", "D", 0.0, "A"), ("E0", "E", 0.0, 1.0), ("F0", "F", 0.0, "B"))
 
-    def validate(self):
+    def _check_ranges(self):
         _check(self.A > 0.0 and self.B > 0.0 and self.C > 0.0, "h9 requires A, B, C > 0")
-        return self
 
 
 def form_from_dict(data):
@@ -309,41 +324,22 @@ def _require_same_basis(a, b):
 
 
 def realize(form):
-    """Exact metric matrix of a canonical form (see module docstring)."""
+    """Exact metric matrix of a canonical form: the identity with each of the
+    form's ``cells`` and its mirror set to its parameter (h9: the Gram matrix
+    of its slice)."""
     form.validate()
-    return Metric(form.algebra, _form_type_of(form).matrix(form))
-
-
-def _matrix_h5(form):
+    _form_type_of(form)  # InvalidForm for a class that is no built-in's form
+    if form.cells is None:
+        return Metric(form.algebra, _matrix_h9(form))
     g = np.eye(DIM)
-    g[1, 1] = form.r
-    g[3, 3] = form.s
-    g[4, 4], g[5, 5] = form.E, form.G
-    g[4, 5] = g[5, 4] = form.F
-    return g
+    for name, (i, j) in form.cells.items():
+        g[i, j] = g[j, i] = getattr(form, name)
+    return Metric(form.algebra, g)
 
 
-def _matrix_h6(form):
-    g = np.eye(DIM)
-    g[4, 4], g[5, 5] = form.a, form.b
-    return g
-
-
-def _matrix_h4(form):
-    g = np.eye(DIM)
-    g[3, 3] = form.r
-    g[4, 4], g[5, 5] = form.a, form.c
-    g[4, 5] = g[5, 4] = form.b
-    return g
-
-
-def _matrix_h2(form):
-    g = np.eye(DIM)
-    g[0, 2] = g[2, 0] = form.a
-    g[1, 3] = g[3, 1] = form.b
-    g[4, 4], g[5, 5] = form.E, form.G
-    g[4, 5] = g[5, 4] = form.F
-    return g
+def _read_cells(form_class, g):
+    """The form whose cells hold g's entries: realize's inverse."""
+    return form_class(**{name: float(g[i, j]) for name, (i, j) in form_class.cells.items()})
 
 
 def _matrix_h9(form):
@@ -390,8 +386,8 @@ class _Reduction:
 
 
 def _finish(red, form, g_input):
-    form = form.snapped().validate()
-    g_c = realize(form).matrix
+    form = form.snapped()
+    g_c = realize(form).matrix  # validates the snapped form
     wit_matrix = np.linalg.inv(red.phi)
     residual = max_norm(wit_matrix.T @ g_c @ wit_matrix - g_input)
     bound = certificate_bound(g_input, red.tol)
@@ -453,7 +449,7 @@ def _canonicalize_h6(g, tol):
     )
     (_l1, _l2), rot = sym_eig2(red.g[4:6, 4:6])
     red.apply(H6Params(At=tuple(map(tuple, rot))))
-    return _finish(red, H6Form(a=float(red.g[4, 4]), b=float(red.g[5, 5])), g)
+    return _finish(red, _read_cells(H6Form, red.g), g)
 
 
 def _canonicalize_h4(g, tol):
@@ -479,14 +475,7 @@ def _canonicalize_h4(g, tol):
     )
     if red.g[4, 5] < 0.0:
         red.apply(H4Params(x=-1.0))
-    form = H4Form(r=float(red.g[3, 3]), a=float(red.g[4, 4]), b=float(red.g[4, 5]),
-                  c=float(red.g[5, 5]))
-    return _finish(red, form, g)
-
-
-def _h2_form(g):
-    return H2Form(a=float(g[0, 2]), b=float(g[1, 3]),
-                  E=float(g[4, 4]), F=float(g[4, 5]), G=float(g[5, 5]))
+    return _finish(red, _read_cells(H4Form, red.g), g)
 
 
 def _canonicalize_h2(g, tol):
@@ -502,10 +491,10 @@ def _canonicalize_h2(g, tol):
     red.apply(H2Params(A=tuple(map(tuple, u)), B=tuple(map(tuple, v))))
     if red.g[4, 4] > red.g[5, 5]:
         red.apply(H2Params(swap=True))
-    form = _h2_form(red.g)
+    form = _read_cells(H2Form, red.g)
     if "a0" in form.on_strata() and form.F < 0.0:
         red.apply(H2Params(A=((-1.0, 0.0), (0.0, 1.0))))  # reflect the first factor
-        form = _h2_form(red.g)
+        form = _read_cells(H2Form, red.g)
     return _finish(red, form, g)
 
 
@@ -535,11 +524,6 @@ def _h5_move(ac, m=None, psi=False):
     )
 
 
-def _h5_form(g):
-    return H5Form(r=float(g[1, 1]), s=float(g[3, 3]),
-                  E=float(g[4, 4]), F=float(g[4, 5]), G=float(g[5, 5]))
-
-
 def _canonicalize_h5(g, tol):
     red = _Reduction("h5", g, tol)
     _kill_commutator_coupling(red, lambda m: _h5_move(np.eye(2), m=m))
@@ -551,14 +535,14 @@ def _canonicalize_h5(g, tol):
     w = np.conj(u)
     t = np.diag([1.0 / math.sqrt(1.0 + s1), 1.0 / math.sqrt(1.0 + s2)])
     red.apply(_h5_move(a1 @ w @ t))
-    if "r1" in _h5_form(red.g).on_strata():
+    if "r1" in _read_cells(H5Form, red.g).on_strata():
         # isotropy at r = 1 rotates the commutator block: diagonalize it
         (_l1, _l2), rot = sym_eig2(red.g[4:6, 4:6])
         theta = math.atan2(rot[1, 0], rot[0, 0])
         red.apply(_h5_move(np.diag([np.exp(1j * theta), 1.0])))
     if red.g[4, 5] < 0.0:
         red.apply(_h5_move(np.eye(2), psi=True))
-    return _finish(red, _h5_form(red.g), g)
+    return _finish(red, _read_cells(H5Form, red.g), g)
 
 
 def _canonicalize_h9(g, tol):
@@ -663,14 +647,9 @@ def _blockdiag6(*blocks):
 
 def _descriptor(name, dim, gens, basis, count, notes=""):
     """``gens`` are tagged Automorphisms and ``basis`` a (k, 6, 6) array,
-    both the read-only constants of a case table."""
+    both read-only constants."""
     order = float(count) if dim == 0 else INFINITE
     return GroupDescriptor(name, dim, order, tuple(gens), basis, count, notes)
-
-
-# The constants of the case tables: each algebra's generators, as
-# Automorphisms with their component tag, and its isotropy bases, as (k, 6, 6)
-# arrays.  Built on first use, once per process; every array is read-only.
 
 
 def _read_only(a):
@@ -691,173 +670,161 @@ def _basis(*mats):
 _NO_BASIS = _basis()
 
 
-def _su2_basis_h5():
+# The case tables of h5, h6, h4 and h2: one row per case of the
+# classification, built on first use, once per process.  A row's generators
+# are Automorphisms with their component tag and its isotropy basis a
+# (k, 6, 6) array, all read-only and shared by the rows that name them.
+
+
+@dataclass(frozen=True, eq=False)
+class _CaseRow:
+    """A form is in the case when it lies on every stratum of ``on`` and on
+    none of ``off``; the other strata may go either way."""
+
+    on: frozenset
+    off: frozenset
+    case: str  # the label `nilmoduli tables` prints
+    example: _FormBase  # a form of the case, whose group `tables` prints
+    descriptor: GroupDescriptor
+
+
+def _row(on, off, case, example, *group):
+    """A case row from space-separated strata names and _descriptor's arguments."""
+    return _CaseRow(frozenset(on.split()), frozenset(off.split()), case, example,
+                    _descriptor(*group))
+
+
+@functools.cache
+def _cases_h5():
+    k_z1 = _tagged("h5", np.diag([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0]))
+    k_z4 = _tagged("h5", np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]))
+    psi = _tagged("h5", auts.PSI_H5)
     # su(2) inside gl2(C), realified, with trivial action on the commutator
-    gens_c = (
+    su2 = [_blockdiag6(auts.realify_complex2(x), np.zeros((2, 2))) for x in (
         np.array([[1j, 0.0], [0.0, -1j]]),
         np.array([[0.0, 1.0], [-1.0, 0.0]]),
         np.array([[0.0, 1j], [1j, 0.0]]),
-    )
-    return [_blockdiag6(auts.realify_complex2(x), np.zeros((2, 2))) for x in gens_c]
-
-
-def _u2_extra_h5():
-    # the trace part i*I, whose determinant derivative rotates (e5, e6)
-    x = np.array([[1j, 0.0], [0.0, 1j]])
-    return _blockdiag6(auts.realify_complex2(x), 2.0 * _J2)
-
-
-@functools.cache
-def _table_h5():
+    )]
+    # u(2) adds the trace part i*I, whose determinant derivative rotates (e5, e6)
+    u2 = _basis(*su2, _blockdiag6(auts.realify_complex2(np.array([[1j, 0.0], [0.0, 1j]])),
+                                  2.0 * _J2))
+    su2 = _basis(*su2)
+    rot_first = _basis(_blockdiag6(_J2, np.zeros((2, 2)), _J2))  # z1 in so(2), Delta follows
     rot_real = np.zeros((DIM, DIM))
     rot_real[0, 2] = rot_real[1, 3] = 1.0
     rot_real[2, 0] = rot_real[3, 1] = -1.0  # real rotation inside GL2(R) < GL2(C)
-    return SimpleNamespace(
-        k_z1=_tagged("h5", np.diag([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0])),
-        k_z4=_tagged("h5", np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])),
-        psi=_tagged("h5", auts.PSI_H5),
-        su2=_basis(*_su2_basis_h5()),
-        u2=_basis(*_su2_basis_h5(), _u2_extra_h5()),
-        rot_first=_basis(_blockdiag6(_J2, np.zeros((2, 2)), _J2)),  # z1 in so(2), Delta follows
-        rot_real=_basis(rot_real),
+    rot_real = _basis(rot_real)
+    return (
+        _row("", "r1 sr F0", "0<s<r<1, F!=0", H5Form(0.5, 0.3, 1.0, 0.1, 2.0),
+             "Z2 x Z2", 0, [k_z1, k_z4], _NO_BASIS, 4, "row 1"),
+        _row("F0", "r1 sr", "0<s<r<1, F=0", H5Form(0.5, 0.3, 1.0, 0.0, 2.0),
+             "Z2 x Z2 x Z2", 0, [k_z1, k_z4, psi], _NO_BASIS, 8, "row 2"),
+        _row("r1", "sr F0", "0<s<r=1, F!=0", H5Form(1.0, 0.3, 1.0, 0.1, 2.0),
+             "Z2 x Z2", 0, [k_z1, k_z4], _NO_BASIS, 4, "row 3"),
+        _row("r1 F0", "sr EG", "0<s<r=1, F=0, G!=E", H5Form(1.0, 0.3, 1.0, 0.0, 2.0),
+             "Z2 x Z2 x Z2", 0, [k_z1, k_z4, psi], _NO_BASIS, 8, "row 4"),
+        _row("r1 F0 EG", "sr", "0<s<r=1, F=0, G=E", H5Form(1.0, 0.3, 1.5, 0.0, 1.5),
+             "O(2)", 1, [psi], rot_first, 2,
+             "row 5: SO(2) acts through z1 with Delta = z1; reflection psi. "
+             "diag(1,1,-1,-1,-1,-1) is a further isometric automorphism outside this O(2)."),
+        _row("sr", "r1 F0", "0<s=r<1, F!=0", H5Form(0.6, 0.6, 1.0, 0.1, 2.0),
+             "O(2)", 1, [k_z4], rot_real, 2,
+             "row 6: O(2) = GL2(R) cap O(4), reflection diag(1,1,-1,-1,-1,-1)"),
+        _row("sr F0", "r1", "0<s=r<1, F=0", H5Form(0.6, 0.6, 1.0, 0.0, 2.0),
+             "O(2) x Z2", 1, [k_z4, psi], rot_real, 4, "row 7"),
+        _row("sr r1", "F0", "s=r=1, F!=0", H5Form(1.0, 1.0, 1.0, 0.1, 2.0),
+             "SU(2) : Z2", 3, [k_z4], su2, 2,
+             "row 8: det_C = -1 component via diag(1,1,-1,-1,-1,-1)"),
+        _row("sr r1 F0", "EG", "s=r=1, F=0, G!=E", H5Form(1.0, 1.0, 1.0, 0.0, 2.0),
+             "(SU(2) : Z2) : Z2", 3, [k_z4, psi], su2, 4, "row 9"),
+        _row("sr r1 F0 EG", "", "s=r=1, F=0, G=E", H5Form(1.0, 1.0, 1.5, 0.0, 1.5),
+             "U(2) : Z2", 4, [psi], u2, 2, "row 10"),
     )
 
 
 @functools.cache
-def _table_h6():
-    return SimpleNamespace(
-        f2=_tagged("h6", np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0])),
-        f3=_tagged("h6", np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])),
-        f5=_tagged("h6", np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])),
-        rot=_basis(_blockdiag6(np.zeros((1, 1)), _J2, np.zeros((1, 1)), _J2)),
+def _cases_h6():
+    f2 = _tagged("h6", np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0]))
+    f3 = _tagged("h6", np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0]))
+    f5 = _tagged("h6", np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0]))
+    rot = _basis(_blockdiag6(np.zeros((1, 1)), _J2, np.zeros((1, 1)), _J2))
+    return (
+        _row("ab", "", "a=b", H6Form(2.0, 2.0),
+             "O(2) x Z2 x Z2", 1, [f3, f2, f5], rot, 8, "a = b"),
+        _row("", "ab", "a!=b", H6Form(2.0, 3.0),
+             "Z2 x Z2 x Z2", 0, [f3, f2, f5], _NO_BASIS, 8,
+             "a != b; stated group of the classification (per-axis sign flips such as "
+             "diag(1,-1,1,1,-1,1) are further isometric automorphisms)"),
     )
 
 
 @functools.cache
-def _table_h4():
+def _cases_h4():
+    refl = _tagged("h4", np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0]))  # A = diag(1,-1), x = 1
+    neg = _tagged("h4", np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0]))  # A = -I, x = 1
+    xflip = _tagged("h4", np.diag([1.0, 1.0, -1.0, -1.0, 1.0, -1.0]))  # A = I, x = -1
     so2 = np.zeros((DIM, DIM))
     so2[0, 1], so2[1, 0] = 1.0, -1.0
     so2[2, 3], so2[3, 2] = -1.0, 1.0  # derivation: d12 = 1, d21 = -1 pattern
-    return SimpleNamespace(
-        refl=_tagged("h4", np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])),  # A = diag(1,-1), x = 1
-        neg=_tagged("h4", np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0])),  # A = -I, x = 1
-        xflip=_tagged("h4", np.diag([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])),  # A = I, x = -1
-        so2=_basis(so2),
+    so2 = _basis(so2)
+    stated = "stated group (diag(1,-1,1,-1,-1,-1) is a further isometric automorphism)"
+    return (
+        _row("r1 b0", "", "r=1, b=0", H4Form(1.0, 1.2, 0.0, 0.7),
+             "O(2) : Z2", 1, [refl, xflip], so2, 4, "r = 1, b = 0"),
+        _row("r1", "b0", "r=1, b!=0", H4Form(1.0, 1.2, 0.3, 0.7),
+             "O(2)", 1, [refl], so2, 2, "r = 1, b != 0"),
+        _row("b0", "r1", "r!=1, b=0", H4Form(0.5, 1.2, 0.0, 0.7),
+             "Z2 x Z2", 0, [neg, xflip], _NO_BASIS, 4, f"r != 1, b = 0; {stated}"),
+        _row("", "r1 b0", "r!=1, b!=0", H4Form(0.5, 1.2, 0.3, 0.7),
+             "Z2", 0, [neg], _NO_BASIS, 2, f"r != 1, b != 0; {stated}"),
     )
 
 
 @functools.cache
-def _table_h2():
-    phi1 = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
-    phi2 = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+def _cases_h2():
+    phi1 = _tagged("h2", np.diag([-1.0, 1.0, 1.0, 1.0, -1.0, 1.0]))
+    phi2 = _tagged("h2", np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0]))
+    phi3 = auts.component_representatives("h2")[4]  # the factor swap, already tagged
+    # A = B = diag(-1,1), which is also phi1 phi2
+    sg1 = _tagged("h2", np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0]))
+    sg2 = _tagged("h2", np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0]))  # A = B = diag(1,-1)
     so2_first = _blockdiag6(_J2, np.zeros((2, 2)), np.zeros((2, 2)))
     so2_second = _blockdiag6(np.zeros((2, 2)), _J2, np.zeros((2, 2)))
-    return SimpleNamespace(
-        phi1=_tagged("h2", phi1),
-        phi2=_tagged("h2", phi2),
-        phi12=_tagged("h2", phi1 @ phi2),
-        phi3=auts.component_representatives("h2")[4],  # the factor swap, already tagged
-        sg1=_tagged("h2", np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0])),  # A = B = diag(-1,1)
-        sg2=_tagged("h2", np.diag([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])),  # A = B = diag(1,-1)
-        both=_basis(so2_first, so2_second),
-        diag=_basis(so2_first + so2_second),
+    both, diag = _basis(so2_first, so2_second), _basis(so2_first + so2_second)
+    return (
+        _row("a0 ab F0 EG", "", "a=b=0, F=0, E=G", H2Form(0.0, 0.0, 1.5, 0.0, 1.5),
+             "(O(2) x O(2)) : Z2", 2, [phi1, phi2, phi3], both, 8, "a = b = 0, F = 0, E = G"),
+        _row("a0 ab F0", "EG", "a=b=0, F=0, E!=G", H2Form(0.0, 0.0, 1.0, 0.0, 2.0),
+             "O(2) x O(2)", 2, [phi1, phi2], both, 4, "a = b = 0, F = 0, E != G"),
+        _row("a0 ab EG", "F0", "a=b=0, F!=0, E=G", H2Form(0.0, 0.0, 1.5, 0.4, 1.5),
+             "S(O(2) x O(2)) : Z2", 2, [sg1, phi3], both, 4, "a = b = 0, F != 0, E = G"),
+        _row("a0 ab", "F0 EG", "a=b=0, F!=0, E!=G", H2Form(0.0, 0.0, 1.0, 0.4, 2.0),
+             "S(O(2) x O(2))", 2, [sg1], both, 2, "a = b = 0, F != 0, E != G"),
+        _row("ab EG", "a0", "a=b!=0, E=G", H2Form(0.4, 0.4, 1.5, 0.2, 1.5),
+             "diag(O(2) x O(2)) : Z2", 1, [sg1, phi3], diag, 4, "a = b != 0, E = G"),
+        _row("ab", "a0 EG", "a=b!=0, E!=G", H2Form(0.4, 0.4, 1.0, 0.2, 2.0),
+             "diag(O(2) x O(2))", 1, [sg1], diag, 2, "a = b != 0, E != G"),
+        _row("EG", "ab", "0<=a<b, E=G", H2Form(0.2, 0.6, 1.5, 0.3, 1.5),
+             "D4", 0, [sg1, sg2, phi3], _NO_BASIS, 8, "a < b, E = G"),
+        _row("", "ab EG", "0<=a<b, E!=G", H2Form(0.2, 0.6, 1.0, 0.3, 2.0),
+             "Z2 x Z2", 0, [sg1, sg2], _NO_BASIS, 4, "a < b, E != G"),
     )
 
 
 def isometry_group(alg, form):
-    """GroupDescriptor for the isotropy of a canonical metric, by the case
-    tables of the classification.  ``alg`` and the form's tag must name one
-    algebra (``_require_same_basis``).  The descriptor's generators and
-    isotropy basis are read-only constants shared by every call."""
+    """GroupDescriptor for the isotropy of a canonical metric.  ``alg`` and
+    the form's tag must name one algebra (``_require_same_basis``).  For h5,
+    h6, h4 and h2 it is the descriptor of the case row that matches the
+    form's strata, built once per row; h9's group is the sign flips that fix
+    the form.  Generators and isotropy bases are read-only constants."""
     ft = _form_type_of(form)
     _require_same_basis(form.algebra, alg)
     form.validate()
-    return ft.isometry(form)
-
-
-def _isometry_h5(form):
-    t = _table_h5()
+    if ft.cases is None:
+        return _isometry_h9(form)
     on = form.on_strata()
-    f0, ge, r1, sr = "F0" in on, "EG" in on, "r1" in on, "sr" in on
-    if sr and r1:
-        if not f0:
-            return _descriptor("SU(2) : Z2", 3, [t.k_z4], t.su2, 2,
-                               "row 8: det_C = -1 component via diag(1,1,-1,-1,-1,-1)")
-        if not ge:
-            return _descriptor("(SU(2) : Z2) : Z2", 3, [t.k_z4, t.psi], t.su2, 4, "row 9")
-        return _descriptor("U(2) : Z2", 4, [t.psi], t.u2, 2, "row 10")
-    if sr:  # s = r < 1
-        if not f0:
-            return _descriptor("O(2)", 1, [t.k_z4], t.rot_real, 2,
-                               "row 6: O(2) = GL2(R) cap O(4), reflection diag(1,1,-1,-1,-1,-1)")
-        return _descriptor("O(2) x Z2", 1, [t.k_z4, t.psi], t.rot_real, 4, "row 7")
-    if r1:  # s < r = 1
-        if not f0:
-            return _descriptor("Z2 x Z2", 0, [t.k_z1, t.k_z4], _NO_BASIS, 4, "row 3")
-        if not ge:
-            return _descriptor("Z2 x Z2 x Z2", 0, [t.k_z1, t.k_z4, t.psi], _NO_BASIS, 8, "row 4")
-        return _descriptor("O(2)", 1, [t.psi], t.rot_first, 2,
-                           "row 5: SO(2) acts through z1 with Delta = z1; reflection psi. "
-                           "diag(1,1,-1,-1,-1,-1) is a further isometric automorphism "
-                           "outside this O(2).")
-    if not f0:
-        return _descriptor("Z2 x Z2", 0, [t.k_z1, t.k_z4], _NO_BASIS, 4, "row 1")
-    return _descriptor("Z2 x Z2 x Z2", 0, [t.k_z1, t.k_z4, t.psi], _NO_BASIS, 8, "row 2")
-
-
-def _isometry_h6(form):
-    t = _table_h6()
-    if "ab" in form.on_strata():
-        return _descriptor("O(2) x Z2 x Z2", 1, [t.f3, t.f2, t.f5], t.rot, 8, "a = b")
-    return _descriptor(
-        "Z2 x Z2 x Z2", 0, [t.f3, t.f2, t.f5], _NO_BASIS, 8,
-        "a != b; stated group of the classification (per-axis sign flips such as "
-        "diag(1,-1,1,1,-1,1) are further isometric automorphisms)")
-
-
-def _isometry_h4(form):
-    t = _table_h4()
-    on = form.on_strata()
-    r1, b0 = "r1" in on, "b0" in on
-    if r1 and b0:
-        return _descriptor("O(2) : Z2", 1, [t.refl, t.xflip], t.so2, 4, "r = 1, b = 0")
-    if r1:
-        return _descriptor("O(2)", 1, [t.refl], t.so2, 2, "r = 1, b != 0")
-    if b0:
-        return _descriptor(
-            "Z2 x Z2", 0, [t.neg, t.xflip], _NO_BASIS, 4,
-            "r != 1, b = 0; stated group (diag(1,-1,1,-1,-1,-1) is a further "
-            "isometric automorphism)")
-    return _descriptor(
-        "Z2", 0, [t.neg], _NO_BASIS, 2,
-        "r != 1, b != 0; stated group (diag(1,-1,1,-1,-1,-1) is a further "
-        "isometric automorphism)")
-
-
-def _isometry_h2(form):
-    t = _table_h2()
-    on = form.on_strata()
-    a0, ab, f0, ge = "a0" in on, "ab" in on, "F0" in on, "EG" in on
-    if a0 and ab:  # a = b = 0
-        if f0 and ge:
-            return _descriptor("(O(2) x O(2)) : Z2", 2, [t.phi1, t.phi2, t.phi3], t.both, 8,
-                               "a = b = 0, F = 0, E = G")
-        if f0:
-            return _descriptor("O(2) x O(2)", 2, [t.phi1, t.phi2], t.both, 4,
-                               "a = b = 0, F = 0, E != G")
-        if ge:
-            return _descriptor("S(O(2) x O(2)) : Z2", 2, [t.phi12, t.phi3], t.both, 4,
-                               "a = b = 0, F != 0, E = G")
-        return _descriptor("S(O(2) x O(2))", 2, [t.phi12], t.both, 2,
-                           "a = b = 0, F != 0, E != G")
-    if ab:  # a = b != 0
-        if ge:
-            return _descriptor("diag(O(2) x O(2)) : Z2", 1, [t.sg1, t.phi3], t.diag, 4,
-                               "a = b != 0, E = G")
-        return _descriptor("diag(O(2) x O(2))", 1, [t.sg1], t.diag, 2, "a = b != 0, E != G")
-    if ge:
-        return _descriptor("D4", 0, [t.sg1, t.sg2, t.phi3], _NO_BASIS, 8, "a < b, E = G")
-    return _descriptor("Z2 x Z2", 0, [t.sg1, t.sg2], _NO_BASIS, 4, "a < b, E != G")
+    return next(row.descriptor for row in ft.cases()
+                if row.on <= on and not row.off & on)
 
 
 @functools.cache
@@ -894,16 +861,15 @@ class _FormType:
 
     form: type  # the form class
     canonicalize: Callable  # (g, tol) -> (form, witness)
-    matrix: Callable  # form -> canonical metric matrix
-    isometry: Callable  # form -> GroupDescriptor, by the case table
+    cases: Callable | None  # () -> the case rows; None for h9, whose group is computed
 
 
 _FORM_TYPES = {
-    "h5": _FormType(H5Form, _canonicalize_h5, _matrix_h5, _isometry_h5),
-    "h6": _FormType(H6Form, _canonicalize_h6, _matrix_h6, _isometry_h6),
-    "h4": _FormType(H4Form, _canonicalize_h4, _matrix_h4, _isometry_h4),
-    "h2": _FormType(H2Form, _canonicalize_h2, _matrix_h2, _isometry_h2),
-    "h9hat": _FormType(H9Form, _canonicalize_h9, _matrix_h9, _isometry_h9),
+    "h5": _FormType(H5Form, _canonicalize_h5, _cases_h5),
+    "h6": _FormType(H6Form, _canonicalize_h6, _cases_h6),
+    "h4": _FormType(H4Form, _canonicalize_h4, _cases_h4),
+    "h2": _FormType(H2Form, _canonicalize_h2, _cases_h2),
+    "h9hat": _FormType(H9Form, _canonicalize_h9, None),
 }
 _FORM_TYPES["h9"] = _FORM_TYPES["h9hat"]  # a form tagged "h9" is accepted as input
 FORM_TYPES = {label: ft.form for label, ft in _FORM_TYPES.items()}

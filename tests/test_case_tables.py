@@ -2,6 +2,7 @@
 derivation systems, the stored J^2 + I residual and the per-form checks that
 every `tables` entry pays once."""
 
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -14,8 +15,10 @@ import nilmoduli.moduli as mo
 from nilmoduli.errors import InvalidForm, InvalidTriple, NotSPD
 from nilmoduli.linalg import EPS, cholesky_lower, max_norm, symmetrize
 
-TABLES = [("h5", mo._table_h5), ("h6", mo._table_h6), ("h4", mo._table_h4),
-          ("h2", mo._table_h2), ("h9hat", mo._table_h9)]
+# the case rows of h5, h6, h4 and h2 (with their form class) and h9's sign flips
+CASE_ROWS = [("h5", mo.H5Form, mo._cases_h5), ("h6", mo.H6Form, mo._cases_h6),
+             ("h4", mo.H4Form, mo._cases_h4), ("h2", mo.H2Form, mo._cases_h2)]
+TABLES = [(label, cases) for label, _form_class, cases in CASE_ROWS] + [("h9hat", mo._table_h9)]
 
 # one form per row of the five case tables (the rows of `nilmoduli tables`)
 CASE_FORMS = [
@@ -39,9 +42,14 @@ CASE_FORMS = [
 
 
 def _constants(table):
-    """(Automorphisms, arrays) held by a case table."""
+    """(Automorphisms, arrays) held by a case table: its rows' generators and
+    isotropy bases, or h9's sign flips and their stack."""
+    built = table()
+    if isinstance(built, tuple):
+        descs = [row.descriptor for row in built]
+        return [g for d in descs for g in d.generators], [d.isotropy_basis for d in descs]
     auts, arrays = [], []
-    for value in vars(table()).values():
+    for value in vars(built).values():
         for item in value if isinstance(value, tuple) else (value,):
             (auts if isinstance(item, au.Automorphism) else arrays).append(item)
     return auts, arrays
@@ -70,6 +78,48 @@ def test_case_table_constants_are_built_once_and_read_only(label, table):
         _assert_read_only(a)
     for a in arrays:
         assert a.ndim == 3 and a.shape[1:] == (6, 6)
+    # a constant that several rows name is one object
+    first = {}
+    for item, key in [(a, a.matrix.tobytes()) for a in auts] + [(a, (a.shape, a.tobytes()))
+                                                                 for a in arrays]:
+        assert first.setdefault(key, item) is item
+
+
+def _strata_subsets(form_class):
+    names = [name for name, *_test in form_class.strata]
+    return [set(sub) for k in range(len(names) + 1) for sub in itertools.combinations(names, k)]
+
+
+def _reporting(example, on):
+    """The example form, reporting ``on`` as the strata it lies on."""
+    return type("Reporting", (type(example),), {"on_strata": lambda self: set(on)})(
+        **example.params())
+
+
+@pytest.mark.parametrize("label, form_class, cases", CASE_ROWS, ids=[t[0] for t in CASE_ROWS])
+def test_every_strata_subset_matches_exactly_one_row(label, form_class, cases):
+    rows = cases()
+    names = {name for name, *_test in form_class.strata}
+    for row in rows:
+        assert row.on | row.off <= names and not row.on & row.off
+    subsets = _strata_subsets(form_class)
+    assert len(subsets) == {"h5": 16, "h6": 2, "h4": 4, "h2": 16}[label]
+    for on in subsets:
+        matching = [row for row in rows if row.on <= on and not row.off & on]
+        assert len(matching) == 1, on
+        form = _reporting(matching[0].example, on)
+        assert mo.isometry_group(label, form) is matching[0].descriptor
+
+
+@pytest.mark.parametrize("label, form_class, cases", CASE_ROWS, ids=[t[0] for t in CASE_ROWS])
+def test_each_row_example_lies_in_its_case(label, form_class, cases):
+    for row in cases():
+        assert type(row.example) is form_class
+        on = row.example.on_strata()
+        assert row.on <= on and not row.off & on
+        assert mo.isometry_group(label, row.example) is row.descriptor
+        # the one reader of the cells inverts their one writer
+        assert mo._read_cells(form_class, mo.realize(row.example).matrix) == row.example
 
 
 @pytest.mark.parametrize("label, form", CASE_FORMS)
@@ -164,20 +214,22 @@ def test_builtin_derivation_system_is_built_once_and_read_only(label):
 
 
 # (form, the exception isometry_group raises and its message): the snapped
-# matrix of a valid h9 form can fail Metric's tests
+# matrix of a valid h9 form can fail Metric's tests, and a form with a
+# non-finite parameter is not valid
 H9_DEGENERATE = [
     (mo.H9Form(1e-9, 1.0, 1.0, 0.0, 0.0, 0.0),
      NotSPD, "pivot 1.000e-18 at index 2 below threshold 1.332e-15"),
     (mo.H9Form(1.0, 1.0, 1e-9, 0.0, 0.0, 0.0),
      NotSPD, "pivot 1.000e-18 at index 5 below threshold 1.332e-15"),
     (mo.H9Form(np.inf, 1.0, 1.0, 0.0, 0.0, 0.0),
-     InvalidForm, "metric matrix has non-finite entries (NaN or inf)"),
+     InvalidForm, "h9hat parameter A must be finite, got inf"),
 ]
 
 
 @pytest.mark.parametrize("form, exc_type, message", H9_DEGENERATE)
 def test_h9_isometry_group_refuses_a_snapped_matrix_that_is_not_spd(form, exc_type, message):
-    form.validate()
+    if exc_type is NotSPD:
+        form.validate()
     with pytest.raises(exc_type) as info:
         mo.isometry_group("h9hat", form)
     assert type(info.value) is exc_type and str(info.value) == message

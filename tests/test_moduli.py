@@ -60,12 +60,23 @@ def test_realize_h9_gram_entries():
         (mo.H2Form(0.5, 0.2, 1, 0, 1), "a <= b"),
         (mo.H2Form(0.2, 1.1, 1, 0, 1), "b < 1"),
         (mo.H9Form(0.0, 1, 1, 0, 0, 0), "A, B, C > 0"),
+        # a non-finite parameter is named before any range test can pass it
+        (mo.H6Form(2.0, math.inf), "h6 parameter b must be finite, got inf"),
+        (mo.H6Form(math.nan, 2.0), "h6 parameter a must be finite, got nan"),
+        (mo.H5Form(0.5, 0.3, math.inf, 0.1, 2.0), "h5 parameter E must be finite, got inf"),
+        (mo.H4Form(0.5, math.inf, 0.3, 0.7), "h4 parameter a must be finite, got inf"),
+        (mo.H2Form(0.2, 0.6, 1.0, -math.inf, 2.0), "h2 parameter F must be finite, got -inf"),
+        (mo.H9Form(1.0, 1.0, 1.0, 0.0, math.nan, 0.0),
+         "h9hat parameter E must be finite, got nan"),
     ],
 )
 def test_realize_range_violations(form, msg):
     with pytest.raises(InvalidForm, match=None) as err:
         mo.realize(form)
-    assert msg.split()[0] in str(err.value)
+    assert msg in str(err.value)
+    with pytest.raises(InvalidForm) as again:
+        mo.isometry_group(form.algebra, form)
+    assert str(again.value) == str(err.value)
 
 
 def test_form_json_round_trip():

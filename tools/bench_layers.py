@@ -13,7 +13,7 @@ the per-call time over the runs.  The items are
     (an h5 orbit metric): the checks every metric pays;
   * ``moduli.canonicalize`` on one orbit metric per algebra, each of a form
     on a case boundary (so the stratum snaps run), and
-    ``moduli.isometry_group`` on one case row;
+    ``moduli.isometry_group`` and ``moduli.realize`` on one case row's form;
   * the warm ``describe``, ``isometry``, ``hermitian``, ``canonicalize``
     and ``tables`` commands, each a ``cli.main(argv)`` call in this process.
 
@@ -113,6 +113,7 @@ def _items():
     return [(f"moduli.canonicalize.{name}", functools.partial(mo.canonicalize, name, metric), 200)
             for name, metric in orbit.items()] + [
         ("moduli.isometry_group", lambda: mo.isometry_group("h5", row), 200),
+        ("moduli.realize", lambda: mo.realize(row), 500),
         ("moduli.Metric", lambda: mo.Metric("h5", orbit["h5"]), 500),
         ("linalg.cholesky_lower", lambda: la.cholesky_lower(orbit["h5"]), 500),
         ("kernel.nijenhuis_tensor", lambda: al.nijenhuis_tensor(h5, j), 200),
