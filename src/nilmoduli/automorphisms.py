@@ -17,16 +17,26 @@ Shapes (in each algebra's working basis; blocks act on (e1..e4) | (e5, e6)):
        (a33 = a11^2, a53 = -a11 a21, a55 = a11 a22,
        a65 = a22 a31 - a21 a32 - a11 a52, a66 = a11^2 a22).
 
-Each algebra's theorem is one ``_AutTheorem`` record in ``_THEOREMS``: the
-structured constructor, the component tag (the discrete sign invariants
-above), the theorem-form defect, one representative per component and the
-identity-component sampler.  ``h9`` is a name for h9hat, so its record is
-h9hat's.
+Each algebra's theorem is one ``_AutTheorem`` record in ``_THEOREMS``:
+
+  construct        theorem-form parameters -> matrix; raises DegenerateParams
+                   when a nondegeneracy condition (r, s != 0, det At != 0, ...)
+                   fails
+  read             matrix -> the parameters held in its free entries
+  component        matrix -> component tag (the discrete sign invariants above)
+  representatives  () -> one matrix per component
+  sample           rng -> parameters in the identity component
+
+The theorem-form defect of m is max|m - construct(read(m))|, and inf when
+the parameters read off m are degenerate; so each zero and each dependent
+entry of a shape above is written once, in its constructor.  ``h9`` is a
+name for h9hat, so its record is h9hat's.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -279,16 +289,9 @@ def _component_h6(m):
     return _sign_bits(r, s, det_at)
 
 
-def _defect_h6(m):
-    d = [
-        m[0, 1:6],
-        m[1, 3:6],
-        m[2, 3:6],
-        m[3, 4:6],
-        [m[4, 4] - m[0, 0] * m[1, 1], m[4, 5] - m[0, 0] * m[1, 2]],
-        [m[5, 4] - m[0, 0] * m[2, 1], m[5, 5] - m[0, 0] * m[2, 2]],
-    ]
-    return max(max_norm(np.asarray(x)) for x in d)
+def _read_h6(m):
+    return H6Params(r=m[0, 0], s=m[3, 3], z=m[3, 0], x=m[1:3, 0], y=m[3, 1:3],
+                    At=m[1:3, 1:3], M=m[4:, :4])
 
 
 def _reps_h6():
@@ -327,29 +330,18 @@ def _construct_h4(p: H4Params):
     return m6
 
 
+def _h4_det_x(m):
+    """(det A, x) of an h4 matrix, x read off its entry x det A (nan if det A = 0)."""
+    det_a = np.linalg.det(m[:2, :2])
+    return det_a, (m[5, 5] / det_a if det_a else math.nan)
+
+
 def _component_h4(m):
-    det_a, x_det = np.linalg.det(m[:2, :2]), m[5, 5]
-    x = x_det / det_a
-    return _sign_bits(det_a, x)
+    return _sign_bits(*_h4_det_x(m))
 
 
-def _defect_h4(m):
-    a = m[:2, :2]
-    b = m[2:4, :2]
-    c = m[2:4, 2:4]
-    det = np.linalg.det(a)
-    zeros = max(max_norm(m[:2, 2:6]), max_norm(m[2:4, 4:6]), abs(m[4, 5]))
-    # C must be proportional to sigma(A); fit x by least squares
-    sig = sigma_involution(a)
-    denom = float(np.sum(sig * sig))
-    x = float(np.sum(c * sig)) / denom if denom > 0 else 0.0
-    deps = max(
-        max_norm(c - x * sig),
-        abs(m[4, 4] - det),
-        abs(m[5, 4] - h4_pairing(a, b)),
-        abs(m[5, 5] - x * det),
-    )
-    return max(zeros, deps)
+def _read_h4(m):
+    return H4Params(A=m[:2, :2], B=m[2:4, :2], x=_h4_det_x(m)[1], M=m[4:, :4])
 
 
 def _reps_h4():
@@ -388,19 +380,11 @@ def _component_h5(m):
     return 0 if commute <= anti else 1
 
 
-def _defect_h5(m):
-    zeros = max_norm(m[:4, 4:6])
-    mm = PSI_H5 @ m if _component_h5(m) == 1 else m
-    a4 = mm[:4, :4]
-    j0 = _PAIRING_J[:4, :4]
-    complex_defect = max_norm(a4 @ j0 - j0 @ a4)
-    z1 = complex(a4[0, 0], a4[1, 0])
-    z3 = complex(a4[2, 0], a4[3, 0])
-    z2 = complex(a4[0, 2], a4[1, 2])
-    z4 = complex(a4[2, 2], a4[3, 2])
-    det = z1 * z4 - z2 * z3
-    delta_defect = max_norm(mm[4:, 4:] - _zblock(det))
-    return max(zeros, complex_defect, delta_defect)
+def _read_h5(m):
+    psi = _component_h5(m) == 1
+    mm = PSI_H5 @ m if psi else m
+    z = mm[0:4:2, 0:4:2] + 1j * mm[1:4:2, 0:4:2]  # z_ij from column 2j of the real form
+    return H5Params(z1=z[0, 0], z2=z[0, 1], z3=z[1, 0], z4=z[1, 1], M=mm[4:, :4], psi=psi)
 
 
 def _reps_h5():
@@ -443,26 +427,21 @@ def _construct_h2(p: H2Params):
     return m6
 
 
+def _h2_blocks(m):
+    """(swap, A, B) of an h2 matrix; swap when it exchanges the two heis factors."""
+    if max_norm(m[:2, 2:4]) > max_norm(m[:2, :2]):
+        return True, m[:2, 2:4], m[2:4, :2]
+    return False, m[:2, :2], m[2:4, 2:4]
+
+
 def _component_h2(m):
-    swap = max_norm(m[:2, 2:4]) > max_norm(m[:2, :2])
-    if swap:
-        da, db = np.linalg.det(m[:2, 2:4]), np.linalg.det(m[2:4, :2])
-    else:
-        da, db = np.linalg.det(m[:2, :2]), np.linalg.det(m[2:4, 2:4])
-    return _sign_bits(1.0 if not swap else -1.0, da, db)
+    swap, a, b = _h2_blocks(m)
+    return _sign_bits(-1.0 if swap else 1.0, np.linalg.det(a), np.linalg.det(b))
 
 
-def _defect_h2(m):
-    swap = max_norm(m[:2, 2:4]) > max_norm(m[:2, :2])
-    if not swap:
-        a, b = m[:2, :2], m[2:4, 2:4]
-        zeros = max(max_norm(m[:2, 2:4]), max_norm(m[2:4, :2]))
-        delta = np.diag([np.linalg.det(a), np.linalg.det(b)])
-    else:
-        a, b = m[:2, 2:4], m[2:4, :2]
-        zeros = max(max_norm(m[:2, :2]), max_norm(m[2:4, 2:4]))
-        delta = np.array([[0.0, np.linalg.det(a)], [np.linalg.det(b), 0.0]])
-    return max(zeros, max_norm(m[:4, 4:6]), max_norm(m[4:, 4:] - delta))
+def _read_h2(m):
+    swap, a, b = _h2_blocks(m)
+    return H2Params(A=a, B=b, M1=m[4:, :2], M2=m[4:, 2:4], swap=swap)
 
 
 def _reps_h2():
@@ -506,18 +485,13 @@ def _component_h9hat(m):
     return _sign_bits(m[0, 0], m[1, 1], m[3, 3])
 
 
-def _defect_h9hat(m):
-    upper = max(abs(m[i, j]) for i in range(DIM) for j in range(DIM) if j > i)
-    zeros = max(upper, abs(m[4, 3]))
-    a11, a22 = m[0, 0], m[1, 1]
-    deps = max(
-        abs(m[2, 2] - a11 ** 2),
-        abs(m[4, 2] + a11 * m[1, 0]),
-        abs(m[4, 4] - a11 * a22),
-        abs(m[5, 4] - (a22 * m[2, 0] - m[1, 0] * m[2, 1] - a11 * m[4, 1])),
-        abs(m[5, 5] - a11 ** 2 * a22),
+def _read_h9hat(m):
+    return H9Params(
+        a11=m[0, 0], a22=m[1, 1], a44=m[3, 3], a21=m[1, 0],
+        a31=m[2, 0], a32=m[2, 1], a41=m[3, 0], a42=m[3, 1], a43=m[3, 2],
+        a51=m[4, 0], a52=m[4, 1], a61=m[5, 0], a62=m[5, 1],
+        a63=m[5, 2], a64=m[5, 3],
     )
-    return max(zeros, deps)
 
 
 def _reps_h9hat():
@@ -546,18 +520,18 @@ class _AutTheorem:
     """The automorphism theorem of one built-in algebra, in its working basis."""
 
     construct: Callable  # theorem-form parameters -> matrix
+    read: Callable  # matrix -> the theorem-form parameters in its free entries
     component: Callable  # matrix -> component tag
-    defect: Callable  # matrix -> deviation from the theorem form
     representatives: Callable  # () -> one matrix per component
     sample: Callable  # rng -> parameters in the identity component
 
 
 _THEOREMS = {
-    "h6": _AutTheorem(_construct_h6, _component_h6, _defect_h6, _reps_h6, _sample_h6),
-    "h4": _AutTheorem(_construct_h4, _component_h4, _defect_h4, _reps_h4, _sample_h4),
-    "h5": _AutTheorem(_construct_h5, _component_h5, _defect_h5, _reps_h5, _sample_h5),
-    "h2": _AutTheorem(_construct_h2, _component_h2, _defect_h2, _reps_h2, _sample_h2),
-    "h9hat": _AutTheorem(_construct_h9hat, _component_h9hat, _defect_h9hat, _reps_h9hat,
+    "h6": _AutTheorem(_construct_h6, _read_h6, _component_h6, _reps_h6, _sample_h6),
+    "h4": _AutTheorem(_construct_h4, _read_h4, _component_h4, _reps_h4, _sample_h4),
+    "h5": _AutTheorem(_construct_h5, _read_h5, _component_h5, _reps_h5, _sample_h5),
+    "h2": _AutTheorem(_construct_h2, _read_h2, _component_h2, _reps_h2, _sample_h2),
+    "h9hat": _AutTheorem(_construct_h9hat, _read_h9hat, _component_h9hat, _reps_h9hat,
                          _sample_h9hat),
 }
 
@@ -583,17 +557,22 @@ def component_label(alg, m):
 
 
 def matches_theorem_form(alg, m, tol=DEFAULT_TOL):
-    """True iff m fits the zero pattern and dependent entries of the
-    algebra's automorphism theorem (tolerance scaled by max|m|)."""
-    alg = get_algebra(alg)
+    """True iff m fits the zero pattern, dependent entries and nondegeneracy
+    conditions of the algebra's automorphism theorem (tolerance scaled by
+    max|m|^2)."""
     m = np.asarray(m, dtype=float)
     scale = max(1.0, max_norm(m) ** 2)
-    defect = theorem_form_defect(alg, m)
-    return bool(defect <= tol * scale)
+    return bool(theorem_form_defect(alg, m) <= tol * scale)
 
 
 def theorem_form_defect(alg, m):
-    return _theorem(alg)[1].defect(np.asarray(m, dtype=float))
+    """max|m - construct(read(m))|, inf when read(m) is degenerate."""
+    theorem = _theorem(alg)[1]
+    m = np.asarray(m, dtype=float)
+    try:
+        return max_norm(m - theorem.construct(theorem.read(m)))
+    except DegenerateParams:
+        return math.inf
 
 
 def component_representatives(alg):

@@ -480,45 +480,36 @@ def h9_sigma_family(which, **params):
     """Special Hermitian families (Sigma1, Sigma2, Sigma3) on h9.
 
     Returns (Metric, Automorphism phi, J = phi J0 phi^{-1}); the pair
-    (metric, J) is verified Hermitian at SIGMA_FAMILY_TOL.
+    (metric, J) is verified Hermitian at SIGMA_FAMILY_TOL.  Each family is
+    G' (``h9_gprime_metric``) at fixed parameters:
 
       sigma1(A > 0, E):        a63 = A E / sqrt(E^2 + 1)
       sigma2(A > 0, F):        a43 = -F
       sigma3(a11, a44 > 0, A): C = a44 / a11^3
     """
-    j0 = h9_J0().matrix
-    phi = np.eye(DIM)
     if which == "sigma1":
         big_a, big_e = params["A"], params["E"]
         if big_a <= 0.0:
             raise InvalidParams("sigma1 requires A > 0")
-        w = math.sqrt(big_e ** 2 + 1.0)
-        form = H9Form(A=big_a, B=big_a * w, C=w, D=0.0, E=big_e, F=0.0)
-        phi[5, 2] = big_a * big_e / w
+        gprime = (1.0, 0.0, 1.0, big_a * big_e / math.sqrt(big_e ** 2 + 1.0), big_a)
     elif which == "sigma2":
         big_a, big_f = params["A"], params["F"]
         if big_a <= 0.0:
             raise InvalidParams("sigma2 requires A > 0")
-        form = H9Form(A=big_a, B=big_a, C=1.0, D=0.0, E=0.0, F=big_f)
-        phi[3, 2] = -big_f
+        gprime = (1.0, -big_f, 1.0, 0.0, big_a)
     elif which == "sigma3":
         a11, a44 = params["a11"], params["a44"]
         big_a = params.get("A", 1.0)
         if a11 <= 0.0 or a44 <= 0.0 or big_a <= 0.0:
             raise InvalidParams("sigma3 requires a11, a44, A > 0")
-        cval = a44 / a11 ** 3
-        form = H9Form(A=big_a, B=big_a, C=cval, D=0.0, E=0.0, F=0.0)
-        phi = np.diag([a11, a11, a11 ** 2, a44, a11 ** 2, a11 ** 3])
+        gprime = (a11, 0.0, a44, 0.0, big_a)
     else:
         raise ValueError(f"unknown family {which!r}")
+    form, phi = h9_gprime_metric(*gprime)
     metric = realize(form)
-    j = phi @ j0 @ np.linalg.inv(phi)
+    j = phi.matrix @ h9_J0().matrix @ np.linalg.inv(phi.matrix)
     _h9_check_pair(metric.matrix, j, tol=SIGMA_FAMILY_TOL)
-    return (
-        metric,
-        Automorphism(phi, "h9hat"),
-        AlmostComplexStructure(j, "h9hat", tol=SIGMA_FAMILY_TOL),
-    )
+    return metric, phi, AlmostComplexStructure(j, "h9hat", tol=SIGMA_FAMILY_TOL)
 
 
 def h9_gprime_metric(a11, a43, a44, a63, A):
@@ -884,7 +875,8 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, seed=20210607):
     in the seed).  Levenberg-Marquardt steps use the exact Jacobian of
     this residual, which is quadratic in J.  Success means a combined
     residual <= tol; failure verdicts report the best residual and never
-    claim nonexistence.  ``budget`` must be at least one start.
+    claim nonexistence.  ``tol`` must be finite and positive, and ``budget``
+    at least one start.
 
     The starts run together in a small work queue (see ``_StartQueue``); each
     start does the arithmetic it would do alone, and the verdict is the
@@ -895,6 +887,8 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, seed=20210607):
     ``h9`` names h9hat, so for h9 the search runs on h9hat's bracket and a
     J found is an h9hat structure.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
     if budget < 1:
         raise InvalidParams(f"search budget must be at least 1 start, got {budget}")
     alg = get_algebra(alg)

@@ -570,7 +570,7 @@ def _canonicalize_h9(g, tol):
         a61=a61, a62=a62, a63=a63, a64=a64,
     )
     inv = np.linalg.inv(structured_automorphism("h9hat", phi).matrix)
-    red.apply(_params_from_h9_matrix(inv))
+    red.apply(auts._THEOREMS["h9hat"].read(inv))
     # sign normalization: components flip (D, E, F) independently
     sd = -1.0 if big_d < 0 else 1.0
     se = -1.0 if big_e < 0 else 1.0
@@ -584,15 +584,6 @@ def _canonicalize_h9(g, tol):
     form = H9Form(A=float(xf[2, 2]), B=float(xf[4, 4]), C=float(xf[5, 5]),
                   D=float(xf[4, 2]), E=float(xf[4, 3]), F=float(xf[5, 4]))
     return _finish(red, form, g)
-
-
-def _params_from_h9_matrix(m):
-    return H9Params(
-        a11=m[0, 0], a22=m[1, 1], a44=m[3, 3], a21=m[1, 0],
-        a31=m[2, 0], a32=m[2, 1], a41=m[3, 0], a42=m[3, 1], a43=m[3, 2],
-        a51=m[4, 0], a52=m[4, 1], a61=m[5, 0], a62=m[5, 1],
-        a63=m[5, 2], a64=m[5, 3],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,70 @@ def test_matches_form_rejects_wrong_pattern():
     assert not au.matches_theorem_form("h6", m)
 
 
+def _with(entries):
+    m = np.eye(6)
+    for (i, j), v in entries.items():
+        m[i, j] = v
+    return m
+
+
+@pytest.mark.parametrize(
+    "name,m",
+    [
+        *[pytest.param(name, np.zeros((6, 6)), id=f"{name}-zero")
+          for name in ("h2", "h4", "h5", "h6", "h9hat")],
+        # det At = 0, with the r At block that goes with it
+        pytest.param("h6", _with({(1, 2): 2.0, (2, 1): 2.0, (2, 2): 4.0,
+                                  (4, 5): 2.0, (5, 4): 2.0, (5, 5): 4.0}), id="h6-det-At"),
+        pytest.param("h4", _with({(2, 2): 0.0, (3, 3): 0.0, (5, 5): 0.0}), id="h4-x"),
+        pytest.param("h9hat", _with({(3, 3): 0.0}), id="h9hat-a44"),
+    ],
+)
+def test_matches_form_rejects_singular(name, m):
+    # the theorem's nondegeneracy conditions are part of its form
+    assert not au.is_automorphism(name, m)
+    assert au.theorem_form_defect(name, m) == np.inf
+    assert not au.matches_theorem_form(name, m)
+
+
+def _cells(rows, cols):
+    return [(i, j) for i in rows for j in cols]
+
+
+# (zeros of the pattern, dependent entries) of each theorem in its working
+# basis, read off the shapes in the automorphisms module docstring
+THEOREM_CELLS = {
+    "h6": (_cells([0], range(1, 6)) + _cells([1, 2], range(3, 6)) + _cells([3], [4, 5]),
+           _cells([4, 5], [4, 5])),  # r At
+    # x sigma(A), det A and (A, B); x itself is read off x det A at (5, 5)
+    "h4": (_cells([0, 1], range(2, 6)) + _cells([2, 3], [4, 5]) + [(4, 5)],
+           _cells([2, 3], [2, 3]) + [(4, 4), (5, 4)]),
+    # the realified A repeats each z_ij in its second column; Z(det_C A)
+    "h5": (_cells(range(4), [4, 5]), _cells(range(4), [1, 3]) + _cells([4, 5], [4, 5])),
+    "h2": (_cells([0, 1], range(2, 6)) + _cells([2, 3], [0, 1, 4, 5]) + [(4, 5), (5, 4)],
+           [(4, 4), (5, 5)]),  # det A, det B
+    "h9hat": ([(i, j) for i in range(6) for j in range(i + 1, 6)] + [(4, 3)],
+              [(2, 2), (4, 2), (4, 4), (5, 4), (5, 5)]),
+}
+# h2's components 4-7 exchange the two heis factors: antidiag(A, B), antidiag(det A, det B)
+H2_SWAP_CELLS = (_cells([0, 1], [0, 1, 4, 5]) + _cells([2, 3], range(2, 6)) + [(4, 4), (5, 5)],
+                 [(4, 5), (5, 4)])
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_CELLS))
+def test_theorem_form_defect_sees_each_constraint(name):
+    delta = 1e-6
+    for component in range(COMPONENT_COUNTS[name]):
+        zeros, dependents = H2_SWAP_CELLS if name == "h2" and component >= 4 else THEOREM_CELLS[name]
+        for seed in range(3):
+            m = au.random_automorphism(name, seed, component=component).matrix
+            assert au.theorem_form_defect(name, m) <= 1e-15 * max(1.0, max_norm(m) ** 2)
+            for i, j in zeros + dependents:
+                bent = m.copy()
+                bent[i, j] += delta
+                assert au.theorem_form_defect(name, bent) >= delta / 2, (component, seed, i, j)
+
+
 # ---------------------------------------------------------------------------
 # component representatives
 

@@ -406,6 +406,44 @@ def test_h9_sigma_families_random():
             assert is_automorphism(h9h, phi.matrix, 1e-10)
 
 
+def _sigma_closed_form(which, p):
+    """Reference: (metric matrix, phi) of a Sigma family written out directly."""
+    phi = np.eye(6)
+    if which == "sigma1":
+        w = np.sqrt(p["E"] ** 2 + 1.0)
+        form = mo.H9Form(A=p["A"], B=p["A"] * w, C=w, D=0.0, E=p["E"], F=0.0)
+        phi[5, 2] = p["A"] * p["E"] / w
+    elif which == "sigma2":
+        form = mo.H9Form(A=p["A"], B=p["A"], C=1.0, D=0.0, E=0.0, F=p["F"])
+        phi[3, 2] = -p["F"]
+    else:
+        a11 = p["a11"]
+        form = mo.H9Form(A=p["A"], B=p["A"], C=p["a44"] / a11 ** 3, D=0.0, E=0.0, F=0.0)
+        phi = np.diag([a11, a11, a11 ** 2, p["a44"], a11 ** 2, a11 ** 3])
+    return mo.realize(form).matrix, phi
+
+
+def test_h9_sigma_families_match_closed_forms():
+    # each Sigma family is G' at fixed parameters: phi and J agree with the
+    # closed form bit for bit, the metric to a few ulp (sigma1's radicand
+    # A^2 - a63^2 = A^2 / (E^2 + 1) cancels, ~10 ulp at |E| = 2)
+    rng = np.random.default_rng(11)
+    j0 = hm.h9_J0().matrix
+    for _ in range(100):
+        for which, p in (
+            ("sigma1", {"A": rng.uniform(0.3, 2), "E": rng.uniform(-2, 2)}),
+            ("sigma2", {"A": rng.uniform(0.3, 2), "F": rng.uniform(-2, 2)}),
+            ("sigma3", {"a11": rng.uniform(0.3, 2), "a44": rng.uniform(0.3, 2),
+                        "A": rng.uniform(0.3, 2)}),
+        ):
+            p = {k: float(v) for k, v in p.items()}
+            metric, phi, j = hm.h9_sigma_family(which, **p)
+            g_ref, phi_ref = _sigma_closed_form(which, p)
+            assert max_norm(metric.matrix - g_ref) <= 16 * np.finfo(float).eps * max_norm(g_ref)
+            assert np.array_equal(phi.matrix, phi_ref)
+            assert np.array_equal(j.matrix, phi_ref @ j0 @ np.linalg.inv(phi_ref))
+
+
 def test_h9_sigma1_entry():
     m, _, _ = hm.h9_sigma_family("sigma1", A=2.0, E=1.0)
     assert m.matrix[3, 4] == pytest.approx(2.0 * np.sqrt(2.0))
@@ -521,6 +559,14 @@ def test_search_rejects_empty_budget():
     for budget in (0, -3):
         with pytest.raises(InvalidParams, match="budget"):
             hm.hermitian_search("h9hat", g, budget=budget)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+def test_search_rejects_tolerance_that_certifies_nothing(tol):
+    # inf certified any start as found; nan and 0 made every verdict "none found"
+    g = mo.Metric("h9hat", np.diag([1, 1, 1, 1, 4, 1.0]))
+    with pytest.raises(InvalidParams, match="tol must be finite and > 0"):
+        hm.hermitian_search("h9hat", g, tol=tol, budget=4)
 
 
 def _kernel_at_random_point(label, seed):
