@@ -77,10 +77,16 @@ class DerivationBasis:
 
 
 def _bracket_defect(alg, m):
-    """max over basis pairs of || M[e_i,e_j] - [Me_i, Me_j] ||_max."""
+    """max over basis pairs of || M[e_i,e_j] - [Me_i, Me_j] ||_max.
+
+    ``m`` is one M, which gives a float, or an (n, 6, 6) stack, which gives
+    one defect per M with the bits of that M's own call."""
     b = alg.bracket_tensor
-    lhs = map_values(m, b).transpose(2, 0, 1)  # M[e_i, e_j]
-    return max_norm(lhs - pullback(b, m))
+    lhs = map_values(m, b).swapaxes(-1, -2).swapaxes(-2, -3)  # M[e_i, e_j]
+    defect = np.abs(lhs - pullback(b, m))
+    if m.ndim == 2:
+        return float(defect.max())
+    return defect.reshape(*m.shape[:-2], b.size).max(axis=-1)
 
 
 def is_automorphism(alg, m, tol=DEFAULT_TOL):
@@ -104,9 +110,14 @@ def _derivation_system(alg):
     A built-in algebra's system is built once per process and is read-only
     (copy it before writing to it).
     """
-    if alg.label in BUILTIN_IDS and alg is builtin(alg.label):
+    if _is_builtin(alg):
         return _builtin_derivation_system(alg.label)
     return _build_derivation_system(alg)
+
+
+def _is_builtin(alg):
+    """True for a built-in algebra's own object, not for a copy with its label."""
+    return alg.label in BUILTIN_IDS and alg is builtin(alg.label)
 
 
 @functools.cache
@@ -130,8 +141,25 @@ def _build_derivation_system(alg):
 
 
 def derivation_algebra(alg, tol=RANK_RTOL):
-    """Orthonormal basis of {D : D[x,y] = [Dx,y] + [x,Dy]} as 36-vectors."""
+    """Orthonormal basis of {D : D[x,y] = [Dx,y] + [x,Dy]} as 36-vectors.
+
+    A built-in algebra's basis at the default tol is built once per process
+    and its matrices are read-only (copy them before writing to them).
+    """
     alg = get_algebra(alg)
+    if tol == RANK_RTOL and _is_builtin(alg):
+        return _builtin_derivation_basis(alg.label)
+    return _derivation_basis(alg, tol)
+
+
+@functools.cache
+def _builtin_derivation_basis(label):
+    basis = _derivation_basis(builtin(label), RANK_RTOL)
+    basis.matrices.setflags(write=False)
+    return basis
+
+
+def _derivation_basis(alg, tol):
     basis = null_space(_derivation_system(alg), tol=tol)
     mats = basis.T.reshape(-1, alg.dim, alg.dim)
     return DerivationBasis(matrices=mats, dimension=mats.shape[0])

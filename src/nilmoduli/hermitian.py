@@ -505,11 +505,11 @@ def h9_sigma_family(which, **params):
         gprime = (a11, 0.0, a44, 0.0, big_a)
     else:
         raise ValueError(f"unknown family {which!r}")
-    form, phi = h9_gprime_metric(*gprime)
+    form, phi, j = _gprime_pair(*gprime)
     metric = realize(form)
-    j = phi.matrix @ h9_J0().matrix @ np.linalg.inv(phi.matrix)
     _h9_check_pair(metric.matrix, j, tol=SIGMA_FAMILY_TOL)
-    return metric, phi, AlmostComplexStructure(j, "h9hat", tol=SIGMA_FAMILY_TOL)
+    return (metric, Automorphism(phi, "h9hat"),
+            AlmostComplexStructure(j, "h9hat", tol=SIGMA_FAMILY_TOL))
 
 
 def h9_gprime_metric(a11, a43, a44, a63, A):
@@ -518,6 +518,13 @@ def h9_gprime_metric(a11, a43, a44, a63, A):
     Returns (H9Form, phi') such that (realize(form), phi' J0 phi'^{-1})
     is a Hermitian pair; requires A^2 a11^10 - a44^2 a63^2 > 0.
     """
+    form, phi, j = _gprime_pair(a11, a43, a44, a63, A)
+    _h9_check_pair(realize(form).matrix, j, tol=GPRIME_FAMILY_TOL)
+    return form, Automorphism(phi, "h9hat")
+
+
+def _gprime_pair(a11, a43, a44, a63, A):
+    """(form, phi', J = phi' J0 phi'^{-1}) of the G' family, unchecked."""
     if a11 <= 0.0 or a44 <= 0.0 or A <= 0.0:
         raise InvalidParams("g' requires a11, a44, A > 0")
     rad = A ** 2 * a11 ** 10 - a44 ** 2 * a63 ** 2
@@ -538,9 +545,7 @@ def h9_gprime_metric(a11, a43, a44, a63, A):
     phi[3, 2], phi[3, 3] = a43, a44
     phi[4, 4] = a11 ** 2
     phi[5, 2], phi[5, 5] = a63, a11 ** 3
-    j = phi @ h9_J0().matrix @ np.linalg.inv(phi)
-    _h9_check_pair(realize(form).matrix, j, tol=GPRIME_FAMILY_TOL)
-    return form, Automorphism(phi, "h9hat")
+    return form, phi, phi @ h9_J0().matrix @ np.linalg.inv(phi)
 
 
 # ---------------------------------------------------------------------------

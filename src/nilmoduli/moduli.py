@@ -885,44 +885,64 @@ class IsometryReport:
 
 
 def isotropy_algebra_dimension(alg, g):
-    """dim {D in Der(alg) : D^T g + g D = 0}, the nullity of the stacked system.
+    """dim {D in Der(alg) : D^T g + g D = 0}, the nullity of D |-> D^T g + g D
+    on Der.
 
-    Row (i, j), column (k, l) of the symmetry block holds the coefficient of
-    D[k, l] in (D^T g + g D)[i, j]; a cell collects at most two terms.
+    Over the derivation algebra's orthonormal basis B_1..B_k the map is the
+    k x 36 matrix with rows B_a^T g + g B_a.  Rescaling g rescales every row
+    alike, which leaves the nullity under the relative cutoff unchanged.
     """
-    alg = get_algebra(alg)
-    n = alg.dim
-    i, j, k = np.indices((n, n, n)).reshape(3, -1)
-    sym = np.zeros((n, n, n, n))
-    sym[i, j, k, i] += g[k, j]  # (D^T g)[i, j]
-    sym[i, j, k, j] += g[i, k]  # (g D)[i, j]
-    system = np.vstack([auts._derivation_system(alg), sym.reshape(n * n, n * n)])
-    return nullity(system)
+    basis = auts.derivation_algebra(alg).matrices
+    g = np.asarray(g, dtype=float)
+    rows = basis.swapaxes(-1, -2) @ g + g @ basis
+    return nullity(rows.reshape(-1, g.size).T)
+
+
+# pairs of 6x6 matrices compared at once: bounds the (block, elements, 36)
+# temporary of the closure's comparisons
+_MATCH_BLOCK = 4096
+
+
+def _matches(prods, elements):
+    """For each product, whether it lies within GROUP_MATCH_TOL of one of the
+    elements (all flattened to 36-vectors); the comparisons run in blocks of
+    about _MATCH_BLOCK pairs."""
+    step = max(1, _MATCH_BLOCK // max(1, len(elements)))
+    return np.concatenate([_close(prods[lo:lo + step, None], elements).any(axis=-1)
+                           for lo in range(0, max(1, len(prods)), step)])
+
+
+def _close(a, b):
+    """max|a - b| <= GROUP_MATCH_TOL over the last axis (False where NaN)."""
+    return (np.abs(a - b) <= GROUP_MATCH_TOL).all(axis=-1)
 
 
 def _generated_group(gen_matrices):
     """Closure of the generated set; None beyond GROUP_ORDER_CAP elements.
 
-    The elements found so far are the first ``count`` rows of ``found``, and
-    each new product is compared with all of them in one array operation."""
-    found = np.empty((GROUP_ORDER_CAP, DIM, DIM))
-    found[0] = np.eye(DIM)
-    count = 1
-    frontier = [found[0]]
-    while frontier:
-        new = []
-        for e in frontier:
-            for gmat in gen_matrices:
-                prod = e @ gmat
-                dist = np.abs(found[:count] - prod).max(axis=(1, 2))
-                if not (dist <= GROUP_MATCH_TOL).any():
-                    if count == GROUP_ORDER_CAP:  # one more than the cap
-                        return None
-                    found[count] = prod
-                    count += 1
-                    new.append(prod)
-        frontier = new
-    return list(found[:count])
+    The closure runs level by level: each level multiplies every element
+    the previous level found by every generator in one stacked product and
+    compares the products with the elements found before it at once.  A
+    remaining product is new unless one found earlier in the same level
+    matches it, so the elements and their order are those of the loop over
+    (element, generator) pairs that compares each product with all
+    elements found so far."""
+    gens = np.asarray(gen_matrices, dtype=float).reshape(-1, DIM, DIM)
+    found = np.empty((GROUP_ORDER_CAP, DIM * DIM))  # the elements, flattened
+    found[0] = np.eye(DIM).reshape(-1)
+    level, count = 0, 1  # the previous level found found[level:count]
+    while level < count:
+        prods = (found[level:count].reshape(-1, 1, DIM, DIM) @ gens).reshape(-1, DIM * DIM)
+        prods = prods[~_matches(prods, found[:count])]
+        level = count
+        for prod in prods:
+            if count > level and _close(prod, found[level:count]).any():
+                continue
+            if count == GROUP_ORDER_CAP:  # one more than the cap
+                return None
+            found[count] = prod
+            count += 1
+    return list(found[:count].reshape(-1, DIM, DIM))
 
 
 def verify_isometry_group(alg, form, desc):
@@ -930,17 +950,16 @@ def verify_isometry_group(alg, form, desc):
     (i) generators preserve bracket and metric, basis elements are
     skew-symmetric derivations; (ii) the finite part closes with the
     expected order; (iii) the continuous dimension matches the isotropy
-    algebra's null-space dimension."""
+    algebra's null-space dimension.  Each check takes all generators, or
+    all basis elements, as one (n, 6, 6) stack."""
     alg = get_algebra(alg)
     g_c = realize(form).matrix
     scale = max(1.0, max_norm(g_c))
     checks = []
 
-    worst_bracket = 0.0
-    worst_metric = 0.0
-    for gen in desc.generators:
-        worst_bracket = max(worst_bracket, auts._bracket_defect(alg, gen.matrix))
-        worst_metric = max(worst_metric, max_norm(gen.matrix.T @ g_c @ gen.matrix - g_c))
+    gens = np.array([gen.matrix for gen in desc.generators]).reshape(-1, DIM, DIM)
+    worst_bracket = max_norm(auts._bracket_defect(alg, gens))
+    worst_metric = max_norm(gens.swapaxes(-1, -2) @ g_c @ gens - g_c)
     ok = worst_bracket <= ISOMETRY_DEFECT_TOL and worst_metric <= ISOMETRY_DEFECT_TOL * scale
     checks.append(
         ("generators_preserve_bracket_and_metric", bool(ok),
@@ -948,19 +967,16 @@ def verify_isometry_group(alg, form, desc):
     )
 
     # a built-in's derivation system is built once per process (read-only)
-    derivation_system = auts._derivation_system(alg)
-    worst_der = 0.0
-    worst_skew = 0.0
-    for d in desc.isotropy_basis:
-        worst_der = max(worst_der, max_norm(derivation_system @ d.reshape(-1)))
-        worst_skew = max(worst_skew, max_norm(d.T @ g_c + g_c @ d))
+    basis = desc.isotropy_basis
+    worst_der = max_norm(basis.reshape(-1, DIM * DIM) @ auts._derivation_system(alg).T)
+    worst_skew = max_norm(basis.swapaxes(-1, -2) @ g_c + g_c @ basis)
     ok = worst_der <= ISOMETRY_DEFECT_TOL and worst_skew <= ISOMETRY_DEFECT_TOL * scale
     checks.append(
         ("isotropy_basis_in_isotropy_algebra", bool(ok),
          f"derivation defect {worst_der:.2e}, symmetry defect {worst_skew:.2e}")
     )
 
-    group = _generated_group([g.matrix for g in desc.generators])
+    group = _generated_group(gens)
     ok = group is not None and len(group) == desc.component_count
     checks.append(
         ("finite_part_closes_with_expected_order", bool(ok),

@@ -1,8 +1,12 @@
 """The isometry case tables' constants, the group closure, the built-in
-derivation systems, the stored J^2 + I residual and the per-form checks that
-every `tables` entry pays once."""
+derivation systems and bases, the isotropy dimension under rescaling, the
+stored J^2 + I residual and the per-form checks that every `tables` entry
+pays once."""
 
+import contextlib
+import io
 import itertools
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 
 import nilmoduli.algebra as al
 import nilmoduli.automorphisms as au
+import nilmoduli.cli as cli
 import nilmoduli.hermitian as hm
 import nilmoduli.moduli as mo
 from nilmoduli.errors import InvalidForm, InvalidTriple, NotSPD
@@ -211,6 +216,89 @@ def test_builtin_derivation_system_is_built_once_and_read_only(label):
     custom = al.LieAlgebra(c=alg.c.copy(), label=label)
     fresh = au._derivation_system(custom)
     assert fresh.flags.writeable and fresh.tobytes() == system.tobytes()
+
+
+def test_generated_group_compares_in_blocks_like_the_pairwise_loop(monkeypatch):
+    # _MATCH_BLOCK 1 and 30 put one product, or a few, in each block, so each
+    # level's comparisons span many blocks
+    theta = 2.0 * np.pi / 12
+    rot = np.eye(6)
+    rot[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    gens = [rot, np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])]  # the dihedral group of order 24
+    expected = _pairwise_group(gens)
+    assert expected is not None and len(expected) == 24
+    for block in (1, 30):
+        monkeypatch.setattr(mo, "_MATCH_BLOCK", block)
+        _assert_same_group(mo._generated_group(gens), expected)
+
+
+@pytest.mark.parametrize("label, form", CASE_FORMS)
+def test_stacked_defects_have_the_bits_of_the_single_calls(label, form):
+    desc = mo.isometry_group(label, form)
+    alg = al.get_algebra(label)
+    gens = np.array([g.matrix for g in desc.generators]).reshape(-1, 6, 6)
+    stacked = au._bracket_defect(alg, gens)
+    assert stacked.shape == (len(gens),)
+    for m, defect in zip(gens, stacked):
+        single = au._bracket_defect(alg, m)
+        assert type(single) is float and single == defect
+    g = mo.realize(form).matrix
+    metric = gens.swapaxes(-1, -2) @ g @ gens - g
+    for m, defect in zip(gens, metric):
+        assert (m.T @ g @ m - g).tobytes() == defect.tobytes()
+    basis = desc.isotropy_basis
+    skew = basis.swapaxes(-1, -2) @ g + g @ basis
+    for d, defect in zip(basis, skew):
+        assert (d.T @ g + g @ d).tobytes() == defect.tobytes()
+    system = au._derivation_system(alg)
+    der = basis.reshape(-1, 36) @ system.T
+    for d, defect in zip(basis, der):
+        assert max_norm(system @ d.reshape(-1)) == max_norm(defect)
+
+
+DER_DIMS = {"h2": 16, "h4": 17, "h5": 16, "h6": 19, "h9": 15, "h9hat": 15}
+
+
+@pytest.mark.parametrize("label", list(DER_DIMS))
+def test_builtin_derivation_basis_is_built_once_and_read_only(label):
+    alg = al.builtin(label)
+    basis = au.derivation_algebra(alg)
+    assert au.derivation_algebra(alg) is basis and au.derivation_algebra(label) is basis
+    _assert_read_only(basis.matrices)
+    assert basis.dimension == len(basis.matrices) == DER_DIMS[label]
+    # an algebra that is not the built-in object, though it has its label, and
+    # a tolerance other than the default get a new, writable basis
+    custom = al.LieAlgebra(c=alg.c.copy(), label=label)
+    for fresh in (au.derivation_algebra(custom), au.derivation_algebra(alg, tol=1e-9)):
+        assert fresh is not basis and fresh.matrices.flags.writeable
+        assert fresh.dimension == basis.dimension
+    assert au.derivation_algebra(custom).matrices.tobytes() == basis.matrices.tobytes()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["describe", label]) == 0
+    assert json.loads(out.getvalue())["outputs"]["derivation_dimension"] == DER_DIMS[label]
+
+
+def _scale_cases():
+    cases = [(label, mo.realize(form).matrix) for label, form in CASE_FORMS]
+    rng = np.random.default_rng(41)
+    for label in ("h2", "h4", "h5", "h6", "h9hat"):
+        for _ in range(10):
+            a = rng.normal(size=(6, 6))
+            cases.append((label, a @ a.T + 0.1 * np.eye(6)))
+    return cases
+
+
+def test_isotropy_dimension_holds_under_rescaling():
+    # 4**k * g is exact in binary and scales every row of the isotropy map
+    # alike; a system that stacks the derivation rows (scale 1) over the
+    # symmetry rows (scale 4**k) loses rank to one block at large |k|
+    dims = set()
+    for label, g in _scale_cases():
+        dim = mo.isotropy_algebra_dimension(label, g)
+        dims.add(dim)
+        for k in range(-20, 21):
+            assert mo.isotropy_algebra_dimension(label, 4.0 ** k * g) == dim, (label, k)
+    assert dims == {0, 1, 2, 3, 4}
 
 
 # (form, the exception isometry_group raises and its message): the snapped

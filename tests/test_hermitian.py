@@ -497,6 +497,21 @@ def test_h9_gprime_degenerate_matches_sigma3():
     assert form.B == pytest.approx(form.A)  # diag(1,1,A^2,1,A^2,C^2) shape
 
 
+@pytest.mark.parametrize("call, tol", [
+    (lambda: hm.h9_sigma_family("sigma1", A=1.3, E=0.7), hm.SIGMA_FAMILY_TOL),
+    (lambda: hm.h9_sigma_family("sigma2", A=1.3, F=0.4), hm.SIGMA_FAMILY_TOL),
+    (lambda: hm.h9_sigma_family("sigma3", a11=1.2, a44=0.8, A=1.1), hm.SIGMA_FAMILY_TOL),
+    (lambda: hm.h9_gprime_metric(1.1, 0.3, 0.9, 0.2, 1.4), hm.GPRIME_FAMILY_TOL),
+], ids=["sigma1", "sigma2", "sigma3", "gprime"])
+def test_h9_families_check_their_pair_once(monkeypatch, call, tol):
+    seen = []
+    check = hm._h9_check_pair
+    monkeypatch.setattr(hm, "_h9_check_pair",
+                        lambda g, j, tol: seen.append(tol) or check(g, j, tol))
+    call()
+    assert seen == [tol]
+
+
 # ---------------------------------------------------------------------------
 # search oracle
 

@@ -7,8 +7,11 @@ the per-call time over the runs.  The items are
   * the contraction kernels: ``nijenhuis_tensor``, ``is_abelian_structure``,
     ``automorphisms._bracket_defect``, ``jacobi_residual``,
     ``nilpotency_step``, ``change_of_basis``;
-  * ``moduli.isotropy_algebra_dimension`` and
+  * ``moduli.isotropy_algebra_dimension``,
+    ``automorphisms.derivation_algebra`` on h5 and
     ``automorphisms.component_representatives`` on h2;
+  * ``moduli.verify_isometry_group`` on the h5 and h9hat "Z2 x Z2 x Z2"
+    rows, and ``moduli._generated_group`` on h9hat's seven sign flips;
   * ``moduli.Metric`` and ``linalg.cholesky_lower`` on one 6x6 SPD matrix
     (an h5 orbit metric): the checks every metric pays;
   * ``moduli.canonicalize`` on one orbit metric per algebra, each of a form
@@ -18,8 +21,9 @@ the per-call time over the runs.  The items are
     and ``tables`` commands, each a ``cli.main(argv)`` call in this process.
 
 Every name used has the same name and signature in the parent checkout;
-``automorphisms._bracket_defect`` is private, and is timed on both sides
-because its name and signature did not change.  So the same script times
+``automorphisms._bracket_defect`` and ``moduli._generated_group`` are
+private, and are timed on both sides because their names and signatures
+did not change.  So the same script times
 either checkout: put its ``src`` first on the path, e.g.
 
     PYTHONPATH=src python3 tools/bench_layers.py --label change
@@ -108,6 +112,10 @@ def _items():
     orbit = {name: mo.pullback_metric(mo.realize(f), au.random_automorphism(name, 0)).matrix
              for name, f in boundary_forms.items()}
     row = mo.H5Form(1.0, 0.3, 1.5, 0.0, 1.5)
+    z2_cubed = {"h5": mo.H5Form(0.5, 0.3, 1.0, 0.0, 2.0),
+                "h9hat": mo.H9Form(1.2, 0.8, 1.5, 0.0, 0.0, 0.0)}
+    z2_cubed = {name: (f, mo.isometry_group(name, f)) for name, f in z2_cubed.items()}
+    flips = [gen.matrix for gen in z2_cubed["h9hat"][1].generators]
     form = json.dumps({"r": 0.6, "s": 0.6, "E": 1.0, "F": 0.1, "G": 2.0})
     metric_json = json.dumps({"algebra": "h5", "matrix": orbit["h5"].tolist()})
     return [(f"moduli.canonicalize.{name}", functools.partial(mo.canonicalize, name, metric), 200)
@@ -123,6 +131,12 @@ def _items():
         ("kernel.nilpotency_step", lambda: al.nilpotency_step(h9), 100),
         ("kernel.change_of_basis", lambda: al.change_of_basis(h5, p), 200),
         ("moduli.isotropy_algebra_dimension", lambda: mo.isotropy_algebra_dimension("h5", g), 50),
+        ("automorphisms.derivation_algebra", lambda: au.derivation_algebra("h5"), 50),
+    ] + [
+        (f"moduli.verify_isometry_group.{name}",
+         functools.partial(mo.verify_isometry_group, name, f, desc), 20)
+        for name, (f, desc) in z2_cubed.items()] + [
+        ("moduli._generated_group", lambda: mo._generated_group(flips), 50),
         ("automorphisms.component_representatives",
          lambda: au.component_representatives("h2"), 200),
         ("cli.describe", command(["describe", "h5"]), 10),
