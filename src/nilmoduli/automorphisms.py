@@ -46,7 +46,7 @@ from .algebra import (
     _PAIRING_J, BUILTIN_IDS, DEFAULT_TOL, DIM, builtin, get_algebra, map_values, pullback,
 )
 from .errors import DegenerateParams, Unsupported
-from .linalg import RANK_RTOL, max_norm, null_space
+from .linalg import RANK_RTOL, det2, max_norm, null_space
 
 # |det| below which a matrix counts as singular: is_automorphism and the
 # nondegeneracy guards of the theorem constructors
@@ -296,7 +296,7 @@ def _construct_h6(p: H6Params):
     at = np.asarray(p.At, dtype=float)
     if p.r == 0.0 or p.s == 0.0:
         raise DegenerateParams("h6 requires r != 0 and s != 0")
-    if abs(np.linalg.det(at)) < DET_FLOOR:
+    if abs(det2(at)) < DET_FLOOR:
         raise DegenerateParams("h6 requires det At != 0")
     a = np.zeros((4, 4))
     a[0, 0] = p.r
@@ -313,7 +313,7 @@ def _construct_h6(p: H6Params):
 
 
 def _component_h6(m):
-    r, s, det_at = m[0, 0], m[3, 3], np.linalg.det(m[1:3, 1:3])
+    r, s, det_at = m[0, 0], m[3, 3], det2(m[1:3, 1:3])
     return _sign_bits(r, s, det_at)
 
 
@@ -342,7 +342,8 @@ def _sample_h6(rng):
 def _construct_h4(p: H4Params):
     a = np.asarray(p.A, dtype=float)
     b = np.asarray(p.B, dtype=float)
-    if abs(np.linalg.det(a)) < DET_FLOOR:
+    det = det2(a)
+    if abs(det) < DET_FLOOR:
         raise DegenerateParams("h4 requires det A != 0")
     if p.x == 0.0:
         raise DegenerateParams("h4 requires x != 0")
@@ -351,7 +352,6 @@ def _construct_h4(p: H4Params):
     m6[2:4, :2] = b
     m6[2:4, 2:4] = p.x * sigma_involution(a)
     m6[4:, :4] = np.asarray(p.M, dtype=float)
-    det = float(np.linalg.det(a))
     m6[4, 4] = det
     m6[5, 4] = h4_pairing(a, b)
     m6[5, 5] = p.x * det
@@ -360,7 +360,7 @@ def _construct_h4(p: H4Params):
 
 def _h4_det_x(m):
     """(det A, x) of an h4 matrix, x read off its entry x det A (nan if det A = 0)."""
-    det_a = np.linalg.det(m[:2, :2])
+    det_a = det2(m[:2, :2])
     return det_a, (m[5, 5] / det_a if det_a else math.nan)
 
 
@@ -388,7 +388,7 @@ def _sample_h4(rng):
 
 def _construct_h5(p: H5Params):
     ac = np.array([[p.z1, p.z2], [p.z3, p.z4]], dtype=complex)
-    det = complex(np.linalg.det(ac))
+    det = det2(ac)
     if abs(det) < DET_FLOOR:
         raise DegenerateParams("h5 requires det_C A != 0")
     m6 = np.zeros((DIM, DIM))
@@ -436,7 +436,7 @@ def _sample_h5(rng):
 def _construct_h2(p: H2Params):
     a = np.asarray(p.A, dtype=float)
     b = np.asarray(p.B, dtype=float)
-    da, db = float(np.linalg.det(a)), float(np.linalg.det(b))
+    da, db = det2(a), det2(b)
     if abs(da) < DET_FLOOR or abs(db) < DET_FLOOR:
         raise DegenerateParams("h2 requires det A != 0 and det B != 0")
     m6 = np.zeros((DIM, DIM))
@@ -464,7 +464,7 @@ def _h2_blocks(m):
 
 def _component_h2(m):
     swap, a, b = _h2_blocks(m)
-    return _sign_bits(-1.0 if swap else 1.0, np.linalg.det(a), np.linalg.det(b))
+    return _sign_bits(-1.0 if swap else 1.0, det2(a), det2(b))
 
 
 def _read_h2(m):

@@ -88,9 +88,22 @@ def _load_form(args):
 # describe
 
 
-def cmd_describe(args):
-    t0 = time.perf_counter()
-    alg = al.get_algebra(args.algebra)
+def _describe_facts(alg):
+    """(bracket listing, nilpotency step, Salamon string, Jacobi residual).
+
+    A built-in algebra's are built once per process; the listing is a tuple.
+    """
+    if auts._is_builtin(alg):
+        return _builtin_describe_facts(alg.label)
+    return _build_describe_facts(alg)
+
+
+@functools.cache
+def _builtin_describe_facts(label):
+    return _build_describe_facts(al.builtin(label))
+
+
+def _build_describe_facts(alg):
     brackets = []
     b = alg.bracket_tensor
     for i in range(alg.dim):
@@ -102,14 +115,21 @@ def cmd_describe(args):
                 )
                 brackets.append(f"[e{i + 1}, e{j + 1}] = {terms}")
     step = al.nilpotency_step(alg)
+    return tuple(brackets), step, al.render_salamon(alg), al.jacobi_residual(alg)
+
+
+def cmd_describe(args):
+    t0 = time.perf_counter()
+    alg = al.get_algebra(args.algebra)
+    brackets, step, salamon, jacobi = _describe_facts(alg)
     der_dim = auts.derivation_algebra(alg).dimension
     outputs = {
         "label": alg.label,
-        "salamon": al.render_salamon(alg),
-        "brackets": brackets,
+        "salamon": salamon,
+        "brackets": list(brackets),
         "nilpotency_step": step,
         "derivation_dimension": der_dim,
-        "jacobi_residual": al.jacobi_residual(alg),
+        "jacobi_residual": jacobi,
     }
     lines = [f"algebra {alg.label} = {outputs['salamon']}"]
     lines += [f"  {s}" for s in brackets]

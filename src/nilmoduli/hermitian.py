@@ -491,7 +491,10 @@ def h9_sigma_family(which, **params):
         big_a, big_e = params["A"], params["E"]
         if big_a <= 0.0:
             raise InvalidParams("sigma1 requires A > 0")
-        gprime = (1.0, 0.0, 1.0, big_a * big_e / math.sqrt(big_e ** 2 + 1.0), big_a)
+        w = math.sqrt(big_e ** 2 + 1.0)
+        # the root A / w in closed form: recomputed from the rounded a63, the
+        # radicand A^2 - a63^2 = A^2 / w^2 cancels and gives another E's metric
+        gprime = (1.0, 0.0, 1.0, big_a * big_e / w, big_a, big_a / w)
     elif which == "sigma2":
         big_a, big_f = params["A"], params["F"]
         if big_a <= 0.0:
@@ -523,14 +526,18 @@ def h9_gprime_metric(a11, a43, a44, a63, A):
     return form, Automorphism(phi, "h9hat")
 
 
-def _gprime_pair(a11, a43, a44, a63, A):
-    """(form, phi', J = phi' J0 phi'^{-1}) of the G' family, unchecked."""
+def _gprime_pair(a11, a43, a44, a63, A, root=None):
+    """(form, phi', J = phi' J0 phi'^{-1}) of the G' family, unchecked.
+
+    ``root`` is sqrt(A^2 a11^10 - a44^2 a63^2), given where the caller has
+    it in closed form."""
     if a11 <= 0.0 or a44 <= 0.0 or A <= 0.0:
         raise InvalidParams("g' requires a11, a44, A > 0")
-    rad = A ** 2 * a11 ** 10 - a44 ** 2 * a63 ** 2
-    if rad <= 0.0:
-        raise InvalidParams("g' requires A^2 a11^10 - a44^2 a63^2 > 0")
-    root = math.sqrt(rad)
+    if root is None:
+        rad = A ** 2 * a11 ** 10 - a44 ** 2 * a63 ** 2
+        if rad <= 0.0:
+            raise InvalidParams("g' requires A^2 a11^10 - a44^2 a63^2 > 0")
+        root = math.sqrt(rad)
     form = H9Form(
         A=A,
         B=A ** 2 * a11 ** 5 / root,

@@ -4,11 +4,14 @@ Everything here is sized for 2x2 .. 6x6 problems.  Cholesky factors come
 from LAPACK (``np.linalg.cholesky``) and carry its rounding; the
 positive-definiteness decision is the package's own: ``cholesky_lower``
 checks symmetry and finiteness, applies the pivot test n*eps*max|A| to
-diag(L)**2 and raises NotSPD.  The 2x2 spectral and
-singular value decompositions are closed forms with fixed sign/angle
-conventions so that canonicalization chains built on them are reproducible
-bit-for-bit.  The nonlinear least-squares solver is a damped Gauss-Newton
-(Levenberg-Marquardt) iteration with central finite-difference Jacobians.
+diag(L)**2 and raises NotSPD.  The 2x2 determinant (``det2``), the 2x2
+lower-triangular inverse (``lower_inv2``) and the 2x2 spectral and singular
+value decompositions (``sym_eig2``, ``svd2``, with fixed sign and angle
+conventions) are closed forms, so that canonicalization chains built on
+them are reproducible bit for bit on any BLAS/LAPACK build, without
+LAPACK's per-call set-up.  The nonlinear least-squares solver is a damped
+Gauss-Newton (Levenberg-Marquardt) iteration with central finite-difference
+Jacobians.
 """
 
 from __future__ import annotations
@@ -120,6 +123,20 @@ def reverse_cholesky_lower(a):
     a = _as_matrix(a)
     # C order, so that products with X run through BLAS
     return np.ascontiguousarray(cholesky_lower(a[::-1, ::-1]).T[::-1, ::-1])
+
+
+def det2(a):
+    """a11 a22 - a12 a21 of a real or complex 2x2 matrix, as a Python float
+    (complex for a complex matrix)."""
+    (a11, a12), (a21, a22) = np.asarray(a).tolist()
+    return a11 * a22 - a12 * a21
+
+
+def lower_inv2(l):
+    """Inverse [[1/l11, 0], [-l21/(l11 l22), 1/l22]] of a real or complex
+    lower-triangular 2x2 matrix with nonzero diagonal; l12 is not read."""
+    (l11, _), (l21, l22) = np.asarray(l).tolist()
+    return np.array([[1.0 / l11, 0.0], [-l21 / (l11 * l22), 1.0 / l22]])
 
 
 def sym_eig2(a):

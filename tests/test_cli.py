@@ -40,6 +40,15 @@ def test_describe_h6(capsys):
     assert rep["outputs"]["derivation_dimension"] == 19
 
 
+def test_describe_facts_built_once_per_builtin():
+    facts = cli._describe_facts(al.builtin("h5"))
+    assert cli._describe_facts(al.get_algebra("h5")) is facts
+    assert isinstance(facts[0], tuple)
+    custom = al.parse_salamon("(0,0,0,0,13+42,14+23)")
+    again = cli._describe_facts(custom)
+    assert again == facts and again is not cli._describe_facts(custom)
+
+
 def test_describe_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "describe", "(0,0,0,0,0,99)")
     assert code == 2

@@ -425,10 +425,11 @@ def _sigma_closed_form(which, p):
 
 def test_h9_sigma_families_match_closed_forms():
     # each Sigma family is G' at fixed parameters: phi and J agree with the
-    # closed form bit for bit, the metric to a few ulp (sigma1's radicand
-    # A^2 - a63^2 = A^2 / (E^2 + 1) cancels, ~10 ulp at |E| = 2)
+    # closed form bit for bit, the metric to a few ulp (sigma1 takes its
+    # root A / sqrt(E^2 + 1) in closed form: ~3 ulp over 20,000 draws)
     rng = np.random.default_rng(11)
     j0 = hm.h9_J0().matrix
+    ulps = {"sigma1": 4, "sigma2": 16, "sigma3": 16}
     for _ in range(100):
         for which, p in (
             ("sigma1", {"A": rng.uniform(0.3, 2), "E": rng.uniform(-2, 2)}),
@@ -439,9 +440,31 @@ def test_h9_sigma_families_match_closed_forms():
             p = {k: float(v) for k, v in p.items()}
             metric, phi, j = hm.h9_sigma_family(which, **p)
             g_ref, phi_ref = _sigma_closed_form(which, p)
-            assert max_norm(metric.matrix - g_ref) <= 16 * np.finfo(float).eps * max_norm(g_ref)
+            bound = ulps[which] * np.finfo(float).eps * max_norm(g_ref)
+            assert max_norm(metric.matrix - g_ref) <= bound
             assert np.array_equal(phi.matrix, phi_ref)
             assert np.array_equal(j.matrix, phi_ref @ j0 @ np.linalg.inv(phi_ref))
+
+
+@pytest.mark.parametrize("big_e", [100.0, 300.0])
+@pytest.mark.parametrize("big_a", [0.3, 1.0, 2.0])
+def test_h9_sigma1_keeps_its_e(big_a, big_e):
+    # a63 = A E / sqrt(E^2 + 1) is rounded; a root recomputed from it gave
+    # the metric of another E (E = 100.00000000004721 at A = 1)
+    metric, _phi, _j = hm.h9_sigma_family("sigma1", A=big_a, E=big_e)
+    g_ref, _ = _sigma_closed_form("sigma1", {"A": big_a, "E": big_e})
+    assert max_norm(metric.matrix - g_ref) <= 4 * np.finfo(float).eps * max_norm(g_ref)
+
+
+@pytest.mark.parametrize("big_a", [0.3, 1.0, 2.0])
+def test_h9_sigma1_at_large_e_matches_or_raises(big_a):
+    # the pair check may reject E = 1e6; it must never return another E's metric
+    try:
+        metric, _phi, _j = hm.h9_sigma_family("sigma1", A=big_a, E=1e6)
+    except InvalidParams:
+        return
+    g_ref, _ = _sigma_closed_form("sigma1", {"A": big_a, "E": 1e6})
+    assert max_norm(metric.matrix - g_ref) <= 4 * np.finfo(float).eps * max_norm(g_ref)
 
 
 def test_h9_sigma1_entry():

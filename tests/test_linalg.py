@@ -1,4 +1,6 @@
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from nilmoduli.errors import Diverged, NotSPD
 from nilmoduli.linalg import (
     EPS,
     cholesky_lower,
+    det2,
     least_squares_solve,
+    lower_inv2,
     max_norm,
     null_space,
     nullity,
@@ -233,6 +237,98 @@ def test_reverse_cholesky_bit_equal_to_exchange_matrix_form():
         a = random_spd(rng, 6)
         expected = P @ cholesky_lower(P @ a @ P).T @ P
         assert reverse_cholesky_lower(a).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# 2x2 determinant and lower-triangular inverse
+
+
+def _random_2x2(rng, ill, complex_=False):
+    """Entries at a random scale in [1e-3, 1e3]; ``ill``: the second row is a
+    multiple of the first up to a relative 1e-14 .. 1e-6."""
+    a = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3)
+    if complex_:
+        a = a + 1j * rng.normal(size=(2, 2)) * np.abs(a).max()
+    if ill:
+        gap = 10.0 ** rng.uniform(-14, -6) * np.abs(a).max()
+        a[1] = rng.normal() * a[0] + gap * rng.normal(size=2)
+    return a
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("ill", [False, True], ids=["well", "ill"])
+def test_det2_matches_lapack(ill, complex_):
+    # bound: each side within ~eps (|a11 a22| + |a12 a21|) of the exact value,
+    # and numpy's det, exp of a log-determinant, adds eps |det ln|det|| more
+    rng = np.random.default_rng(20 + 2 * ill + complex_)
+    for _ in range(2000):
+        a = _random_2x2(rng, ill, complex_)
+        got, ref = det2(a), np.linalg.det(a)
+        assert isinstance(got, complex if complex_ else float)
+        terms = abs(a[0, 0] * a[1, 1]) + abs(a[0, 1] * a[1, 0])
+        log_term = abs(ref * math.log(abs(ref))) if ref else 0.0
+        assert abs(got - ref) <= 3 * EPS * (terms + log_term)
+
+
+@pytest.mark.parametrize("ill", [False, True], ids=["well", "ill"])
+def test_det2_against_exact_value(ill):
+    # two products and a difference, each rounded once: within
+    # eps (|a11 a22| + |a12 a21|) of the determinant in rational arithmetic
+    rng = np.random.default_rng(30 + ill)
+    for _ in range(2000):
+        a = _random_2x2(rng, ill)
+        (p, q), (r, s) = (map(Fraction, row) for row in a.tolist())
+        terms = abs(p * s) + abs(q * r)
+        assert abs(Fraction(det2(a)) - (p * s - q * r)) <= Fraction(EPS) * terms
+
+
+def _random_lower(rng, ill, complex_=False):
+    """Lower-triangular with entries at a random scale in [1e-3, 1e3];
+    ``ill``: each diagonal entry shrunk by 1e-10 .. 1e-4 with probability 1/2."""
+    l = np.tril(rng.normal(size=(2, 2))) * 10.0 ** rng.uniform(-3, 3)
+    if complex_:
+        l = l.astype(complex)
+        l[1, 0] += 1j * rng.normal() * np.abs(l).max()
+    if ill:
+        for i in range(2):
+            if rng.random() < 0.5:
+                l[i, i] *= 10.0 ** rng.uniform(-10, -4)
+    return l
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("ill", [False, True], ids=["well", "ill"])
+def test_lower_inv2_matches_lapack(ill, complex_):
+    # bound: LAPACK's inverse (LU with row pivoting) is normwise accurate, to
+    # eps kappa(L) max|X| with kappa the infinity-norm condition number
+    rng = np.random.default_rng(40 + 2 * ill + complex_)
+    for _ in range(2000):
+        l = _random_lower(rng, ill, complex_)
+        got, ref = lower_inv2(l), np.linalg.inv(l)
+        kappa = np.linalg.norm(l, np.inf) * np.linalg.norm(ref, np.inf)
+        assert got.dtype == ref.dtype
+        assert np.abs(got - ref).max() <= 2 * EPS * kappa * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("ill", [False, True], ids=["well", "ill"])
+def test_lower_inv2_against_exact_value(ill):
+    # each entry is one or two quotients of the given entries, rounded at
+    # most three times: within 2 eps of the exact entry, relative to it
+    rng = np.random.default_rng(50 + ill)
+    for _ in range(2000):
+        l = _random_lower(rng, ill)
+        l11, l21, l22 = Fraction(l[0, 0]), Fraction(l[1, 0]), Fraction(l[1, 1])
+        exact = [[1 / l11, 0], [-l21 / (l11 * l22), 1 / l22]]
+        got = lower_inv2(l)
+        for i in range(2):
+            for j in range(2):
+                err = abs(Fraction(got[i, j]) - exact[i][j])
+                assert err <= 2 * Fraction(EPS) * abs(exact[i][j])
+
+
+def test_lower_inv2_ignores_the_upper_entry():
+    np.testing.assert_array_equal(lower_inv2([[2.0, 7.0], [1.0, 4.0]]),
+                                  [[0.5, 0.0], [-0.125, 0.25]])
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,26 @@ def test_canonicalize_generic_spd():
             assert au.is_automorphism(name, wit.automorphism.matrix, 1e-9)
 
 
+@pytest.mark.parametrize("name, boundary", [
+    ("h6", "ab"), ("h4", "b0"), ("h5", "r1"), ("h2", "a0"), ("h9hat", "zeros"),
+])
+def test_canonicalize_makes_no_2x2_lapack_determinant_or_inverse(monkeypatch, name, boundary):
+    # the 2x2 determinants and triangular inverses are linalg's closed forms
+    form = random_canonical_form(name, np.random.default_rng(16), boundary)
+    phi = au.random_automorphism(name, 16).matrix
+    g = mo.Metric(name, phi.T @ mo.realize(form).matrix @ phi)
+    shapes = []
+    for fname in ("det", "inv"):
+        def counted(a, _f=getattr(np.linalg, fname), _name=fname):
+            shapes.append((_name, np.shape(a)))
+            return _f(a)
+        monkeypatch.setattr(np.linalg, fname, counted)
+    got, _wit = mo.canonicalize(name, g)
+    assert got.on_strata()  # a boundary metric: the stratum snaps ran
+    assert ("inv", (6, 6)) in shapes  # the witness: the counters see the calls
+    assert [s for s in shapes if s[1][-2:] == (2, 2)] == []
+
+
 def test_canonicalize_h9_via_e_basis_label():
     # "h9" is a name for h9hat
     rng = np.random.default_rng(15)
