@@ -50,12 +50,14 @@ class LieAlgebra:
     """6-dimensional Lie algebra given by its structure-constant tensor.
 
     ``c[k, i, j]`` is the coefficient of e^{ij} in de^k, stored
-    antisymmetrically in (i, j).
+    antisymmetrically in (i, j).  ``_memo`` holds what ``memo`` has built
+    for this object.
     """
 
     c: np.ndarray
     label: str = "custom"
     dim: int = DIM
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -215,6 +217,21 @@ def builtin(identifier):
         raise KeyError(f"unknown builtin {identifier!r}; choose from {BUILTIN_IDS}")
     alg.c.setflags(write=False)
     return alg
+
+
+def memo(alg, build):
+    """``build(alg)``, built on the first call for this algebra object and
+    kept on it, with its arrays (the result itself, or its attributes) made
+    read-only: copy one before writing to it.  A built-in is one object per
+    process, so it builds each result once per process; any other object,
+    a new parse or a copy carrying a built-in's label, builds its own."""
+    if build not in alg._memo:
+        value = build(alg)
+        for part in vars(value).values() if hasattr(value, "__dict__") else (value,):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+        alg._memo[build] = value
+    return alg._memo[build]
 
 
 def get_algebra(spec):

@@ -42,11 +42,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    _PAIRING_J, BUILTIN_IDS, DEFAULT_TOL, DIM, builtin, get_algebra, map_values, pullback,
-)
+from .algebra import _PAIRING_J, DEFAULT_TOL, DIM, get_algebra, map_values, memo, pullback
 from .errors import DegenerateParams, Unsupported
-from .linalg import RANK_RTOL, det2, max_norm, null_space
+from .linalg import det2, max_norm, null_space
 
 # |det| below which a matrix counts as singular: is_automorphism and the
 # nondegeneracy guards of the theorem constructors
@@ -107,24 +105,9 @@ def _derivation_system(alg):
     does not depend on their order, so the rows equal those of the
     term-by-term loop bit for bit.
 
-    A built-in algebra's system is built once per process and is read-only
-    (copy it before writing to it).
+    Built once per algebra object and read-only (``algebra.memo``).
     """
-    if _is_builtin(alg):
-        return _builtin_derivation_system(alg.label)
-    return _build_derivation_system(alg)
-
-
-def _is_builtin(alg):
-    """True for a built-in algebra's own object, not for a copy with its label."""
-    return alg.label in BUILTIN_IDS and alg is builtin(alg.label)
-
-
-@functools.cache
-def _builtin_derivation_system(label):
-    system = _build_derivation_system(builtin(label))
-    system.setflags(write=False)
-    return system
+    return memo(alg, _build_derivation_system)
 
 
 def _build_derivation_system(alg):
@@ -140,28 +123,17 @@ def _build_derivation_system(alg):
     return system.reshape(-1, n * n)
 
 
-def derivation_algebra(alg, tol=RANK_RTOL):
+def derivation_algebra(alg):
     """Orthonormal basis of {D : D[x,y] = [Dx,y] + [x,Dy]} as 36-vectors.
 
-    A built-in algebra's basis at the default tol is built once per process
-    and its matrices are read-only (copy them before writing to them).
+    Built once per algebra object, with read-only matrices
+    (``algebra.memo``).
     """
-    alg = get_algebra(alg)
-    if tol == RANK_RTOL and _is_builtin(alg):
-        return _builtin_derivation_basis(alg.label)
-    return _derivation_basis(alg, tol)
+    return memo(get_algebra(alg), _derivation_basis)
 
 
-@functools.cache
-def _builtin_derivation_basis(label):
-    basis = _derivation_basis(builtin(label), RANK_RTOL)
-    basis.matrices.setflags(write=False)
-    return basis
-
-
-def _derivation_basis(alg, tol):
-    basis = null_space(_derivation_system(alg), tol=tol)
-    mats = basis.T.reshape(-1, alg.dim, alg.dim)
+def _derivation_basis(alg):
+    mats = null_space(_derivation_system(alg)).T.reshape(-1, alg.dim, alg.dim)
     return DerivationBasis(matrices=mats, dimension=mats.shape[0])
 
 

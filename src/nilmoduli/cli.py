@@ -89,21 +89,9 @@ def _load_form(args):
 
 
 def _describe_facts(alg):
-    """(bracket listing, nilpotency step, Salamon string, Jacobi residual).
-
-    A built-in algebra's are built once per process; the listing is a tuple.
-    """
-    if auts._is_builtin(alg):
-        return _builtin_describe_facts(alg.label)
-    return _build_describe_facts(alg)
-
-
-@functools.cache
-def _builtin_describe_facts(label):
-    return _build_describe_facts(al.builtin(label))
-
-
-def _build_describe_facts(alg):
+    """(bracket listing, nilpotency step, Salamon string, Jacobi residual);
+    ``cmd_describe`` builds them once per algebra object (``algebra.memo``),
+    so the listing is a tuple."""
     brackets = []
     b = alg.bracket_tensor
     for i in range(alg.dim):
@@ -121,7 +109,7 @@ def _build_describe_facts(alg):
 def cmd_describe(args):
     t0 = time.perf_counter()
     alg = al.get_algebra(args.algebra)
-    brackets, step, salamon, jacobi = _describe_facts(alg)
+    brackets, step, salamon, jacobi = al.memo(alg, _describe_facts)
     der_dim = auts.derivation_algebra(alg).dimension
     outputs = {
         "label": alg.label,
@@ -177,11 +165,11 @@ def cmd_canonicalize(args):
     t0 = time.perf_counter()
     algebra, matrix = _load_metric(args)
     metric = mo.Metric(algebra, matrix)
-    form, witness = mo.canonicalize(algebra, metric, tol=args.tol)
+    form, witness = mo.canonicalize(algebra, metric)
     outputs = {
         "form": form.to_json_dict(),
         "witness": witness.to_json_dict(),
-        "certificate_bound": mo.certificate_bound(metric.matrix, args.tol),
+        "certificate_bound": mo.certificate_bound(metric.matrix),
     }
     lines = [
         f"canonical form: {form.to_json_dict()}",
@@ -507,7 +495,6 @@ def build_parser():
     p.add_argument("--algebra", required=False)
     p.add_argument("--input", help="path to a metric JSON file")
     p.add_argument("--metric", help="inline metric JSON")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_canonicalize)
 
     p = add_parser("isometry", help="isotropy group of a canonical form")

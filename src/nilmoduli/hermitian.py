@@ -48,8 +48,8 @@ INVOLUTION_TOL = 1e-12  # max|J^2 + I| of a tabulated solution, and of h9's J0
 DEDUPE_TOL = 1e-10  # table triples within this l1 distance (normalized) are one
 H2_EQUATION_RTOL = 1e-8  # an h2 candidate is verified when its equations are this small
 H2_ABELIAN_TOL = 1e-8  # is_abelian_structure's tolerance for an h2 candidate
-SIGMA_FAMILY_TOL = 1e-10  # worst residual of a Sigma1-3 pair, and max|J^2 + I| of its J
-GPRIME_FAMILY_TOL = 1e-9  # worst residual of a G' pair
+SIGMA_FAMILY_TOL = 1e-10  # a Sigma1-3 pair's _h9_check_pair bound, and max|J^2 + I| of its J
+GPRIME_FAMILY_TOL = 1e-9  # a G' pair's _h9_check_pair bound
 
 
 @dataclass(frozen=True)
@@ -470,8 +470,12 @@ def h9_J0():
 
 
 def _h9_check_pair(g, j, tol):
+    """InvalidParams unless the Nijenhuis and J^2 + I residuals are at most
+    tol, and max|J^T g J - g| at most tol * max(1, max|g|): the metric's
+    entries, and the rounding of J^T g J, grow with the family's parameters."""
     (res,) = _residuals("h9hat", j[None], g)
-    worst = max(*res.values(), max_norm(j @ j + _IDENTITY))
+    worst = max(res["nijenhuis"], max_norm(j @ j + _IDENTITY),
+                res["compatibility"] / max(1.0, max_norm(g)))
     if worst > tol:
         raise InvalidParams(f"h9 family pair fails Hermitian check at {worst:.3e}")
 
@@ -480,7 +484,8 @@ def h9_sigma_family(which, **params):
     """Special Hermitian families (Sigma1, Sigma2, Sigma3) on h9.
 
     Returns (Metric, Automorphism phi, J = phi J0 phi^{-1}); the pair
-    (metric, J) is verified Hermitian at SIGMA_FAMILY_TOL.  Each family is
+    (metric, J) is verified Hermitian at SIGMA_FAMILY_TOL (the compatibility
+    residual relative to max(1, max|g|)).  Each family is
     G' (``h9_gprime_metric``) at fixed parameters:
 
       sigma1(A > 0, E):        a63 = A E / sqrt(E^2 + 1)
@@ -558,9 +563,10 @@ def _gprime_pair(a11, a43, a44, a63, A, root=None):
 # ---------------------------------------------------------------------------
 # numeric existence oracle
 
-# calibrated on g_{A,B} with B/A in {0.5, 2}: over 64 compatible starts the
-# search never gets below ~2e-2, so verdicts are separated from the 1e-8
-# success threshold by six orders of magnitude
+SEARCH_TOL = 1e-8  # the combined residual at which a start of the oracle succeeds
+# calibrated on g_{A,B} with B/A in {0.5, 2} against SEARCH_TOL: over 64
+# compatible starts the search never gets below ~2e-2, so verdicts are
+# separated from the success threshold by six orders of magnitude
 NON_HERMITIAN_RESIDUAL_FLOOR = 1e-3
 
 
@@ -763,8 +769,9 @@ class _StartQueue:
     the first starts costs little more than those starts.
     """
 
-    def __init__(self, kernel, starts, budget, tol2):
-        self.kernel, self.starts, self.budget, self.tol2 = kernel, starts, budget, tol2
+    def __init__(self, kernel, starts, budget):
+        self.kernel, self.starts, self.budget = kernel, starts, budget
+        self.tol2 = SEARCH_TOL * SEARCH_TOL
         n_slots, n = _QUEUE_SLOTS, DIM * DIM
         self.xs = np.empty((n_slots, n))
         self.rs = np.empty((n_slots, kernel.rows))
@@ -879,16 +886,15 @@ class _StartQueue:
             state[: len(keep)] = state[keep]
 
 
-def hermitian_search(alg, metric, tol=1e-8, budget=64, seed=20210607):
+def hermitian_search(alg, metric, budget=64, seed=20210607):
     """Numeric Hermitian-existence oracle.
 
     Minimizes ||N_J||^2 + ||J^T g J - g||^2 + ||J^2 + I||^2 over the 36
     entries of J from ``budget`` random compatible starts (deterministic
     in the seed).  Levenberg-Marquardt steps use the exact Jacobian of
     this residual, which is quadratic in J.  Success means a combined
-    residual <= tol; failure verdicts report the best residual and never
-    claim nonexistence.  ``tol`` must be finite and positive, and ``budget``
-    at least one start.
+    residual <= SEARCH_TOL; failure verdicts report the best residual and
+    never claim nonexistence.  ``budget`` must be at least one start.
 
     The starts run together in a small work queue (see ``_StartQueue``); each
     start does the arithmetic it would do alone, and the verdict is the
@@ -899,8 +905,6 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, seed=20210607):
     ``h9`` names h9hat, so for h9 the search runs on h9hat's bracket and a
     J found is an h9hat structure.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
     if budget < 1:
         raise InvalidParams(f"search budget must be at least 1 start, got {budget}")
     alg = get_algebra(alg)
@@ -916,8 +920,8 @@ def hermitian_search(alg, metric, tol=1e-8, budget=64, seed=20210607):
         return _random_compatible_starts(l_inv_t, g_chol.T, rngs)
 
     kernel = _ResidualKernel(alg.bracket_tensor, g)
-    costs, x_found = _StartQueue(kernel, starts, budget, tol * tol).run()
+    costs, x_found = _StartQueue(kernel, starts, budget).run()
     j_out = None
     if x_found is not None:
-        j_out = AlmostComplexStructure(x_found.reshape(DIM, DIM), alg.label, tol=10 * tol)
+        j_out = AlmostComplexStructure(x_found.reshape(DIM, DIM), alg.label, tol=10 * SEARCH_TOL)
     return SearchResult(x_found is not None, j_out, float(math.sqrt(min(costs))), len(costs))

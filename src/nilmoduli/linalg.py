@@ -236,25 +236,25 @@ def takagi2(q):
     return U, sigma
 
 
-def null_space(m, tol=RANK_RTOL):
-    """Orthonormal basis of ker(M) with singular-value cutoff tol * s_max.
+def null_space(m):
+    """Orthonormal basis of ker(M) with singular-value cutoff RANK_RTOL * s_max.
 
     Returns an (n, k) array whose columns span the null space (k may be 0).
     """
     _, s, vh = np.linalg.svd(_nonempty(m))
-    return vh[cutoff_rank(s, tol):].T.copy()
+    return vh[cutoff_rank(s):].T.copy()
 
 
 def nullity(m):
-    """dim ker(M) under the cutoff RANK_RTOL of null_space, from the singular
-    values alone."""
+    """dim ker(M) under the cutoff of null_space, from the singular values
+    alone."""
     m = _nonempty(m)
-    return m.shape[1] - cutoff_rank(np.linalg.svd(m, compute_uv=False), RANK_RTOL)
+    return m.shape[1] - cutoff_rank(np.linalg.svd(m, compute_uv=False))
 
 
-def cutoff_rank(s, tol):
-    """Number of singular values s (descending) above tol * s_max; 0 if s_max is 0."""
-    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
+def cutoff_rank(s):
+    """Number of singular values s (descending) above RANK_RTOL * s_max; 0 if s_max is 0."""
+    return int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
 
 
 def _nonempty(m):

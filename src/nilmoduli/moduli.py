@@ -1,16 +1,17 @@
 """Canonicalization of inner products to unique moduli representatives,
 with automorphism witnesses, and isometry-group classification.
 
-Canonical shapes (working bases; hat basis for h9).  For h5, h6, h4 and h2
-the shape is the form class's ``cells`` map, parameter -> (i, j): realize()
-writes each parameter into its cell and the mirror (j, i) of the identity,
-and canonicalize() reads its result back from the same cells.
+Canonical shapes (working bases; hat basis for h9).  The shape is the form
+class's ``cells`` map, parameter -> (i, j): realize() writes each parameter
+into its cell and the mirror (j, i) of the identity, or for h9 into the
+slice factor X of the metric X^T X, and canonicalize() reads its result
+back from the same cells.
 
   h5:  H5Form.cells (r, s on the diagonal, [[E,F],[F,G]]),  0 < s <= r <= 1, F >= 0
   h6:  H6Form.cells (a, b on the diagonal),                 0 < a <= b
   h4:  H4Form.cells (r on the diagonal, [[a,b],[b,c]]),     0 < r <= 1, b >= 0
   h2:  H2Form.cells (a, b coupling the factors, [[E,F],[F,G]]), 0 <= a <= b < 1
-  h9:  the Gram matrix of the triangular slice (A,B,C,D,E,F), A,B,C > 0
+  h9:  H9Form.cells (A, B, C on X's diagonal, D, E, F below), A, B, C > 0
 
 Where the source material's slice is not actually a slice of the full
 automorphism action, canonicalize() normalizes further (and these are the
@@ -61,7 +62,6 @@ from .automorphisms import (
 from .errors import (
     CanonicalizationFailed,
     InvalidForm,
-    InvalidParams,
     NotSPD,
     ParseError,
     Unsupported,
@@ -152,9 +152,11 @@ class _FormBase:
     algebra = "custom"
     # the case boundaries: (stratum, parameter, its value on the stratum, unit)
     strata = ()
-    # parameter -> (i, j): the cell of the canonical metric that holds it, and
-    # its mirror (j, i); the other entries are the identity's.  None for h9.
-    cells = None
+    # parameter -> (i, j): the cell of the canonical metric's upper triangle
+    # that holds it (Metric mirrors it to (j, i)); the other entries are the
+    # identity's.  With ``factor``, the cell of the factor X of the metric
+    # X^T X instead.
+    factor = False
 
     def validate(self):
         """The form itself, when every parameter is finite and in its range:
@@ -276,6 +278,8 @@ class H9Form(_FormBase):
     F: float
     algebra = "h9hat"
     strata = (("D0", "D", 0.0, "A"), ("E0", "E", 0.0, 1.0), ("F0", "F", 0.0, "B"))
+    cells = {"A": (2, 2), "B": (4, 4), "C": (5, 5), "D": (4, 2), "E": (4, 3), "F": (5, 4)}
+    factor = True
 
     def _check_ranges(self):
         _check(self.A > 0.0 and self.B > 0.0 and self.C > 0.0, "h9 requires A, B, C > 0")
@@ -326,35 +330,23 @@ def _require_same_basis(a, b):
 
 def realize(form):
     """Exact metric matrix of a canonical form: the identity with each of the
-    form's ``cells`` and its mirror set to its parameter (h9: the Gram matrix
-    of its slice)."""
+    form's ``cells`` and its mirror set to its parameter, or for h9 X^T X of
+    the identity X with each cell set, summed term by term in row order:
+    each entry is the written-out one (A^2 + D^2, D E, ...) bit for bit,
+    which a BLAS product need not be."""
     form.validate()
     _form_type_of(form)  # InvalidForm for a class that is no built-in's form
-    if form.cells is None:
-        return Metric(form.algebra, _matrix_h9(form))
     g = np.eye(DIM)
     for name, (i, j) in form.cells.items():
-        g[i, j] = g[j, i] = getattr(form, name)
-    return Metric(form.algebra, g)
+        g[i, j] = getattr(form, name)
+    if form.factor:
+        g = (g[:, :, None] * g[:, None, :]).sum(axis=0)
+    return Metric(form.algebra, g)  # mirrors the upper triangle
 
 
 def _read_cells(form_class, g):
     """The form whose cells hold g's entries: realize's inverse."""
     return form_class(**{name: float(g[i, j]) for name, (i, j) in form_class.cells.items()})
-
-
-def _matrix_h9(form):
-    A, B, C, D, E, F = form.A, form.B, form.C, form.D, form.E, form.F
-    g = np.eye(DIM)
-    g[2, 2] = A * A + D * D
-    g[2, 3] = g[3, 2] = D * E
-    g[2, 4] = g[4, 2] = B * D
-    g[3, 3] = E * E + 1.0
-    g[3, 4] = g[4, 3] = B * E
-    g[4, 4] = B * B + F * F
-    g[4, 5] = g[5, 4] = C * F
-    g[5, 5] = C * C
-    return g
 
 
 def pullback_metric(metric, phi):
@@ -370,14 +362,13 @@ def pullback_metric(metric, phi):
 
 
 class _Reduction:
-    def __init__(self, alg_label, g, tol):
+    def __init__(self, alg_label, g):
         self.alg = alg_label
         # the theorem's constructor alone: a step needs neither the component
         # tag nor the Automorphism wrapper, and _finish certifies the product
         self.construct = auts._THEOREMS[alg_label].construct
         self.g = np.asarray(g, dtype=float).copy()
         self.phi = np.eye(DIM)
-        self.tol = tol
 
     def apply(self, params):
         f = self.construct(params)
@@ -391,7 +382,7 @@ def _finish(red, form, g_input):
     g_c = realize(form).matrix  # validates the snapped form
     wit_matrix = np.linalg.inv(red.phi)
     residual = max_norm(wit_matrix.T @ g_c @ wit_matrix - g_input)
-    bound = certificate_bound(g_input, red.tol)
+    bound = certificate_bound(g_input)
     if residual > bound:
         raise CanonicalizationFailed(
             f"{red.alg}: witness residual {residual:.3e} exceeds {bound:.3e}", residual
@@ -410,19 +401,15 @@ def _kill_commutator_coupling(red, make_params):
     red.apply(make_params(m))
 
 
-def certificate_bound(g, tol=WITNESS_RTOL):
+def certificate_bound(g):
     """The witness residual canonicalize() accepts for the metric matrix g."""
-    return tol * max(1.0, max_norm(g))
+    return WITNESS_RTOL * max(1.0, max_norm(g))
 
 
-def canonicalize(alg, metric, tol=WITNESS_RTOL):
-    """Unique moduli representative of a metric plus a certified witness.
-
-    ``tol`` must be finite and positive: the witness must satisfy
-    max|phi^T g_c phi - g| <= certificate_bound(g, tol).
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
+def canonicalize(alg, metric):
+    """Unique moduli representative of a metric plus a certified witness:
+    max|phi^T g_c phi - g| <= certificate_bound(g).  ``Witness.residual``
+    reports the residual, against which a stricter bound can be read."""
     given = getattr(alg, "label", alg)  # the name the caller gave, for the message
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
@@ -430,11 +417,11 @@ def canonicalize(alg, metric, tol=WITNESS_RTOL):
     if alg.label not in _FORM_TYPES:
         raise Unsupported(f"canonical forms exist for the built-ins only, not {given!r}")
     _require_same_basis(metric.algebra, alg)
-    return _FORM_TYPES[alg.label].canonicalize(metric.matrix, tol)
+    return _FORM_TYPES[alg.label].canonicalize(metric.matrix)
 
 
-def _canonicalize_h6(g, tol):
-    red = _Reduction("h6", g, tol)
+def _canonicalize_h6(g):
+    red = _Reduction("h6", g)
     _kill_commutator_coupling(red, lambda m: H6Params(M=m))
     x = reverse_cholesky_lower(red.g[:4, :4])
     a4 = np.linalg.inv(x)
@@ -453,8 +440,8 @@ def _canonicalize_h6(g, tol):
     return _finish(red, _read_cells(H6Form, red.g), g)
 
 
-def _canonicalize_h4(g, tol):
-    red = _Reduction("h4", g, tol)
+def _canonicalize_h4(g):
+    red = _Reduction("h4", g)
     _kill_commutator_coupling(red, lambda m: H4Params(M=m))
     p4 = red.g[:4, :4]
     p, q2, r2 = p4[:2, :2], p4[:2, 2:4], p4[2:4, 2:4]
@@ -477,8 +464,8 @@ def _canonicalize_h4(g, tol):
     return _finish(red, _read_cells(H4Form, red.g), g)
 
 
-def _canonicalize_h2(g, tol):
-    red = _Reduction("h2", g, tol)
+def _canonicalize_h2(g):
+    red = _Reduction("h2", g)
     _kill_commutator_coupling(red, lambda m: H2Params(M1=m[:, :2], M2=m[:, 2:4]))
     p, r = red.g[:2, :2], red.g[2:4, 2:4]
     a_move = lower_inv2(cholesky_lower(p)).T
@@ -520,8 +507,8 @@ def _h5_move(ac, m=H5Params.M, psi=False):
     )
 
 
-def _canonicalize_h5(g, tol):
-    red = _Reduction("h5", g, tol)
+def _canonicalize_h5(g):
+    red = _Reduction("h5", g)
     _kill_commutator_coupling(red, lambda m: _h5_move(np.eye(2), m=m))
     b4 = red.g[:4, :4]
     h, q = _complex_parts(b4)
@@ -541,8 +528,8 @@ def _canonicalize_h5(g, tol):
     return _finish(red, _read_cells(H5Form, red.g), g)
 
 
-def _canonicalize_h9(g, tol):
-    red = _Reduction("h9hat", g, tol)
+def _canonicalize_h9(g):
+    red = _Reduction("h9hat", g)
     x = reverse_cholesky_lower(red.g)
     a11, a22, a44 = x[0, 0], x[1, 1], x[3, 3]
     big_a = x[2, 2] / a11 ** 2
@@ -576,10 +563,7 @@ def _canonicalize_h9(g, tol):
     e3 = sd * se
     if (e1, e2, e3) != (1.0, 1.0, 1.0):
         red.apply(H9Params(a11=e1, a22=e2, a44=e3))
-    xf = reverse_cholesky_lower(red.g)
-    form = H9Form(A=float(xf[2, 2]), B=float(xf[4, 4]), C=float(xf[5, 5]),
-                  D=float(xf[4, 2]), E=float(xf[4, 3]), F=float(xf[5, 4]))
-    return _finish(red, form, g)
+    return _finish(red, _read_cells(H9Form, reverse_cholesky_lower(red.g)), g)
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +812,7 @@ def _isometry_h9(form):
     # product with a sign flip is exact); snapping keeps A, B, C, so the
     # snapped form is valid, and Metric decides whether its matrix is SPD
     t = _table_h9()
-    g_s = Metric(form.algebra, _matrix_h9(form.snapped())).matrix
+    g_s = realize(form.snapped()).matrix
     fixes = (t.stack.transpose(0, 2, 1) @ g_s @ t.stack == g_s).all(axis=(1, 2))
     gens = [rep for rep, fixed in zip(t.flips, fixes) if fixed]
     k = len(form.on_strata())  # the strata D0, E0 and F0
@@ -847,7 +831,7 @@ class _FormType:
     """The canonical forms of one built-in algebra (h9 in the hat basis)."""
 
     form: type  # the form class
-    canonicalize: Callable  # (g, tol) -> (form, witness)
+    canonicalize: Callable  # g -> (form, witness)
     cases: Callable | None  # () -> the case rows; None for h9, whose group is computed
 
 

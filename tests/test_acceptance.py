@@ -32,7 +32,7 @@ def test_criterion_01_structure_constants_exact_jacobi():
 def test_criterion_02_derivation_dimensions():
     expected = {"h4": 17, "h6": 19, "h9": 15, "h5": 16, "h2": 16, "h9hat": 15}
     for name, dim in expected.items():
-        got = au.derivation_algebra(al.builtin(name), tol=1e-10).dimension
+        got = au.derivation_algebra(al.builtin(name)).dimension
         assert got == dim, (name, got)
     report("PASS 2: derivation dimensions h4=17, h6=19, h9=15, h5=16, h2=16")
 
@@ -184,7 +184,7 @@ def test_criterion_09_h9_diagonal_proposition():
     for i in range(20):
         a = float(rng.uniform(0.5, 2.0))
         g = mo.Metric("h9hat", np.diag([1.0, 1.0, a * a, 1.0, a * a, 1.0]))
-        res = hm.hermitian_search("h9hat", g, tol=1e-8, budget=64)
+        res = hm.hermitian_search("h9hat", g, budget=64)
         assert res.found and res.residual <= 1e-8, (i, a, res.residual)
     best_min = np.inf
     for i in range(20):
@@ -192,7 +192,7 @@ def test_criterion_09_h9_diagonal_proposition():
         for ratio in (0.5, 2.0):
             b = ratio * a
             g = mo.Metric("h9hat", np.diag([1.0, 1.0, a * a, 1.0, b * b, 1.0]))
-            res = hm.hermitian_search("h9hat", g, tol=1e-8, budget=64)
+            res = hm.hermitian_search("h9hat", g, budget=64)
             assert not res.found, (i, a, ratio, res.residual)
             assert res.residual >= hm.NON_HERMITIAN_RESIDUAL_FLOOR
             best_min = min(best_min, res.residual)

@@ -127,6 +127,26 @@ def test_each_row_example_lies_in_its_case(label, form_class, cases):
         assert mo._read_cells(form_class, mo.realize(row.example).matrix) == row.example
 
 
+def test_h9_realize_is_the_written_out_gram_matrix():
+    # X^T X of the slice factor, summed term by term: each entry is the
+    # written-out one bit for bit (a BLAS X^T X is not, in the last bit)
+    rng = np.random.default_rng(43)
+    for _ in range(1000):
+        scale = 10.0 ** rng.uniform(-4.0, 4.0)
+        A, B, C = (float(v) for v in scale * rng.uniform(0.1, 2.0, 3))
+        D, E, F = (float(v) for v in scale * rng.normal(size=3))
+        ref = np.eye(6)
+        ref[2, 2] = A * A + D * D
+        ref[2, 3] = ref[3, 2] = D * E
+        ref[2, 4] = ref[4, 2] = B * D
+        ref[3, 3] = E * E + 1.0
+        ref[3, 4] = ref[4, 3] = B * E
+        ref[4, 4] = B * B + F * F
+        ref[4, 5] = ref[5, 4] = C * F
+        ref[5, 5] = C * C
+        assert mo.realize(mo.H9Form(A, B, C, D, E, F)).matrix.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("label, form", CASE_FORMS)
 def test_descriptors_share_the_read_only_constants(label, form):
     desc = mo.isometry_group(label, form)
@@ -204,6 +224,12 @@ def test_generated_group_of_a_sampled_set_matches_the_pairwise_loop():
     _assert_same_group(mo._generated_group(gens), expected)
 
 
+def _other_objects(alg):
+    """A copy of a built-in that carries its label, and one that does not."""
+    return (al.LieAlgebra(c=alg.c.copy(), label=alg.label),
+            al.parse_salamon(al.render_salamon(alg)))
+
+
 @pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9", "h9hat"])
 def test_builtin_derivation_system_is_built_once_and_read_only(label):
     alg = al.builtin(label)
@@ -211,11 +237,13 @@ def test_builtin_derivation_system_is_built_once_and_read_only(label):
     assert au._derivation_system(alg) is system
     _assert_read_only(system)
     assert system.tobytes() == au._build_derivation_system(alg).tobytes()
-    # an algebra that is not the built-in object, though it has its label,
-    # gets a new, writable system
-    custom = al.LieAlgebra(c=alg.c.copy(), label=label)
-    fresh = au._derivation_system(custom)
-    assert fresh.flags.writeable and fresh.tobytes() == system.tobytes()
+    # any other algebra object, though it has the built-in's label or
+    # constants, keeps its own read-only system with the same bytes
+    for other in _other_objects(alg):
+        own = au._derivation_system(other)
+        assert own is not system and au._derivation_system(other) is own
+        _assert_read_only(own)
+        assert own.tobytes() == system.tobytes()
 
 
 def test_generated_group_compares_in_blocks_like_the_pairwise_loop(monkeypatch):
@@ -266,13 +294,16 @@ def test_builtin_derivation_basis_is_built_once_and_read_only(label):
     assert au.derivation_algebra(alg) is basis and au.derivation_algebra(label) is basis
     _assert_read_only(basis.matrices)
     assert basis.dimension == len(basis.matrices) == DER_DIMS[label]
-    # an algebra that is not the built-in object, though it has its label, and
-    # a tolerance other than the default get a new, writable basis
-    custom = al.LieAlgebra(c=alg.c.copy(), label=label)
-    for fresh in (au.derivation_algebra(custom), au.derivation_algebra(alg, tol=1e-9)):
-        assert fresh is not basis and fresh.matrices.flags.writeable
-        assert fresh.dimension == basis.dimension
-    assert au.derivation_algebra(custom).matrices.tobytes() == basis.matrices.tobytes()
+    # any other algebra object, though it has the built-in's label or
+    # constants, keeps its own read-only basis with the same bytes
+    for other in _other_objects(alg):
+        own = au.derivation_algebra(other)
+        assert own is not basis and au.derivation_algebra(other) is own
+        _assert_read_only(own.matrices)
+        assert own.matrices.tobytes() == basis.matrices.tobytes()
+    # a Salamon string is parsed anew on each call, so each parse builds its own
+    salamon = al.render_salamon(alg)
+    assert au.derivation_algebra(salamon) is not au.derivation_algebra(salamon)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["describe", label]) == 0
     assert json.loads(out.getvalue())["outputs"]["derivation_dimension"] == DER_DIMS[label]

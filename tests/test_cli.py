@@ -41,12 +41,17 @@ def test_describe_h6(capsys):
 
 
 def test_describe_facts_built_once_per_builtin():
-    facts = cli._describe_facts(al.builtin("h5"))
-    assert cli._describe_facts(al.get_algebra("h5")) is facts
+    facts = al.memo(al.builtin("h5"), cli._describe_facts)
+    assert al.memo(al.get_algebra("h5"), cli._describe_facts) is facts
     assert isinstance(facts[0], tuple)
-    custom = al.parse_salamon("(0,0,0,0,13+42,14+23)")
-    again = cli._describe_facts(custom)
-    assert again == facts and again is not cli._describe_facts(custom)
+    # a copy with the built-in's label keeps its own facts, equal to the built-in's
+    copy = al.LieAlgebra(c=al.builtin("h5").c.copy(), label="h5")
+    own = al.memo(copy, cli._describe_facts)
+    assert own == facts and own is not facts and al.memo(copy, cli._describe_facts) is own
+    # each parse is a new object, which builds its own
+    salamon = "(0,0,0,0,13+42,14+23)"
+    again = al.memo(al.get_algebra(salamon), cli._describe_facts)
+    assert again == facts and again is not al.memo(al.get_algebra(salamon), cli._describe_facts)
 
 
 def test_describe_parse_error_exit_code(capsys):
@@ -109,9 +114,6 @@ def test_canonicalize_input_file(tmp_path, capsys):
         (("--metric", json.dumps({"algebra": "h6", "matrix": np.eye(2).tolist()})), "6x6", False),
         (("--metric", '{"algebra": "h6", "matrix": [[NaN, 0, 0, 0, 0, 0]'
                       + ", [0, 1, 0, 0, 0, 0]" * 5 + "]}"), "non-finite", False),
-        *[(("--metric", json.dumps({"algebra": "h6", "matrix": np.eye(6).tolist()}),
-            "--tol", tol), "tol must be finite and > 0", False)
-          for tol in ("nan", "inf", "0", "-1")],
         (("--metric", json.dumps({"algebra": "h7", "matrix": np.eye(6).tolist()})),
          "parse error: unknown algebra 'h7': give a builtin id (h2, h4, h5, h6, h9, h9hat)",
          False),
@@ -261,8 +263,6 @@ def test_hermitian_search_empty_budget_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv,needle",
     [
-        (("canonicalize", "--metric", json.dumps({"algebra": "h6", "matrix": np.eye(6).tolist()}),
-          "--tol", "nan"), "tol must be finite"),
         (("hermitian", "--algebra", "h9hat",
           "--form", '{"A":1.0,"B":2.0,"C":1.0,"D":0.0,"E":0.0,"F":0.0}',
           "--search", "--budget", "0"), "budget"),
@@ -284,7 +284,7 @@ def test_hermitian_search_empty_budget_exit_2(capsys):
         (("hermitian", "--algebra", "(0,0,0,12,13,23)", "--form", '{"tag": "h6", "a": 1, "b": 4}'),
          "algebra tags differ: 'h6' vs '(0,0,0,12,13,23)'"),
     ],
-    ids=["tol-nan", "budget-0", "form-of-another-algebra", "salamon-tag",
+    ids=["budget-0", "form-of-another-algebra", "salamon-tag",
          "salamon-tag-named-as-given", "hermitian-h5-h4-form", "hermitian-h6-h2-form",
          "hermitian-salamon-h6-form"],
 )

@@ -456,6 +456,21 @@ def test_h9_sigma1_keeps_its_e(big_a, big_e):
     assert max_norm(metric.matrix - g_ref) <= 4 * np.finfo(float).eps * max_norm(g_ref)
 
 
+@pytest.mark.parametrize("big_e", [500.0, 700.0, 1000.0])
+@pytest.mark.parametrize("big_a", [0.3, 0.7, 1.0, 1.3, 2.0])
+def test_h9_sigma1_compatibility_is_checked_relative_to_the_metric(big_a, big_e):
+    # the metric's entries, and the rounding of J^T g J - g, grow as E^2: an
+    # absolute bound rejected the correct pair at 10 of these 15 points
+    metric, _phi, j = hm.h9_sigma_family("sigma1", A=big_a, E=big_e)
+    g_ref, _ = _sigma_closed_form("sigma1", {"A": big_a, "E": big_e})
+    assert max_norm(metric.matrix - g_ref) <= 4 * np.finfo(float).eps * max_norm(g_ref)
+    # 1e-6 off the locus (B scaled by 1 + 1e-6) the pair is still rejected
+    w = np.sqrt(big_e ** 2 + 1.0)
+    off = mo.realize(mo.H9Form(A=big_a, B=big_a * w * (1 + 1e-6), C=w, D=0.0, E=big_e, F=0.0))
+    with pytest.raises(InvalidParams, match="fails Hermitian check"):
+        hm._h9_check_pair(off.matrix, j.matrix, hm.SIGMA_FAMILY_TOL)
+
+
 @pytest.mark.parametrize("big_a", [0.3, 1.0, 2.0])
 def test_h9_sigma1_at_large_e_matches_or_raises(big_a):
     # the pair check may reject E = 1e6; it must never return another E's metric
@@ -599,14 +614,6 @@ def test_search_rejects_empty_budget():
             hm.hermitian_search("h9hat", g, budget=budget)
 
 
-@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
-def test_search_rejects_tolerance_that_certifies_nothing(tol):
-    # inf certified any start as found; nan and 0 made every verdict "none found"
-    g = mo.Metric("h9hat", np.diag([1, 1, 1, 1, 4, 1.0]))
-    with pytest.raises(InvalidParams, match="tol must be finite and > 0"):
-        hm.hermitian_search("h9hat", g, tol=tol, budget=4)
-
-
 def _kernel_at_random_point(label, seed):
     """Oracle kernel for a random SPD metric, and a random J that is neither
     an almost complex structure nor g-compatible."""
@@ -672,10 +679,11 @@ def _serial_start(g_chol, rng):
     return l_inv_t @ k_orth @ g_chol.T
 
 
-def _serial_search(alg, metric, tol=1e-8, budget=64, max_iter=60, seed=20210607):
+def _serial_search(alg, metric, budget=64, max_iter=60, seed=20210607):
     """The oracle's serial LM loop, one start after another: the reference
     that the queued search must reproduce bit for bit."""
     DIM = 6
+    tol = hm.SEARCH_TOL
     alg = al.get_algebra(alg)
     g = metric.matrix
     g_chol = hm.cholesky_lower(g)
@@ -879,8 +887,8 @@ def test_h5_j2_at_r_one_with_nonzero_f():
         assert sol.triple.a < 0
 
 
-def test_canonicalize_custom_tol_threads_through():
-    from nilmoduli.errors import CanonicalizationFailed
+def test_canonicalize_witness_residual_meets_a_stricter_bound():
+    # the certificate is WITNESS_RTOL; a stricter bound is read off the residual
     g = mo.realize(mo.H5Form(0.7, 0.3, 1.0, 0.2, 2.0))
-    form, wit = mo.canonicalize("h5", g, tol=1e-10)
+    form, wit = mo.canonicalize("h5", g)
     assert wit.residual <= 1e-10

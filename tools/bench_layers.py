@@ -16,9 +16,12 @@ the per-call time over the runs.  The items are
     (an h5 orbit metric): the checks every metric pays;
   * ``moduli.canonicalize`` on one orbit metric per algebra, each of a form
     on a case boundary (so the stratum snaps run), and
-    ``moduli.isometry_group`` and ``moduli.realize`` on one case row's form;
+    ``moduli.isometry_group`` and ``moduli.realize`` on one case row's form,
+    and ``moduli.realize`` on an h9 form (the metric X^T X of its factor);
   * the warm ``describe``, ``isometry``, ``hermitian``, ``canonicalize``
-    and ``tables`` commands, each a ``cli.main(argv)`` call in this process.
+    and ``tables`` commands, each a ``cli.main(argv)`` call in this process,
+    and ``describe`` of a Salamon string, which parses a new algebra on
+    each call and so builds its facts and derivation basis anew.
 
 Every name used has the same name and signature in the parent checkout;
 ``automorphisms._bracket_defect`` and ``moduli._generated_group`` are
@@ -122,6 +125,7 @@ def _items():
             for name, metric in orbit.items()] + [
         ("moduli.isometry_group", lambda: mo.isometry_group("h5", row), 200),
         ("moduli.realize", lambda: mo.realize(row), 500),
+        ("moduli.realize.h9hat", lambda: mo.realize(boundary_forms["h9hat"]), 500),
         ("moduli.Metric", lambda: mo.Metric("h5", orbit["h5"]), 500),
         ("linalg.cholesky_lower", lambda: la.cholesky_lower(orbit["h5"]), 500),
         ("kernel.nijenhuis_tensor", lambda: al.nijenhuis_tensor(h5, j), 200),
@@ -140,6 +144,7 @@ def _items():
         ("automorphisms.component_representatives",
          lambda: au.component_representatives("h2"), 200),
         ("cli.describe", command(["describe", "h5"]), 10),
+        ("cli.describe.salamon", command(["describe", al.BUILTIN_SALAMON["h5"]]), 10),
         ("cli.isometry", command(["isometry", "--algebra", "h5", "--form", form]), 10),
         ("cli.hermitian", command(["hermitian", "--algebra", "h5", "--form", form]), 10),
         ("cli.canonicalize", command(["canonicalize", "--metric", metric_json]), 10),
