@@ -12,8 +12,9 @@ integrability equations.  For h9 the unique complex structure J0 is
 conjugated into special metric families; a numeric search provides the
 existence oracle used for the non-Hermitian family g_{A,B}, B != A.
 
-Every returned structure carries its residuals (nijenhuis, compatibility,
-involution) and a postcondition bound is enforced at construction.
+Every returned h5, h4, h6 and h9 structure carries one certificate
+(``_certify``): its residuals (nijenhuis, compatibility, involution), each
+bounded relative to the entries of J and g at HERMITIAN_RTOL.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .algebra import (
-    _IDENTITY,
     _PAIRING_J,
     DIM,
     AlmostComplexStructure,
@@ -41,15 +41,10 @@ from .linalg import cholesky_lower, max_norm
 from .moduli import H9Form, Metric, _require_same_basis, realize
 
 SPHERE_TOL = 1e-12
-NIJENHUIS_TOL = 1e-9
-H6_NIJENHUIS_TOL = 1e-12  # the Nijenhuis residual each of the four h6 structures must meet
-J_BUILD_TOL = 1e-11  # max|J^2 + I| of a J built from a triple (and of a returned solution)
-INVOLUTION_TOL = 1e-12  # max|J^2 + I| of a tabulated solution, and of h9's J0
+HERMITIAN_RTOL = 1e-12  # the closed-form certificate, relative to J's and g's entries (_certify)
 DEDUPE_TOL = 1e-10  # table triples within this l1 distance (normalized) are one
 H2_EQUATION_RTOL = 1e-8  # an h2 candidate is verified when its equations are this small
 H2_ABELIAN_TOL = 1e-8  # is_abelian_structure's tolerance for an h2 candidate
-SIGMA_FAMILY_TOL = 1e-10  # a Sigma1-3 pair's _h9_check_pair bound, and max|J^2 + I| of its J
-GPRIME_FAMILY_TOL = 1e-9  # a G' pair's _h9_check_pair bound
 
 
 @dataclass(frozen=True)
@@ -111,30 +106,48 @@ class SolutionSet:
         }
 
 
-def _residuals(alg_label, js, g):
-    """The nijenhuis and compatibility residuals of each J of an (n, 6, 6)
-    stack, one dict per J, from one Nijenhuis call for the stack.  The
-    involution residual max|J^2 + I| is each J's own (its
-    ``AlmostComplexStructure.residual``)."""
-    nijenhuis = np.abs(nijenhuis_tensor(get_algebra(alg_label), js)).max(axis=(1, 2, 3))
+def _bound(j_max):
+    """HERMITIAN_RTOL * max(1, max|J|)^2, given max|J|: the certificate's bound
+    of max|N_J| and max|J^2 + I|, whose rounding grows as J's entries squared."""
+    return HERMITIAN_RTOL * max(1.0, j_max) ** 2
+
+
+def _wrap(j, label):
+    """J wrapped at the certificate's J^2 + I bound."""
+    return AlmostComplexStructure(j, label, tol=_bound(max_norm(j)))
+
+
+def _certify(label, js, g, names, error):
+    """Each J of an (n, 6, 6) stack, certified Hermitian for g, as pairs
+    (wrapped J, residuals).
+
+    A J passes when max|N_J| and max|J^2 + I| are at most _bound(max|J|), and
+    max|J^T g J - g| at most that times max(1, max|g|).  The Nijenhuis
+    residuals come from one call for the stack; each J is wrapped once, and
+    its involution residual is the wrapper's.  The first residual over its
+    bound, in stack order, raises ``error`` naming its J by ``names``."""
+    nijenhuis = np.abs(nijenhuis_tensor(get_algebra(label), js)).max(axis=(1, 2, 3))
     compatibility = np.abs(js.transpose(0, 2, 1) @ g @ js - g).max(axis=(1, 2))
-    return [{"nijenhuis": n, "compatibility": c}
-            for n, c in zip(nijenhuis.tolist(), compatibility.tolist())]
+    j_max = np.abs(js).max(axis=(1, 2))
+    g_scale = max(1.0, max_norm(g))
+    out = []
+    for name, j, n, c, m in zip(names, js, nijenhuis.tolist(), compatibility.tolist(),
+                                j_max.tolist()):
+        bound = _bound(m)
+        acs = AlmostComplexStructure(j, label, tol=math.inf)  # its bound is checked below
+        res = {"nijenhuis": n, "compatibility": c, "involution": acs.residual}
+        for key, limit in (("involution", bound), ("nijenhuis", bound),
+                           ("compatibility", bound * g_scale)):
+            if res[key] > limit:
+                raise error(f"{label} {name}: {key} residual {res[key]:.3e} exceeds {limit:.3e}")
+        out.append((acs, res))
+    return out
 
 
-def _make_solution(alg_label, triple, j, res, nij_tol):
-    """The solution of one J of a verified stack, given its nijenhuis and
-    compatibility residuals: J is wrapped once, the solution keeps that
-    object, and its involution residual is the wrapper's."""
-    acs = AlmostComplexStructure(j, alg_label, tol=J_BUILD_TOL)
-    if acs.residual > INVOLUTION_TOL:
-        raise InvalidTriple(f"J^2 + I residual {acs.residual:.3e}")
-    if res["nijenhuis"] > nij_tol:
-        raise InvalidForm(
-            f"{alg_label} {triple.branch}: nijenhuis residual {res['nijenhuis']:.3e} "
-            f"exceeds {nij_tol:.1e}"
-        )
-    return HermitianSolution(triple, acs, {**res, "involution": acs.residual})
+def _make_solutions(label, triples, js, g):
+    """The HermitianSolution of each triple and its J in the stack ``js``."""
+    certified = _certify(label, js, g, [t.branch for t in triples], InvalidForm)
+    return [HermitianSolution(t, acs, res) for t, (acs, res) in zip(triples, certified)]
 
 
 def _dedupe(triples):
@@ -179,8 +192,7 @@ def _sphere_family_J(label, r, s, E, F, G, branch, triple):
         raise ValueError(f"unknown branch {branch!r}")
     a, b, c = triple
     t = SolutionTriple(a, b, c, branch).check_sphere()
-    return AlmostComplexStructure(_sphere_family_matrices(r, s, E, F, G, [t])[0], label,
-                                  tol=J_BUILD_TOL)
+    return _wrap(_sphere_family_matrices(r, s, E, F, G, [t])[0], label)
 
 
 def h5_J(form, branch, triple):
@@ -250,14 +262,12 @@ def _finite_sets(label, family, rows, g):
     """One finite SolutionSet per branch of ``rows`` (branch -> table triples)
     of the sphere family with parameters ``family`` = (r, s, E, F, G).
 
-    The residuals of all the J of the call come from one stack; then each J,
-    in order, has its triple checked on the sphere and its residuals bounded
-    (``_make_solution``).
+    Each triple is checked on the sphere; then the J of the call are
+    certified as one stack (``_certify``).
     """
-    triples = [SolutionTriple(*t, branch) for branch, trips in rows.items() for t in _dedupe(trips)]
-    js = _sphere_family_matrices(*family, triples)
-    sols = [_make_solution(label, t.check_sphere(), j, res, NIJENHUIS_TOL)
-            for t, j, res in zip(triples, js, _residuals(label, js, g))]
+    triples = [SolutionTriple(*t, branch).check_sphere()
+               for branch, trips in rows.items() for t in _dedupe(trips)]
+    sols = _make_solutions(label, triples, _sphere_family_matrices(*family, triples), g)
     return {branch: SolutionSet(branch, "finite",
                                 tuple(s for s in sols if s.triple.branch == branch))
             for branch in rows}
@@ -335,8 +345,7 @@ def h6_hermitian_solutions(form):
         j[4, 5] = -eps / alpha
         j[5, 4] = eps * alpha
         triples.append(SolutionTriple(alpha, sign * u, 0.0, tag))
-    return [_make_solution("h6", t, j, res, H6_NIJENHUIS_TOL)
-            for t, j, res in zip(triples, js, _residuals("h6", js, g))]
+    return _make_solutions("h6", triples, js, g)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +376,7 @@ def h2_J(form, triple):
     j[3, 0], j[3, 1], j[3, 2], j[3, 3] = c / beta, -b / beta, (a * alpha + A * c) / beta, -B * b / beta
     j[4, 4], j[4, 5] = -F / sd, -G / sd
     j[5, 4], j[5, 5] = E / sd, F / sd
-    return AlmostComplexStructure(j, "h2", tol=J_BUILD_TOL)
+    return _wrap(j, "h2")
 
 
 def h2_integrability_equations(form, a, b, c):
@@ -414,45 +423,34 @@ def h2_hermitian_candidates(form):
     reported through ``verified``.
     """
     form.validate()
-    A, B = form.a, form.b
     E, F = form.E, form.F
     _alpha, _beta, phi, psi, sd = _h2_angles(form)
+    if "ab" in form.on_strata():
+        triples = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]
+    else:
+        # From the two linear-in-(b, c) equations: b = -(1-a^2) sqrt(D)/(E phi)
+        # and c = -(1-a^2)(F/E + psi)/(a phi); the sphere constraint then gives
+        # a quadratic in t = a^2: P t^2 + (1 + Q - P) t - Q = 0 whose unique
+        # positive root lands in (0, 1).
+        p = (E * form.G - F * F) / (E * phi) ** 2
+        qq = ((F / E + psi) ** 2) / phi ** 2
+        disc = (1.0 + qq - p) ** 2 + 4.0 * p * qq
+        t_root = (-(1.0 + qq - p) + math.sqrt(disc)) / (2.0 * p)
+        triples = []
+        if 0.0 < t_root < 1.0:
+            for sign in (1.0, -1.0):
+                a = sign * math.sqrt(t_root)
+                triples.append((a, -(1.0 - t_root) * sd / (E * phi),
+                                -(1.0 - t_root) * (F / E + psi) / (a * phi)))
     scale = max(1.0, sd, E, form.G)
     out = []
-    if "ab" in form.on_strata():
-        for a in (1.0, -1.0):
-            t = SolutionTriple(a, 0.0, 0.0, "J")
-            j = h2_J(form, (a, 0.0, 0.0))
-            verified = bool(
-                np.max(np.abs(h2_integrability_equations(form, a, 0.0, 0.0)))
-                <= H2_EQUATION_RTOL * scale
-            )
-            out.append(H2Candidate(t, j, verified,
-                                   is_abelian_structure(builtin("h2"), j, tol=H2_ABELIAN_TOL)))
-        return out
-    # From the two linear-in-(b, c) equations: b = -(1-a^2) sqrt(D)/(E phi)
-    # and c = -(1-a^2)(F/E + psi)/(a phi); the sphere constraint then gives
-    # a quadratic in t = a^2: P t^2 + (1 + Q - P) t - Q = 0 whose unique
-    # positive root lands in (0, 1).
-    p = (E * form.G - F * F) / (E * phi) ** 2
-    qq = ((F / E + psi) ** 2) / phi ** 2
-    disc = (1.0 + qq - p) ** 2 + 4.0 * p * qq
-    t_root = (-(1.0 + qq - p) + math.sqrt(disc)) / (2.0 * p)
-    if not (0.0 < t_root < 1.0):
-        return out
-    for sign in (1.0, -1.0):
-        a = sign * math.sqrt(t_root)
-        b = -(1.0 - t_root) * sd / (E * phi)
-        c = -(1.0 - t_root) * (F / E + psi) / (a * phi)
+    for a, b, c in triples:
         norm = math.sqrt(a * a + b * b + c * c)
         a, b, c = a / norm, b / norm, c / norm
-        t = SolutionTriple(a, b, c, "J")
         j = h2_J(form, (a, b, c))
         resid = float(np.max(np.abs(h2_integrability_equations(form, a, b, c))))
-        out.append(
-            H2Candidate(t, j, bool(resid <= H2_EQUATION_RTOL * scale),
-                        is_abelian_structure(builtin("h2"), j, tol=H2_ABELIAN_TOL))
-        )
+        out.append(H2Candidate(SolutionTriple(a, b, c, "J"), j, resid <= H2_EQUATION_RTOL * scale,
+                               is_abelian_structure(builtin("h2"), j, tol=H2_ABELIAN_TOL)))
     return out
 
 
@@ -466,26 +464,16 @@ def h9_J0():
     j[1, 0], j[0, 1] = -1.0, 1.0   # J ê1 = -ê2
     j[4, 2], j[2, 4] = 1.0, -1.0   # J ê3 = ê5
     j[5, 3], j[3, 5] = -1.0, 1.0   # J ê4 = -ê6
-    return AlmostComplexStructure(j, "h9hat", tol=INVOLUTION_TOL)
-
-
-def _h9_check_pair(g, j, tol):
-    """InvalidParams unless the Nijenhuis and J^2 + I residuals are at most
-    tol, and max|J^T g J - g| at most tol * max(1, max|g|): the metric's
-    entries, and the rounding of J^T g J, grow with the family's parameters."""
-    (res,) = _residuals("h9hat", j[None], g)
-    worst = max(res["nijenhuis"], max_norm(j @ j + _IDENTITY),
-                res["compatibility"] / max(1.0, max_norm(g)))
-    if worst > tol:
-        raise InvalidParams(f"h9 family pair fails Hermitian check at {worst:.3e}")
+    return _wrap(j, "h9hat")
 
 
 def h9_sigma_family(which, **params):
     """Special Hermitian families (Sigma1, Sigma2, Sigma3) on h9.
 
     Returns (Metric, Automorphism phi, J = phi J0 phi^{-1}); the pair
-    (metric, J) is verified Hermitian at SIGMA_FAMILY_TOL (the compatibility
-    residual relative to max(1, max|g|)).  Each family is
+    (metric, J) carries the closed-form certificate (``_certify``: each
+    residual relative to the entries of J and g), and InvalidParams names
+    the residual over its bound.  Each family is
     G' (``h9_gprime_metric``) at fixed parameters:
 
       sigma1(A > 0, E):        a63 = A E / sqrt(E^2 + 1)
@@ -515,9 +503,8 @@ def h9_sigma_family(which, **params):
         raise ValueError(f"unknown family {which!r}")
     form, phi, j = _gprime_pair(*gprime)
     metric = realize(form)
-    _h9_check_pair(metric.matrix, j, tol=SIGMA_FAMILY_TOL)
-    return (metric, Automorphism(phi, "h9hat"),
-            AlmostComplexStructure(j, "h9hat", tol=SIGMA_FAMILY_TOL))
+    ((acs, _res),) = _certify("h9hat", j[None], metric.matrix, [which], InvalidParams)
+    return metric, Automorphism(phi, "h9hat"), acs
 
 
 def h9_gprime_metric(a11, a43, a44, a63, A):
@@ -527,7 +514,7 @@ def h9_gprime_metric(a11, a43, a44, a63, A):
     is a Hermitian pair; requires A^2 a11^10 - a44^2 a63^2 > 0.
     """
     form, phi, j = _gprime_pair(a11, a43, a44, a63, A)
-    _h9_check_pair(realize(form).matrix, j, tol=GPRIME_FAMILY_TOL)
+    _certify("h9hat", j[None], realize(form).matrix, ["gprime"], InvalidParams)
     return form, Automorphism(phi, "h9hat")
 
 

@@ -17,7 +17,7 @@ import nilmoduli.automorphisms as au
 import nilmoduli.cli as cli
 import nilmoduli.hermitian as hm
 import nilmoduli.moduli as mo
-from nilmoduli.errors import InvalidForm, InvalidTriple, NotSPD
+from nilmoduli.errors import InvalidForm, NotSPD
 from nilmoduli.linalg import EPS, cholesky_lower, max_norm, symmetrize
 
 # the case rows of h5, h6, h4 and h2 (with their form class) and h9's sign flips
@@ -433,26 +433,26 @@ def test_acs_keeps_its_residual():
         al.AlmostComplexStructure(j * (1.0 + 1e-8))
 
 
-@pytest.mark.parametrize("scale, error", [
-    (1.0 + 1e-10, ValueError),  # above J_BUILD_TOL: the wrapper refuses J
-    (1.0 + 2e-12, InvalidTriple),  # between INVOLUTION_TOL and J_BUILD_TOL
-    (1.0, InvalidForm),  # an involution: the Nijenhuis bound decides
-])
-def test_make_solution_checks_in_order(scale, error):
+@pytest.mark.parametrize("label, scale, key", [
+    ("h6", 1.0 + 1e-9, "involution"),  # all three over their bounds: J^2 + I comes first
+    ("h6", 1.0 + 2e-12, "involution"),  # 4e-12 over a bound of 1e-12
+    ("h6", 1.0, "nijenhuis"),  # an involution not integrable on h6: N_J before J^T g J
+    ("h5", 1.0, "compatibility"),  # integrable on h5, but not orthogonal for g
+], ids=["involution-1e-9", "involution-2e-12", "nijenhuis", "compatibility"])
+def test_make_solution_checks_in_order(label, scale, key):
     j = al.standard_pairing_j() * scale
     triple = hm.SolutionTriple(1.0, 0.0, 0.0, "J1")
-    res = {"nijenhuis": 1.0, "compatibility": 0.0}
-    with pytest.raises(error):
-        hm._make_solution("h5", triple, j, res, hm.NIJENHUIS_TOL)
+    g = np.diag([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(InvalidForm, match=rf"^{label} J1: {key} residual "):
+        hm._make_solutions(label, [triple], j[None], g)
 
 
 def test_make_solution_takes_the_wrappers_involution_residual():
-    j = al.standard_pairing_j()
+    j = al.standard_pairing_j() @ np.diag([1.0, 1.0, 1.0, 1.0, 1.0 + 2e-13, 1.0])
     triple = hm.SolutionTriple(1.0, 0.0, 0.0, "J1")
-    sol = hm._make_solution("h5", triple, j, {"nijenhuis": 0.0, "compatibility": 0.0},
-                            hm.NIJENHUIS_TOL)
+    (sol,) = hm._make_solutions("h5", [triple], j[None], np.eye(6))
     assert list(sol.residuals) == ["nijenhuis", "compatibility", "involution"]
-    assert sol.residuals["involution"] == sol.J.residual == max_norm(j @ j + np.eye(6))
+    assert sol.residuals["involution"] == sol.J.residual == max_norm(j @ j + np.eye(6)) > 0.0
 
 
 def _reference_value(params, spec):

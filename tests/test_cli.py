@@ -197,6 +197,18 @@ def test_hermitian_sphere_case(capsys):
     assert rep["outputs"]["solutions"]["J2"]["kind"] == "sphere"
 
 
+def test_hermitian_near_degenerate_h5_form(capsys):
+    # max|J^2 + I| is 2.1e-11 here, and max|J| about 700: the certificate's
+    # bounds are relative to J's entries, so the four structures return
+    code, out, err = run_cli(
+        capsys, "hermitian", "--algebra", "h5",
+        "--form", '{"r":0.5,"s":0.3,"E":1.0,"F":0.999999,"G":1.0}',
+    )
+    assert (code, err) == (0, "")
+    sols = json.loads(out)["outputs"]["solutions"]
+    assert [len(sols[b]["solutions"]) for b in ("J1", "J2")] == [2, 2]
+
+
 def test_hermitian_h4_r1(capsys):
     code, out, _ = run_cli(
         capsys, "hermitian", "--algebra", "h4",

@@ -238,13 +238,13 @@ def test_h6_invalid_ordering():
 # ---------------------------------------------------------------------------
 # one verified stack per closed-form call
 
-STACK_CASES = {  # a form per finite and sphere case, its solver and its Nijenhuis bound
-    "h5": (mo.H5Form(0.5, 0.3, 1.0, 0.1, 2.0), hm.h5_hermitian_solutions, "NIJENHUIS_TOL"),
-    "h5-sr": (mo.H5Form(0.6, 0.6, 1.0, 0.0, 2.0), hm.h5_hermitian_solutions, "NIJENHUIS_TOL"),
-    "h5-sphere": (mo.H5Form(1.0, 1.0, 1.0, 0.3, 2.0), hm.h5_hermitian_solutions, "NIJENHUIS_TOL"),
-    "h4": (mo.H4Form(0.5, 1.2, 0.3, 0.7), hm.h4_hermitian_solutions, "NIJENHUIS_TOL"),
-    "h4-r1": (mo.H4Form(1.0, 1.2, 0.0, 0.7), hm.h4_hermitian_solutions, "NIJENHUIS_TOL"),
-    "h6": (mo.H6Form(1.0, 4.0), hm.h6_hermitian_solutions, "H6_NIJENHUIS_TOL"),
+STACK_CASES = {  # a form per finite and sphere case and its solver
+    "h5": (mo.H5Form(0.5, 0.3, 1.0, 0.1, 2.0), hm.h5_hermitian_solutions),
+    "h5-sr": (mo.H5Form(0.6, 0.6, 1.0, 0.0, 2.0), hm.h5_hermitian_solutions),
+    "h5-sphere": (mo.H5Form(1.0, 1.0, 1.0, 0.3, 2.0), hm.h5_hermitian_solutions),
+    "h4": (mo.H4Form(0.5, 1.2, 0.3, 0.7), hm.h4_hermitian_solutions),
+    "h4-r1": (mo.H4Form(1.0, 1.2, 0.0, 0.7), hm.h4_hermitian_solutions),
+    "h6": (mo.H6Form(1.0, 4.0), hm.h6_hermitian_solutions),
 }
 
 
@@ -264,7 +264,7 @@ def test_each_returned_structure_is_wrapped_once(monkeypatch, case):
             made.append(self)
 
     monkeypatch.setattr(hm, "AlmostComplexStructure", Counted)
-    form, solve, _bound = STACK_CASES[case]
+    form, solve = STACK_CASES[case]
     sols = _structures(solve(form))
     assert sols
     assert len(made) == len(sols)
@@ -273,7 +273,7 @@ def test_each_returned_structure_is_wrapped_once(monkeypatch, case):
 
 @pytest.mark.parametrize("case", list(STACK_CASES))
 def test_stacked_residuals_equal_single_j_residuals(case):
-    form, solve, _bound = STACK_CASES[case]
+    form, solve = STACK_CASES[case]
     alg, g = al.builtin(form.algebra), mo.realize(form).matrix
     for sol in _structures(solve(form)):
         j = sol.J.matrix
@@ -284,18 +284,37 @@ def test_stacked_residuals_equal_single_j_residuals(case):
         }
 
 
+def _first_over_the_bound(sols, g, rtol):
+    """(structure, residual name, bound) of the first residual over its
+    bound at HERMITIAN_RTOL = rtol, in the certificate's order, or None."""
+    for sol in sols:
+        bound = rtol * max(1.0, max_norm(sol.J.matrix)) ** 2
+        for key, limit in (("involution", bound), ("nijenhuis", bound),
+                           ("compatibility", bound * max(1.0, max_norm(g)))):
+            if sol.residuals[key] > limit:
+                return sol, key, limit
+    return None
+
+
 @pytest.mark.parametrize("case", ["h5", "h4", "h6"])
 def test_a_nijenhuis_failure_names_the_first_structure_over_the_bound(monkeypatch, case):
-    # the residuals come from one stack, but the structures are checked in order
-    form, solve, bound_name = STACK_CASES[case]
+    # the residuals come from one stack, but the structures are checked in
+    # order.  N_J is scaled by 4, so that its residual stands apart from the
+    # J^2 + I residual (on h6 the two are one value), and the bound is put
+    # between the two smallest ratios of a Nijenhuis residual to its bound
+    nijenhuis = hm.nijenhuis_tensor
+    monkeypatch.setattr(hm, "nijenhuis_tensor", lambda alg, js: 4.0 * nijenhuis(alg, js))
+    form, solve = STACK_CASES[case]
     sols = _structures(solve(form))
-    bound = min(s.residuals["nijenhuis"] for s in sols)
-    if bound == max(s.residuals["nijenhuis"] for s in sols):
-        bound *= 0.5
-    first = next(s for s in sols if s.residuals["nijenhuis"] > bound)
-    monkeypatch.setattr(hm, bound_name, bound)
-    message = (f"{form.algebra} {first.triple.branch}: nijenhuis residual "
-               f"{first.residuals['nijenhuis']:.3e} exceeds {bound:.1e}")
+    ratios = [s.residuals["nijenhuis"] / max(1.0, max_norm(s.J.matrix)) ** 2 for s in sols]
+    lowest = sorted(set(ratios))
+    rtol = 0.5 * (lowest[0] + lowest[1]) if len(lowest) > 1 else 0.5 * lowest[0]
+    first = next(s for s, r in zip(sols, ratios) if r > rtol)
+    sol, key, limit = _first_over_the_bound(sols, mo.realize(form).matrix, rtol)
+    assert (sol, key) == (first, "nijenhuis")
+    monkeypatch.setattr(hm, "HERMITIAN_RTOL", rtol)
+    message = (f"{form.algebra} {sol.triple.branch}: nijenhuis residual "
+               f"{sol.residuals['nijenhuis']:.3e} exceeds {limit:.3e}")
     with pytest.raises(InvalidForm) as info:
         solve(form)
     assert str(info.value) == message
@@ -304,9 +323,44 @@ def test_a_nijenhuis_failure_names_the_first_structure_over_the_bound(monkeypatc
 @pytest.mark.parametrize("case", ["h5", "h4"])
 def test_an_off_sphere_table_triple_raises_in_the_solver(monkeypatch, case):
     monkeypatch.setattr(hm, "_dedupe", lambda trips: [(1.0, 1.0, 0.0)])
-    form, solve, _bound = STACK_CASES[case]
+    form, solve = STACK_CASES[case]
     with pytest.raises(InvalidTriple, match=r"^a\^2\+b\^2\+c\^2 deviates from 1 by 1\.000e\+00$"):
         solve(form)
+
+
+@pytest.mark.parametrize("case", ["h5", "h4"])
+def test_a_table_triple_moved_along_the_sphere_raises_in_the_solver(monkeypatch, case):
+    # each table triple turned by 1e-6 in its (a, b) plane stays on the sphere
+    # but its J is no longer integrable
+    dedupe = hm._dedupe
+    t = 1e-6
+    monkeypatch.setattr(hm, "_dedupe", lambda trips: [
+        (a * np.cos(t) - b * np.sin(t), a * np.sin(t) + b * np.cos(t), c)
+        for a, b, c in dedupe(trips)])
+    form, solve = STACK_CASES[case]
+    with pytest.raises(InvalidForm, match=rf"^{case} J1: nijenhuis residual "):
+        solve(form)
+
+
+NEAR_DEGENERATE = {  # a form of each solver at F (h5) or b (h4) = f; EG - F^2 = 1 - f^2
+    "h5": (lambda f: mo.H5Form(0.5, 0.3, 1.0, f, 1.0), hm.h5_hermitian_solutions),
+    "h4": (lambda f: mo.H4Form(0.5, 1.0, f, 1.0), hm.h4_hermitian_solutions),
+}
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10])
+@pytest.mark.parametrize("case", list(NEAR_DEGENERATE))
+def test_near_degenerate_forms_keep_their_structures(case, k):
+    # J's entries grow as 1 / sqrt(EG - F^2), and the rounding of every
+    # residual with them: the certificate's bounds grow as that rounding does
+    make, solve = NEAR_DEGENERATE[case]
+    reference = {b: (s.kind, len(s.solutions)) for b, s in solve(make(0.99)).items()}
+    form = make(1.0 - 10.0 ** -k)
+    sets = solve(form)
+    assert {b: (s.kind, len(s.solutions)) for b, s in sets.items()} == reference
+    sols = _structures(sets)
+    assert max(max_norm(s.J.matrix) for s in sols) > 10.0 ** (k / 2 - 1)
+    assert _first_over_the_bound(sols, mo.realize(form).matrix, hm.HERMITIAN_RTOL) is None
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +521,8 @@ def test_h9_sigma1_compatibility_is_checked_relative_to_the_metric(big_a, big_e)
     # 1e-6 off the locus (B scaled by 1 + 1e-6) the pair is still rejected
     w = np.sqrt(big_e ** 2 + 1.0)
     off = mo.realize(mo.H9Form(A=big_a, B=big_a * w * (1 + 1e-6), C=w, D=0.0, E=big_e, F=0.0))
-    with pytest.raises(InvalidParams, match="fails Hermitian check"):
-        hm._h9_check_pair(off.matrix, j.matrix, hm.SIGMA_FAMILY_TOL)
+    with pytest.raises(InvalidParams, match=r"^h9hat sigma1: compatibility residual "):
+        hm._certify("h9hat", j.matrix[None], off.matrix, ["sigma1"], InvalidParams)
 
 
 @pytest.mark.parametrize("big_a", [0.3, 1.0, 2.0])
@@ -535,19 +589,26 @@ def test_h9_gprime_degenerate_matches_sigma3():
     assert form.B == pytest.approx(form.A)  # diag(1,1,A^2,1,A^2,C^2) shape
 
 
-@pytest.mark.parametrize("call, tol", [
-    (lambda: hm.h9_sigma_family("sigma1", A=1.3, E=0.7), hm.SIGMA_FAMILY_TOL),
-    (lambda: hm.h9_sigma_family("sigma2", A=1.3, F=0.4), hm.SIGMA_FAMILY_TOL),
-    (lambda: hm.h9_sigma_family("sigma3", a11=1.2, a44=0.8, A=1.1), hm.SIGMA_FAMILY_TOL),
-    (lambda: hm.h9_gprime_metric(1.1, 0.3, 0.9, 0.2, 1.4), hm.GPRIME_FAMILY_TOL),
+@pytest.mark.parametrize("call, name", [
+    (lambda: hm.h9_sigma_family("sigma1", A=1.3, E=0.7), "sigma1"),
+    (lambda: hm.h9_sigma_family("sigma2", A=1.3, F=0.4), "sigma2"),
+    (lambda: hm.h9_sigma_family("sigma3", a11=1.2, a44=0.8, A=1.1), "sigma3"),
+    (lambda: hm.h9_gprime_metric(1.1, 0.3, 0.9, 0.2, 1.4), "gprime"),
 ], ids=["sigma1", "sigma2", "sigma3", "gprime"])
-def test_h9_families_check_their_pair_once(monkeypatch, call, tol):
-    seen = []
-    check = hm._h9_check_pair
-    monkeypatch.setattr(hm, "_h9_check_pair",
-                        lambda g, j, tol: seen.append(tol) or check(g, j, tol))
-    call()
-    assert seen == [tol]
+def test_h9_families_check_their_pair_once(monkeypatch, call, name):
+    seen, certified = [], []
+    certify = hm._certify
+
+    def counted(label, js, g, names, error):
+        seen.append((label, js.shape, list(names), error))
+        certified.extend(certify(label, js, g, names, error))
+        return certified
+
+    monkeypatch.setattr(hm, "_certify", counted)
+    out = call()
+    assert seen == [("h9hat", (1, 6, 6), [name], InvalidParams)]
+    if name != "gprime":  # a Sigma family returns the certified J, not a second wrapper
+        assert out[2] is certified[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ the per-call time over the runs.  The items are
     on a case boundary (so the stratum snaps run), and
     ``moduli.isometry_group`` and ``moduli.realize`` on one case row's form,
     and ``moduli.realize`` on an h9 form (the metric X^T X of its factor);
+  * the closed-form Hermitian structures: ``h6_hermitian_solutions``,
+    ``h2_hermitian_candidates`` on a form with two candidates, and
+    ``h9_sigma_family("sigma1", ...)``;
   * the warm ``describe``, ``isometry``, ``hermitian``, ``canonicalize``
     and ``tables`` commands, each a ``cli.main(argv)`` call in this process,
     and ``describe`` of a Salamon string, which parses a new algebra on
@@ -88,6 +91,7 @@ def _items():
     import nilmoduli.algebra as al
     import nilmoduli.automorphisms as au
     import nilmoduli.cli as cli
+    import nilmoduli.hermitian as hm
     import nilmoduli.linalg as la
     import nilmoduli.moduli as mo
 
@@ -143,6 +147,12 @@ def _items():
         ("moduli._generated_group", lambda: mo._generated_group(flips), 50),
         ("automorphisms.component_representatives",
          lambda: au.component_representatives("h2"), 200),
+        ("hermitian.h6_hermitian_solutions",
+         lambda: hm.h6_hermitian_solutions(mo.H6Form(1.0, 4.0)), 200),
+        ("hermitian.h2_hermitian_candidates",
+         lambda: hm.h2_hermitian_candidates(mo.H2Form(0.2, 0.5, 1.0, 0.3, 2.0)), 200),
+        ("hermitian.h9_sigma_family.sigma1",
+         lambda: hm.h9_sigma_family("sigma1", A=1.3, E=0.7), 200),
         ("cli.describe", command(["describe", "h5"]), 10),
         ("cli.describe.salamon", command(["describe", al.BUILTIN_SALAMON["h5"]]), 10),
         ("cli.isometry", command(["isometry", "--algebra", "h5", "--form", form]), 10),
