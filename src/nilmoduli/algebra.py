@@ -19,6 +19,7 @@ parses to a custom algebra.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -345,26 +346,21 @@ def nilpotency_step(alg):
         span = u[:, :rank]
 
 
-def _checked_j(alg, j, tol):
-    """The matrix of J (an AlmostComplexStructure or an array), with J^2 = -I checked."""
-    jm = j.matrix if isinstance(j, AlmostComplexStructure) else np.asarray(j, dtype=float)
-    if max_norm(jm @ jm + np.eye(alg.dim)) > tol:
+def _checked_j(j, tol):
+    """The matrix of J (an AlmostComplexStructure or an array), with J^2 = -I
+    checked on the residual its wrapper took."""
+    if not isinstance(j, AlmostComplexStructure):
+        j = AlmostComplexStructure(j, tol=math.inf)
+    if j.residual > tol:
         raise ValueError("J^2 != -I within tolerance")
-    return jm
+    return j.matrix
 
 
 def nijenhuis(alg, j, x, y):
-    """N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]."""
-    jm = _checked_j(alg, j, DEFAULT_TOL)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    jx, jy = jm @ x, jm @ y
-    return (
-        bracket(alg, jx, jy)
-        - jm @ bracket(alg, jx, y)
-        - jm @ bracket(alg, x, jy)
-        - bracket(alg, x, y)
-    )
+    """N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y], contracted from
+    ``nijenhuis_tensor``."""
+    jm = _checked_j(j, DEFAULT_TOL)
+    return nijenhuis_tensor(alg, jm) @ np.asarray(y, dtype=float) @ np.asarray(x, dtype=float)
 
 
 def nijenhuis_tensor(alg, j):
@@ -383,12 +379,12 @@ def nijenhuis_tensor(alg, j):
 
 def nijenhuis_residual(alg, j, tol=DEFAULT_TOL):
     """Max over basis pairs of ||N_J(e_i, e_j)||_max; 0 iff J integrable."""
-    return max_norm(nijenhuis_tensor(alg, _checked_j(alg, j, tol)))
+    return max_norm(nijenhuis_tensor(alg, _checked_j(j, tol)))
 
 
 def is_abelian_structure(alg, j, tol=DEFAULT_TOL):
     """True iff [JX, JY] = [X, Y] on all basis pairs within tol."""
-    jm = _checked_j(alg, j, tol)
+    jm = _checked_j(j, tol)
     b = alg.bracket_tensor
     return bool(max_norm(pullback(b, jm) - b) <= tol)
 

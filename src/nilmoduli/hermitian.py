@@ -7,14 +7,14 @@ a^2 + b^2 + c^2 = 1; integrability reduces to a quadratic whose solutions
 are tabulated case by case (F > 0 / F = 0, position of E/G against alpha^2
 or beta^2).  For h6 there are exactly four structures J1+-, J2+-.  For h2
 one connected family is treated: a quartic (quadratic in a^2) gives at
-most two candidates, each checked against the full list of nine
-integrability equations.  For h9 the unique complex structure J0 is
+most two candidates.  For h9 the unique complex structure J0 is
 conjugated into special metric families; a numeric search provides the
 existence oracle used for the non-Hermitian family g_{A,B}, B != A.
 
 Every returned h5, h4, h6 and h9 structure carries one certificate
 (``_certify``): its residuals (nijenhuis, compatibility, involution), each
-bounded relative to the entries of J and g at HERMITIAN_RTOL.
+bounded relative to the entries of J and g at HERMITIAN_RTOL.  The h2
+candidates are ``verified`` by the same residuals at H2_VERIFY_RTOL.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .algebra import (
     AlmostComplexStructure,
     builtin,
     get_algebra,
-    is_abelian_structure,
     nijenhuis_tensor,
+    pullback,
 )
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
@@ -43,8 +43,8 @@ from .moduli import H9Form, Metric, _require_same_basis, realize
 SPHERE_TOL = 1e-12
 HERMITIAN_RTOL = 1e-12  # the closed-form certificate, relative to J's and g's entries (_certify)
 DEDUPE_TOL = 1e-10  # table triples within this l1 distance (normalized) are one
-H2_EQUATION_RTOL = 1e-8  # an h2 candidate is verified when its equations are this small
-H2_ABELIAN_TOL = 1e-8  # is_abelian_structure's tolerance for an h2 candidate
+H2_VERIFY_RTOL = 1e-8  # an h2 candidate is verified at this bound, relative as in _certify
+H2_ABELIAN_TOL = 1e-8  # an h2 candidate is abelian when max|b(J., J.) - b| is this small
 
 
 @dataclass(frozen=True)
@@ -106,38 +106,40 @@ class SolutionSet:
         }
 
 
-def _bound(j_max):
-    """HERMITIAN_RTOL * max(1, max|J|)^2, given max|J|: the certificate's bound
-    of max|N_J| and max|J^2 + I|, whose rounding grows as J's entries squared."""
-    return HERMITIAN_RTOL * max(1.0, j_max) ** 2
-
-
 def _wrap(j, label):
     """J wrapped at the certificate's J^2 + I bound."""
-    return AlmostComplexStructure(j, label, tol=_bound(max_norm(j)))
+    return AlmostComplexStructure(j, label, tol=HERMITIAN_RTOL * max(1.0, max_norm(j)) ** 2)
+
+
+def _measure(label, js, g):
+    """(wrapped J, residuals, scales) of each J of an (n, 6, 6) stack for g:
+    max|N_J| (one call for the stack) and max|J^2 + I| (the wrapper's) on the
+    scale max(1, max|J|)^2, as their rounding grows as J's entries squared,
+    and max|J^T g J - g| on that times max(1, max|g|); scales in check order."""
+    nijenhuis = np.abs(nijenhuis_tensor(get_algebra(label), js)).max(axis=(1, 2, 3))
+    compatibility = np.abs(js.transpose(0, 2, 1) @ g @ js - g).max(axis=(1, 2))
+    j_max = np.abs(js).max(axis=(1, 2))
+    g_scale = max(1.0, max_norm(g))
+    out = []
+    for j, n, c, m in zip(js, nijenhuis.tolist(), compatibility.tolist(), j_max.tolist()):
+        acs = AlmostComplexStructure(j, label, tol=math.inf)  # the caller bounds its residual
+        scale = max(1.0, m) ** 2
+        out.append((acs, {"nijenhuis": n, "compatibility": c, "involution": acs.residual},
+                    {"involution": scale, "nijenhuis": scale, "compatibility": scale * g_scale}))
+    return out
 
 
 def _certify(label, js, g, names, error):
     """Each J of an (n, 6, 6) stack, certified Hermitian for g, as pairs
     (wrapped J, residuals).
 
-    A J passes when max|N_J| and max|J^2 + I| are at most _bound(max|J|), and
-    max|J^T g J - g| at most that times max(1, max|g|).  The Nijenhuis
-    residuals come from one call for the stack; each J is wrapped once, and
-    its involution residual is the wrapper's.  The first residual over its
-    bound, in stack order, raises ``error`` naming its J by ``names``."""
-    nijenhuis = np.abs(nijenhuis_tensor(get_algebra(label), js)).max(axis=(1, 2, 3))
-    compatibility = np.abs(js.transpose(0, 2, 1) @ g @ js - g).max(axis=(1, 2))
-    j_max = np.abs(js).max(axis=(1, 2))
-    g_scale = max(1.0, max_norm(g))
+    A J passes when each of its residuals is at most HERMITIAN_RTOL times its
+    scale (``_measure``).  The first residual over its bound, in stack
+    order, raises ``error`` naming its J by ``names``."""
     out = []
-    for name, j, n, c, m in zip(names, js, nijenhuis.tolist(), compatibility.tolist(),
-                                j_max.tolist()):
-        bound = _bound(m)
-        acs = AlmostComplexStructure(j, label, tol=math.inf)  # its bound is checked below
-        res = {"nijenhuis": n, "compatibility": c, "involution": acs.residual}
-        for key, limit in (("involution", bound), ("nijenhuis", bound),
-                           ("compatibility", bound * g_scale)):
+    for name, (acs, res, scales) in zip(names, _measure(label, js, g)):
+        for key, scale in scales.items():
+            limit = HERMITIAN_RTOL * scale
             if res[key] > limit:
                 raise error(f"{label} {name}: {key} residual {res[key]:.3e} exceeds {limit:.3e}")
         out.append((acs, res))
@@ -151,6 +153,8 @@ def _make_solutions(label, triples, js, g):
 
 
 def _dedupe(triples):
+    """The triples scaled onto the sphere, without those within DEDUPE_TOL of
+    an earlier one."""
     out = []
     for t in triples:
         nrm = math.sqrt(t[0] ** 2 + t[1] ** 2 + t[2] ** 2)
@@ -262,11 +266,9 @@ def _finite_sets(label, family, rows, g):
     """One finite SolutionSet per branch of ``rows`` (branch -> table triples)
     of the sphere family with parameters ``family`` = (r, s, E, F, G).
 
-    Each triple is checked on the sphere; then the J of the call are
-    certified as one stack (``_certify``).
+    The J of the call are certified as one stack (``_certify``).
     """
-    triples = [SolutionTriple(*t, branch).check_sphere()
-               for branch, trips in rows.items() for t in _dedupe(trips)]
+    triples = [SolutionTriple(*t, branch) for branch, trips in rows.items() for t in _dedupe(trips)]
     sols = _make_solutions(label, triples, _sphere_family_matrices(*family, triples), g)
     return {branch: SolutionSet(branch, "finite",
                                 tuple(s for s in sols if s.triple.branch == branch))
@@ -361,42 +363,29 @@ def _h2_angles(form):
     return alpha, beta, B * alpha - A * beta, A * B + alpha * beta, sd
 
 
+def _h2_matrices(form, triples):
+    """The J of the treated h2 family, one per SolutionTriple (a, b, c), as
+    an (n, 6, 6) stack."""
+    A, B = form.a, form.b
+    E, F, G = form.E, form.F, form.G
+    alpha, beta, phi, psi, sd = _h2_angles(form)
+    js = np.zeros((len(triples), DIM, DIM))
+    for j, t in zip(js, triples):
+        a, b, c = t.a, t.b, t.c
+        j[0, 0], j[0, 1], j[0, 2], j[0, 3] = -A * b / alpha, -(a * alpha + A * c) / alpha, -b / alpha, -(a * phi + c * psi) / alpha
+        j[1, 0], j[1, 1], j[1, 2], j[1, 3] = (a * beta - B * c) / beta, B * b / beta, -(a * phi + c * psi) / beta, b / beta
+        j[2, 0], j[2, 1], j[2, 2], j[2, 3] = b / alpha, c / alpha, A * b / alpha, -(a * beta - B * c) / alpha
+        j[3, 0], j[3, 1], j[3, 2], j[3, 3] = c / beta, -b / beta, (a * alpha + A * c) / beta, -B * b / beta
+        j[4, 4], j[4, 5] = -F / sd, -G / sd
+        j[5, 4], j[5, 5] = E / sd, F / sd
+    return js
+
+
 def h2_J(form, triple):
     """The treated connected component of the compatible family on h2."""
     form.validate()
-    A, B = form.a, form.b
-    a, b, c = triple
-    SolutionTriple(a, b, c, "J").check_sphere()
-    E, F, G = form.E, form.F, form.G
-    alpha, beta, phi, psi, sd = _h2_angles(form)
-    j = np.zeros((DIM, DIM))
-    j[0, 0], j[0, 1], j[0, 2], j[0, 3] = -A * b / alpha, -(a * alpha + A * c) / alpha, -b / alpha, -(a * phi + c * psi) / alpha
-    j[1, 0], j[1, 1], j[1, 2], j[1, 3] = (a * beta - B * c) / beta, B * b / beta, -(a * phi + c * psi) / beta, b / beta
-    j[2, 0], j[2, 1], j[2, 2], j[2, 3] = b / alpha, c / alpha, A * b / alpha, -(a * beta - B * c) / alpha
-    j[3, 0], j[3, 1], j[3, 2], j[3, 3] = c / beta, -b / beta, (a * alpha + A * c) / beta, -B * b / beta
-    j[4, 4], j[4, 5] = -F / sd, -G / sd
-    j[5, 4], j[5, 5] = E / sd, F / sd
-    return _wrap(j, "h2")
-
-
-def h2_integrability_equations(form, a, b, c):
-    """The nine integrability equations of the treated h2 family."""
-    A, B = form.a, form.b
-    E, F, G = form.E, form.F, form.G
-    alpha, beta, phi, psi, sd = _h2_angles(form)
-    return np.array([
-        -a * a * beta * phi + b * b * A + c * c * B * psi
-        + a * c * (B * phi - beta * psi) - b * (F * alpha + G * beta) / sd,
-        a * b * sd + a * E * phi + c * (E * psi + F),
-        (1.0 - a * a) * sd + b * E * phi,
-        (a * phi + c * psi) ** 2 + b * b + G * b * phi / sd,
-        a * c * alpha + (1.0 - a * a) * A - b * (F * alpha + E * beta) / sd,
-        a * c * phi + (1.0 - a * a) * psi - b * F * phi / sd,
-        (c * phi - a * psi) * b * sd + a * F * phi + c * (F * psi + G),
-        a * a * alpha * phi + b * b * B + c * c * A * psi
-        + a * c * (A * phi + alpha * psi) + b * (G * alpha + F * beta) / sd,
-        a * c * beta - (1.0 - a * a) * B - b * (E * alpha + F * beta) / sd,
-    ])
+    t = SolutionTriple(*triple, "J").check_sphere()
+    return _wrap(_h2_matrices(form, [t])[0], "h2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,11 +407,12 @@ def h2_hermitian_candidates(form):
     """At most two complex-structure candidates in the treated family.
 
     A = B forces (a, b, c) = (+-1, 0, 0) (abelian).  For A < B the pair
-    (b, c) is solved from two of the equations and a^2 from the sphere
-    constraint; the remaining equations are checked numerically and
-    reported through ``verified``.
+    (b, c) is solved from two of the integrability equations and a^2 from
+    the sphere constraint.  A candidate is ``verified`` when each of its
+    residuals is at most H2_VERIFY_RTOL times its scale (``_measure``),
+    and ``abelian`` when [JX, JY] = [X, Y] within H2_ABELIAN_TOL.
     """
-    form.validate()
+    g = realize(form).matrix  # validates the form
     E, F = form.E, form.F
     _alpha, _beta, phi, psi, sd = _h2_angles(form)
     if "ab" in form.on_strata():
@@ -436,22 +426,18 @@ def h2_hermitian_candidates(form):
         qq = ((F / E + psi) ** 2) / phi ** 2
         disc = (1.0 + qq - p) ** 2 + 4.0 * p * qq
         t_root = (-(1.0 + qq - p) + math.sqrt(disc)) / (2.0 * p)
-        triples = []
-        if 0.0 < t_root < 1.0:
-            for sign in (1.0, -1.0):
-                a = sign * math.sqrt(t_root)
-                triples.append((a, -(1.0 - t_root) * sd / (E * phi),
-                                -(1.0 - t_root) * (F / E + psi) / (a * phi)))
-    scale = max(1.0, sd, E, form.G)
-    out = []
-    for a, b, c in triples:
-        norm = math.sqrt(a * a + b * b + c * c)
-        a, b, c = a / norm, b / norm, c / norm
-        j = h2_J(form, (a, b, c))
-        resid = float(np.max(np.abs(h2_integrability_equations(form, a, b, c))))
-        out.append(H2Candidate(SolutionTriple(a, b, c, "J"), j, resid <= H2_EQUATION_RTOL * scale,
-                               is_abelian_structure(builtin("h2"), j, tol=H2_ABELIAN_TOL)))
-    return out
+        if not 0.0 < t_root < 1.0:
+            return []
+        triples = [(a, -(1.0 - t_root) * sd / (E * phi), -(1.0 - t_root) * (F / E + psi) / (a * phi))
+                   for a in (math.sqrt(t_root), -math.sqrt(t_root))]
+    triples = [SolutionTriple(a / n, b / n, c / n, "J")
+               for a, b, c in triples for n in [math.sqrt(a * a + b * b + c * c)]]
+    js = _h2_matrices(form, triples)
+    b = builtin("h2").bracket_tensor
+    abelian = np.abs(pullback(b, js) - b).max(axis=(1, 2, 3)) <= H2_ABELIAN_TOL
+    return [H2Candidate(t, acs, all(res[k] <= H2_VERIFY_RTOL * scale for k, scale in scales.items()),
+                        bool(flag))
+            for t, (acs, res, scales), flag in zip(triples, _measure("h2", js, g), abelian)]
 
 
 # ---------------------------------------------------------------------------

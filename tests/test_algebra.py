@@ -297,6 +297,24 @@ def test_nijenhuis_antisymmetry_sweep():
             assert max_norm(n_xy + n_yx) <= 1e-12 * max(1.0, max_norm(n_xy))
 
 
+def test_nijenhuis_tensor_matches_the_definition_at_random_vectors():
+    # the textbook N_J(X, Y), written with bracket, against the tensor contracted
+    rng = np.random.default_rng(3)
+    for name in BUILTINS:
+        alg = al.builtin(name)
+        for _ in range(20):
+            p = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
+            j = p @ al.standard_pairing_j() @ np.linalg.inv(p)
+            x, y = rng.normal(size=6), rng.normal(size=6)
+            jx, jy = j @ x, j @ y
+            want = (al.bracket(alg, jx, jy) - j @ al.bracket(alg, jx, y)
+                    - j @ al.bracket(alg, x, jy) - al.bracket(alg, x, y))
+            got = al.nijenhuis_tensor(alg, j) @ y @ x
+            scale = max(1.0, max_norm(j)) ** 2 * max_norm(x) * max_norm(y)
+            assert max_norm(got - want) <= 1e-12 * scale
+            assert np.array_equal(al.nijenhuis(alg, j, x, y), got)
+
+
 def test_nijenhuis_requires_almost_complex():
     with pytest.raises(ValueError):
         al.nijenhuis_residual(al.builtin("h2"), np.eye(6))

@@ -254,7 +254,10 @@ def _structures(result):
     return list(result)
 
 
-@pytest.mark.parametrize("case", list(STACK_CASES))
+WRAP_CASES = {**STACK_CASES, "h2": (mo.H2Form(0.2, 0.6, 1.0, 0.3, 2.0), hm.h2_hermitian_candidates)}
+
+
+@pytest.mark.parametrize("case", list(WRAP_CASES))
 def test_each_returned_structure_is_wrapped_once(monkeypatch, case):
     made = []
 
@@ -264,7 +267,7 @@ def test_each_returned_structure_is_wrapped_once(monkeypatch, case):
             made.append(self)
 
     monkeypatch.setattr(hm, "AlmostComplexStructure", Counted)
-    form, solve = STACK_CASES[case]
+    form, solve = WRAP_CASES[case]
     sols = _structures(solve(form))
     assert sols
     assert len(made) == len(sols)
@@ -322,10 +325,22 @@ def test_a_nijenhuis_failure_names_the_first_structure_over_the_bound(monkeypatc
 
 @pytest.mark.parametrize("case", ["h5", "h4"])
 def test_an_off_sphere_table_triple_raises_in_the_solver(monkeypatch, case):
+    # a^2 + b^2 + c^2 = 2: J^2 = -2 on the first four basis vectors
     monkeypatch.setattr(hm, "_dedupe", lambda trips: [(1.0, 1.0, 0.0)])
     form, solve = STACK_CASES[case]
-    with pytest.raises(InvalidTriple, match=r"^a\^2\+b\^2\+c\^2 deviates from 1 by 1\.000e\+00$"):
+    with pytest.raises(InvalidForm, match=rf"^{case} J1: involution residual 1\.000e\+00 exceeds "):
         solve(form)
+
+
+def test_dedupe_puts_its_triples_on_the_sphere():
+    # the solvers take _dedupe's triples as on the sphere, unchecked
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for scale in (1e-3, 1.0, 1e3):
+        trips = [tuple(scale * rng.normal(size=3)) for _ in range(200)]
+        trips += [(scale, 0.0, 0.0), (0.0, -scale, 0.0), (scale, scale, scale)]
+        for a, b, c in hm._dedupe(trips):
+            assert abs(a * a + b * b + c * c - 1.0) <= 4 * eps
 
 
 @pytest.mark.parametrize("case", ["h5", "h4"])
@@ -391,17 +406,59 @@ def test_h2_equal_coupling_gives_abelian_pair():
     assert all(c.verified and c.abelian for c in cands)
 
 
+H2_PAIR_FORMS = [mo.H2Form(0.3, 0.3, 1.0, 0.2, 2.0), mo.H2Form(0.2, 0.6, 1.0, 0.3, 2.0)]  # a = b, a < b
+
+
 def test_h2_candidates_judge_abelian_at_one_tolerance(monkeypatch):
-    tols = []
+    h2 = al.builtin("h2")
+    for form in H2_PAIR_FORMS:
+        cands = hm.h2_hermitian_candidates(form)
+        assert len(cands) == 2
+        assert [c.abelian for c in cands] == [
+            al.is_abelian_structure(h2, c.J, tol=hm.H2_ABELIAN_TOL) for c in cands]
+    for tol, flag in ((-1.0, False), (np.inf, True)):
+        monkeypatch.setattr(hm, "H2_ABELIAN_TOL", tol)
+        for form in H2_PAIR_FORMS:
+            assert [c.abelian for c in hm.h2_hermitian_candidates(form)] == [flag, flag]
 
-    def recording(alg, j, **kw):
-        tols.append(kw.get("tol"))
-        return al.is_abelian_structure(alg, j, **kw)
 
-    monkeypatch.setattr(hm, "is_abelian_structure", recording)
-    assert len(hm.h2_hermitian_candidates(mo.H2Form(0.3, 0.3, 1.0, 0.2, 2.0))) == 2  # a = b
-    assert len(hm.h2_hermitian_candidates(mo.H2Form(0.2, 0.6, 1.0, 0.3, 2.0))) == 2  # a < b
-    assert tols == [hm.H2_ABELIAN_TOL] * 4
+def test_h2_candidates_at_a_large_j_are_verified():
+    # max|J| = 44: N_J's rounding is 2.9e-8 there, 1.5e-11 of max|J|^2
+    form = mo.H2Form(0.02438187346534602, 0.024385635258341275, 0.0010448929342252043,
+                     0.020007615927525212, 1.5386347695218612)
+    cands = hm.h2_hermitian_candidates(form)
+    assert len(cands) == 2
+    assert all(c.verified for c in cands)
+    assert max(max_norm(c.J.matrix) for c in cands) > 40.0
+
+
+def test_h2_candidate_with_a_perturbed_entry_is_unverified(monkeypatch):
+    # J[e5, e6] scaled by 1 + 1e-6 on the first candidate: J^2 + I, J^T g J - g
+    # and N_J move by ~1e-6, but [JX, JY] reads only J's first four rows
+    build = hm._h2_matrices
+
+    def perturbed(form, triples):
+        js = build(form, triples)
+        js[0, 4, 5] *= 1.0 + 1e-6
+        return js
+
+    for form in H2_PAIR_FORMS:
+        before = hm.h2_hermitian_candidates(form)
+        monkeypatch.setattr(hm, "_h2_matrices", perturbed)
+        after = hm.h2_hermitian_candidates(form)
+        monkeypatch.setattr(hm, "_h2_matrices", build)
+        assert [c.verified for c in before] == [True, True]
+        assert [c.verified for c in after] == [False, True]
+        assert [c.abelian for c in after] == [c.abelian for c in before]
+
+
+def test_h2_candidates_at_a_zero_bound_are_unverified(monkeypatch):
+    monkeypatch.setattr(hm, "H2_VERIFY_RTOL", 0.0)
+    rng = np.random.default_rng(12)
+    forms = H2_PAIR_FORMS + [random_canonical_form("h2", rng) for _ in range(20)]
+    cands = [c for form in forms for c in hm.h2_hermitian_candidates(form)]
+    assert len(cands) >= 2 * len(H2_PAIR_FORMS)
+    assert not any(c.verified for c in cands)
 
 
 def test_h2_distinct_coupling_candidates():

@@ -23,8 +23,9 @@ the per-call time over the runs.  The items are
     ``h9_sigma_family("sigma1", ...)``;
   * the warm ``describe``, ``isometry``, ``hermitian``, ``canonicalize``
     and ``tables`` commands, each a ``cli.main(argv)`` call in this process,
-    and ``describe`` of a Salamon string, which parses a new algebra on
-    each call and so builds its facts and derivation basis anew.
+    ``hermitian`` also on an h2 form with two candidates, and ``describe``
+    of a Salamon string, which parses a new algebra on each call and so
+    builds its facts and derivation basis anew.
 
 Every name used has the same name and signature in the parent checkout;
 ``automorphisms._bracket_defect`` and ``moduli._generated_group`` are
@@ -124,6 +125,7 @@ def _items():
     z2_cubed = {name: (f, mo.isometry_group(name, f)) for name, f in z2_cubed.items()}
     flips = [gen.matrix for gen in z2_cubed["h9hat"][1].generators]
     form = json.dumps({"r": 0.6, "s": 0.6, "E": 1.0, "F": 0.1, "G": 2.0})
+    h2_form = json.dumps({"a": 0.2, "b": 0.5, "E": 1.0, "F": 0.3, "G": 2.0})
     metric_json = json.dumps({"algebra": "h5", "matrix": orbit["h5"].tolist()})
     return [(f"moduli.canonicalize.{name}", functools.partial(mo.canonicalize, name, metric), 200)
             for name, metric in orbit.items()] + [
@@ -157,6 +159,7 @@ def _items():
         ("cli.describe.salamon", command(["describe", al.BUILTIN_SALAMON["h5"]]), 10),
         ("cli.isometry", command(["isometry", "--algebra", "h5", "--form", form]), 10),
         ("cli.hermitian", command(["hermitian", "--algebra", "h5", "--form", form]), 10),
+        ("cli.hermitian.h2", command(["hermitian", "--algebra", "h2", "--form", h2_form]), 10),
         ("cli.canonicalize", command(["canonicalize", "--metric", metric_json]), 10),
         ("cli.tables", command(["tables"]), 2),
     ]
