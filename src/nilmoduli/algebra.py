@@ -19,7 +19,6 @@ parses to a custom algebra.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -347,13 +346,11 @@ def nilpotency_step(alg):
 
 
 def _checked_j(j, tol):
-    """The matrix of J (an AlmostComplexStructure or an array), with J^2 = -I
-    checked on the residual its wrapper took."""
-    if not isinstance(j, AlmostComplexStructure):
-        j = AlmostComplexStructure(j, tol=math.inf)
-    if j.residual > tol:
-        raise ValueError("J^2 != -I within tolerance")
-    return j.matrix
+    """The matrix of J with J^2 = -I checked once: an AlmostComplexStructure
+    passed its own bound at construction, and a raw array is checked at ``tol``."""
+    if isinstance(j, AlmostComplexStructure):
+        return j.matrix
+    return AlmostComplexStructure(j, tol=tol).matrix
 
 
 def nijenhuis(alg, j, x, y):
@@ -378,13 +375,15 @@ def nijenhuis_tensor(alg, j):
 
 
 def nijenhuis_residual(alg, j, tol=DEFAULT_TOL):
-    """Max over basis pairs of ||N_J(e_i, e_j)||_max; 0 iff J integrable."""
+    """Max over basis pairs of ||N_J(e_i, e_j)||_max; 0 iff J integrable.
+    ``tol`` bounds J^2 + I of a raw array (``_checked_j``)."""
     return max_norm(nijenhuis_tensor(alg, _checked_j(j, tol)))
 
 
 def is_abelian_structure(alg, j, tol=DEFAULT_TOL):
-    """True iff [JX, JY] = [X, Y] on all basis pairs within tol."""
-    jm = _checked_j(j, tol)
+    """True iff [JX, JY] = [X, Y] on all basis pairs within ``tol``; a raw
+    array must satisfy J^2 = -I within DEFAULT_TOL (``_checked_j``)."""
+    jm = _checked_j(j, DEFAULT_TOL)
     b = alg.bracket_tensor
     return bool(max_norm(pullback(b, jm) - b) <= tol)
 

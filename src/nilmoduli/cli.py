@@ -211,34 +211,28 @@ def cmd_isometry(args):
 # hermitian
 
 
-def _triple_line(label, triple):
-    return f"{label} (a,b,c) = ({triple.a:+.6f}, {triple.b:+.6f}, {triple.c:+.6f})"
+# the text line of a set that lists no structures, by its kind
+_KIND_LINES = {"sphere": "sphere (every (a,b,c) on S^2)",
+               "open": "open (no closed form at this form; --search runs the oracle)"}
+
+
+def _solution_line(sol):
+    t = sol.triple
+    line = f"{t.branch}: (a,b,c) = ({t.a:+.6f}, {t.b:+.6f}, {t.c:+.6f})"
+    return line if sol.abelian is None else f"{line} abelian={sol.abelian}"
 
 
 def _hermitian_outputs(algebra, form):
-    """The closed-form Hermitian structures at a canonical form, chosen by the
-    form's type: (JSON outputs, text lines).  ``algebra`` and the form's tag
-    must name one algebra."""
+    """The closed-form Hermitian structures at a canonical form: (JSON
+    outputs, text lines).  ``algebra`` and the form's tag must name one
+    algebra."""
     mo._require_same_basis(form.algebra, algebra)
-    if isinstance(form, mo.H9Form):
-        note = "closed-form families: J0 conjugates (sigma/G'); use --search for the oracle"
-        return {"note": note}, [note]
-    if isinstance(form, mo.H2Form):
-        cands = hm.h2_hermitian_candidates(form)
-        lines = [f"{_triple_line('candidate', c.triple)} verified={c.verified} abelian={c.abelian}"
-                 for c in cands]
-        return {"candidates": [c.to_json_dict() for c in cands]}, lines
-    if isinstance(form, mo.H6Form):
-        sols = hm.h6_hermitian_solutions(form)
-        return ({"solutions": {"all": [s.to_json_dict() for s in sols]}},
-                [_triple_line(f"{s.triple.branch}:", s.triple) for s in sols])
-    solve = hm.h5_hermitian_solutions if isinstance(form, mo.H5Form) else hm.h4_hermitian_solutions
-    sets = solve(form)
+    sets = hm.hermitian_structures(form)
     lines = []
     for branch, sset in sets.items():
-        if sset.kind == "sphere":
-            lines.append(f"{branch}: sphere (every (a,b,c) on S^2)")
-        lines += [_triple_line(f"{s.triple.branch}:", s.triple) for s in sset.solutions]
+        if sset.kind in _KIND_LINES:
+            lines.append(f"{branch}: {_KIND_LINES[sset.kind]}")
+        lines += [_solution_line(s) for s in sset.solutions]
     return {"solutions": {k: v.to_json_dict() for k, v in sets.items()}}, lines
 
 
@@ -265,41 +259,25 @@ def cmd_hermitian(args):
 # tables
 
 
-def _grid_h5_forms():
-    out = []
-    for (r, s) in ((0.49, 0.25), (1.0, 0.25), (0.49, 0.49), (1.0, 1.0)):
-        for F in (0.0, 0.25):
-            for (E, G) in ((1.0, 1.0), (1.0, 2.25)):
-                out.append(mo.H5Form(r, s, E, F, G))
-    return out
+def _hermitian_row(form):
+    """One row of a Hermitian table: the form and its sets by branch; h6's
+    row keeps one flat list, J1's structures then J2's."""
+    sets = hm.hermitian_structures(form)
+    if form.algebra == "h6":
+        return {"form": form.to_json_dict(),
+                "solutions": [s.to_json_dict() for sset in sets.values() for s in sset.solutions]}
+    return {"form": form.to_json_dict(), **{b: s.to_json_dict() for b, s in sets.items()}}
 
 
 def cmd_tables(args):
-    tables = {}
-
-    rows = []
-    for form in _grid_h5_forms():
-        sols = hm.h5_hermitian_solutions(form)
-        rows.append({"form": form.to_json_dict(),
-                     "J1": sols["J1"].to_json_dict(), "J2": sols["J2"].to_json_dict()})
-    tables["h5_hermitian"] = rows
-
-    rows = []
-    for r in (0.25, 1.0):
-        for F in (0.0, 0.25):
-            for (E, G) in ((1.0, 1.0), (1.0, 2.25)):
-                form = mo.H4Form(r, E, F, G)
-                sols = hm.h4_hermitian_solutions(form)
-                rows.append({"form": form.to_json_dict(),
-                             "J1": sols["J1"].to_json_dict(), "J2": sols["J2"].to_json_dict()})
-    tables["h4_hermitian"] = rows
-
-    rows = []
-    for (E, G) in ((1.0, 1.0), (1.0, 4.0), (2.0, 3.0)):
-        form = mo.H6Form(E, G)
-        rows.append({"form": form.to_json_dict(),
-                     "solutions": [s.to_json_dict() for s in hm.h6_hermitian_solutions(form)]})
-    tables["h6_hermitian"] = rows
+    grid = ((1.0, 1.0), (1.0, 2.25))  # (E, G) of the h5 and h4 rows
+    forms = {
+        "h5": [mo.H5Form(r, s, E, F, G) for r, s in ((0.49, 0.25), (1.0, 0.25), (0.49, 0.49), (1.0, 1.0))
+               for F in (0.0, 0.25) for E, G in grid],
+        "h4": [mo.H4Form(r, E, F, G) for r in (0.25, 1.0) for F in (0.0, 0.25) for E, G in grid],
+        "h6": [mo.H6Form(E, G) for E, G in ((1.0, 1.0), (1.0, 4.0), (2.0, 3.0))],
+    }
+    tables = {f"{name}_hermitian": [_hermitian_row(f) for f in fs] for name, fs in forms.items()}
 
     iso = {label: [{"case": row.case,
                     "descriptor": mo.isometry_group(label, row.example).to_json_dict()}
@@ -413,30 +391,24 @@ def _minimized_case(name, form, g_bad):
 
 
 def verify_suite_hermitian(seed):
-    """Each closed-form solver on random h5, h4, h6 and h2 forms.  A solver
-    raises when a structure misses its residual bounds; each raise is a
-    failure.  A check is one returned h5/h4/h6 structure or one h2 call."""
+    """``hermitian_structures`` on random h5, h4, h6 and h2 forms.  A solver
+    raises when a structure misses its certificate; each raise is a failure.
+    A check is one returned structure."""
     from .testsupport import random_canonical_form
 
-    def structures(sets):
-        return sum(len(s.solutions) for s in sets.values())
-
-    solvers = {  # algebra: (solver, the checks in its result)
-        "h5": (hm.h5_hermitian_solutions, structures),
-        "h4": (hm.h4_hermitian_solutions, structures),
-        "h6": (hm.h6_hermitian_solutions, len),
-        "h2": (hm.h2_hermitian_candidates, lambda _candidates: 1),
-    }
     failures = []
     checked = 0
     rng = np.random.default_rng(seed)
     for i in range(HERMITIAN_SUITE_COUNT):
-        forms = {name: random_canonical_form(name, rng) for name in solvers}  # before any raise
-        for name, (solve, count) in solvers.items():
+        # all four drawn before any raise, in this order
+        forms = [random_canonical_form(name, rng) for name in ("h5", "h4", "h6", "h2")]
+        for form in forms:
             try:
-                checked += count(solve(forms[name]))
+                sets = hm.hermitian_structures(form)
             except NilmoduliError as exc:
-                failures.append((f"{name}_solver[#{i}]", exc))
+                failures.append((f"{form.algebra}_solver[#{i}]", exc))
+                continue
+            checked += sum(len(s.solutions) for s in sets.values())
     return checked, failures
 
 

@@ -7,14 +7,15 @@ a^2 + b^2 + c^2 = 1; integrability reduces to a quadratic whose solutions
 are tabulated case by case (F > 0 / F = 0, position of E/G against alpha^2
 or beta^2).  For h6 there are exactly four structures J1+-, J2+-.  For h2
 one connected family is treated: a quartic (quadratic in a^2) gives at
-most two candidates.  For h9 the unique complex structure J0 is
+most two structures.  For h9 the unique complex structure J0 is
 conjugated into special metric families; a numeric search provides the
 existence oracle used for the non-Hermitian family g_{A,B}, B != A.
 
-Every returned h5, h4, h6 and h9 structure carries one certificate
+``hermitian_structures(form)`` answers for every built-in as {branch:
+SolutionSet}.  Every returned structure carries one certificate
 (``_certify``): its residuals (nijenhuis, compatibility, involution), each
-bounded relative to the entries of J and g at HERMITIAN_RTOL.  The h2
-candidates are ``verified`` by the same residuals at H2_VERIFY_RTOL.
+bounded relative to the entries of J and g, at HERMITIAN_RTOL (H2_VERIFY_RTOL
+for the solved h2 structures); a miss raises InvalidForm.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .algebra import (
     AlmostComplexStructure,
     builtin,
     get_algebra,
+    is_abelian_structure,
     nijenhuis_tensor,
-    pullback,
 )
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
@@ -43,8 +44,10 @@ from .moduli import H9Form, Metric, _require_same_basis, realize
 SPHERE_TOL = 1e-12
 HERMITIAN_RTOL = 1e-12  # the closed-form certificate, relative to J's and g's entries (_certify)
 DEDUPE_TOL = 1e-10  # table triples within this l1 distance (normalized) are one
-H2_VERIFY_RTOL = 1e-8  # an h2 candidate is verified at this bound, relative as in _certify
-H2_ABELIAN_TOL = 1e-8  # an h2 candidate is abelian when max|b(J., J.) - b| is this small
+# h2 triples within this l1 distance are one: a and c are square roots of
+H2_DEDUPE_TOL = 1e-6  # radicands known to ~1e-14 near a = 0, so resolved to ~1e-7
+H2_VERIFY_RTOL = 1e-8  # the h2 structures' certificate, relative as in _certify
+H2_ABELIAN_TOL = 1e-8  # an h2 structure is abelian when max|b(J., J.) - b| is this small
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class SolutionTriple:
     a: float
     b: float
     c: float
-    branch: str  # J1 | J2 | J1+ | J1- | J2+ | J2-
+    branch: str  # J1 | J2 | J1+ | J1- | J2+ | J2- | J
 
     def as_array(self):
         return np.array([self.a, self.b, self.c])
@@ -69,41 +72,37 @@ class HermitianSolution:
     triple: SolutionTriple
     J: AlmostComplexStructure
     residuals: dict
+    abelian: bool | None = None  # decided by h2's solver only; in JSON only when set
 
     def to_json_dict(self):
-        return {
-            "branch": self.triple.branch,
-            "a": self.triple.a,
-            "b": self.triple.b,
-            "c": self.triple.c,
-            "J": self.J.matrix.reshape(-1).tolist(),
-            "residuals": dict(self.residuals),
-        }
+        t = self.triple
+        out = {"branch": t.branch, "a": t.a, "b": t.b, "c": t.c,
+               "J": self.J.matrix.reshape(-1).tolist(), "residuals": dict(self.residuals)}
+        if self.abelian is not None:
+            out["abelian"] = self.abelian
+        return out
 
 
 @dataclass(frozen=True, eq=False)
 class SolutionSet:
-    """Finite list of Hermitian structures or a whole 2-sphere.
+    """Finite list of Hermitian structures, a whole 2-sphere, or "open": no
+    closed form at this form (``hermitian_search`` is the oracle there).
 
     ``includes_negatives``: for every member J the partner -J is Hermitian
     as well and is not listed separately.
     """
 
     branch: str
-    kind: str  # "finite" | "sphere"
+    kind: str  # "finite" | "sphere" | "open"
     solutions: tuple = ()
     includes_negatives: bool = True
 
     def to_json_dict(self):
-        if self.kind == "sphere":
-            return {"branch": self.branch, "kind": "sphere",
-                    "includes_negatives": self.includes_negatives}
-        return {
-            "branch": self.branch,
-            "kind": "finite",
-            "includes_negatives": self.includes_negatives,
-            "solutions": [s.to_json_dict() for s in self.solutions],
-        }
+        out = {"branch": self.branch, "kind": self.kind,
+               "includes_negatives": self.includes_negatives}
+        if self.kind == "finite":
+            out["solutions"] = [s.to_json_dict() for s in self.solutions]
+        return out
 
 
 def _wrap(j, label):
@@ -129,17 +128,17 @@ def _measure(label, js, g):
     return out
 
 
-def _certify(label, js, g, names, error):
+def _certify(label, js, g, names, error, rtol):
     """Each J of an (n, 6, 6) stack, certified Hermitian for g, as pairs
     (wrapped J, residuals).
 
-    A J passes when each of its residuals is at most HERMITIAN_RTOL times its
+    A J passes when each of its residuals is at most ``rtol`` times its
     scale (``_measure``).  The first residual over its bound, in stack
     order, raises ``error`` naming its J by ``names``."""
     out = []
     for name, (acs, res, scales) in zip(names, _measure(label, js, g)):
         for key, scale in scales.items():
-            limit = HERMITIAN_RTOL * scale
+            limit = rtol * scale
             if res[key] > limit:
                 raise error(f"{label} {name}: {key} residual {res[key]:.3e} exceeds {limit:.3e}")
         out.append((acs, res))
@@ -148,19 +147,19 @@ def _certify(label, js, g, names, error):
 
 def _make_solutions(label, triples, js, g):
     """The HermitianSolution of each triple and its J in the stack ``js``."""
-    certified = _certify(label, js, g, [t.branch for t in triples], InvalidForm)
+    certified = _certify(label, js, g, [t.branch for t in triples], InvalidForm, HERMITIAN_RTOL)
     return [HermitianSolution(t, acs, res) for t, (acs, res) in zip(triples, certified)]
 
 
-def _dedupe(triples):
-    """The triples scaled onto the sphere, without those within DEDUPE_TOL of
-    an earlier one."""
+def _dedupe(triples, tol):
+    """The triples scaled onto the sphere, without those within ``tol`` (l1)
+    of an earlier one."""
     out = []
     for t in triples:
         nrm = math.sqrt(t[0] ** 2 + t[1] ** 2 + t[2] ** 2)
         t = (t[0] / nrm, t[1] / nrm, t[2] / nrm)
         if not any(
-            abs(t[0] - u[0]) + abs(t[1] - u[1]) + abs(t[2] - u[2]) <= DEDUPE_TOL for u in out
+            abs(t[0] - u[0]) + abs(t[1] - u[1]) + abs(t[2] - u[2]) <= tol for u in out
         ):
             out.append(t)
     return out
@@ -268,7 +267,8 @@ def _finite_sets(label, family, rows, g):
 
     The J of the call are certified as one stack (``_certify``).
     """
-    triples = [SolutionTriple(*t, branch) for branch, trips in rows.items() for t in _dedupe(trips)]
+    triples = [SolutionTriple(*t, branch)
+               for branch, trips in rows.items() for t in _dedupe(trips, DEDUPE_TOL)]
     sols = _make_solutions(label, triples, _sphere_family_matrices(*family, triples), g)
     return {branch: SolutionSet(branch, "finite",
                                 tuple(s for s in sols if s.triple.branch == branch))
@@ -330,7 +330,8 @@ def h4_hermitian_solutions(form):
 
 
 def h6_hermitian_solutions(form):
-    """The four Hermitian structures J1+-, J2+- on diag(1,1,1,1,E,G)."""
+    """The four Hermitian structures on diag(1,1,1,1,E,G): J1+- in the set
+    "J1" and J2+- in "J2"."""
     g = realize(form).matrix  # validates the form
     E, G = form.a, form.b
     alpha = math.sqrt(E / G)
@@ -347,7 +348,9 @@ def h6_hermitian_solutions(form):
         j[4, 5] = -eps / alpha
         j[5, 4] = eps * alpha
         triples.append(SolutionTriple(alpha, sign * u, 0.0, tag))
-    return _make_solutions("h6", triples, js, g)
+    sols = _make_solutions("h6", triples, js, g)
+    return {"J1": SolutionSet("J1", "finite", tuple(sols[:2])),
+            "J2": SolutionSet("J2", "finite", tuple(sols[2:]))}
 
 
 # ---------------------------------------------------------------------------
@@ -388,29 +391,15 @@ def h2_J(form, triple):
     return _wrap(_h2_matrices(form, [t])[0], "h2")
 
 
-@dataclass(frozen=True, eq=False)
-class H2Candidate:
-    triple: SolutionTriple
-    J: AlmostComplexStructure
-    verified: bool
-    abelian: bool
-
-    def to_json_dict(self):
-        return {
-            "a": self.triple.a, "b": self.triple.b, "c": self.triple.c,
-            "verified": self.verified, "abelian": self.abelian,
-            "J": self.J.matrix.reshape(-1).tolist(),
-        }
-
-
 def h2_hermitian_candidates(form):
-    """At most two complex-structure candidates in the treated family.
+    """The at most two Hermitian structures of the treated family, as
+    {"J": SolutionSet}.
 
     A = B forces (a, b, c) = (+-1, 0, 0) (abelian).  For A < B the pair
     (b, c) is solved from two of the integrability equations and a^2 from
-    the sphere constraint.  A candidate is ``verified`` when each of its
-    residuals is at most H2_VERIFY_RTOL times its scale (``_measure``),
-    and ``abelian`` when [JX, JY] = [X, Y] within H2_ABELIAN_TOL.
+    the sphere constraint.  The structures are certified at H2_VERIFY_RTOL
+    (``_certify``), and each is ``abelian`` when [JX, JY] = [X, Y] within
+    H2_ABELIAN_TOL.
     """
     g = realize(form).matrix  # validates the form
     E, F = form.E, form.F
@@ -419,25 +408,29 @@ def h2_hermitian_candidates(form):
         triples = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]
     else:
         # From the two linear-in-(b, c) equations: b = -(1-a^2) sqrt(D)/(E phi)
-        # and c = -(1-a^2)(F/E + psi)/(a phi); the sphere constraint then gives
+        # and c a phi = -(1-a^2)(F/E + psi); the sphere constraint then gives
         # a quadratic in t = a^2: P t^2 + (1 + Q - P) t - Q = 0 whose unique
-        # positive root lands in (0, 1).
+        # root in [0, 1) is the larger one.  t = 0 when Q = 0 and P <= 1.
         p = (E * form.G - F * F) / (E * phi) ** 2
         qq = ((F / E + psi) ** 2) / phi ** 2
         disc = (1.0 + qq - p) ** 2 + 4.0 * p * qq
         t_root = (-(1.0 + qq - p) + math.sqrt(disc)) / (2.0 * p)
-        if not 0.0 < t_root < 1.0:
-            return []
-        triples = [(a, -(1.0 - t_root) * sd / (E * phi), -(1.0 - t_root) * (F / E + psi) / (a * phi))
-                   for a in (math.sqrt(t_root), -math.sqrt(t_root))]
-    triples = [SolutionTriple(a / n, b / n, c / n, "J")
-               for a, b, c in triples for n in [math.sqrt(a * a + b * b + c * c)]]
-    js = _h2_matrices(form, triples)
-    b = builtin("h2").bracket_tensor
-    abelian = np.abs(pullback(b, js) - b).max(axis=(1, 2, 3)) <= H2_ABELIAN_TOL
-    return [H2Candidate(t, acs, all(res[k] <= H2_VERIFY_RTOL * scale for k, scale in scales.items()),
-                        bool(flag))
-            for t, (acs, res, scales), flag in zip(triples, _measure("h2", js, g), abelian)]
+        if not 0.0 <= t_root < 1.0:
+            return {"J": SolutionSet("J", "finite")}
+        b = -(1.0 - t_root) * sd / (E * phi)
+        if t_root == 0.0:  # a = 0: the c-equation reads 0 = 0, so the sphere alone fixes c
+            c = math.sqrt(max(0.0, 1.0 - b * b))
+            triples = [(0.0, b, c), (0.0, b, -c)]
+        else:
+            triples = [(a, b, -(1.0 - t_root) * (F / E + psi) / (a * phi))
+                       for a in (math.sqrt(t_root), -math.sqrt(t_root))]
+    triples = [SolutionTriple(*t, "J") for t in _dedupe(triples, H2_DEDUPE_TOL)]
+    certified = _certify("h2", _h2_matrices(form, triples), g, [t.branch for t in triples],
+                         InvalidForm, H2_VERIFY_RTOL)
+    h2 = builtin("h2")
+    return {"J": SolutionSet("J", "finite", tuple(
+        HermitianSolution(t, acs, res, is_abelian_structure(h2, acs, tol=H2_ABELIAN_TOL))
+        for t, (acs, res) in zip(triples, certified)))}
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +444,12 @@ def h9_J0():
     j[4, 2], j[2, 4] = 1.0, -1.0   # J ê3 = ê5
     j[5, 3], j[3, 5] = -1.0, 1.0   # J ê4 = -ê6
     return _wrap(j, "h9hat")
+
+
+def _h9_structures(form):
+    """"open": J0's conjugates have closed forms on the Sigma/G' families only."""
+    form.validate()
+    return {"J0": SolutionSet("J0", "open")}
 
 
 def h9_sigma_family(which, **params):
@@ -489,7 +488,8 @@ def h9_sigma_family(which, **params):
         raise ValueError(f"unknown family {which!r}")
     form, phi, j = _gprime_pair(*gprime)
     metric = realize(form)
-    ((acs, _res),) = _certify("h9hat", j[None], metric.matrix, [which], InvalidParams)
+    ((acs, _res),) = _certify("h9hat", j[None], metric.matrix, [which], InvalidParams,
+                              HERMITIAN_RTOL)
     return metric, Automorphism(phi, "h9hat"), acs
 
 
@@ -500,7 +500,7 @@ def h9_gprime_metric(a11, a43, a44, a63, A):
     is a Hermitian pair; requires A^2 a11^10 - a44^2 a63^2 > 0.
     """
     form, phi, j = _gprime_pair(a11, a43, a44, a63, A)
-    _certify("h9hat", j[None], realize(form).matrix, ["gprime"], InvalidParams)
+    _certify("h9hat", j[None], realize(form).matrix, ["gprime"], InvalidParams, HERMITIAN_RTOL)
     return form, Automorphism(phi, "h9hat")
 
 
@@ -531,6 +531,27 @@ def _gprime_pair(a11, a43, a44, a63, A, root=None):
     phi[4, 4] = a11 ** 2
     phi[5, 2], phi[5, 5] = a63, a11 ** 3
     return form, phi, phi @ h9_J0().matrix @ np.linalg.inv(phi)
+
+
+# ---------------------------------------------------------------------------
+# every built-in
+
+# each built-in's solver by the form's algebra label, looked up on this module
+# at each call, so that a solver patched or wrapped there is the one that runs
+_SOLVERS = {"h5": "h5_hermitian_solutions", "h4": "h4_hermitian_solutions",
+            "h6": "h6_hermitian_solutions", "h2": "h2_hermitian_candidates",
+            "h9hat": "_h9_structures"}
+
+
+def hermitian_structures(form):
+    """{branch: SolutionSet} at a canonical form of any built-in: h5 and h4
+    {"J1", "J2"}, h6 {"J1": (J1+, J1-), "J2": (J2+, J2-)}, h2 {"J"} and h9
+    {"J0": open}.  A missed certificate raises InvalidForm naming the
+    algebra, the branch and the residual."""
+    solver = _SOLVERS.get(getattr(form, "algebra", None))
+    if solver is None:
+        raise InvalidForm(f"unknown form type {type(form).__name__}")
+    return globals()[solver](form)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_criterion_07_hermitian_tables_sweep():
                 for key in ("nijenhuis", "compatibility", "involution"):
                     worst[key] = max(worst[key], sol.residuals[key])
         form6 = random_canonical_form("h6", rng, boundary="ab" if i % 7 == 0 else None)
-        for sol in hm.h6_hermitian_solutions(form6):
+        for sol in (s for sset in hm.h6_hermitian_solutions(form6).values() for s in sset.solutions):
             for key in ("nijenhuis", "compatibility", "involution"):
                 worst[key] = max(worst[key], sol.residuals[key])
     assert worst["nijenhuis"] <= 1e-9
@@ -163,20 +163,19 @@ def test_criterion_08_h2_propositions():
         d2 = rng.normal(size=(2, 2))
         d2 = d2 @ d2.T + 0.3 * np.eye(2)
         form = mo.H2Form(a, a, float(d2[0, 0]), float(d2[0, 1]), float(d2[1, 1]))
-        cands = hm.h2_hermitian_candidates(form)
-        triples = sorted(tuple(c.triple.as_array()) for c in cands)
+        sols = hm.h2_hermitian_candidates(form)["J"].solutions  # certified, or a raise
+        triples = sorted(tuple(s.triple.as_array()) for s in sols)
         assert triples == [(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
-        assert all(c.abelian and c.verified for c in cands)
+        assert all(s.abelian for s in sols)
     count_checked = 0
     for _ in range(500):
         form = random_canonical_form("h2", rng)
         if abs(form.a - form.b) < 1e-6:
             continue
-        cands = hm.h2_hermitian_candidates(form)
-        assert len(cands) <= 2
+        assert len(hm.h2_hermitian_candidates(form)["J"].solutions) <= 2
         count_checked += 1
     report(f"PASS 8: A=B gives exactly (+-1,0,0) abelian; {count_checked} random A!=B "
-           "forms each give <= 2 candidates")
+           "forms each give <= 2 certified structures")
 
 
 def test_criterion_09_h9_diagonal_proposition():

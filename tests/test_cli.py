@@ -375,13 +375,16 @@ def test_untagged_form_under_a_salamon_string_of_no_builtin_keeps_the_tag_error(
             "J2-: (a,b,c) = (+0.500000, -0.866025, +0.000000)",
         ], id="h6"),
         pytest.param("h2", '{"a":0.2,"b":0.6,"E":1.5,"F":0.3,"G":1.5}', [
-            "candidate (a,b,c) = (+0.959095, -0.183503, -0.215552) verified=True abelian=False",
-            "candidate (a,b,c) = (-0.959095, -0.183503, +0.215552) verified=True abelian=False",
+            "J: (a,b,c) = (+0.959095, -0.183503, -0.215552) abelian=False",
+            "J: (a,b,c) = (-0.959095, -0.183503, +0.215552) abelian=False",
         ], id="h2-a-below-b"),
         pytest.param("h2", '{"a":0.4,"b":0.4,"E":1.0,"F":0.2,"G":2.0}', [
-            "candidate (a,b,c) = (+1.000000, +0.000000, +0.000000) verified=True abelian=True",
-            "candidate (a,b,c) = (-1.000000, +0.000000, +0.000000) verified=True abelian=True",
+            "J: (a,b,c) = (+1.000000, +0.000000, +0.000000) abelian=True",
+            "J: (a,b,c) = (-1.000000, +0.000000, +0.000000) abelian=True",
         ], id="h2-a-equals-b"),
+        pytest.param("h9hat", '{"A":1,"B":2,"C":1,"D":0,"E":0,"F":0}', [
+            "J0: open (no closed form at this form; --search runs the oracle)",
+        ], id="h9-open"),
     ],
 )
 def test_hermitian_text_lines(capsys, algebra, form, lines):
@@ -426,7 +429,8 @@ def test_verify_hermitian_suite_count(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "hermitian", "--seed", "0")
     assert code == 0
     rep = json.loads(out)
-    assert rep["outputs"]["hermitian"]["checked"] == 2600
+    # each returned structure is a check: h2's two per form count as two
+    assert rep["outputs"]["hermitian"]["checked"] == 2800
     assert rep["passed"] is True
 
 
@@ -442,7 +446,7 @@ def test_verify_hermitian_suite_reports_a_solver_failure(capsys, monkeypatch):
     assert err == ""
     suite = json.loads(out)["outputs"]["hermitian"]
     assert suite["passed"] is False
-    assert suite["checked"] == 2600 - 200 * 4  # the four h6 structures of each form
+    assert suite["checked"] == 2800 - 200 * 4  # the four h6 structures of each form
     assert len(suite["failures"]) == 10  # the first ten of 200
     name, detail = suite["failures"][0]
     assert name == "h6_solver[#0]"
@@ -457,6 +461,20 @@ def test_verify_hermitian_suite_reports_a_solver_failure(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["outputs"]["hermitian"]["failures"][0] == ["h6_solver[#0]",
                                                                       "InvalidForm('boom')"]
+
+
+def test_verify_hermitian_suite_fails_on_h2_at_a_zero_bound(capsys, monkeypatch):
+    # h2 misses its certificate like any solver: every h2 call raises, and
+    # each raise is a failed check; the other algebras' forms are the same
+    monkeypatch.setattr(cli.hm, "H2_VERIFY_RTOL", 0.0)
+    code, out, err = run_cli(capsys, "verify", "--suite", "hermitian", "--seed", "0")
+    assert code == 1
+    assert err == ""
+    suite = json.loads(out)["outputs"]["hermitian"]
+    assert suite["passed"] is False
+    assert suite["checked"] == 2800 - 200 * 2  # the two h2 structures of each form
+    assert [name for name, _detail in suite["failures"]] == [f"h2_solver[#{i}]" for i in range(10)]
+    assert all(detail.startswith("InvalidForm('h2 J: ") for _name, detail in suite["failures"])
 
 
 def test_verify_moduli_seeded(capsys, monkeypatch):
@@ -485,14 +503,13 @@ def test_text_format(capsys):
     assert "nilpotency step: 2" in out
 
 
-def test_hermitian_h9_text_prints_note(capsys):
-    argv = ["hermitian", "--algebra", "h9hat", "--form",
-            '{"A":1,"B":2,"C":1,"D":0,"E":0,"F":0}']
-    code, out, _ = run_cli(capsys, *argv)
-    note = "closed-form families: J0 conjugates (sigma/G'); use --search for the oracle"
-    assert code == 0 and json.loads(out)["outputs"] == {"note": note}
-    code, out, _ = run_cli(capsys, "--format", "text", *argv)
-    assert code == 0 and out == note + "\n"
+@pytest.mark.parametrize("algebra", ["h9", "h9hat"])
+def test_hermitian_h9_is_the_open_set(capsys, algebra):
+    code, out, _ = run_cli(capsys, "hermitian", "--algebra", algebra, "--form",
+                           '{"A":1,"B":2,"C":1,"D":0,"E":0,"F":0}')
+    assert code == 0
+    assert json.loads(out)["outputs"] == {
+        "solutions": {"J0": {"branch": "J0", "kind": "open", "includes_negatives": True}}}
 
 
 def test_build_parser_is_built_once():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ from nilmoduli.testsupport import random_canonical_form
 def sphere_point(rng):
     v = rng.normal(size=3)
     return tuple(v / np.linalg.norm(v))
+
+
+def _structures(sets):
+    """The structures of a solver's {branch: SolutionSet}, in set order."""
+    return [s for sset in sets.values() for s in sset.solutions]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +212,10 @@ def test_small_commutator_blocks_keep_their_table_rows():
 
 
 def test_h6_four_structures():
-    sols = hm.h6_hermitian_solutions(mo.H6Form(1.0, 4.0))
+    sets = hm.h6_hermitian_solutions(mo.H6Form(1.0, 4.0))
+    assert {b: (s.kind, s.includes_negatives) for b, s in sets.items()} == {
+        "J1": ("finite", True), "J2": ("finite", True)}
+    sols = _structures(sets)
     assert [s.triple.branch for s in sols] == ["J1+", "J1-", "J2+", "J2-"]
     mats = [s.J.matrix for s in sols]
     for i in range(4):
@@ -215,7 +225,7 @@ def test_h6_four_structures():
 
 
 def test_h6_equal_parameters_reduce_to_lemma_j():
-    sols = hm.h6_hermitian_solutions(mo.H6Form(2.0, 2.0))
+    sols = _structures(hm.h6_hermitian_solutions(mo.H6Form(2.0, 2.0)))
     assert max_norm(sols[0].J.matrix - sols[1].J.matrix) == 0.0
     assert max_norm(sols[2].J.matrix - sols[3].J.matrix) == 0.0
     assert max_norm(sols[0].J.matrix - al.lemma_j_h6().matrix) == 0.0
@@ -224,8 +234,7 @@ def test_h6_equal_parameters_reduce_to_lemma_j():
 def test_h6_commutator_block():
     form = mo.H6Form(1.0, 4.0)
     alpha = 0.5
-    sols = hm.h6_hermitian_solutions(form)
-    for s in sols[:2]:  # J1 branch
+    for s in hm.h6_hermitian_solutions(form)["J1"].solutions:
         assert s.J.matrix[5, 4] == pytest.approx(alpha)     # Je5 = alpha e6
         assert s.J.matrix[4, 5] == pytest.approx(-1 / alpha)  # Je6 = -e5/alpha
 
@@ -248,13 +257,44 @@ STACK_CASES = {  # a form per finite and sphere case and its solver
 }
 
 
-def _structures(result):
-    if isinstance(result, dict):
-        return [s for sset in result.values() for s in sset.solutions]
-    return list(result)
-
-
 WRAP_CASES = {**STACK_CASES, "h2": (mo.H2Form(0.2, 0.6, 1.0, 0.3, 2.0), hm.h2_hermitian_candidates)}
+
+# a form of each case, and h9's: hermitian_structures answers for all five algebras
+RECORD_FORMS = {**{case: form for case, (form, _solve) in WRAP_CASES.items()},
+                "h9": mo.H9Form(1.2, 0.8, 1.5, 0.3, 0.7, 0.4)}
+BRANCHES = {"h5": ["J1", "J2"], "h4": ["J1", "J2"], "h6": ["J1", "J2"], "h2": ["J"],
+            "h9hat": ["J0"]}
+
+
+@pytest.mark.parametrize("case", list(RECORD_FORMS))
+def test_hermitian_structures_give_one_record_shape(case):
+    form = RECORD_FORMS[case]
+    sets = hm.hermitian_structures(form)
+    assert list(sets) == BRANCHES[form.algebra]
+    for branch, sset in sets.items():
+        assert isinstance(sset, hm.SolutionSet) and sset.branch == branch
+        assert sset.kind in ("finite", "sphere", "open")
+        assert sset.kind == "finite" or sset.solutions == ()
+        for sol in sset.solutions:
+            assert isinstance(sol, hm.HermitianSolution)
+            assert sol.triple.branch.startswith(branch)
+            assert set(sol.residuals) == {"nijenhuis", "compatibility", "involution"}
+            assert (sol.abelian is not None) == (form.algebra == "h2")
+    if case != "h9":  # the algebra's own solver gives the same records
+        expected = WRAP_CASES[case][1](form)
+        assert ({b: s.to_json_dict() for b, s in sets.items()}
+                == {b: s.to_json_dict() for b, s in expected.items()})
+    else:
+        assert [s.kind for s in sets.values()] == ["open"]
+
+
+def test_hermitian_structures_run_the_solver_bound_on_the_module(monkeypatch):
+    # the solver is looked up by name at each call, so a patched one runs
+    marker = {"J1": hm.SolutionSet("J1", "sphere")}
+    monkeypatch.setattr(hm, "h6_hermitian_solutions", lambda form: marker)
+    assert hm.hermitian_structures(mo.H6Form(1.0, 4.0)) is marker
+    with pytest.raises(InvalidForm, match="unknown form type"):
+        hm.hermitian_structures(object())
 
 
 @pytest.mark.parametrize("case", list(WRAP_CASES))
@@ -326,7 +366,7 @@ def test_a_nijenhuis_failure_names_the_first_structure_over_the_bound(monkeypatc
 @pytest.mark.parametrize("case", ["h5", "h4"])
 def test_an_off_sphere_table_triple_raises_in_the_solver(monkeypatch, case):
     # a^2 + b^2 + c^2 = 2: J^2 = -2 on the first four basis vectors
-    monkeypatch.setattr(hm, "_dedupe", lambda trips: [(1.0, 1.0, 0.0)])
+    monkeypatch.setattr(hm, "_dedupe", lambda trips, tol: [(1.0, 1.0, 0.0)])
     form, solve = STACK_CASES[case]
     with pytest.raises(InvalidForm, match=rf"^{case} J1: involution residual 1\.000e\+00 exceeds "):
         solve(form)
@@ -339,8 +379,9 @@ def test_dedupe_puts_its_triples_on_the_sphere():
     for scale in (1e-3, 1.0, 1e3):
         trips = [tuple(scale * rng.normal(size=3)) for _ in range(200)]
         trips += [(scale, 0.0, 0.0), (0.0, -scale, 0.0), (scale, scale, scale)]
-        for a, b, c in hm._dedupe(trips):
-            assert abs(a * a + b * b + c * c - 1.0) <= 4 * eps
+        for tol in (hm.DEDUPE_TOL, hm.H2_DEDUPE_TOL):
+            for a, b, c in hm._dedupe(trips, tol):
+                assert abs(a * a + b * b + c * c - 1.0) <= 4 * eps
 
 
 @pytest.mark.parametrize("case", ["h5", "h4"])
@@ -349,9 +390,9 @@ def test_a_table_triple_moved_along_the_sphere_raises_in_the_solver(monkeypatch,
     # but its J is no longer integrable
     dedupe = hm._dedupe
     t = 1e-6
-    monkeypatch.setattr(hm, "_dedupe", lambda trips: [
+    monkeypatch.setattr(hm, "_dedupe", lambda trips, tol: [
         (a * np.cos(t) - b * np.sin(t), a * np.sin(t) + b * np.cos(t), c)
-        for a, b, c in dedupe(trips)])
+        for a, b, c in dedupe(trips, tol)])
     form, solve = STACK_CASES[case]
     with pytest.raises(InvalidForm, match=rf"^{case} J1: nijenhuis residual "):
         solve(form)
@@ -399,11 +440,15 @@ def test_h2_j_simplifies_at_zero_coupling():
     assert j[0, 0] == 0.0 and j[2, 0] == 1.0
 
 
+def _h2_structures(form):
+    return hm.h2_hermitian_candidates(form)["J"].solutions
+
+
 def test_h2_equal_coupling_gives_abelian_pair():
-    cands = hm.h2_hermitian_candidates(mo.H2Form(0.3, 0.3, 1.0, 0.2, 2.0))
-    triples = sorted(tuple(c.triple.as_array()) for c in cands)
+    sols = _h2_structures(mo.H2Form(0.3, 0.3, 1.0, 0.2, 2.0))
+    triples = sorted(tuple(s.triple.as_array()) for s in sols)
     assert triples == [(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
-    assert all(c.verified and c.abelian for c in cands)
+    assert all(s.abelian for s in sols)
 
 
 H2_PAIR_FORMS = [mo.H2Form(0.3, 0.3, 1.0, 0.2, 2.0), mo.H2Form(0.2, 0.6, 1.0, 0.3, 2.0)]  # a = b, a < b
@@ -412,28 +457,28 @@ H2_PAIR_FORMS = [mo.H2Form(0.3, 0.3, 1.0, 0.2, 2.0), mo.H2Form(0.2, 0.6, 1.0, 0.
 def test_h2_candidates_judge_abelian_at_one_tolerance(monkeypatch):
     h2 = al.builtin("h2")
     for form in H2_PAIR_FORMS:
-        cands = hm.h2_hermitian_candidates(form)
-        assert len(cands) == 2
-        assert [c.abelian for c in cands] == [
-            al.is_abelian_structure(h2, c.J, tol=hm.H2_ABELIAN_TOL) for c in cands]
+        sols = _h2_structures(form)
+        assert len(sols) == 2
+        assert [s.abelian for s in sols] == [
+            al.is_abelian_structure(h2, s.J, tol=hm.H2_ABELIAN_TOL) for s in sols]
     for tol, flag in ((-1.0, False), (np.inf, True)):
         monkeypatch.setattr(hm, "H2_ABELIAN_TOL", tol)
         for form in H2_PAIR_FORMS:
-            assert [c.abelian for c in hm.h2_hermitian_candidates(form)] == [flag, flag]
+            assert [s.abelian for s in _h2_structures(form)] == [flag, flag]
 
 
 def test_h2_candidates_at_a_large_j_are_verified():
     # max|J| = 44: N_J's rounding is 2.9e-8 there, 1.5e-11 of max|J|^2
     form = mo.H2Form(0.02438187346534602, 0.024385635258341275, 0.0010448929342252043,
                      0.020007615927525212, 1.5386347695218612)
-    cands = hm.h2_hermitian_candidates(form)
-    assert len(cands) == 2
-    assert all(c.verified for c in cands)
-    assert max(max_norm(c.J.matrix) for c in cands) > 40.0
+    sols = _h2_structures(form)
+    assert len(sols) == 2
+    assert _first_over_the_bound(sols, mo.realize(form).matrix, hm.H2_VERIFY_RTOL) is None
+    assert max(max_norm(s.J.matrix) for s in sols) > 40.0
 
 
-def test_h2_candidate_with_a_perturbed_entry_is_unverified(monkeypatch):
-    # J[e5, e6] scaled by 1 + 1e-6 on the first candidate: J^2 + I, J^T g J - g
+def test_h2_structure_with_a_perturbed_entry_raises(monkeypatch):
+    # J[e5, e6] scaled by 1 + 1e-6 on the first structure: J^2 + I, J^T g J - g
     # and N_J move by ~1e-6, but [JX, JY] reads only J's first four rows
     build = hm._h2_matrices
 
@@ -443,22 +488,40 @@ def test_h2_candidate_with_a_perturbed_entry_is_unverified(monkeypatch):
         return js
 
     for form in H2_PAIR_FORMS:
-        before = hm.h2_hermitian_candidates(form)
+        js = perturbed(form, [s.triple for s in _h2_structures(form)])
+        # the message names the first residual over its bound, in check order
+        (_acs, res, scales), _second = hm._measure("h2", js, mo.realize(form).matrix)
+        key, limit = next((k, hm.H2_VERIFY_RTOL * sc) for k, sc in scales.items()
+                          if res[k] > hm.H2_VERIFY_RTOL * sc)
         monkeypatch.setattr(hm, "_h2_matrices", perturbed)
-        after = hm.h2_hermitian_candidates(form)
+        with pytest.raises(InvalidForm) as info:
+            hm.h2_hermitian_candidates(form)
         monkeypatch.setattr(hm, "_h2_matrices", build)
-        assert [c.verified for c in before] == [True, True]
-        assert [c.verified for c in after] == [False, True]
-        assert [c.abelian for c in after] == [c.abelian for c in before]
+        assert str(info.value) == f"h2 J: {key} residual {res[key]:.3e} exceeds {limit:.3e}"
 
 
-def test_h2_candidates_at_a_zero_bound_are_unverified(monkeypatch):
+def test_h2_perturbed_structure_gets_an_abelian_verdict():
+    # a wrapped J passed its own J^2 + I bound at construction; is_abelian_structure's
+    # tol decides only [JX, JY] = [X, Y], which the perturbed entry leaves as it was
+    h2 = al.builtin("h2")
+    for form in H2_PAIR_FORMS:
+        before = _h2_structures(form)
+        js = hm._h2_matrices(form, [s.triple for s in before])
+        js[0, 4, 5] *= 1.0 + 1e-6
+        acs = al.AlmostComplexStructure(js[0], "h2", tol=math.inf)
+        assert acs.residual > hm.H2_ABELIAN_TOL
+        assert al.is_abelian_structure(h2, acs, tol=hm.H2_ABELIAN_TOL) == before[0].abelian
+        with pytest.raises(ValueError):  # a raw array is still checked, at DEFAULT_TOL
+            al.is_abelian_structure(h2, js[0], tol=hm.H2_ABELIAN_TOL)
+
+
+def test_h2_structures_at_a_zero_bound_raise(monkeypatch):
     monkeypatch.setattr(hm, "H2_VERIFY_RTOL", 0.0)
     rng = np.random.default_rng(12)
     forms = H2_PAIR_FORMS + [random_canonical_form("h2", rng) for _ in range(20)]
-    cands = [c for form in forms for c in hm.h2_hermitian_candidates(form)]
-    assert len(cands) >= 2 * len(H2_PAIR_FORMS)
-    assert not any(c.verified for c in cands)
+    for form in forms:
+        with pytest.raises(InvalidForm, match=r"^h2 J: \w+ residual \S+ exceeds 0\.000e\+00$"):
+            hm.h2_hermitian_candidates(form)
 
 
 def test_h2_distinct_coupling_candidates():
@@ -468,22 +531,61 @@ def test_h2_distinct_coupling_candidates():
         form = random_canonical_form("h2", rng)
         if abs(form.a - form.b) < 1e-6:
             continue
-        cands = hm.h2_hermitian_candidates(form)
-        assert len(cands) <= 2
-        for c in cands:
-            if abs(abs(c.triple.a) - 1.0) > 1e-9:
-                assert c.triple.b < 0
-            assert c.verified
-            assert al.nijenhuis_residual(h2, c.J) <= 1e-8
+        sols = _h2_structures(form)
+        assert len(sols) <= 2
+        for s in sols:
+            if abs(abs(s.triple.a) - 1.0) > 1e-9:
+                assert s.triple.b < 0
+            assert al.nijenhuis_residual(h2, s.J) <= 1e-8
 
 
 def test_h2_candidates_respect_f_sign():
     # the family is defined for either sign of F (canonical forms keep the
     # sign of F when a > 0)
     form = mo.H2Form(0.2, 0.6, 1.3, -0.35, 2.0)
-    cands = hm.h2_hermitian_candidates(form)
-    assert len(cands) == 2
-    assert all(c.verified for c in cands)
+    assert len(_h2_structures(form)) == 2
+
+
+# F = -psi at a = 0.3, b = 0.5, E = 1: F/E + psi evaluates to exactly 0, so t = a^2 = 0
+H2_LOCUS_F = -0.9761355820929153
+
+
+def _assert_hermitian_h2(form, sols):
+    """Each structure, checked apart from the solver's certificate."""
+    h2, g = al.builtin("h2"), mo.realize(form).matrix
+    for s in sols:
+        j = s.J.matrix
+        scale = max(1.0, max_norm(j)) ** 2
+        assert al.nijenhuis_residual(h2, j) <= 1e-12 * scale
+        assert max_norm(j.T @ g @ j - g) <= 1e-12 * scale * max(1.0, max_norm(g))
+
+
+def test_h2_a0_locus_at_the_eg_corner_gives_one_structure():
+    form = mo.H2Form(0.3, 0.5, 1.0, H2_LOCUS_F, 1.0)
+    (sol,) = _h2_structures(form)
+    assert sol.triple.a == 0.0
+    assert sol.triple.as_array() == pytest.approx([0.0, -1.0, 0.0], abs=1e-7)
+    _assert_hermitian_h2(form, [sol])
+    # one ulp either side of F: the same single structure, to the solve's resolution
+    for f in (math.nextafter(H2_LOCUS_F, -1.0), math.nextafter(H2_LOCUS_F, 0.0)):
+        near = mo.H2Form(0.3, 0.5, 1.0, f, 1.0)
+        (other,) = _h2_structures(near)
+        assert np.abs(other.triple.as_array() - sol.triple.as_array()).sum() <= hm.H2_DEDUPE_TOL
+        _assert_hermitian_h2(near, [other])
+
+
+def test_h2_a0_locus_inside_the_eg_range_gives_two_structures():
+    form = mo.H2Form(0.3, 0.5, 1.0, H2_LOCUS_F, 0.99)
+    form.validate()
+    sols = _h2_structures(form)
+    assert len(sols) == 2
+    _alpha, _beta, phi, _psi, sd = hm._h2_angles(form)
+    b = -sd / (form.E * phi)
+    for s, sign in zip(sols, (1.0, -1.0)):
+        assert s.triple.a == 0.0
+        assert s.triple.b == pytest.approx(b, rel=1e-12)
+        assert s.triple.c == pytest.approx(sign * 0.4605, abs=1e-4)
+    _assert_hermitian_h2(form, sols)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +681,8 @@ def test_h9_sigma1_compatibility_is_checked_relative_to_the_metric(big_a, big_e)
     w = np.sqrt(big_e ** 2 + 1.0)
     off = mo.realize(mo.H9Form(A=big_a, B=big_a * w * (1 + 1e-6), C=w, D=0.0, E=big_e, F=0.0))
     with pytest.raises(InvalidParams, match=r"^h9hat sigma1: compatibility residual "):
-        hm._certify("h9hat", j.matrix[None], off.matrix, ["sigma1"], InvalidParams)
+        hm._certify("h9hat", j.matrix[None], off.matrix, ["sigma1"], InvalidParams,
+                    hm.HERMITIAN_RTOL)
 
 
 @pytest.mark.parametrize("big_a", [0.3, 1.0, 2.0])
@@ -656,14 +759,14 @@ def test_h9_families_check_their_pair_once(monkeypatch, call, name):
     seen, certified = [], []
     certify = hm._certify
 
-    def counted(label, js, g, names, error):
-        seen.append((label, js.shape, list(names), error))
-        certified.extend(certify(label, js, g, names, error))
+    def counted(label, js, g, names, error, rtol):
+        seen.append((label, js.shape, list(names), error, rtol))
+        certified.extend(certify(label, js, g, names, error, rtol))
         return certified
 
     monkeypatch.setattr(hm, "_certify", counted)
     out = call()
-    assert seen == [("h9hat", (1, 6, 6), [name], InvalidParams)]
+    assert seen == [("h9hat", (1, 6, 6), [name], InvalidParams, hm.HERMITIAN_RTOL)]
     if name != "gprime":  # a Sigma family returns the certified J, not a second wrapper
         assert out[2] is certified[0][0]
 
@@ -988,7 +1091,7 @@ def test_negation_closure_h4_h6():
             assert max_norm(neg.T @ g4 @ neg - g4) <= 1e-11 * max(1.0, max_norm(g4))
     form6 = random_canonical_form("h6", rng)
     g6 = mo.realize(form6).matrix
-    for sol in hm.h6_hermitian_solutions(form6):
+    for sol in _structures(hm.h6_hermitian_solutions(form6)):
         neg = -sol.J.matrix
         assert al.nijenhuis_residual(h6, neg) <= 1e-12
         assert max_norm(neg.T @ g6 @ neg - g6) <= 1e-11 * max(1.0, max_norm(g6))

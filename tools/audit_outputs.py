@@ -1,0 +1,135 @@
+"""Byte-for-byte audit of the CLI's outputs in two checkouts.
+
+Builds one list of ``nilmoduli`` argv lists and runs it once in each
+checkout: one child process per side (``PATH/src`` of ``--parent`` for the
+parent, this checkout's ``src`` for the change), each looping over
+``cli.main(argv)`` with stdout captured.  The list holds
+
+  * ``hermitian`` on ``--count`` random canonical forms per built-in and
+    seed (``testsupport.random_canonical_form``, drawn in this checkout,
+    the boundary options in turn after a form off every boundary), once as
+    JSON and once with ``--format text``;
+  * ``tables``;
+  * ``verify --suite all --seed S`` for each seed.
+
+``wall_time_s`` is dropped from every report before the comparison.  Per
+command, algebra and format it prints how many outputs (stdout and exit
+code) are byte-identical, and the first argv whose output differs.
+``--json FILE`` writes every differing output of both sides.  E.g.
+
+    python3 tools/audit_outputs.py --parent /path/to/parent --seeds 0,7 --count 300
+
+Needs only the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+
+# testsupport.random_canonical_form's boundary options per built-in
+BOUNDARIES = {
+    "h5": ("r1", "sr", "sr1", "F0"),
+    "h4": ("r1", "b0"),
+    "h6": ("ab",),
+    "h2": ("a0", "ab", "F0", "EG"),
+    "h9hat": ("zeros",),
+}
+WALL_TIME = re.compile(r'"wall_time_s": [^,}]+')
+
+
+def _argvs(seeds, count):
+    """[(group, argv)] of the audit, in run order."""
+    import numpy as np
+
+    from nilmoduli.testsupport import random_canonical_form
+
+    out = []
+    for name, options in BOUNDARIES.items():
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            for i in range(count):
+                boundary = (None, *options)[i % (len(options) + 1)]
+                form = random_canonical_form(name, rng, boundary=boundary)
+                form = json.dumps(form.to_json_dict())
+                argv = ["hermitian", "--algebra", name, "--form", form]
+                out.append((f"hermitian {name} json", argv))
+                out.append((f"hermitian {name} text", ["--format", "text", *argv]))
+    out.append(("tables", ["tables"]))
+    out += [("verify", ["verify", "--suite", "all", "--seed", str(seed)]) for seed in seeds]
+    return out
+
+
+def _run_all(argvs):
+    """(package file, [[exit code, stdout without wall_time_s]]) of each argv,
+    run in this process."""
+    import nilmoduli
+    from nilmoduli import cli
+
+    results = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        results.append([code, WALL_TIME.sub('"wall_time_s": null', out.getvalue())])
+    return nilmoduli.__file__, results
+
+
+def _side(src, argvs):
+    """The results of ``argvs`` in a child process importing the package from ``src``."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
+                          input=json.dumps(argvs), env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    package, results = json.loads(proc.stdout)
+    if not package.startswith(src + os.sep):
+        raise RuntimeError(f"the process for {src} imported {package}")
+    return results
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="the parent checkout")
+    parser.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")],
+                        default=[0, 7], help="comma-separated seeds (default 0,7)")
+    parser.add_argument("--count", type=int, default=300, help="forms per built-in and seed")
+    parser.add_argument("--json", help="write every differing output of both sides here")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.child:  # run the argv lists on stdin, print (package, results)
+        print(json.dumps(_run_all(json.load(sys.stdin))))
+        return 0
+    if args.parent is None:
+        parser.error("--parent is required")
+    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    sys.path.insert(0, here)  # the forms are drawn with this checkout's testsupport
+    plan = _argvs(args.seeds, args.count)
+    argvs = [a for _group, a in plan]
+    parent = _side(os.path.join(os.path.abspath(args.parent), "src"), argvs)
+    change = _side(here, argvs)
+
+    groups, differing = {}, []
+    for (group, a), p, c in zip(plan, parent, change):
+        same, total, first = groups.get(group, (0, 0, None))
+        if p != c:
+            differing.append({"argv": a, "parent": p, "change": c})
+            first = first or a
+        groups[group] = (same + (p == c), total + 1, first)
+    for group, (same, total, first) in groups.items():
+        line = f"{group:22s} {same:5d}/{total:<5d} byte-identical"
+        print(line if first is None else f"{line}; first differing: {json.dumps(first)}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(differing, fh)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,11 +19,11 @@ the per-call time over the runs.  The items are
     ``moduli.isometry_group`` and ``moduli.realize`` on one case row's form,
     and ``moduli.realize`` on an h9 form (the metric X^T X of its factor);
   * the closed-form Hermitian structures: ``h6_hermitian_solutions``,
-    ``h2_hermitian_candidates`` on a form with two candidates, and
+    ``h2_hermitian_candidates`` on a form with two structures, and
     ``h9_sigma_family("sigma1", ...)``;
   * the warm ``describe``, ``isometry``, ``hermitian``, ``canonicalize``
     and ``tables`` commands, each a ``cli.main(argv)`` call in this process,
-    ``hermitian`` also on an h2 form with two candidates, and ``describe``
+    ``hermitian`` also on an h2 form with two structures, and ``describe``
     of a Salamon string, which parses a new algebra on each call and so
     builds its facts and derivation basis anew.
 
@@ -51,6 +51,15 @@ order alternating from pair to pair, e.g.
 Each side's row then holds the median and quartiles of its processes'
 medians, and the change's row counts the pairs it won (``faster_pairs`` of
 ``pairs``).  The parent is stored under ``parent``.
+
+``--rows PREFIX[,PREFIX]`` times only the rows whose names start with one
+of the prefixes, alone or with ``--parent``, e.g.
+
+    python3 tools/bench_layers.py --label change --parent /path/to/parent \
+        --rows hermitian.,cli.hermitian,cli.tables
+
+The rows timed replace those rows of each label stored in ``--out``; the
+label's other rows stay as they were.
 """
 
 from __future__ import annotations
@@ -186,14 +195,24 @@ def _quartile_row(medians, inner):
             "repeats": REPEATS, "processes": len(medians)}
 
 
-def _interleaved(parent):
-    """{label: layers} of the parent checkout and this one, each row timed in
-    PAIRS alternating pairs of processes."""
+def _selected(items, prefixes):
+    """The items whose row names start with one of ``prefixes`` (all if None)."""
+    if prefixes is None:
+        return items
+    chosen = [item for item in items if item[0].startswith(tuple(prefixes))]
+    if not chosen:
+        raise SystemExit(f"bench_layers: no row starts with {', '.join(prefixes)}")
+    return chosen
+
+
+def _interleaved(parent, prefixes):
+    """{label: layers} of the parent checkout and this one, each selected
+    row timed in PAIRS alternating pairs of processes."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     srcs = {"parent": os.path.join(os.path.abspath(parent), "src"),
             "change": os.path.join(here, "src")}
     sys.path.insert(0, srcs["change"])  # the row names come from this checkout's items
-    names = [(name, inner) for name, _fn, inner in _items()]
+    names = [(name, inner) for name, _fn, inner in _selected(_items(), prefixes)]
     layers = {"parent": {}, "change": {}}
     for name, inner in names:
         medians = {"parent": [], "change": []}
@@ -222,6 +241,8 @@ def main(argv=None):
     parser.add_argument("--label", help="key to store this run under (the change's, with --parent)")
     parser.add_argument("--out", default="BENCH_layers.json")
     parser.add_argument("--parent", help="a second checkout to interleave with this one")
+    parser.add_argument("--rows", type=lambda text: text.split(","),
+                        help="time only the rows starting with these comma-separated prefixes")
     parser.add_argument("--row", help=argparse.SUPPRESS)  # child process: time one row, print JSON
     args = parser.parse_args(argv)
 
@@ -231,10 +252,11 @@ def main(argv=None):
     if args.label is None:
         parser.error("--label is required")
     if args.parent is not None:
-        layers = _interleaved(args.parent)
+        layers = _interleaved(args.parent, args.rows)
         entries = {"parent": layers["parent"], args.label: layers["change"]}
     else:
-        entries = {args.label: {name: _time(fn, inner) for name, fn, inner in _items()}}
+        entries = {args.label: {name: _time(fn, inner)
+                                for name, fn, inner in _selected(_items(), args.rows)}}
         for name, row in entries[args.label].items():
             print(f"{name:40s} {row['median_us']:10.1f} us  [{row['q1_us']:.1f}, {row['q3_us']:.1f}]")
     data = {}
@@ -242,7 +264,8 @@ def main(argv=None):
         with open(args.out) as fh:
             data = json.load(fh)
     for label, layers in entries.items():
-        data[label] = {"environment": _environment(), "layers": layers}
+        kept = data.get(label, {}).get("layers", {}) if args.rows else {}
+        data[label] = {"environment": _environment(), "layers": {**kept, **layers}}
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
