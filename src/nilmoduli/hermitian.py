@@ -6,16 +6,16 @@ in two 2-sphere families J1, J2 parameterized by (a, b, c) with
 a^2 + b^2 + c^2 = 1; integrability reduces to a quadratic whose solutions
 are tabulated case by case (F > 0 / F = 0, position of E/G against alpha^2
 or beta^2).  For h6 there are exactly four structures J1+-, J2+-.  For h2
-one connected family is treated: a quartic (quadratic in a^2) gives at
-most two structures.  For h9 the unique complex structure J0 is
+one connected family is treated: one closed form gives its two
+structures (one at a corner).  For h9 the unique complex structure J0 is
 conjugated into special metric families; a numeric search provides the
 existence oracle used for the non-Hermitian family g_{A,B}, B != A.
 
 ``hermitian_structures(form)`` answers for every built-in as {branch:
 SolutionSet}.  Every returned structure carries one certificate
 (``_certify``): its residuals (nijenhuis, compatibility, involution), each
-bounded relative to the entries of J and g, at HERMITIAN_RTOL (H2_VERIFY_RTOL
-for the solved h2 structures); a miss raises InvalidForm.
+bounded relative to the entries of J and g, at HERMITIAN_RTOL; a miss
+raises InvalidForm.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from .moduli import H9Form, Metric, _require_same_basis, realize
 SPHERE_TOL = 1e-12
 HERMITIAN_RTOL = 1e-12  # the closed-form certificate, relative to J's and g's entries (_certify)
 DEDUPE_TOL = 1e-10  # table triples within this l1 distance (normalized) are one
-# h2 triples within this l1 distance are one: a and c are square roots of
-H2_DEDUPE_TOL = 1e-6  # radicands known to ~1e-14 near a = 0, so resolved to ~1e-7
-H2_VERIFY_RTOL = 1e-8  # the h2 structures' certificate, relative as in _certify
+# h2 triples within this l1 distance are one: at the E = G corner a and c
+H2_DEDUPE_TOL = 1e-6  # are ~1e-8 roots, and one ulp of F moves them by ~7e-8
 H2_ABELIAN_TOL = 1e-8  # an h2 structure is abelian when max|b(J., J.) - b| is this small
 
 
@@ -128,17 +127,17 @@ def _measure(label, js, g):
     return out
 
 
-def _certify(label, js, g, names, error, rtol):
+def _certify(label, js, g, names, error):
     """Each J of an (n, 6, 6) stack, certified Hermitian for g, as pairs
     (wrapped J, residuals).
 
-    A J passes when each of its residuals is at most ``rtol`` times its
-    scale (``_measure``).  The first residual over its bound, in stack
+    A J passes when each of its residuals is at most HERMITIAN_RTOL times
+    its scale (``_measure``).  The first residual over its bound, in stack
     order, raises ``error`` naming its J by ``names``."""
     out = []
     for name, (acs, res, scales) in zip(names, _measure(label, js, g)):
         for key, scale in scales.items():
-            limit = rtol * scale
+            limit = HERMITIAN_RTOL * scale
             if res[key] > limit:
                 raise error(f"{label} {name}: {key} residual {res[key]:.3e} exceeds {limit:.3e}")
         out.append((acs, res))
@@ -147,7 +146,7 @@ def _certify(label, js, g, names, error, rtol):
 
 def _make_solutions(label, triples, js, g):
     """The HermitianSolution of each triple and its J in the stack ``js``."""
-    certified = _certify(label, js, g, [t.branch for t in triples], InvalidForm, HERMITIAN_RTOL)
+    certified = _certify(label, js, g, [t.branch for t in triples], InvalidForm)
     return [HermitianSolution(t, acs, res) for t, (acs, res) in zip(triples, certified)]
 
 
@@ -358,12 +357,14 @@ def h6_hermitian_solutions(form):
 
 
 def _h2_angles(form):
-    """alpha, beta, phi, psi and sqrt(EG - F^2) of the treated h2 family."""
+    """alpha, beta, phi = B alpha - A beta, psi and sqrt(EG - F^2) of the
+    treated h2 family, free of cancellation (for A <= 0 phi adds two terms >= 0)."""
     A, B = form.a, form.b
-    alpha = math.sqrt(1.0 - A * A)
-    beta = math.sqrt(1.0 - B * B)
+    alpha = math.sqrt((1.0 - A) * (1.0 + A))
+    beta = math.sqrt((1.0 - B) * (1.0 + B))
+    phi = (B - A) * (B + A) / (B * alpha + A * beta) if A > 0.0 else B * alpha - A * beta
     sd = math.sqrt(form.E * form.G - form.F * form.F)
-    return alpha, beta, B * alpha - A * beta, A * B + alpha * beta, sd
+    return alpha, beta, phi, A * B + alpha * beta, sd
 
 
 def _h2_matrices(form, triples):
@@ -392,41 +393,39 @@ def h2_J(form, triple):
 
 
 def h2_hermitian_candidates(form):
-    """The at most two Hermitian structures of the treated family, as
-    {"J": SolutionSet}.
+    """{"J": SolutionSet} of the treated family's Hermitian structures: two
+    on every valid form, one where they meet at the E = G, F = -psi E corner.
 
-    A = B forces (a, b, c) = (+-1, 0, 0) (abelian).  For A < B the pair
-    (b, c) is solved from two of the integrability equations and a^2 from
-    the sphere constraint.  The structures are certified at H2_VERIFY_RTOL
-    (``_certify``), and each is ``abelian`` when [JX, JY] = [X, Y] within
+    With u = sqrt(EG - F^2) / E, v = F / E + psi and s = 1 - a^2, two
+    integrability equations read b phi = -s u and c a phi = -s v, and with
+    the sphere P s^2 - (1 + P + Q) s + 1 = 0 (P = u^2/phi^2, Q = v^2/phi^2).
+    Its root in [0, 1] is s = 2 phi^2 / den, den = phi^2 + u^2 + v^2 + R,
+    R = sqrt(X^2 + 4 phi^2 v^2), X = u^2 + v^2 - phi^2: a^2 = (R + X) / den,
+    c^2 = (R - X) / den and b = -2 phi u / den.  As R^2 - X^2 = 4 phi^2 v^2,
+    the larger of |a|, |c| is sqrt(m / den) (m = R + |X|) and the smaller
+    2 |phi v| / sqrt(m den): no sum cancels and nothing divides by phi, so
+    a = b and a = 0 are no cases.  den >= u^2 > 0 and den >= 2 phi^2, so
+    the root exists on every valid form.  The structures are (a, b, c) with
+    a >= 0 and a c of the sign of -phi v (c >= 0 first when v = 0), and
+    (-a, b, -c), every zero +0.0.  They are certified at HERMITIAN_RTOL
+    (``_certify``), each ``abelian`` when [JX, JY] = [X, Y] within
     H2_ABELIAN_TOL.
     """
     g = realize(form).matrix  # validates the form
-    E, F = form.E, form.F
     _alpha, _beta, phi, psi, sd = _h2_angles(form)
-    if "ab" in form.on_strata():
-        triples = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]
-    else:
-        # From the two linear-in-(b, c) equations: b = -(1-a^2) sqrt(D)/(E phi)
-        # and c a phi = -(1-a^2)(F/E + psi); the sphere constraint then gives
-        # a quadratic in t = a^2: P t^2 + (1 + Q - P) t - Q = 0 whose unique
-        # root in [0, 1) is the larger one.  t = 0 when Q = 0 and P <= 1.
-        p = (E * form.G - F * F) / (E * phi) ** 2
-        qq = ((F / E + psi) ** 2) / phi ** 2
-        disc = (1.0 + qq - p) ** 2 + 4.0 * p * qq
-        t_root = (-(1.0 + qq - p) + math.sqrt(disc)) / (2.0 * p)
-        if not 0.0 <= t_root < 1.0:
-            return {"J": SolutionSet("J", "finite")}
-        b = -(1.0 - t_root) * sd / (E * phi)
-        if t_root == 0.0:  # a = 0: the c-equation reads 0 = 0, so the sphere alone fixes c
-            c = math.sqrt(max(0.0, 1.0 - b * b))
-            triples = [(0.0, b, c), (0.0, b, -c)]
-        else:
-            triples = [(a, b, -(1.0 - t_root) * (F / E + psi) / (a * phi))
-                       for a in (math.sqrt(t_root), -math.sqrt(t_root))]
+    u, v = sd / form.E, form.F / form.E + psi
+    x = u * u + v * v - phi * phi
+    r = math.hypot(x, 2.0 * phi * v)
+    den, m = phi * phi + u * u + v * v + r, r + abs(x)
+    big = math.sqrt(m / den)
+    small = 2.0 * abs(phi * v) / math.sqrt(m * den) if m > 0.0 else 0.0
+    a, c = (big, small) if x >= 0.0 else (small, big)
+    c = -c if phi * v > 0.0 else c
+    b = -2.0 * phi * u / den
+    triples = [tuple(z + 0.0 for z in t) for t in ((a, b, c), (-a, b, -c))]
     triples = [SolutionTriple(*t, "J") for t in _dedupe(triples, H2_DEDUPE_TOL)]
     certified = _certify("h2", _h2_matrices(form, triples), g, [t.branch for t in triples],
-                         InvalidForm, H2_VERIFY_RTOL)
+                         InvalidForm)
     h2 = builtin("h2")
     return {"J": SolutionSet("J", "finite", tuple(
         HermitianSolution(t, acs, res, is_abelian_structure(h2, acs, tol=H2_ABELIAN_TOL))
@@ -488,8 +487,7 @@ def h9_sigma_family(which, **params):
         raise ValueError(f"unknown family {which!r}")
     form, phi, j = _gprime_pair(*gprime)
     metric = realize(form)
-    ((acs, _res),) = _certify("h9hat", j[None], metric.matrix, [which], InvalidParams,
-                              HERMITIAN_RTOL)
+    ((acs, _res),) = _certify("h9hat", j[None], metric.matrix, [which], InvalidParams)
     return metric, Automorphism(phi, "h9hat"), acs
 
 
@@ -500,7 +498,7 @@ def h9_gprime_metric(a11, a43, a44, a63, A):
     is a Hermitian pair; requires A^2 a11^10 - a44^2 a63^2 > 0.
     """
     form, phi, j = _gprime_pair(a11, a43, a44, a63, A)
-    _certify("h9hat", j[None], realize(form).matrix, ["gprime"], InvalidParams, HERMITIAN_RTOL)
+    _certify("h9hat", j[None], realize(form).matrix, ["gprime"], InvalidParams)
     return form, Automorphism(phi, "h9hat")
 
 

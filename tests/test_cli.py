@@ -394,6 +394,17 @@ def test_hermitian_text_lines(capsys, algebra, form, lines):
     assert out == "\n".join(lines) + "\n"
 
 
+def test_hermitian_h2_near_a_equals_b_gives_two_structures(capsys):
+    # a and b 1.7e-9 apart: phi = B alpha - A beta lost most of its digits
+    form = ('{"a": 0.14324591977957185, "b": 0.1432459214404514, "E": 11.952916461351078, '
+            '"F": 12.24324688132229, "G": 13.121518166016457}')
+    code, out, err = run_cli(capsys, "--format", "text", "hermitian", "--algebra", "h2",
+                             "--form", form)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 2 and all(line.startswith("J: ") for line in lines)
+
+
 def test_tables_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "tables")
     code2, out2, _ = run_cli(capsys, "tables")
@@ -465,8 +476,12 @@ def test_verify_hermitian_suite_reports_a_solver_failure(capsys, monkeypatch):
 
 def test_verify_hermitian_suite_fails_on_h2_at_a_zero_bound(capsys, monkeypatch):
     # h2 misses its certificate like any solver: every h2 call raises, and
-    # each raise is a failed check; the other algebras' forms are the same
-    monkeypatch.setattr(cli.hm, "H2_VERIFY_RTOL", 0.0)
+    # each raise is a failed check; the other algebras' forms are the same.
+    # Each h2 residual's scale is zeroed, and with it its bound
+    measure = cli.hm._measure
+    monkeypatch.setattr(cli.hm, "_measure", lambda label, js, g: [
+        (acs, res, {k: 0.0 if label == "h2" else sc for k, sc in scales.items()})
+        for acs, res, scales in measure(label, js, g)])
     code, out, err = run_cli(capsys, "verify", "--suite", "hermitian", "--seed", "0")
     assert code == 1
     assert err == ""

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilmoduli import algebra as al
 from nilmoduli import hermitian as hm
@@ -468,12 +470,10 @@ def test_h2_candidates_judge_abelian_at_one_tolerance(monkeypatch):
 
 
 def test_h2_candidates_at_a_large_j_are_verified():
-    # max|J| = 44: N_J's rounding is 2.9e-8 there, 1.5e-11 of max|J|^2
+    # max|J| = 44 at a ~ b: the structures hold the closed-form certificate
     form = mo.H2Form(0.02438187346534602, 0.024385635258341275, 0.0010448929342252043,
                      0.020007615927525212, 1.5386347695218612)
-    sols = _h2_structures(form)
-    assert len(sols) == 2
-    assert _first_over_the_bound(sols, mo.realize(form).matrix, hm.H2_VERIFY_RTOL) is None
+    sols = _assert_two_certified_h2(form)
     assert max(max_norm(s.J.matrix) for s in sols) > 40.0
 
 
@@ -491,8 +491,8 @@ def test_h2_structure_with_a_perturbed_entry_raises(monkeypatch):
         js = perturbed(form, [s.triple for s in _h2_structures(form)])
         # the message names the first residual over its bound, in check order
         (_acs, res, scales), _second = hm._measure("h2", js, mo.realize(form).matrix)
-        key, limit = next((k, hm.H2_VERIFY_RTOL * sc) for k, sc in scales.items()
-                          if res[k] > hm.H2_VERIFY_RTOL * sc)
+        key, limit = next((k, hm.HERMITIAN_RTOL * sc) for k, sc in scales.items()
+                          if res[k] > hm.HERMITIAN_RTOL * sc)
         monkeypatch.setattr(hm, "_h2_matrices", perturbed)
         with pytest.raises(InvalidForm) as info:
             hm.h2_hermitian_candidates(form)
@@ -516,7 +516,7 @@ def test_h2_perturbed_structure_gets_an_abelian_verdict():
 
 
 def test_h2_structures_at_a_zero_bound_raise(monkeypatch):
-    monkeypatch.setattr(hm, "H2_VERIFY_RTOL", 0.0)
+    monkeypatch.setattr(hm, "HERMITIAN_RTOL", 0.0)
     rng = np.random.default_rng(12)
     forms = H2_PAIR_FORMS + [random_canonical_form("h2", rng) for _ in range(20)]
     for form in forms:
@@ -532,7 +532,7 @@ def test_h2_distinct_coupling_candidates():
         if abs(form.a - form.b) < 1e-6:
             continue
         sols = _h2_structures(form)
-        assert len(sols) <= 2
+        assert len(sols) == 2
         for s in sols:
             if abs(abs(s.triple.a) - 1.0) > 1e-9:
                 assert s.triple.b < 0
@@ -546,7 +546,7 @@ def test_h2_candidates_respect_f_sign():
     assert len(_h2_structures(form)) == 2
 
 
-# F = -psi at a = 0.3, b = 0.5, E = 1: F/E + psi evaluates to exactly 0, so t = a^2 = 0
+# F = -psi at a = 0.3, b = 0.5, E = 1: F/E + psi evaluates to exactly 0, so a = 0
 H2_LOCUS_F = -0.9761355820929153
 
 
@@ -556,8 +556,39 @@ def _assert_hermitian_h2(form, sols):
     for s in sols:
         j = s.J.matrix
         scale = max(1.0, max_norm(j)) ** 2
-        assert al.nijenhuis_residual(h2, j) <= 1e-12 * scale
+        assert max_norm(j @ j + np.eye(6)) <= 1e-12 * scale
+        assert al.nijenhuis_residual(h2, j, tol=math.inf) <= 1e-12 * scale  # J^2 + I just above
         assert max_norm(j.T @ g @ j - g) <= 1e-12 * scale * max(1.0, max_norm(g))
+
+
+def _assert_two_certified_h2(form):
+    """The form's two structures, certified at HERMITIAN_RTOL and checked apart."""
+    sols = _h2_structures(form)
+    assert len(sols) == 2
+    assert _first_over_the_bound(sols, mo.realize(form).matrix, hm.HERMITIAN_RTOL) is None
+    _assert_hermitian_h2(form, sols)
+    return sols
+
+
+def test_h2_structures_on_a_ladder_towards_a_equals_b_and_b_equals_1():
+    # phi = B alpha - A beta and 1 - a^2 cancel as a -> b; alpha, beta as b -> 1
+    rng = np.random.default_rng(31)
+    for k in range(2, 10):
+        for _ in range(12):
+            e_val, g_val = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            f_val = rng.uniform(-0.99, 0.99) * math.sqrt(e_val * g_val)
+            top, b = 1.0 - 10.0 ** -k, rng.uniform(0.01, 0.99)
+            for a_b in ((b * top, b), (rng.uniform(0.0, top), top)):
+                _assert_two_certified_h2(mo.H2Form(*a_b, e_val, f_val, g_val))
+
+
+# b < 1 - 1e-9: realize rejects the metric as not positive definite within ~1e-12 of 1
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0 - 1e-9), st.floats(0.0, 1.0),
+       st.floats(1e-3, 1e3), st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True),
+       st.floats(1e-3, 1e3))
+def test_h2_structures_on_the_valid_box(b, ratio, e_val, rho, g_val):
+    _assert_two_certified_h2(mo.H2Form(ratio * b, b, e_val, rho * math.sqrt(e_val * g_val), g_val))
 
 
 def test_h2_a0_locus_at_the_eg_corner_gives_one_structure():
@@ -681,8 +712,7 @@ def test_h9_sigma1_compatibility_is_checked_relative_to_the_metric(big_a, big_e)
     w = np.sqrt(big_e ** 2 + 1.0)
     off = mo.realize(mo.H9Form(A=big_a, B=big_a * w * (1 + 1e-6), C=w, D=0.0, E=big_e, F=0.0))
     with pytest.raises(InvalidParams, match=r"^h9hat sigma1: compatibility residual "):
-        hm._certify("h9hat", j.matrix[None], off.matrix, ["sigma1"], InvalidParams,
-                    hm.HERMITIAN_RTOL)
+        hm._certify("h9hat", j.matrix[None], off.matrix, ["sigma1"], InvalidParams)
 
 
 @pytest.mark.parametrize("big_a", [0.3, 1.0, 2.0])
@@ -759,14 +789,14 @@ def test_h9_families_check_their_pair_once(monkeypatch, call, name):
     seen, certified = [], []
     certify = hm._certify
 
-    def counted(label, js, g, names, error, rtol):
-        seen.append((label, js.shape, list(names), error, rtol))
-        certified.extend(certify(label, js, g, names, error, rtol))
+    def counted(label, js, g, names, error):
+        seen.append((label, js.shape, list(names), error))
+        certified.extend(certify(label, js, g, names, error))
         return certified
 
     monkeypatch.setattr(hm, "_certify", counted)
     out = call()
-    assert seen == [("h9hat", (1, 6, 6), [name], InvalidParams, hm.HERMITIAN_RTOL)]
+    assert seen == [("h9hat", (1, 6, 6), [name], InvalidParams)]
     if name != "gprime":  # a Sigma family returns the certified J, not a second wrapper
         assert out[2] is certified[0][0]
 
