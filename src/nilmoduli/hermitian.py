@@ -555,10 +555,10 @@ def hermitian_structures(form):
 # ---------------------------------------------------------------------------
 # numeric existence oracle
 
-SEARCH_TOL = 1e-8  # the combined residual at which a start of the oracle succeeds
+SEARCH_TOL = 1e-8  # the Nijenhuis residual at which a start of the oracle succeeds
 # calibrated on g_{A,B} with B/A in {0.5, 2} against SEARCH_TOL: over 64
-# compatible starts the search never gets below ~2e-2, so verdicts are
-# separated from the success threshold by six orders of magnitude
+# compatible starts the search never gets below ~0.2, so verdicts are
+# separated from the success threshold by seven orders of magnitude
 NON_HERMITIAN_RESIDUAL_FLOOR = 1e-3
 
 
@@ -566,7 +566,7 @@ NON_HERMITIAN_RESIDUAL_FLOOR = 1e-3
 class SearchResult:
     found: bool
     J: AlmostComplexStructure | None
-    residual: float  # best combined residual over all starts
+    residual: float  # best Nijenhuis residual (2-norm of its 90 rows) over all starts
     starts_used: int
 
     def to_json_dict(self):
@@ -585,78 +585,30 @@ def _kernel_layout():
     ``nij_*``: flat positions of N[k, i, j], i < j (k-major), in the (i, k, j)
     layout of J^T (b_k J) and the (k, i, j) layout of t2 and of its
     (i, j)-swap; ``v_*``: (J^T b_m)[j, i] and (J^T b_m)[i, j] at i < j
-    (m-major) in the (i, m, j) layout; ``pair_*`` and ``gather``: see
-    ``_jacobian_plan``.
+    (m-major) in the (i, m, j) layout.
     """
     iu, ju = np.triu_indices(DIM, 1)
     k, i, j = np.repeat(np.arange(DIM), iu.size), np.tile(iu, DIM), np.tile(ju, DIM)
     d2, d = DIM * DIM, DIM
-    pair_first, pair_second, gather = _jacobian_plan(iu, ju)
     layout = SimpleNamespace(
-        iu=iu, comp=np.ravel_multi_index(np.triu_indices(DIM), (DIM, DIM)),
-        nij_k=k, nij_i=i, nij_j=j,
+        iu=iu, nij_k=k, nij_i=i, nij_j=j,
         nij_t1=i * d2 + k * d + j, nij_t2=k * d2 + i * d + j, nij_t2s=k * d2 + j * d + i,
         v_ji=j * d2 + k * d + i, v_ij=i * d2 + k * d + j,
-        pair_first=pair_first, pair_second=pair_second, gather=gather,
     )
     for arr in vars(layout).values():
         arr.flags.writeable = False  # one layout serves every kernel
     return layout
 
 
-def _jacobian_plan(iu, ju):
-    """How the kernel gathers the Jacobian of one J from its terms.
-
-    The terms of one J are, in order: W, -W, V[m, i, j] at i < j (m-major),
-    gJ and J (row-major), and a zero, where
-    dN[k, i, j] = delta_ib W[k, a, j] - delta_jb W[k, a, i] + delta_ka V[b, i, j]
-    with W = bJ - Jb and V[b, i, j] = (J^T b)[b, j, i] - (J^T b)[b, i, j];
-    d(J^T g J)[i, j] = delta_ib (gJ)[a, j] + delta_jb (gJ)[a, i];
-    d(J^2)[i, j] = delta_ia J[b, j] + delta_jb J[i, a].
-    Each entry is the zero, one term, or a first term plus a second.
-    Returns (pair_first, pair_second, gather): the sums terms[pair_first] +
-    terms[pair_second] go after the terms, and the flat Jacobian is that
-    source at ``gather``.  An entry with a second term only is the zero plus
-    it, as when the term is added into a zeroed matrix.
-    """
-    di, dj = np.triu_indices(DIM)
-    diag = np.arange(DIM)
-    n_nij, n_comp, n_w = DIM * iu.size, di.size, DIM ** 3
-    rows = n_nij + n_comp + DIM * DIM
-    w = np.arange(n_w).reshape(DIM, DIM, DIM)
-    neg_w = n_w + w
-    v = 2 * n_w + np.arange(n_nij).reshape(DIM, iu.size)
-    gj, jj = (2 * n_w + n_nij + np.arange(2 * DIM * DIM)).reshape(2, DIM, DIM)
-    zero = 2 * n_w + n_nij + 2 * DIM * DIM
-    first = np.full((rows, DIM * DIM), -1)
-    second = np.full((rows, DIM * DIM), -1)
-    pairs, crow = np.arange(iu.size), np.arange(n_comp)
-    shape_nij = (DIM, iu.size, DIM, DIM)  # [k, pair, a, b]
-    jn = first[:n_nij].reshape(shape_nij)
-    jn[:, pairs, :, iu] = w[:, :, ju].transpose(2, 0, 1)
-    jn[:, pairs, :, ju] = neg_w[:, :, iu].transpose(2, 0, 1)
-    second[:n_nij].reshape(shape_nij)[diag, :, diag, :] = v.T
-    shape_comp = (n_comp, DIM, DIM)  # [row, a, b]
-    first[n_nij : n_nij + n_comp].reshape(shape_comp)[crow, :, di] = gj[:, dj].T
-    second[n_nij : n_nij + n_comp].reshape(shape_comp)[crow, :, dj] = gj[:, di].T
-    shape_inv = (DIM, DIM, DIM, DIM)  # [i, j, a, b]
-    first[n_nij + n_comp :].reshape(shape_inv)[diag, :, diag, :] = jj.T
-    second[n_nij + n_comp :].reshape(shape_inv)[:, diag, :, diag] = jj
-    first[first < 0] = zero
-    has_second = np.flatnonzero(second >= 0)
-    gather = first.ravel()
-    plan = gather[has_second], second.ravel()[has_second], gather
-    gather[has_second] = zero + 1 + np.arange(has_second.size)
-    return plan
-
-
 class _ResidualKernel:
-    """The oracle's residual vector of J and its exact Jacobian.
+    """The oracle's residual vector of J and its exact derivatives.
 
-    Rows: the 90 Nijenhuis entries N[k, i, j], i < j, k-major; the 21
-    entries (J^T g J - g)[i, j], i <= j; the 36 entries of J^2 + I.  The
-    residual is quadratic in J, so the Jacobian is affine in J; its column
-    a*6 + b is the derivative along J[a, b].
+    Rows: the 90 Nijenhuis entries N[k, i, j], i < j, k-major.  The
+    residual is quadratic in J, so its derivative along a direction D is
+    linear in D and affine in J:
+    dN[k, i, j] = (D^T W_k)[i, j] - (D^T W_k)[j, i] + (D V)[k, (i, j)]
+    with W[k, c, j] = [e_c, J e_j]_k - (J [e_c, e_j])_k and
+    V[m, i, j] = (J^T b_m)[j, i] - (J^T b_m)[i, j].
 
     Both methods take one 6x6 J or an (n, 6, 6) stack and return one result
     per J.  A stack makes the same matmul calls for every J, so each of its
@@ -664,12 +616,10 @@ class _ResidualKernel:
     likewise J^T b_k and J^T (b_k J), are one matmul with the k side by side.
     """
 
-    def __init__(self, b, g):
+    def __init__(self, b):
         self.b = b
-        self.g = g
         self.ix = _kernel_layout()
-        self.n_nij, self.n_comp = DIM * self.ix.iu.size, self.ix.comp.size
-        self.rows = self.n_nij + self.n_comp + DIM * DIM
+        self.rows = DIM * self.ix.iu.size
         self.b_rows = b.reshape(DIM * DIM, DIM)  # [(k, i), j]
         self.b_cols = np.ascontiguousarray(b.transpose(1, 0, 2)).reshape(DIM, -1)  # [i, (k, j)]
         self.b_nij = b[self.ix.nij_k, self.ix.nij_i, self.ix.nij_j]
@@ -685,51 +635,104 @@ class _ResidualKernel:
         t1 = (jt @ bj.reshape(side).transpose(0, 2, 1, 3).reshape(n, DIM, -1)).reshape(n, -1)
         # t2[k, i, j] = (J [J e_i, e_j])_k; its (i, j)-swap is -(J [e_i, J e_j])_k
         t2 = (js @ jtb.reshape(side).transpose(0, 2, 1, 3).reshape(n, DIM, -1)).reshape(n, -1)
-        out = np.empty((n, self.rows))
-        nij = out[:, : self.n_nij]
-        np.subtract(t1.take(ix.nij_t1, axis=1), t2.take(ix.nij_t2, axis=1), out=nij)
-        nij += t2.take(ix.nij_t2s, axis=1)
-        nij -= self.b_nij
-        comp = jt @ self.g @ js - self.g
-        out[:, self.n_nij : self.n_nij + self.n_comp] = comp.reshape(n, -1).take(ix.comp, axis=1)
-        invol = out[:, self.n_nij + self.n_comp :]
-        np.matmul(js, js, out=invol.reshape(n, DIM, DIM))
-        invol[:, :: DIM + 1] += 1.0
+        out = np.subtract(t1.take(ix.nij_t1, axis=1), t2.take(ix.nij_t2, axis=1))
+        out += t2.take(ix.nij_t2s, axis=1)
+        out -= self.b_nij
         return out if j.ndim == 3 else out[0]
 
-    def jacobian(self, j, out=None):
-        """d residual / d J[a, b] in column a*6 + b, shape (147, 36) per J;
-        written to ``out`` if given."""
+    def jacobian(self, j, dirs):
+        """The derivative of the residual along each of p directions: (90, p)
+        for one J and a (p, 6, 6) stack ``dirs``, column c along dirs[c]
+        (the 36 unit matrices give the Jacobian in J's entries); (n, 90, p)
+        for an (n, 6, 6) stack and (n, p, 6, 6) directions."""
         ix = self.ix
         js = j.reshape(-1, DIM, DIM)
         n = js.shape[0]
-        jt = js.transpose(0, 2, 1)
-        jtb, bj = (jt @ self.b_cols).reshape(n, -1), self.b_rows @ js
-        w = bj.reshape(n, -1) - (js @ self.b.reshape(DIM, -1)).reshape(n, -1)
-        terms = np.concatenate(
-            [w, -w, jtb.take(ix.v_ji, axis=1) - jtb.take(ix.v_ij, axis=1),
-             (self.g @ js).reshape(n, -1), js.reshape(n, -1), np.zeros((n, 1))],
-            axis=1,
-        )
-        pairs = terms.take(ix.pair_first, axis=1)
-        pairs += terms.take(ix.pair_second, axis=1)
-        jac = np.empty((n, self.rows, DIM * DIM)) if out is None else out
-        np.take(np.concatenate([terms, pairs], axis=1), ix.gather, axis=1,
-                out=jac.reshape(n, -1), mode="clip")
-        return jac if j.ndim == 3 else jac[0]
+        ds = dirs.reshape(n, -1, DIM, DIM)
+        p = ds.shape[1]
+        jtb = (js.transpose(0, 2, 1) @ self.b_cols).reshape(n, -1)
+        v = jtb.take(ix.v_ji, axis=1) - jtb.take(ix.v_ij, axis=1)  # [m, (i, j)]
+        side = (n, DIM, DIM, DIM)
+        w = (self.b_rows @ js).reshape(side) - (js @ self.b.reshape(DIM, -1)).reshape(side)
+        # u[c, i, k, j] = (D_c^T W_k)[i, j], in the (i, k, j) layout of each c
+        u = (ds.transpose(0, 1, 3, 2).reshape(n, -1, DIM)
+             @ w.transpose(0, 2, 1, 3).reshape(n, DIM, -1)).reshape(n, p, -1)
+        out = (ds.reshape(n, -1, DIM) @ v.reshape(n, DIM, -1)).reshape(n, p, -1)
+        out += u.take(ix.nij_t1, axis=2)
+        out -= u.take(ix.v_ji, axis=2)
+        out = out.transpose(0, 2, 1)
+        return out if j.ndim == 3 else out[0]
 
 
-def _random_compatible_starts(l_inv_t, l_t, rngs):
-    """Random g-compatible orthogonal complex structures L^{-T} K L^T, one
-    per generator, for g = L L^T; the caller passes L^{-T} and L^T."""
-    z = np.stack([rng.normal(size=(DIM, DIM)) for rng in rngs])
-    q, r = np.linalg.qr(z)
-    d = np.arange(DIM)
-    signs = np.zeros_like(z)
-    signs[:, d, d] = np.sign(r[:, d, d])
-    q = q @ signs
-    k_orth = q @ _PAIRING_J @ q.transpose(0, 2, 1)
-    return l_inv_t @ k_orth @ l_t
+@functools.cache
+def _tangent_basis():
+    """(E, M): E_1 .. E_6, an orthonormal (Frobenius) basis of the X in so(6)
+    with X J0 = -J0 X, and M_a = 2 E_a J0, the derivative of
+    C(t E_a) J0 C(t E_a)^T at t = 0 for the Cayley transform C.
+
+    E_a is the anticommuting part (X + J0 X J0) / 2 of X = e_i e_j^T - e_j e_i^T,
+    for the first pairs i < j whose parts are new: entries 0 and +-1/2.
+    For each complex pair of the pairing it covers one 2x2 block and its
+    transpose, and the two E_a of a block share no entry."""
+    j0 = _PAIRING_J
+    basis = []
+    for i, j in zip(*np.triu_indices(DIM, 1)):
+        s = np.zeros((DIM, DIM))
+        s[i, j], s[j, i] = 1.0, -1.0
+        x = (s + j0 @ s @ j0) / 2.0
+        if x.any() and not any(np.vdot(x, e) != 0.0 for e in basis):
+            basis.append(x)
+    e = np.stack(basis)
+    m = 2.0 * e @ j0
+    for arr in (e, m):
+        arr.flags.writeable = False
+    return e, m
+
+
+class _Frames:
+    """The g-compatible complex structures J = L^{-T} Q J0 Q^T L^T of the
+    orthogonal frames Q, for g = L L^T (``g_chol``) and J0 = _PAIRING_J.
+
+    Each such J has J^2 = -I and J^T g J = g by construction.  A step of
+    6 coordinates theta moves Q to Q C(X), where X = sum theta_a E_a
+    (``_tangent_basis``) and C(X) = (I - X/2)^{-1} (I + X/2) is the Cayley
+    transform.  Every method takes an (n, 6, 6) stack of frames and gives
+    each frame the bits it would get alone.
+    """
+
+    def __init__(self, g_chol):
+        self.l_inv_t, self.l_t = np.linalg.inv(g_chol).T, g_chol.T
+
+    def structures(self, q):
+        return self.l_inv_t @ (q @ _PAIRING_J @ q.transpose(0, 2, 1)) @ self.l_t
+
+    def tangent(self, q):
+        """dJ / dtheta_a = L^{-T} Q M_a Q^T L^T, as an (n, 6, 6, 6) stack [a]."""
+        _e, m = _tangent_basis()
+        return (self.l_inv_t @ q)[:, None] @ m @ (q.transpose(0, 2, 1) @ self.l_t)[:, None]
+
+    @staticmethod
+    def retract(q, theta):
+        """Q C(X) for each frame and its step theta.
+
+        Each entry of X is 0 or +-theta_a / 2 for one a, so X is exact, and
+        X^3 = -(|theta|^2 / 4) X on this subspace, so C(X) is
+        I + (X + X^2 / 2) / (1 + |theta|^2 / 16) without a solve."""
+        e, _m = _tangent_basis()
+        x = (theta @ e.reshape(len(e), -1)).reshape(-1, DIM, DIM)
+        c = x @ x
+        c *= 0.5
+        c += x
+        c *= (1.0 / (1.0 + (theta * theta).sum(axis=1) / 16.0))[:, None, None]
+        c.reshape(len(c), -1)[:, :: DIM + 1] += 1.0
+        return q @ c
+
+
+def _random_frames(rngs):
+    """Random orthogonal frames, one per generator: the Q of the QR
+    factorization of a normal 6x6 draw, its R given a positive diagonal."""
+    q, r = np.linalg.qr(np.stack([rng.normal(size=(DIM, DIM)) for rng in rngs]))
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
 def _solvable(a, b):
@@ -751,32 +754,34 @@ _QUEUE_SLOTS = 16
 class _StartQueue:
     """Levenberg-Marquardt from starts 0 .. budget - 1, run in a work queue.
 
-    The live starts fill slots 0 .. m-1, one start's state (x, residual,
-    cost, lambda, stall, iteration) per slot.  A pass makes one LM iteration
-    of every live start with stacked numpy calls: the Jacobian, J^T J and
-    the gradient, then up to 25 damping tries, each a batched solve and a
-    residual of the starts still trying.  A start that stops frees its slot
-    for the next start in start order.  Start 0 runs alone and the number of
-    open slots doubles with each start that stops, so that a success among
-    the first starts costs little more than those starts.
+    Each start moves on the g-compatible complex structures (``_Frames``):
+    its state is a frame Q, its J and the 90 Nijenhuis rows of J, and a step
+    has the 6 coordinates theta.  The live starts fill slots 0 .. m-1, one
+    start's state (Q, J, residual, cost, lambda, stall, iteration) per slot.
+    A pass makes one LM iteration of every live start with stacked numpy
+    calls: the 90 x 6 Jacobian (the rows' derivatives along the tangent
+    directions dJ / dtheta_a, ``_Frames.tangent``), the 6 x 6 normal matrix
+    and the gradient, then up to 25 damping tries, each a batched 6 x 6
+    solve, a Cayley step and a residual of the starts still trying.  A
+    start that stops frees its slot for the next start in start order.
+    Start 0 runs alone and the number of open slots doubles with each start
+    that stops, so that a success among the first starts costs little more
+    than those starts.
     """
 
-    def __init__(self, kernel, starts, budget):
-        self.kernel, self.starts, self.budget = kernel, starts, budget
+    def __init__(self, kernel, frames, starts, budget):
+        self.kernel, self.frames, self.starts, self.budget = kernel, frames, starts, budget
         self.tol2 = SEARCH_TOL * SEARCH_TOL
-        n_slots, n = _QUEUE_SLOTS, DIM * DIM
-        self.xs = np.empty((n_slots, n))
-        self.rs = np.empty((n_slots, kernel.rows))
-        self.jac = np.empty((n_slots, kernel.rows, n))
-        self.jtj = np.empty((n_slots, n, n))
-        self.grad = np.empty((n_slots, n, 1))
-        self.lam = np.empty(n_slots)
+        self.qs = np.empty((_QUEUE_SLOTS, DIM, DIM))
+        self.js = np.empty((_QUEUE_SLOTS, DIM, DIM))
+        self.rs = np.empty((_QUEUE_SLOTS, kernel.rows))
+        self.lam = np.empty(_QUEUE_SLOTS)
         self.owner = []  # start index in each live slot; cost, stall and it run in parallel
         self.cost, self.stall, self.it = [], [], []
         self.final = [None] * budget  # final cost by start index
-        self.first_found, self.x_found = budget, None
+        self.first_found, self.j_found = budget, None
         self.next_start = self.n_finished = 0
-        self.made = []  # (start index, x, residual, cost) of starts made but not yet taken
+        self.made = []  # (start index, Q, J, residual, cost) of starts made but not yet taken
 
     def run(self):
         """The final cost of each start that counts (those up to the first
@@ -785,7 +790,7 @@ class _StartQueue:
             done = self._iterate()
             if True in done:
                 self._retire(done)
-        return self.final[: self.first_found + 1], self.x_found
+        return self.final[: self.first_found + 1], self.j_found
 
     def _take(self):
         """Fill free slots with the next starts, made a width at a time;
@@ -797,12 +802,13 @@ class _StartQueue:
                 if not ks:
                     break
                 self.next_start = ks.stop
-                x0 = self.starts(ks).reshape(len(ks), -1)
-                r0 = self.kernel.residual(x0.reshape(-1, DIM, DIM))
-                self.made = list(zip(ks, x0, r0, (r0 ** 2).sum(axis=1).tolist()))
-            k, x0, r0, c0 = self.made.pop(0)
+                q0 = self.starts(ks)
+                j0 = self.frames.structures(q0)
+                r0 = self.kernel.residual(j0)
+                self.made = list(zip(ks, q0, j0, r0, (r0 ** 2).sum(axis=1).tolist()))
+            k, q0, j0, r0, c0 = self.made.pop(0)
             s = len(self.owner)
-            self.xs[s], self.rs[s], self.lam[s] = x0, r0, 1e-3
+            self.qs[s], self.js[s], self.rs[s], self.lam[s] = q0, j0, r0, 1e-3
             self.owner.append(k)
             self.cost.append(c0)
             self.stall.append(0)
@@ -811,12 +817,13 @@ class _StartQueue:
 
     def _iterate(self):
         """One LM iteration of every live start; which of them stop."""
-        xs, rs, lam, cost, stall, it = self.xs, self.rs, self.lam, self.cost, self.stall, self.it
-        m, n, tol2 = len(self.owner), DIM * DIM, self.tol2
-        jac, jtj, grad = self.jac[:m], self.jtj[:m], self.grad[:m]
-        self.kernel.jacobian(xs[:m].reshape(m, DIM, DIM), out=jac)
-        np.matmul(jac.transpose(0, 2, 1), rs[:m, :, None], out=grad)
-        np.matmul(jac.transpose(0, 2, 1), jac, out=jtj)
+        qs, js, rs, lam = self.qs, self.js, self.rs, self.lam
+        cost, stall, it = self.cost, self.stall, self.it
+        m, tol2 = len(self.owner), self.tol2
+        # the 90 x 6 Jacobian in theta, transposed: [theta_a, row]
+        jvt = self.kernel.jacobian(js[:m], self.frames.tangent(qs[:m])).transpose(0, 2, 1)
+        grad, jtj = jvt @ rs[:m, :, None], jvt @ jvt.transpose(0, 2, 1)
+        n = jtj.shape[1]
         scale = np.maximum(jtj.reshape(m, -1)[:, :: n + 1], 1e-12)
         done = [False] * m
         trying = list(range(m))
@@ -834,12 +841,13 @@ class _StartQueue:
                 lam[still] *= 10.0
                 steps = np.linalg.solve(a[ok], rhs[ok])
             if solved:
-                x_new = xs[solved] + steps[:, :, 0]
-                r_new = self.kernel.residual(x_new.reshape(-1, DIM, DIM))
+                q_new = self.frames.retract(qs[solved], steps[:, :, 0])
+                j_new = self.frames.structures(q_new)
+                r_new = self.kernel.residual(j_new)
                 for i, (s, c) in enumerate(zip(solved, (r_new ** 2).sum(axis=1).tolist())):
                     if math.isfinite(c) and c < cost[s]:
                         rel = (cost[s] - c) / max(cost[s], 1e-300)
-                        xs[s], rs[s], cost[s] = x_new[i], r_new[i], c
+                        qs[s], js[s], rs[s], cost[s] = q_new[i], j_new[i], r_new[i], c
                         lam[s] = max(lam[s] / 3.0, 1e-14)
                         stall[s] = stall[s] + 1 if rel < 1e-8 else 0
                         # stop on success, on a stall, on a plateau far above
@@ -869,23 +877,26 @@ class _StartQueue:
                 self.final[k] = self.cost[s]
                 self.n_finished += 1
                 if self.cost[s] <= self.tol2 and k < self.first_found:
-                    self.first_found, self.x_found = k, self.xs[s].copy()
+                    self.first_found, self.j_found = k, self.js[s].copy()
         keep = [s for s, stopped in enumerate(done)
                 if not stopped and self.owner[s] < self.first_found]
         for state in (self.owner, self.cost, self.stall, self.it):
             state[:] = [state[s] for s in keep]
-        for state in (self.xs, self.rs, self.lam):
+        for state in (self.qs, self.js, self.rs, self.lam):
             state[: len(keep)] = state[keep]
 
 
 def hermitian_search(alg, metric, budget=64, seed=20210607):
     """Numeric Hermitian-existence oracle.
 
-    Minimizes ||N_J||^2 + ||J^T g J - g||^2 + ||J^2 + I||^2 over the 36
-    entries of J from ``budget`` random compatible starts (deterministic
-    in the seed).  Levenberg-Marquardt steps use the exact Jacobian of
-    this residual, which is quadratic in J.  Success means a combined
-    residual <= SEARCH_TOL; failure verdicts report the best residual and
+    Minimizes ||N_J||^2 over the g-compatible complex structures
+    J = L^{-T} Q J0 Q^T L^T (g = L L^T, Q orthogonal; ``_Frames``), on
+    which J^2 = -I and J^T g J = g hold by construction, from ``budget``
+    random frames Q (deterministic in the seed).  Levenberg-Marquardt steps
+    have 6 coordinates, make a Cayley step of Q, and use the exact
+    derivatives of the 90 Nijenhuis rows along the 6 tangent directions.
+    Success means a Nijenhuis residual (2-norm of the rows, so max|N_J|
+    too) <= SEARCH_TOL; failure verdicts report the best residual and
     never claim nonexistence.  ``budget`` must be at least one start.
 
     The starts run together in a small work queue (see ``_StartQueue``); each
@@ -903,17 +914,14 @@ def hermitian_search(alg, metric, budget=64, seed=20210607):
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
     _require_same_basis(metric.algebra, alg)
-    g = metric.matrix
-    g_chol = cholesky_lower(g)
-    l_inv_t = np.linalg.inv(g_chol).T
+    frames = _Frames(cholesky_lower(metric.matrix))
 
     def starts(ks):
-        rngs = [np.random.default_rng(seed + k) for k in ks]
-        return _random_compatible_starts(l_inv_t, g_chol.T, rngs)
+        return _random_frames([np.random.default_rng(seed + k) for k in ks])
 
-    kernel = _ResidualKernel(alg.bracket_tensor, g)
-    costs, x_found = _StartQueue(kernel, starts, budget).run()
+    kernel = _ResidualKernel(alg.bracket_tensor)
+    costs, j_found = _StartQueue(kernel, frames, starts, budget).run()
     j_out = None
-    if x_found is not None:
-        j_out = AlmostComplexStructure(x_found.reshape(DIM, DIM), alg.label, tol=10 * SEARCH_TOL)
-    return SearchResult(x_found is not None, j_out, float(math.sqrt(min(costs))), len(costs))
+    if j_found is not None:
+        j_out = AlmostComplexStructure(j_found, alg.label, tol=10 * SEARCH_TOL)
+    return SearchResult(j_found is not None, j_out, float(math.sqrt(min(costs))), len(costs))

@@ -150,6 +150,17 @@ def test_isometry_command(capsys):
     assert rep["outputs"]["verification"]["passed"]
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "isometry on H6Form(1e11, 1e11) exits 1: continuous_dimension_matches_null_space reads "
+    "null-space dim 8 where 1 is expected (the nullity cutoff is not scaled to the metric)"))
+def test_isometry_h6_at_large_scale_exit_0(capsys):
+    code, out, _ = run_cli(capsys, "isometry", "--algebra", "h6",
+                           "--form", '{"a": 1e11, "b": 1e11}')
+    rep = json.loads(out)
+    assert rep["outputs"]["descriptor"]["continuous_dim"] == 1
+    assert code == 0, rep["outputs"]["verification"]
+
+
 def test_isometry_invalid_form_exit(capsys):
     code, _, err = run_cli(capsys, "isometry", "--algebra", "h6", "--form",
                            '{"a": 3.0, "b": 1.0}')
@@ -241,7 +252,8 @@ def test_hermitian_search_h9_label(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["outputs"]["search"]["found"] is True
-    assert rep["outputs"]["search"]["starts_used"] == 1
+    # g = I: start 0 stops at a critical point (cost 4), start 1 succeeds
+    assert rep["outputs"]["search"]["starts_used"] == 2
 
 
 def test_hermitian_search_h9_label_reads_hat_basis(capsys):

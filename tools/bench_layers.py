@@ -21,6 +21,9 @@ the per-call time over the runs.  The items are
   * the closed-form Hermitian structures: ``h6_hermitian_solutions``,
     ``h2_hermitian_candidates`` on a form with two structures, and
     ``h9_sigma_family("sigma1", ...)``;
+  * the numeric oracle ``hermitian_search`` at budget 64: two exhausting
+    g_AB verdicts (a = 1.125, B/A = 0.5 and 2) in one call, and the sigma1
+    metric that it finds at start 6;
   * the warm ``describe``, ``isometry``, ``hermitian``, ``canonicalize``
     and ``tables`` commands, each a ``cli.main(argv)`` call in this process,
     ``hermitian`` also on an h2 form with two structures, and ``describe``
@@ -136,6 +139,9 @@ def _items():
     form = json.dumps({"r": 0.6, "s": 0.6, "E": 1.0, "F": 0.1, "G": 2.0})
     h2_form = json.dumps({"a": 0.2, "b": 0.5, "E": 1.0, "F": 0.3, "G": 2.0})
     metric_json = json.dumps({"algebra": "h5", "matrix": orbit["h5"].tolist()})
+    exhausting = [mo.Metric("h9hat", np.diag([1.0, 1.0, 1.125 ** 2, 1.0, (ratio * 1.125) ** 2, 1.0]))
+                  for ratio in (0.5, 2.0)]
+    sigma1, _phi, _j = hm.h9_sigma_family("sigma1", A=0.7, E=1.3)
     return [(f"moduli.canonicalize.{name}", functools.partial(mo.canonicalize, name, metric), 200)
             for name, metric in orbit.items()] + [
         ("moduli.isometry_group", lambda: mo.isometry_group("h5", row), 200),
@@ -164,6 +170,9 @@ def _items():
          lambda: hm.h2_hermitian_candidates(mo.H2Form(0.2, 0.5, 1.0, 0.3, 2.0)), 200),
         ("hermitian.h9_sigma_family.sigma1",
          lambda: hm.h9_sigma_family("sigma1", A=1.3, E=0.7), 200),
+        ("hermitian.search.gAB",
+         lambda: [hm.hermitian_search("h9hat", g_ab, budget=64) for g_ab in exhausting], 1),
+        ("hermitian.search.sigma1", lambda: hm.hermitian_search("h9hat", sigma1, budget=64), 5),
         ("cli.describe", command(["describe", "h5"]), 10),
         ("cli.describe.salamon", command(["describe", al.BUILTIN_SALAMON["h5"]]), 10),
         ("cli.isometry", command(["isometry", "--algebra", "h5", "--form", form]), 10),
