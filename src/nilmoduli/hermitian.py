@@ -566,7 +566,7 @@ NON_HERMITIAN_RESIDUAL_FLOOR = 1e-3
 class SearchResult:
     found: bool
     J: AlmostComplexStructure | None
-    residual: float  # best Nijenhuis residual (2-norm of its 90 rows) over all starts
+    residual: float  # least Nijenhuis residual (2-norm of its 90 rows) over the counted starts
     starts_used: int
 
     def to_json_dict(self):
@@ -584,8 +584,8 @@ def _kernel_layout():
 
     ``nij_*``: flat positions of N[k, i, j], i < j (k-major), in the (i, k, j)
     layout of J^T (b_k J) and the (k, i, j) layout of t2 and of its
-    (i, j)-swap; ``v_*``: (J^T b_m)[j, i] and (J^T b_m)[i, j] at i < j
-    (m-major) in the (i, m, j) layout.
+    (i, j)-swap.  ``nij_t2`` also reads the 90 coordinates b[k, i, j], i < j,
+    of a bracket off its flat (k, i, j) layout.
     """
     iu, ju = np.triu_indices(DIM, 1)
     k, i, j = np.repeat(np.arange(DIM), iu.size), np.tile(iu, DIM), np.tile(ju, DIM)
@@ -593,7 +593,6 @@ def _kernel_layout():
     layout = SimpleNamespace(
         iu=iu, nij_k=k, nij_i=i, nij_j=j,
         nij_t1=i * d2 + k * d + j, nij_t2=k * d2 + i * d + j, nij_t2s=k * d2 + j * d + i,
-        v_ji=j * d2 + k * d + i, v_ij=i * d2 + k * d + j,
     )
     for arr in vars(layout).values():
         arr.flags.writeable = False  # one layout serves every kernel
@@ -601,35 +600,32 @@ def _kernel_layout():
 
 
 class _ResidualKernel:
-    """The oracle's residual vector of J and its exact derivatives.
+    """The 90 Nijenhuis entries N[k, i, j], i < j (k-major) of J for the
+    bracket b: the rows on which the oracle decides success.
 
-    Rows: the 90 Nijenhuis entries N[k, i, j], i < j, k-major.  The
-    residual is quadratic in J, so its derivative along a direction D is
-    linear in D and affine in J:
-    dN[k, i, j] = (D^T W_k)[i, j] - (D^T W_k)[j, i] + (D V)[k, (i, j)]
-    with W[k, c, j] = [e_c, J e_j]_k - (J [e_c, e_j])_k and
-    V[m, i, j] = (J^T b_m)[j, i] - (J^T b_m)[i, j].
-
-    Both methods take one 6x6 J or an (n, 6, 6) stack and return one result
-    per J.  A stack makes the same matmul calls for every J, so each of its
-    results is bit-identical to that J's own.  The six products b_k J, and
-    likewise J^T b_k and J^T (b_k J), are one matmul with the k side by side.
+    ``residual`` takes one 6x6 J or an (n, 6, 6) stack and returns one
+    result per J.  A stack makes the same matmul calls for every J, so each
+    of its results is bit-identical to that J's own.  The six products
+    b_k J, and likewise J^T b_k and J^T (b_k J), are one matmul with the k
+    side by side.  b may also be an (m, 6, 6, 6) stack of brackets, given
+    with a stack of one J: then the result has one row per bracket
+    (``_frame_map`` reads N as a linear map of b that way).
     """
 
     def __init__(self, b):
         self.b = b
         self.ix = _kernel_layout()
-        self.rows = DIM * self.ix.iu.size
-        self.b_rows = b.reshape(DIM * DIM, DIM)  # [(k, i), j]
-        self.b_cols = np.ascontiguousarray(b.transpose(1, 0, 2)).reshape(DIM, -1)  # [i, (k, j)]
-        self.b_nij = b[self.ix.nij_k, self.ix.nij_i, self.ix.nij_j]
+        lead = b.shape[:-3]
+        self.b_rows = b.reshape(*lead, DIM * DIM, DIM)  # [(k, i), j]
+        self.b_cols = np.ascontiguousarray(np.swapaxes(b, -3, -2)).reshape(*lead, DIM, -1)  # [i, (k, j)]
+        self.b_nij = b[..., self.ix.nij_k, self.ix.nij_i, self.ix.nij_j]
 
     def residual(self, j):
         ix = self.ix
         js = j.reshape(-1, DIM, DIM)
-        n = js.shape[0]
         jt = js.transpose(0, 2, 1)
         jtb, bj = jt @ self.b_cols, self.b_rows @ js  # [i, (k, j)] and [(k, i), j]
+        n = len(bj)
         side = (n, DIM, DIM, DIM)
         # t1[k, i, j] = [J e_i, J e_j]_k, in the (i, k, j) layout
         t1 = (jt @ bj.reshape(side).transpose(0, 2, 1, 3).reshape(n, DIM, -1)).reshape(n, -1)
@@ -640,35 +636,11 @@ class _ResidualKernel:
         out -= self.b_nij
         return out if j.ndim == 3 else out[0]
 
-    def jacobian(self, j, dirs):
-        """The derivative of the residual along each of p directions: (90, p)
-        for one J and a (p, 6, 6) stack ``dirs``, column c along dirs[c]
-        (the 36 unit matrices give the Jacobian in J's entries); (n, 90, p)
-        for an (n, 6, 6) stack and (n, p, 6, 6) directions."""
-        ix = self.ix
-        js = j.reshape(-1, DIM, DIM)
-        n = js.shape[0]
-        ds = dirs.reshape(n, -1, DIM, DIM)
-        p = ds.shape[1]
-        jtb = (js.transpose(0, 2, 1) @ self.b_cols).reshape(n, -1)
-        v = jtb.take(ix.v_ji, axis=1) - jtb.take(ix.v_ij, axis=1)  # [m, (i, j)]
-        side = (n, DIM, DIM, DIM)
-        w = (self.b_rows @ js).reshape(side) - (js @ self.b.reshape(DIM, -1)).reshape(side)
-        # u[c, i, k, j] = (D_c^T W_k)[i, j], in the (i, k, j) layout of each c
-        u = (ds.transpose(0, 1, 3, 2).reshape(n, -1, DIM)
-             @ w.transpose(0, 2, 1, 3).reshape(n, DIM, -1)).reshape(n, p, -1)
-        out = (ds.reshape(n, -1, DIM) @ v.reshape(n, DIM, -1)).reshape(n, p, -1)
-        out += u.take(ix.nij_t1, axis=2)
-        out -= u.take(ix.v_ji, axis=2)
-        out = out.transpose(0, 2, 1)
-        return out if j.ndim == 3 else out[0]
-
 
 @functools.cache
 def _tangent_basis():
-    """(E, M): E_1 .. E_6, an orthonormal (Frobenius) basis of the X in so(6)
-    with X J0 = -J0 X, and M_a = 2 E_a J0, the derivative of
-    C(t E_a) J0 C(t E_a)^T at t = 0 for the Cayley transform C.
+    """E_1 .. E_6, an orthonormal (Frobenius) basis of the X in so(6) with
+    X J0 = -J0 X, the step directions at every frame.
 
     E_a is the anticommuting part (X + J0 X J0) / 2 of X = e_i e_j^T - e_j e_i^T,
     for the first pairs i < j whose parts are new: entries 0 and +-1/2.
@@ -683,33 +655,97 @@ def _tangent_basis():
         if x.any() and not any(np.vdot(x, e) != 0.0 for e in basis):
             basis.append(x)
     e = np.stack(basis)
-    m = 2.0 * e @ j0
-    for arr in (e, m):
-        arr.flags.writeable = False
-    return e, m
+    e.flags.writeable = False
+    return e
+
+
+def _frame_bracket(a, a_inv, b):
+    """A^{-1} b(A., A.) of each frame of an (n, 6, 6) stack A, given with
+    A^{-1}, as an (n, 6, 6, 6) stack [k, i, j]: three matmuls."""
+    n = len(a)
+    t = (a_inv @ b.reshape(DIM, -1)).reshape(n, DIM * DIM, DIM) @ a  # [(k, p), j]
+    return a.transpose(0, 2, 1)[:, None] @ t.reshape(n, DIM, DIM, DIM)
+
+
+_FRAME_ROWS = 18  # the frame residual's rows: N_{J0} has rank 18 on the brackets
+
+
+@functools.cache
+def _frame_map():
+    """Psi, the fixed 90 x 126 map from the 90 coordinates b[k, i, j], i < j
+    (k-major) of a frame bracket to its frame residual r (columns 0 .. 17)
+    and r's derivatives along the step directions E_1 .. E_6 (columns
+    18 a .. 18 a + 17).
+
+    In a frame the structure is J0, and N_{J0}(b) is linear in b: it is
+    ``_ResidualKernel`` at J0 on the 90 unit brackets.  As N(J0 X, Y) =
+    N(X, J0 Y) = -J0 N(X, Y) and J0 pairs e_{2p} with e_{2p+1}, the 72
+    nonzero rows are +- copies, four each, of the 18 rows N[k, 2p, 2q],
+    p < q, which are orthogonal: r is twice these rows, so ||r|| = ||N||.
+    A Cayley step Q C(t E) moves the bracket b to C^{-1} b(C., C.), whose
+    t-derivative at 0, D_E b = -E b + b(E., .) + b(., E.), is linear in b.
+    The entries of E are 0 and +-1/2, so every entry of Psi is exact.
+    """
+    ix = _kernel_layout()
+    c = np.arange(ix.nij_k.size)
+    units = np.zeros((c.size, DIM, DIM, DIM))
+    units[c, ix.nij_k, ix.nij_i, ix.nij_j] = 1.0
+    units[c, ix.nij_k, ix.nij_j, ix.nij_i] = -1.0
+    n0 = _ResidualKernel(units).residual(_PAIRING_J[None])  # [coordinate, row]
+    r = 2.0 * n0[:, (ix.nij_i % 2 == 0) & (ix.nij_j % 2 == 0)]
+    # dr / dtheta_a = r(D_a b) with D_a = -E (x) I (x) I + I (x) E^T (x) I +
+    # I (x) I (x) E^T on b[k, i, j]: its block is r put on the coordinates'
+    # places (y), acted on by D_a^T (E on each slot in turn, as E^T = -E),
+    # then read off as z[k, i, j] - z[k, j, i]
+    e = _tangent_basis()
+    em, side = e.reshape(-1, DIM), (len(e), DIM, DIM, DIM, _FRAME_ROWS)
+    y = np.zeros((DIM ** 3, _FRAME_ROWS))
+    y[ix.nij_t2] = r
+    y = y.reshape(DIM, DIM, DIM, -1)
+    z = (em @ y.reshape(DIM, -1)).reshape(side)
+    z += (em @ y.transpose(1, 0, 2, 3).reshape(DIM, -1)).reshape(side).transpose(0, 2, 1, 3, 4)
+    z += (em @ y.transpose(2, 0, 1, 3).reshape(DIM, -1)).reshape(side).transpose(0, 2, 3, 1, 4)
+    z = z.reshape(len(e), DIM ** 3, -1)
+    psi = np.concatenate([r[None], z[:, ix.nij_t2] - z[:, ix.nij_t2s]])
+    psi = np.ascontiguousarray(psi.transpose(1, 0, 2)).reshape(c.size, -1)
+    psi.flags.writeable = False
+    return psi
 
 
 class _Frames:
-    """The g-compatible complex structures J = L^{-T} Q J0 Q^T L^T of the
-    orthogonal frames Q, for g = L L^T (``g_chol``) and J0 = _PAIRING_J.
+    """The g-compatible complex structures J = A J0 A^{-1} of the frames
+    A = L^{-T} Q, for g = L L^T (``g_chol``), Q orthogonal and J0 = _PAIRING_J.
 
-    Each such J has J^2 = -I and J^T g J = g by construction.  A step of
-    6 coordinates theta moves Q to Q C(X), where X = sum theta_a E_a
-    (``_tangent_basis``) and C(X) = (I - X/2)^{-1} (I + X/2) is the Cayley
-    transform.  Every method takes an (n, 6, 6) stack of frames and gives
-    each frame the bits it would get alone.
+    A is g-orthonormal, so each such J has J^2 = -I and J^T g J = g by
+    construction, and A^{-1} = Q^T L^T needs no inverse.  In the frame A the
+    structure is J0 and the bracket is A^{-1} b(A., A.) = Q^T b_L(Q., Q.),
+    b_L = L^T b(L^{-T}., L^{-T}.), and N_J(A x, A y) = A N(x, y) for N the
+    Nijenhuis tensor of J0 on that bracket.  The oracle minimizes the frame
+    residual of the bracket divided by ||b_L||, which every frame shares
+    (Q is orthogonal), so that g and 4^k g give the same bits.  A step of 6 coordinates theta moves Q to Q C(X), where
+    X = sum theta_a E_a (``_tangent_basis``) and C(X) = (I - X/2)^{-1} (I + X/2)
+    is the Cayley transform.  Every method takes an (n, 6, 6) stack of
+    frames and gives each frame the bits it would get alone.
     """
 
-    def __init__(self, g_chol):
+    def __init__(self, g_chol, b):
         self.l_inv_t, self.l_t = np.linalg.inv(g_chol).T, g_chol.T
+        b_l = _frame_bracket(self.l_inv_t[None], self.l_t[None], b)[0]
+        norm = float(np.linalg.norm(b_l.reshape(-1)[_kernel_layout().nij_t2]))
+        self.b_unit = (b_l / norm if norm else b_l).reshape(DIM, -1)  # an abelian b stays 0
 
     def structures(self, q):
         return self.l_inv_t @ (q @ _PAIRING_J @ q.transpose(0, 2, 1)) @ self.l_t
 
-    def tangent(self, q):
-        """dJ / dtheta_a = L^{-T} Q M_a Q^T L^T, as an (n, 6, 6, 6) stack [a]."""
-        _e, m = _tangent_basis()
-        return (self.l_inv_t @ q)[:, None] @ m @ (q.transpose(0, 2, 1) @ self.l_t)[:, None]
+    def rows(self, q):
+        """(n, 7, 18): the frame residual r of each frame (row 0) and its
+        derivatives along E_1 .. E_6 (rows 1 .. 6), one gather and one
+        matmul by ``_frame_map`` from the frame brackets."""
+        b = _frame_bracket(q, q.transpose(0, 2, 1), self.b_unit)
+        coords = b.reshape(len(q), 1, -1).take(_kernel_layout().nij_t2, axis=2)
+        # a (1, 90) product per frame: one (n, 90) product gives a row other
+        # bits than the same row alone
+        return (coords @ _frame_map()).reshape(len(q), -1, _FRAME_ROWS)
 
     @staticmethod
     def retract(q, theta):
@@ -718,7 +754,7 @@ class _Frames:
         Each entry of X is 0 or +-theta_a / 2 for one a, so X is exact, and
         X^3 = -(|theta|^2 / 4) X on this subspace, so C(X) is
         I + (X + X^2 / 2) / (1 + |theta|^2 / 16) without a solve."""
-        e, _m = _tangent_basis()
+        e = _tangent_basis()
         x = (theta @ e.reshape(len(e), -1)).reshape(-1, DIM, DIM)
         c = x @ x
         c *= 0.5
@@ -745,43 +781,48 @@ def _solvable(a, b):
 
 SEARCH_MAX_ITER = 60  # LM iterations of one oracle start
 
-# Slots of the search's work queue.  A pass costs a fixed numpy overhead
-# plus a share per live start: more slots spread the overhead thinner, but
-# hold more memory and can run more starts past a success.
-_QUEUE_SLOTS = 16
+# Slots of the search's work queue.  A pass costs a fixed numpy and Python
+# overhead (~0.11 ms) plus ~6 us per live start, so more slots spread the
+# overhead thinner, but can run more starts past a success.  On perfbench's
+# hermitian-search inputs (seeds 5 and 6) an exhausting g_AB verdict takes
+# 154 / 102 / 77 passes at 8 / 16 / 32 slots (the same 967 LM iterations),
+# ~21 / 17 / 14 ms; the found verdicts never open more than 8 slots under
+# the doubling ramp and take ~1.8 ms at each width.
+_QUEUE_SLOTS = 32
 
 
 class _StartQueue:
     """Levenberg-Marquardt from starts 0 .. budget - 1, run in a work queue.
 
     Each start moves on the g-compatible complex structures (``_Frames``):
-    its state is a frame Q, its J and the 90 Nijenhuis rows of J, and a step
-    has the 6 coordinates theta.  The live starts fill slots 0 .. m-1, one
-    start's state (Q, J, residual, cost, lambda, stall, iteration) per slot.
-    A pass makes one LM iteration of every live start with stacked numpy
-    calls: the 90 x 6 Jacobian (the rows' derivatives along the tangent
-    directions dJ / dtheta_a, ``_Frames.tangent``), the 6 x 6 normal matrix
-    and the gradient, then up to 25 damping tries, each a batched 6 x 6
-    solve, a Cayley step and a residual of the starts still trying.  A
-    start that stops frees its slot for the next start in start order.
-    Start 0 runs alone and the number of open slots doubles with each start
-    that stops, so that a success among the first starts costs little more
-    than those starts.
+    its state is a frame Q and the frame residual r of Q's bracket with its
+    18 x 6 Jacobian in the step coordinates theta (``_Frames.rows``).  The
+    live starts fill slots 0 .. m-1, one start's state (Q, rows, cost,
+    lambda, stall, iteration) per slot.  A pass makes one LM iteration of
+    every live start with stacked numpy calls: the 6 x 6 normal matrix and
+    the gradient, then up to 25 damping tries, each a batched 6 x 6 solve,
+    a Cayley step and the rows of the starts still trying.  A start whose
+    frame cost reaches SEARCH_TOL^2 stops once its J's 90 Nijenhuis rows
+    in the basis given (``_ResidualKernel``) meet SEARCH_TOL too; success
+    and the final cost of every start are decided on those rows.  A start
+    that stops frees its slot for the next start in start order.  Start 0
+    runs alone and the number of open slots doubles with each start that
+    stops, so that a success among the first starts costs little more than
+    those starts.
     """
 
     def __init__(self, kernel, frames, starts, budget):
         self.kernel, self.frames, self.starts, self.budget = kernel, frames, starts, budget
         self.tol2 = SEARCH_TOL * SEARCH_TOL
         self.qs = np.empty((_QUEUE_SLOTS, DIM, DIM))
-        self.js = np.empty((_QUEUE_SLOTS, DIM, DIM))
-        self.rs = np.empty((_QUEUE_SLOTS, kernel.rows))
+        self.ps = np.empty((_QUEUE_SLOTS, 1 + len(_tangent_basis()), _FRAME_ROWS))
         self.lam = np.empty(_QUEUE_SLOTS)
         self.owner = []  # start index in each live slot; cost, stall and it run in parallel
         self.cost, self.stall, self.it = [], [], []
-        self.final = [None] * budget  # final cost by start index
+        self.final = [None] * budget  # final cost of the rows in the basis given, by start
         self.first_found, self.j_found = budget, None
         self.next_start = self.n_finished = 0
-        self.made = []  # (start index, Q, J, residual, cost) of starts made but not yet taken
+        self.made = []  # (start index, Q, rows, cost) of starts made but not yet taken
 
     def run(self):
         """The final cost of each start that counts (those up to the first
@@ -791,6 +832,11 @@ class _StartQueue:
             if True in done:
                 self._retire(done)
         return self.final[: self.first_found + 1], self.j_found
+
+    def standard(self, q):
+        """The J of each frame and the squared norm of its 90 Nijenhuis rows."""
+        js = self.frames.structures(q)
+        return js, (self.kernel.residual(js) ** 2).sum(axis=1).tolist()
 
     def _take(self):
         """Fill free slots with the next starts, made a width at a time;
@@ -803,12 +849,11 @@ class _StartQueue:
                     break
                 self.next_start = ks.stop
                 q0 = self.starts(ks)
-                j0 = self.frames.structures(q0)
-                r0 = self.kernel.residual(j0)
-                self.made = list(zip(ks, q0, j0, r0, (r0 ** 2).sum(axis=1).tolist()))
-            k, q0, j0, r0, c0 = self.made.pop(0)
+                p0 = self.frames.rows(q0)
+                self.made = list(zip(ks, q0, p0, (p0[:, 0] ** 2).sum(axis=1).tolist()))
+            k, q0, p0, c0 = self.made.pop(0)
             s = len(self.owner)
-            self.qs[s], self.js[s], self.rs[s], self.lam[s] = q0, j0, r0, 1e-3
+            self.qs[s], self.ps[s], self.lam[s] = q0, p0, 1e-3
             self.owner.append(k)
             self.cost.append(c0)
             self.stall.append(0)
@@ -817,12 +862,11 @@ class _StartQueue:
 
     def _iterate(self):
         """One LM iteration of every live start; which of them stop."""
-        qs, js, rs, lam = self.qs, self.js, self.rs, self.lam
+        qs, ps, lam = self.qs, self.ps, self.lam
         cost, stall, it = self.cost, self.stall, self.it
         m, tol2 = len(self.owner), self.tol2
-        # the 90 x 6 Jacobian in theta, transposed: [theta_a, row]
-        jvt = self.kernel.jacobian(js[:m], self.frames.tangent(qs[:m])).transpose(0, 2, 1)
-        grad, jtj = jvt @ rs[:m, :, None], jvt @ jvt.transpose(0, 2, 1)
+        jvt = ps[:m, 1:]  # the 18 x 6 Jacobian in theta, transposed: [theta_a, row]
+        grad, jtj = jvt @ ps[:m, 0, :, None], jvt @ jvt.transpose(0, 2, 1)
         n = jtj.shape[1]
         scale = np.maximum(jtj.reshape(m, -1)[:, :: n + 1], 1e-12)
         done = [False] * m
@@ -842,18 +886,21 @@ class _StartQueue:
                 steps = np.linalg.solve(a[ok], rhs[ok])
             if solved:
                 q_new = self.frames.retract(qs[solved], steps[:, :, 0])
-                j_new = self.frames.structures(q_new)
-                r_new = self.kernel.residual(j_new)
-                for i, (s, c) in enumerate(zip(solved, (r_new ** 2).sum(axis=1).tolist())):
+                p_new = self.frames.rows(q_new)
+                hits = []
+                for i, (s, c) in enumerate(zip(solved, (p_new[:, 0] ** 2).sum(axis=1).tolist())):
                     if math.isfinite(c) and c < cost[s]:
                         rel = (cost[s] - c) / max(cost[s], 1e-300)
-                        qs[s], js[s], rs[s], cost[s] = q_new[i], j_new[i], r_new[i], c
+                        qs[s], ps[s], cost[s] = q_new[i], p_new[i], c
                         lam[s] = max(lam[s] / 3.0, 1e-14)
                         stall[s] = stall[s] + 1 if rel < 1e-8 else 0
-                        # stop on success, on a stall, on a plateau far above
-                        # the success threshold, or at SEARCH_MAX_ITER
-                        done[s] = (c <= tol2 or stall[s] >= 2 or (it[s] >= 30 and c > 1e-6)
+                        # stop on a stall, on a plateau far above the
+                        # success threshold, or at SEARCH_MAX_ITER; a frame
+                        # cost within the threshold triggers the check below
+                        done[s] = (stall[s] >= 2 or (it[s] >= 30 and c > 1e-6)
                                    or it[s] + 1 >= SEARCH_MAX_ITER)
+                        if c <= tol2:
+                            hits.append(s)
                         it[s] += 1
                         continue
                     lam[s] *= 10.0
@@ -861,6 +908,9 @@ class _StartQueue:
                         done[s] = True  # damping past 1e10 without a decrease
                     else:
                         still.append(s)
+                if hits:  # stop on success of the 90 rows in the basis given
+                    for s, c in zip(hits, self.standard(qs[hits])[1]):
+                        done[s] = done[s] or c <= tol2
             if not still:
                 return done
             trying = still
@@ -869,41 +919,47 @@ class _StartQueue:
         return done
 
     def _retire(self, done):
-        """Record the stopped starts and close their slots; a success drops
-        the later starts, which never count."""
-        for s, stopped in enumerate(done):
-            if stopped:
-                k = self.owner[s]
-                self.final[k] = self.cost[s]
-                self.n_finished += 1
-                if self.cost[s] <= self.tol2 and k < self.first_found:
-                    self.first_found, self.j_found = k, self.js[s].copy()
+        """Record the stopped starts' final costs in the basis given and
+        close their slots; a success drops the later starts, which never
+        count."""
+        stopped = [s for s, d in enumerate(done) if d]
+        for s, j, c in zip(stopped, *self.standard(self.qs[stopped])):
+            k = self.owner[s]
+            self.final[k] = c
+            self.n_finished += 1
+            if c <= self.tol2 and k < self.first_found:
+                self.first_found, self.j_found = k, j
         keep = [s for s, stopped in enumerate(done)
                 if not stopped and self.owner[s] < self.first_found]
         for state in (self.owner, self.cost, self.stall, self.it):
             state[:] = [state[s] for s in keep]
-        for state in (self.qs, self.js, self.rs, self.lam):
+        for state in (self.qs, self.ps, self.lam):
             state[: len(keep)] = state[keep]
 
 
 def hermitian_search(alg, metric, budget=64, seed=20210607):
     """Numeric Hermitian-existence oracle.
 
-    Minimizes ||N_J||^2 over the g-compatible complex structures
-    J = L^{-T} Q J0 Q^T L^T (g = L L^T, Q orthogonal; ``_Frames``), on
-    which J^2 = -I and J^T g J = g hold by construction, from ``budget``
-    random frames Q (deterministic in the seed).  Levenberg-Marquardt steps
-    have 6 coordinates, make a Cayley step of Q, and use the exact
-    derivatives of the 90 Nijenhuis rows along the 6 tangent directions.
-    Success means a Nijenhuis residual (2-norm of the rows, so max|N_J|
-    too) <= SEARCH_TOL; failure verdicts report the best residual and
-    never claim nonexistence.  ``budget`` must be at least one start.
+    Minimizes the Nijenhuis tensor over the g-compatible complex structures
+    J = A J0 A^{-1} of the g-orthonormal frames A = L^{-T} Q (g = L L^T,
+    Q orthogonal; ``_Frames``), on which J^2 = -I and J^T g J = g hold by
+    construction, from ``budget`` random frames Q (deterministic in the
+    seed).  In the frame J is J0 and only the bracket moves, so the
+    integrability residual is 18 rows linear in the frame bracket.
+    Levenberg-Marquardt steps have 6 coordinates and make a Cayley step of
+    Q; the rows and their exact derivatives along the 6 tangent directions
+    are one fixed 90 x 126 map of the bracket (``_frame_map``).  Success is
+    decided in the basis given: a Nijenhuis residual of J (2-norm of its 90
+    rows N[k, i, j], i < j, so max|N_J| too) <= SEARCH_TOL.  Failure
+    verdicts report the smallest such residual over the starts and never
+    claim nonexistence.  ``budget`` must be at least one start.
 
     The starts run together in a small work queue (see ``_StartQueue``); each
     start does the arithmetic it would do alone, and the verdict is the
     serial one: the first success in start order, ``starts_used`` its index
     + 1, or the best residual over all starts.  Verdicts, residuals and J
-    do not depend on the queue.
+    do not depend on the queue, and g and 4^k g give the same verdict, bit
+    for bit.
 
     ``h9`` names h9hat, so for h9 the search runs on h9hat's bracket and a
     J found is an h9hat structure.
@@ -914,7 +970,7 @@ def hermitian_search(alg, metric, budget=64, seed=20210607):
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
     _require_same_basis(metric.algebra, alg)
-    frames = _Frames(cholesky_lower(metric.matrix))
+    frames = _Frames(cholesky_lower(metric.matrix), alg.bracket_tensor)
 
     def starts(ks):
         return _random_frames([np.random.default_rng(seed + k) for k in ks])

@@ -872,29 +872,6 @@ def _kernel_at_random_point(label, seed):
     return kernel, rng.normal(size=(6, 6))
 
 
-def _central_difference_jacobian(f, j, h=1e-6):
-    """Column a*6 + b is (f(J + h E_ab) - f(J - h E_ab)) / 2h."""
-    cols = []
-    for a in range(6):
-        for b in range(6):
-            e = np.zeros((6, 6))
-            e[a, b] = h
-            cols.append((f(j + e) - f(j - e)) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
-UNIT_DIRECTIONS = np.eye(36).reshape(36, 6, 6)  # direction a*6 + b is E_ab
-
-
-@pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9hat"])
-def test_search_jacobian_matches_central_differences(label):
-    kernel, j = _kernel_at_random_point(label, 31)
-    exact = kernel.jacobian(j, UNIT_DIRECTIONS)
-    assert exact.shape == (90, 36)
-    fd = _central_difference_jacobian(kernel.residual, j)
-    assert max_norm(exact - fd) <= 1e-6 * max_norm(fd)
-
-
 def _random_spd(seed):
     a = np.random.default_rng(seed).normal(size=(6, 6))
     return a @ a.T + 6.0 * np.eye(6)
@@ -902,21 +879,68 @@ def _random_spd(seed):
 
 @pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9hat"])
 def test_search_step_jacobian_matches_central_differences(label):
-    # the 90 x 6 Jacobian in the step coordinates theta, as the queue forms
-    # it, against (r(Q C(h e_a)) - r(Q C(-h e_a))) / 2h through the Cayley step
-    kernel = hm._ResidualKernel(al.builtin(label).bracket_tensor)
-    frames = hm._Frames(hm.cholesky_lower(_random_spd(35)))
+    # the 18 x 6 Jacobian in the step coordinates theta, as the queue reads
+    # it off the frame map, against (r(Q C(h e_a)) - r(Q C(-h e_a))) / 2h
+    # through the Cayley step
+    frames = hm._Frames(hm.cholesky_lower(_random_spd(35)), al.builtin(label).bracket_tensor)
     q = hm._random_frames([np.random.default_rng(36)])
 
     def residual_at(theta):
-        return kernel.residual(frames.structures(frames.retract(q, theta[None])))[0]
+        return frames.rows(frames.retract(q, theta[None]))[0, 0]
 
-    exact = kernel.jacobian(frames.structures(q), frames.tangent(q))[0]
-    assert exact.shape == (90, 6)
+    exact = frames.rows(q)[0, 1:].T
+    assert exact.shape == (18, 6)
     h = 1e-6
     fd = np.stack([(residual_at(h * e) - residual_at(-h * e)) / (2.0 * h) for e in np.eye(6)],
                   axis=1)
     assert max_norm(exact - fd) <= 1e-6 * max_norm(fd)
+
+
+@pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9hat"])
+def test_search_jacobian_matches_central_differences(label):
+    # Psi's derivative blocks on their own, away from _Frames: at a frame A
+    # that is neither orthogonal nor g-orthonormal, the 18 x 6 Jacobian of
+    # the frame residual along A (I + t E_a), against central differences
+    # of the residual of that frame's bracket
+    psi, e = hm._frame_map(), hm._tangent_basis()
+    b = al.builtin(label).bracket_tensor
+    a = np.random.default_rng(42).normal(size=(6, 6)) + 3.0 * np.eye(6)
+
+    def coords_at(frame):
+        fb = hm._frame_bracket(frame[None], np.linalg.inv(frame)[None], b)[0]
+        return fb.reshape(-1)[hm._kernel_layout().nij_t2]
+
+    exact = (coords_at(a) @ psi).reshape(7, 18)[1:].T
+    assert exact.shape == (18, 6)
+    h = 1e-6
+    fd = np.stack([(coords_at(a + h * a @ ea) - coords_at(a - h * a @ ea)) @ psi[:, :18] / (2.0 * h)
+                   for ea in e], axis=1)
+    assert max_norm(exact - fd) <= 1e-6 * max_norm(fd)
+
+
+def _antisymmetric(coords):
+    """The bracket b with b[k, i, j] = -b[k, j, i] = coords (i < j, k-major)."""
+    iu, ju = np.triu_indices(6, 1)
+    b = np.zeros((6, 6, 6))
+    b[:, iu, ju] = coords.reshape(6, -1)
+    return b - b.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9hat"])
+def test_search_frame_residual_is_the_frame_nijenhuis_norm(label):
+    # the residual block of the frame map has rank 18, and ||r|| is the norm
+    # of the 90 Nijenhuis rows of J0 for the frame bracket
+    psi = hm._frame_map()
+    assert psi.shape == (90, 126) and np.linalg.matrix_rank(psi[:, :18]) == 18
+    frames = hm._Frames(hm.cholesky_lower(_random_spd(37)), al.builtin(label).bracket_tensor)
+    qs = hm._random_frames([np.random.default_rng(38 + k) for k in range(4)])
+    brackets = hm._frame_bracket(qs, qs.transpose(0, 2, 1), frames.b_unit)
+    for r, b in zip(frames.rows(qs)[:, 0], brackets):
+        nij = hm._ResidualKernel(b).residual(al._PAIRING_J)
+        assert math.isclose(np.linalg.norm(r), np.linalg.norm(nij), rel_tol=1e-14)
+    coords = np.random.default_rng(39).normal(size=90)  # a bracket of no Lie algebra
+    nij = hm._ResidualKernel(_antisymmetric(coords)).residual(al._PAIRING_J)
+    assert math.isclose(np.linalg.norm(coords @ psi[:, :18]), np.linalg.norm(nij), rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9hat"])
@@ -932,17 +956,21 @@ def test_search_residual_blocks_match_definitions(label):
 @pytest.mark.parametrize("label", ["h2", "h4", "h5", "h6", "h9hat"])
 def test_search_kernel_stack_matches_single_calls(label):
     kernel, _j = _kernel_at_random_point(label, 33)
-    rng = np.random.default_rng(34)
-    js, dirs = rng.normal(size=(8, 6, 6)), rng.normal(size=(8, 6, 6, 6))
-    res, jac = kernel.residual(js), kernel.jacobian(js, dirs)
-    assert res.shape == (8, 90) and jac.shape == (8, 90, 6)
+    js = np.random.default_rng(34).normal(size=(8, 6, 6))
+    res = kernel.residual(js)
+    assert res.shape == (8, 90)
     for i, j in enumerate(js):
         assert np.array_equal(res[i], kernel.residual(j))
-        assert np.array_equal(jac[i], kernel.jacobian(j, dirs[i]))
-    # the unit directions give the Jacobian in J's entries, column a*6 + b
-    full = kernel.jacobian(js, np.broadcast_to(UNIT_DIRECTIONS, (8, 36, 6, 6)))
-    for i, j in enumerate(js):
-        assert np.array_equal(full[i], kernel.jacobian(j, UNIT_DIRECTIONS))
+    # the frame rows of a stack of frames, and the kernel on a stack of brackets
+    frames = hm._Frames(hm.cholesky_lower(_random_spd(40)), kernel.b)
+    qs = hm._random_frames([np.random.default_rng(41 + k) for k in range(8)])
+    rows = frames.rows(qs)
+    assert rows.shape == (8, 7, 18)
+    for i, q in enumerate(qs):
+        assert np.array_equal(rows[i], frames.rows(q[None])[0])
+    brackets = np.stack([kernel.b, 2.0 * kernel.b])
+    stacked = hm._ResidualKernel(brackets).residual(js[:1])
+    assert np.array_equal(stacked[0], res[0]) and np.array_equal(stacked[1], 2.0 * res[0])
 
 
 def _serial_start(g_chol, rng):
@@ -960,23 +988,28 @@ def _serial_search(alg, metric, budget=64, max_iter=60, seed=20210607):
     """The oracle's serial LM loop, one start after another, each frame and
     step passed to the stacked helpers as a stack of one: the reference
     that the queued search must reproduce bit for bit."""
-    tol = hm.SEARCH_TOL
+    tol2 = hm.SEARCH_TOL ** 2
     alg = al.get_algebra(alg)
     g_chol = hm.cholesky_lower(metric.matrix)
-    frames = hm._Frames(g_chol)
+    frames = hm._Frames(g_chol, alg.bracket_tensor)
     kernel = hm._ResidualKernel(alg.bracket_tensor)
+
+    def standard(q):  # J and the squared norm of its 90 rows in the basis given
+        j = frames.structures(q[None])[0]
+        return j, float(np.sum(kernel.residual(j) ** 2))
+
     best_cost = np.inf
     found_j = None
     starts = 0
     for k in range(budget):
-        q, j = _serial_start(g_chol, np.random.default_rng(seed + k))
+        q, _j = _serial_start(g_chol, np.random.default_rng(seed + k))
         lam = 1e-3
-        r0 = kernel.residual(j)
-        cost = float(np.sum(r0 ** 2))
+        rows = frames.rows(q[None])[0]
+        cost = float(np.sum(rows[0] ** 2))
         stall = 0
         for it in range(max_iter):
-            jvt = kernel.jacobian(j, frames.tangent(q[None])[0]).T  # [theta_a, row]
-            grad = jvt @ r0
+            jvt = rows[1:]  # [theta_a, row]
+            grad = jvt @ rows[0]
             jtj = jvt @ jvt.T
             diag = np.clip(np.diag(jtj), 1e-12, None)
             improved = False
@@ -987,12 +1020,11 @@ def _serial_search(alg, metric, budget=64, max_iter=60, seed=20210607):
                     lam *= 10.0
                     continue
                 q_new = frames.retract(q[None], step[None])[0]
-                j_new = frames.structures(q_new[None])[0]
-                r_new = kernel.residual(j_new)
-                c_new = float(np.sum(r_new ** 2))
+                rows_new = frames.rows(q_new[None])[0]
+                c_new = float(np.sum(rows_new[0] ** 2))
                 if np.isfinite(c_new) and c_new < cost:
                     rel = (cost - c_new) / max(cost, 1e-300)
-                    q, j, r0, cost = q_new, j_new, r_new, c_new
+                    q, rows, cost = q_new, rows_new, c_new
                     lam = max(lam / 3.0, 1e-14)
                     improved = True
                     stall = stall + 1 if rel < 1e-8 else 0
@@ -1000,32 +1032,42 @@ def _serial_search(alg, metric, budget=64, max_iter=60, seed=20210607):
                 lam *= 10.0
                 if lam > 1e10:
                     break
-            if cost <= tol * tol or not improved or stall >= 2:
+            if not improved or stall >= 2:
                 break
+            if cost <= tol2 and standard(q)[1] <= tol2:
+                break  # the frame cost triggers the check in the basis given
             if it >= 30 and cost > 1e-6:
                 break  # plateaued far above the success threshold
         starts = k + 1
-        best_cost = min(best_cost, cost)
-        if cost <= tol * tol:
-            found_j = al.AlmostComplexStructure(j, alg.label, tol=10 * tol)
+        j, final = standard(q)
+        best_cost = min(best_cost, final)
+        if final <= tol2:
+            found_j = al.AlmostComplexStructure(j, alg.label, tol=10 * hm.SEARCH_TOL)
             break
     return hm.SearchResult(found_j is not None, found_j, float(np.sqrt(best_cost)), starts)
 
 
 def _search_metrics():
-    sigma1, _phi, _j = hm.h9_sigma_family("sigma1", A=0.7, E=1.3)  # found at start 6
-    # found at start 2, while start 3, which runs beside it, succeeds first
+    sigma1, _phi, _j = hm.h9_sigma_family("sigma1", A=0.7, E=1.3)  # found at start 2
+    # at SIGMA3_SEED found at start 2, while start 3, which runs beside it,
+    # succeeds first; at the default seed found at start 1
     sigma3, _phi, _j = hm.h9_sigma_family("sigma3", a11=1.3145980233970016,
                                           a44=0.8530944136406282, A=0.6507846493554015)
     a = np.random.default_rng(1).normal(size=(6, 6))  # some starts stop on a plateau
     return {
         "gAB": ("h9hat", mo.Metric("h9hat", np.diag([1, 1, 1.21, 1, 4.84, 1.0]))),
         "gAA": ("h9hat", mo.Metric("h9hat", np.diag([1, 1, 1.69, 1, 1.69, 1.0]))),
+        # ill-conditioned: the frame cost of start 1 meets SEARCH_TOL^2 before
+        # the rows in the basis given do
+        "gAAsmall": ("h9hat", mo.Metric("h9hat", np.diag([1, 1, 1e-4, 1, 1e-4, 1.0]))),
         "h5": ("h5", mo.realize(mo.H5Form(0.7, 0.4, 1.2, 0.3, 1.9))),
         "sigma1": ("h9hat", sigma1),
         "sigma3": ("h9hat", sigma3),
         "random": ("h9hat", mo.Metric("h9hat", a @ a.T + 3.0 * np.eye(6))),
     }
+
+
+SIGMA3_SEED = 20210610  # the default seed + 3
 
 
 def _assert_same_verdict(got, want):
@@ -1037,35 +1079,64 @@ def _assert_same_verdict(got, want):
 
 
 @pytest.mark.parametrize("budget", [1, 8, 64])
-@pytest.mark.parametrize("name", ["gAB", "gAA", "h5", "sigma1", "sigma3", "random"])
+@pytest.mark.parametrize("name", ["gAB", "gAA", "h5", "sigma1", "sigma3", "random", "gAAsmall"])
 def test_search_queue_matches_serial_reference(name, budget):
     label, metric = _search_metrics()[name]
-    _assert_same_verdict(hm.hermitian_search(label, metric, budget=budget),
-                         _serial_search(label, metric, budget=budget))
+    seed = SIGMA3_SEED if name == "sigma3" else 20210607
+    _assert_same_verdict(hm.hermitian_search(label, metric, budget=budget, seed=seed),
+                         _serial_search(label, metric, budget=budget, seed=seed))
 
 
 def test_search_sigma1_needs_several_starts():
     label, metric = _search_metrics()["sigma1"]
     res = hm.hermitian_search(label, metric, budget=64)
-    assert res.found and res.starts_used == 6
+    assert res.found and res.starts_used == 2
 
 
 def test_search_sigma3_takes_the_first_success_in_start_order(monkeypatch):
-    # start 3 stops with a success in an earlier pass than start 2; the
-    # verdict is still start 2's
+    # at SIGMA3_SEED start 3 stops with a success in an earlier pass than
+    # start 2; the verdict is still start 2's
     successes = []
     retire = hm._StartQueue._retire
 
     def logged(queue, done):
-        successes.extend(queue.owner[s] for s, stopped in enumerate(done)
-                         if stopped and queue.cost[s] <= queue.tol2)
-        return retire(queue, done)
+        owners = list(queue.owner)
+        retire(queue, done)
+        successes.extend(owners[s] for s, stopped in enumerate(done)
+                         if stopped and queue.final[owners[s]] <= queue.tol2)
 
     monkeypatch.setattr(hm._StartQueue, "_retire", logged)
     label, metric = _search_metrics()["sigma3"]
-    res = hm.hermitian_search(label, metric, budget=64)
+    res = hm.hermitian_search(label, metric, budget=64, seed=SIGMA3_SEED)
     assert successes == [2, 1]
     assert res.found and res.starts_used == 2
+
+
+def test_search_checks_a_frame_success_in_the_basis_given(monkeypatch):
+    # a frame cost within SEARCH_TOL^2 only triggers the check of the 90 rows
+    # in the basis given: the first check fails, the start goes on and the
+    # next one succeeds
+    checks, retiring = [], []
+    standard, retire = hm._StartQueue.standard, hm._StartQueue._retire
+
+    def checked(queue, q):
+        js, costs = standard(queue, q)
+        if not retiring:
+            checks.extend(costs)
+        return js, costs
+
+    def retired(queue, done):
+        retiring.append(True)
+        retire(queue, done)
+        retiring.pop()
+
+    monkeypatch.setattr(hm._StartQueue, "standard", checked)
+    monkeypatch.setattr(hm._StartQueue, "_retire", retired)
+    label, metric = _search_metrics()["gAAsmall"]
+    res = hm.hermitian_search(label, metric, budget=64)
+    tol2 = hm.SEARCH_TOL ** 2
+    assert len(checks) == 2 and checks[0] > tol2 >= checks[1]
+    assert res.found and res.starts_used == 2 and res.residual == math.sqrt(checks[1])
 
 
 def test_search_starts_and_found_structures_are_compatible():
@@ -1074,7 +1145,7 @@ def test_search_starts_and_found_structures_are_compatible():
     for name, (label, metric) in _search_metrics().items():
         g = metric.matrix
         g_chol = hm.cholesky_lower(g)
-        js = [hm._Frames(g_chol).structures(
+        js = [hm._Frames(g_chol, al.builtin(label).bracket_tensor).structures(
             hm._random_frames([np.random.default_rng(20210607 + k) for k in range(64)]))]
         res = hm.hermitian_search(label, metric, budget=64)
         assert res.found == (name not in ("gAB", "random"))
@@ -1085,9 +1156,63 @@ def test_search_starts_and_found_structures_are_compatible():
                 assert residuals[key] <= 1e-12 * scales[key], (name, key)
 
 
+def _scaled_search_metrics():
+    """One random form per built-in, a g_AA and a g_AB metric."""
+    rng = np.random.default_rng(42)
+    out = [(label, mo.realize(random_canonical_form(label, rng)).matrix)
+           for label in ("h2", "h4", "h5", "h6", "h9hat")]
+    return out + [("h9hat", np.diag([1, 1, 1.69, 1, 1.69, 1.0])),
+                  ("h9hat", np.diag([1, 1, 1.21, 1, 4.84, 1.0]))]
+
+
+@pytest.mark.parametrize("k", [-8, -3, 3, 8])
+def test_search_is_bitwise_invariant_under_scaling_by_powers_of_four(k):
+    # L, L^{-T} and ||b_L|| scale by powers of two, so g and 4^k g run the
+    # same arithmetic on the normalized frame bracket and give the same J
+    for label, g in _scaled_search_metrics():
+        want = hm.hermitian_search(label, g, budget=16)
+        got = hm.hermitian_search(label, 4.0 ** k * g, budget=16)
+        assert (got.found, got.starts_used, got.residual) == (
+            want.found, want.starts_used, want.residual), label
+        assert (got.J is None) == (want.J is None)
+        if want.J is not None:
+            assert got.J.matrix.tobytes() == want.J.matrix.tobytes()
+
+
+def test_search_residual_is_the_least_final_residual_in_the_basis_given(monkeypatch):
+    # found: the residual of the J returned; none found: the least of the
+    # counted starts' final residuals, each recomputed from its frame
+    finals = {}
+    retire = hm._StartQueue._retire
+
+    def logged(queue, done):
+        kernel = hm._ResidualKernel(queue.kernel.b)
+        for s, stopped in enumerate(done):
+            if stopped:
+                j = queue.frames.structures(queue.qs[s][None])[0]
+                finals[queue.owner[s]] = float(np.linalg.norm(kernel.residual(j)))
+        retire(queue, done)
+
+    monkeypatch.setattr(hm._StartQueue, "_retire", logged)
+    metrics = _search_metrics()
+    for name in ("gAA", "sigma1", "h5", "gAB", "random"):
+        label, metric = metrics[name]
+        finals.clear()
+        res = hm.hermitian_search(label, metric, budget=64)
+        counted = [finals[k] for k in range(res.starts_used)]
+        if res.found:
+            own = np.linalg.norm(hm._ResidualKernel(al.builtin(label).bracket_tensor).residual(
+                res.J.matrix))
+            assert own == counted[-1] == min(counted) <= hm.SEARCH_TOL, name
+        else:
+            assert res.starts_used == 64
+        assert math.isclose(res.residual, min(counted), rel_tol=1e-14), name
+
+
 @pytest.mark.parametrize("budget", [3, 21])
 def test_search_budget_ending_mid_batch(budget):
-    # 3 stops while the queue is still widening, 21 while sixteen slots are live
+    # 3 stops while the queue is still widening, 21 cuts its fourth batch of
+    # starts to 10
     label, metric = _search_metrics()["gAB"]
     res = hm.hermitian_search(label, metric, budget=budget)
     assert res.starts_used == budget and not res.found
@@ -1134,7 +1259,7 @@ def test_search_start_zero_is_pinned():
     g_chol = hm.cholesky_lower(g)
     rngs = [np.random.default_rng(20210607 + k) for k in range(3)]
     frames = hm._random_frames(rngs)
-    got = hm._Frames(g_chol).structures(frames)
+    got = hm._Frames(g_chol, al.builtin("h9hat").bracket_tensor).structures(frames)
     for k in range(3):  # made together, each start is the one made alone
         q, j = _serial_start(g_chol, np.random.default_rng(20210607 + k))
         assert np.array_equal(frames[k], q) and np.array_equal(got[k], j)
@@ -1145,9 +1270,10 @@ def test_search_rejects_metric_of_another_algebra():
     g = mo.Metric("h6", np.diag([1, 1, 1, 1, 2, 3.0]))
     with pytest.raises(AlgebraMismatch):
         hm.hermitian_search("h5", g, budget=1)
-    # h9 is a name for h9hat; on g = I start 0 stops at a critical point
-    # (cost 4) and start 1 succeeds
-    assert hm.hermitian_search("h9", mo.realize(mo.H9Form(1, 1, 1, 0, 0, 0)), budget=2).found
+    # h9 is a name for h9hat; on g = I starts 0 and 1 stop on a plateau
+    # (residuals 0.20 and 2.0, near the critical point of cost 4) and start
+    # 2 succeeds
+    assert hm.hermitian_search("h9", mo.realize(mo.H9Form(1, 1, 1, 0, 0, 0)), budget=3).found
 
 
 def test_search_reads_a_salamon_tag_as_the_algebra_it_parses_to():

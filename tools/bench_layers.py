@@ -23,7 +23,7 @@ the per-call time over the runs.  The items are
     ``h9_sigma_family("sigma1", ...)``;
   * the numeric oracle ``hermitian_search`` at budget 64: two exhausting
     g_AB verdicts (a = 1.125, B/A = 0.5 and 2) in one call, and the sigma1
-    metric that it finds at start 6;
+    metric that it finds at start 2;
   * the warm ``describe``, ``isometry``, ``hermitian``, ``canonicalize``
     and ``tables`` commands, each a ``cli.main(argv)`` call in this process,
     ``hermitian`` also on an h2 form with two structures, and ``describe``
