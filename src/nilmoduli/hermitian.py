@@ -31,6 +31,7 @@ from .algebra import (
     _PAIRING_J,
     DIM,
     AlmostComplexStructure,
+    LieAlgebra,
     builtin,
     get_algebra,
     is_abelian_structure,
@@ -566,7 +567,7 @@ NON_HERMITIAN_RESIDUAL_FLOOR = 1e-3
 class SearchResult:
     found: bool
     J: AlmostComplexStructure | None
-    residual: float  # least Nijenhuis residual (2-norm of its 90 rows) over the counted starts
+    residual: float  # least 2-norm of N_J's 90 rows (_Frames.standard) over the counted starts
     starts_used: int
 
     def to_json_dict(self):
@@ -580,61 +581,18 @@ class SearchResult:
 
 @functools.cache
 def _kernel_layout():
-    """Index arrays of the residual kernel; they depend on the dimension only.
-
-    ``nij_*``: flat positions of N[k, i, j], i < j (k-major), in the (i, k, j)
-    layout of J^T (b_k J) and the (k, i, j) layout of t2 and of its
-    (i, j)-swap.  ``nij_t2`` also reads the 90 coordinates b[k, i, j], i < j,
-    of a bracket off its flat (k, i, j) layout.
-    """
+    """Index arrays of the 90 coordinates t[k, i, j], i < j (k-major), of a
+    tensor antisymmetric in (i, j): ``nij_k``, ``nij_i``, ``nij_j`` and the
+    flat positions ``nij_t2`` in the (k, i, j) layout and ``nij_t2s`` in its
+    (i, j)-swap.  They depend on the dimension only."""
     iu, ju = np.triu_indices(DIM, 1)
     k, i, j = np.repeat(np.arange(DIM), iu.size), np.tile(iu, DIM), np.tile(ju, DIM)
     d2, d = DIM * DIM, DIM
-    layout = SimpleNamespace(
-        iu=iu, nij_k=k, nij_i=i, nij_j=j,
-        nij_t1=i * d2 + k * d + j, nij_t2=k * d2 + i * d + j, nij_t2s=k * d2 + j * d + i,
-    )
+    layout = SimpleNamespace(nij_k=k, nij_i=i, nij_j=j,
+                             nij_t2=k * d2 + i * d + j, nij_t2s=k * d2 + j * d + i)
     for arr in vars(layout).values():
-        arr.flags.writeable = False  # one layout serves every kernel
+        arr.flags.writeable = False  # one layout serves every caller
     return layout
-
-
-class _ResidualKernel:
-    """The 90 Nijenhuis entries N[k, i, j], i < j (k-major) of J for the
-    bracket b: the rows on which the oracle decides success.
-
-    ``residual`` takes one 6x6 J or an (n, 6, 6) stack and returns one
-    result per J.  A stack makes the same matmul calls for every J, so each
-    of its results is bit-identical to that J's own.  The six products
-    b_k J, and likewise J^T b_k and J^T (b_k J), are one matmul with the k
-    side by side.  b may also be an (m, 6, 6, 6) stack of brackets, given
-    with a stack of one J: then the result has one row per bracket
-    (``_frame_map`` reads N as a linear map of b that way).
-    """
-
-    def __init__(self, b):
-        self.b = b
-        self.ix = _kernel_layout()
-        lead = b.shape[:-3]
-        self.b_rows = b.reshape(*lead, DIM * DIM, DIM)  # [(k, i), j]
-        self.b_cols = np.ascontiguousarray(np.swapaxes(b, -3, -2)).reshape(*lead, DIM, -1)  # [i, (k, j)]
-        self.b_nij = b[..., self.ix.nij_k, self.ix.nij_i, self.ix.nij_j]
-
-    def residual(self, j):
-        ix = self.ix
-        js = j.reshape(-1, DIM, DIM)
-        jt = js.transpose(0, 2, 1)
-        jtb, bj = jt @ self.b_cols, self.b_rows @ js  # [i, (k, j)] and [(k, i), j]
-        n = len(bj)
-        side = (n, DIM, DIM, DIM)
-        # t1[k, i, j] = [J e_i, J e_j]_k, in the (i, k, j) layout
-        t1 = (jt @ bj.reshape(side).transpose(0, 2, 1, 3).reshape(n, DIM, -1)).reshape(n, -1)
-        # t2[k, i, j] = (J [J e_i, e_j])_k; its (i, j)-swap is -(J [e_i, J e_j])_k
-        t2 = (js @ jtb.reshape(side).transpose(0, 2, 1, 3).reshape(n, DIM, -1)).reshape(n, -1)
-        out = np.subtract(t1.take(ix.nij_t1, axis=1), t2.take(ix.nij_t2, axis=1))
-        out += t2.take(ix.nij_t2s, axis=1)
-        out -= self.b_nij
-        return out if j.ndim == 3 else out[0]
 
 
 @functools.cache
@@ -661,10 +619,21 @@ def _tangent_basis():
 
 def _frame_bracket(a, a_inv, b):
     """A^{-1} b(A., A.) of each frame of an (n, 6, 6) stack A, given with
-    A^{-1}, as an (n, 6, 6, 6) stack [k, i, j]: three matmuls."""
+    A^{-1}, as an (n, 6, 6, 6) stack [k, i, j]: three matmuls.  ``b`` is one
+    tensor [k, i, j] for every frame or an (n, 6, 6, 6) stack, one per frame."""
     n = len(a)
-    t = (a_inv @ b.reshape(DIM, -1)).reshape(n, DIM * DIM, DIM) @ a  # [(k, p), j]
+    t = (a_inv @ b.reshape(-1, DIM, DIM * DIM)).reshape(n, DIM * DIM, DIM) @ a  # [(k, p), j]
     return a.transpose(0, 2, 1)[:, None] @ t.reshape(n, DIM, DIM, DIM)
+
+
+def _tensors(coords):
+    """The (n, 6, 6, 6) stack of tensors t[k, i, j] = -t[k, j, i] whose 90
+    coordinates (i < j, k-major) are the rows of the (n, 90) stack ``coords``."""
+    ix = _kernel_layout()
+    t = np.zeros((len(coords), DIM ** 3))
+    t[:, ix.nij_t2] = coords
+    t[:, ix.nij_t2s] = -coords
+    return t.reshape(-1, DIM, DIM, DIM)
 
 
 _FRAME_ROWS = 18  # the frame residual's rows: N_{J0} has rank 18 on the brackets
@@ -672,27 +641,31 @@ _FRAME_ROWS = 18  # the frame residual's rows: N_{J0} has rank 18 on the bracket
 
 @functools.cache
 def _frame_map():
-    """Psi, the fixed 90 x 126 map from the 90 coordinates b[k, i, j], i < j
-    (k-major) of a frame bracket to its frame residual r (columns 0 .. 17)
-    and r's derivatives along the step directions E_1 .. E_6 (columns
-    18 a .. 18 a + 17).
+    """(Psi, S): Psi, the fixed 90 x 126 map from the 90 coordinates
+    b[k, i, j], i < j (k-major) of a frame bracket to its frame residual r
+    (columns 0 .. 17, Psi_r) and r's derivatives along E_1 .. E_6 (columns
+    18 a .. 18 a + 17), and S, the 18 x 90 map from r to N_{J0}(b): N = r S.
 
-    In a frame the structure is J0, and N_{J0}(b) is linear in b: it is
-    ``_ResidualKernel`` at J0 on the 90 unit brackets.  As N(J0 X, Y) =
-    N(X, J0 Y) = -J0 N(X, Y) and J0 pairs e_{2p} with e_{2p+1}, the 72
-    nonzero rows are +- copies, four each, of the 18 rows N[k, 2p, 2q],
-    p < q, which are orthogonal: r is twice these rows, so ||r|| = ||N||.
-    A Cayley step Q C(t E) moves the bracket b to C^{-1} b(C., C.), whose
-    t-derivative at 0, D_E b = -E b + b(E., .) + b(., E.), is linear in b.
-    The entries of E are 0 and +-1/2, so every entry of Psi is exact.
+    N_{J0}(b) is linear in b: ``nijenhuis_tensor`` at J0 on the 90 unit
+    brackets, one call per parity pattern (k, i, j mod 2): J0 maps e_p to
+    +-e_{p xor 1}, so a unit's N stays on its pairs (k // 2, i // 2, j // 2).
+    As N(J0 X, Y) = N(X, J0 Y) = -J0 N(X, Y), the 72 nonzero rows of N are
+    +- copies, four each, of the 18 orthogonal rows N[k, 2p, 2q], p < q: r
+    is twice these rows, so ||r|| = ||N||, Psi_r^T Psi_r = 16 I and
+    S = Psi_r^T N / 16 has entries 0 and +-1/2, at most one per column.
+    A Cayley step Q C(t E) moves b to C^{-1} b(C., C.), whose t-derivative
+    at 0, D_E b = -E b + b(E., .) + b(., E.), is linear in b.  The entries
+    of E are 0 and +-1/2, so every entry of Psi and S is exact.
     """
     ix = _kernel_layout()
-    c = np.arange(ix.nij_k.size)
-    units = np.zeros((c.size, DIM, DIM, DIM))
-    units[c, ix.nij_k, ix.nij_i, ix.nij_j] = 1.0
-    units[c, ix.nij_k, ix.nij_j, ix.nij_i] = -1.0
-    n0 = _ResidualKernel(units).residual(_PAIRING_J[None])  # [coordinate, row]
-    r = 2.0 * n0[:, (ix.nij_i % 2 == 0) & (ix.nij_j % 2 == 0)]
+    k, i, j = ix.nij_k, ix.nij_i, ix.nij_j
+    units = _tensors(np.eye(k.size))
+    pattern, pairs = 4 * (k % 2) + 2 * (i % 2) + j % 2, 9 * (k // 2) + 3 * (i // 2) + j // 2
+    by_pattern = np.stack([
+        nijenhuis_tensor(LieAlgebra(c=-units[pattern == p].sum(axis=0)), _PAIRING_J).reshape(-1)
+        for p in range(8)])[:, ix.nij_t2]
+    n = np.where(pairs[:, None] == pairs, by_pattern[pattern], 0.0)  # [coordinate, row]
+    r = 2.0 * n[:, (i % 2 == 0) & (j % 2 == 0)]
     # dr / dtheta_a = r(D_a b) with D_a = -E (x) I (x) I + I (x) E^T (x) I +
     # I (x) I (x) E^T on b[k, i, j]: its block is r put on the coordinates'
     # places (y), acted on by D_a^T (E on each slot in turn, as E^T = -E),
@@ -707,9 +680,10 @@ def _frame_map():
     z += (em @ y.transpose(2, 0, 1, 3).reshape(DIM, -1)).reshape(side).transpose(0, 2, 3, 1, 4)
     z = z.reshape(len(e), DIM ** 3, -1)
     psi = np.concatenate([r[None], z[:, ix.nij_t2] - z[:, ix.nij_t2s]])
-    psi = np.ascontiguousarray(psi.transpose(1, 0, 2)).reshape(c.size, -1)
-    psi.flags.writeable = False
-    return psi
+    psi = np.ascontiguousarray(psi.transpose(1, 0, 2)).reshape(k.size, -1)
+    s = r.T @ n / 16.0
+    psi.flags.writeable = s.flags.writeable = False
+    return psi, s
 
 
 class _Frames:
@@ -722,17 +696,19 @@ class _Frames:
     b_L = L^T b(L^{-T}., L^{-T}.), and N_J(A x, A y) = A N(x, y) for N the
     Nijenhuis tensor of J0 on that bracket.  The oracle minimizes the frame
     residual of the bracket divided by ||b_L||, which every frame shares
-    (Q is orthogonal), so that g and 4^k g give the same bits.  A step of 6 coordinates theta moves Q to Q C(X), where
-    X = sum theta_a E_a (``_tangent_basis``) and C(X) = (I - X/2)^{-1} (I + X/2)
-    is the Cayley transform.  Every method takes an (n, 6, 6) stack of
-    frames and gives each frame the bits it would get alone.
+    (Q is orthogonal), so that g and 4^k g give the same bits.  A step of
+    6 coordinates theta moves Q to Q C(X), where X = sum theta_a E_a
+    (``_tangent_basis``) and C(X) = (I - X/2)^{-1} (I + X/2) is the Cayley
+    transform.  Every method takes an (n, 6, 6) stack of frames and gives
+    each frame the bits it would get alone.
     """
 
     def __init__(self, g_chol, b):
         self.l_inv_t, self.l_t = np.linalg.inv(g_chol).T, g_chol.T
         b_l = _frame_bracket(self.l_inv_t[None], self.l_t[None], b)[0]
         norm = float(np.linalg.norm(b_l.reshape(-1)[_kernel_layout().nij_t2]))
-        self.b_unit = (b_l / norm if norm else b_l).reshape(DIM, -1)  # an abelian b stays 0
+        self.norm2 = norm * norm
+        self.b_unit = b_l / norm if norm else b_l  # an abelian b stays 0
 
     def structures(self, q):
         return self.l_inv_t @ (q @ _PAIRING_J @ q.transpose(0, 2, 1)) @ self.l_t
@@ -745,7 +721,16 @@ class _Frames:
         coords = b.reshape(len(q), 1, -1).take(_kernel_layout().nij_t2, axis=2)
         # a (1, 90) product per frame: one (n, 90) product gives a row other
         # bits than the same row alone
-        return (coords @ _frame_map()).reshape(len(q), -1, _FRAME_ROWS)
+        return (coords @ _frame_map()[0]).reshape(len(q), -1, _FRAME_ROWS)
+
+    def standard(self, q, r):
+        """||N_J||^2 over its 90 coordinates in the basis given, for each frame
+        Q and its frame residual r: N = r S (exact; ``_frame_map``) is N_{J0}
+        of the normalized bracket, and N_J = ||b_L|| A N(A^{-1}., A^{-1}.)."""
+        n = _tensors(r @ _frame_map()[1])
+        nij = _frame_bracket(q.transpose(0, 2, 1) @ self.l_t, self.l_inv_t @ q, n)
+        coords = nij.reshape(len(q), -1).take(_kernel_layout().nij_t2, axis=1)
+        return (self.norm2 * (coords * coords).sum(axis=1)).tolist()
 
     @staticmethod
     def retract(q, theta):
@@ -803,16 +788,17 @@ class _StartQueue:
     the gradient, then up to 25 damping tries, each a batched 6 x 6 solve,
     a Cayley step and the rows of the starts still trying.  A start whose
     frame cost reaches SEARCH_TOL^2 stops once its J's 90 Nijenhuis rows
-    in the basis given (``_ResidualKernel``) meet SEARCH_TOL too; success
-    and the final cost of every start are decided on those rows.  A start
-    that stops frees its slot for the next start in start order.  Start 0
-    runs alone and the number of open slots doubles with each start that
-    stops, so that a success among the first starts costs little more than
-    those starts.
+    in the basis given, read off the slot's frame residual
+    (``_Frames.standard``), meet SEARCH_TOL too; success and the final cost
+    of every start are decided on those rows, and only the first success
+    has its J built.  A start that stops frees its slot for the next start
+    in start order.  Start 0 runs alone and the number of open slots doubles
+    with each start that stops, so that a success among the first starts
+    costs little more than those starts.
     """
 
-    def __init__(self, kernel, frames, starts, budget):
-        self.kernel, self.frames, self.starts, self.budget = kernel, frames, starts, budget
+    def __init__(self, frames, starts, budget):
+        self.frames, self.starts, self.budget = frames, starts, budget
         self.tol2 = SEARCH_TOL * SEARCH_TOL
         self.qs = np.empty((_QUEUE_SLOTS, DIM, DIM))
         self.ps = np.empty((_QUEUE_SLOTS, 1 + len(_tangent_basis()), _FRAME_ROWS))
@@ -820,7 +806,7 @@ class _StartQueue:
         self.owner = []  # start index in each live slot; cost, stall and it run in parallel
         self.cost, self.stall, self.it = [], [], []
         self.final = [None] * budget  # final cost of the rows in the basis given, by start
-        self.first_found, self.j_found = budget, None
+        self.first_found, self.q_found = budget, None
         self.next_start = self.n_finished = 0
         self.made = []  # (start index, Q, rows, cost) of starts made but not yet taken
 
@@ -831,12 +817,8 @@ class _StartQueue:
             done = self._iterate()
             if True in done:
                 self._retire(done)
-        return self.final[: self.first_found + 1], self.j_found
-
-    def standard(self, q):
-        """The J of each frame and the squared norm of its 90 Nijenhuis rows."""
-        js = self.frames.structures(q)
-        return js, (self.kernel.residual(js) ** 2).sum(axis=1).tolist()
+        j = None if self.q_found is None else self.frames.structures(self.q_found[None])[0]
+        return self.final[: self.first_found + 1], j
 
     def _take(self):
         """Fill free slots with the next starts, made a width at a time;
@@ -909,7 +891,7 @@ class _StartQueue:
                     else:
                         still.append(s)
                 if hits:  # stop on success of the 90 rows in the basis given
-                    for s, c in zip(hits, self.standard(qs[hits])[1]):
+                    for s, c in zip(hits, self.frames.standard(qs[hits], ps[hits, 0])):
                         done[s] = done[s] or c <= tol2
             if not still:
                 return done
@@ -923,12 +905,13 @@ class _StartQueue:
         close their slots; a success drops the later starts, which never
         count."""
         stopped = [s for s, d in enumerate(done) if d]
-        for s, j, c in zip(stopped, *self.standard(self.qs[stopped])):
+        qs = self.qs[stopped]  # a copy: the slots are compacted below
+        for s, q, c in zip(stopped, qs, self.frames.standard(qs, self.ps[stopped, 0])):
             k = self.owner[s]
             self.final[k] = c
             self.n_finished += 1
             if c <= self.tol2 and k < self.first_found:
-                self.first_found, self.j_found = k, j
+                self.first_found, self.q_found = k, q
         keep = [s for s, stopped in enumerate(done)
                 if not stopped and self.owner[s] < self.first_found]
         for state in (self.owner, self.cost, self.stall, self.it):
@@ -950,9 +933,10 @@ def hermitian_search(alg, metric, budget=64, seed=20210607):
     Q; the rows and their exact derivatives along the 6 tangent directions
     are one fixed 90 x 126 map of the bracket (``_frame_map``).  Success is
     decided in the basis given: a Nijenhuis residual of J (2-norm of its 90
-    rows N[k, i, j], i < j, so max|N_J| too) <= SEARCH_TOL.  Failure
-    verdicts report the smallest such residual over the starts and never
-    claim nonexistence.  ``budget`` must be at least one start.
+    rows N[k, i, j], i < j, so max|N_J| too) <= SEARCH_TOL, read off the
+    frame residual as N_J(A x, A y) = A N_{J0}(x, y) (``_Frames.standard``).
+    Failure verdicts report the smallest such residual over the starts and
+    never claim nonexistence.  ``budget`` must be at least one start.
 
     The starts run together in a small work queue (see ``_StartQueue``); each
     start does the arithmetic it would do alone, and the verdict is the
@@ -975,8 +959,7 @@ def hermitian_search(alg, metric, budget=64, seed=20210607):
     def starts(ks):
         return _random_frames([np.random.default_rng(seed + k) for k in ks])
 
-    kernel = _ResidualKernel(alg.bracket_tensor)
-    costs, j_found = _StartQueue(kernel, frames, starts, budget).run()
+    costs, j_found = _StartQueue(frames, starts, budget).run()
     j_out = None
     if j_found is not None:
         j_out = AlmostComplexStructure(j_found, alg.label, tol=10 * SEARCH_TOL)

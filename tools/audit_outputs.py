@@ -9,6 +9,9 @@ parent, this checkout's ``src`` for the change), each looping over
     seed (``testsupport.random_canonical_form``, drawn in this checkout,
     the boundary options in turn after a form off every boundary), once as
     JSON and once with ``--format text``;
+  * ``hermitian --search --budget 16`` on SEARCH_FORMS random canonical
+    forms per built-in and seed, and on h9's g_AA (found) and g_AB (none
+    found), each as JSON and as text;
   * ``tables``;
   * ``verify --suite all --seed S`` for each seed.
 
@@ -42,6 +45,10 @@ BOUNDARIES = {
     "h9hat": ("zeros",),
 }
 WALL_TIME = re.compile(r'"wall_time_s": [^,}]+')
+SEARCH_FORMS = 3  # random forms per built-in and seed given to ``hermitian --search``
+# h9's g_AA = diag(1, 1, 1.3^2, 1, 1.3^2, 1) and g_AB = diag(1, 1, 1.1^2, 1, 2.2^2, 1)
+H9_SEARCH_FORMS = {"gAA": {"A": 1.3, "B": 1.3, "C": 1.0, "D": 0.0, "E": 0.0, "F": 0.0},
+                   "gAB": {"A": 1.1, "B": 2.2, "C": 1.0, "D": 0.0, "E": 0.0, "F": 0.0}}
 
 
 def _argvs(seeds, count):
@@ -61,6 +68,18 @@ def _argvs(seeds, count):
                 argv = ["hermitian", "--algebra", name, "--form", form]
                 out.append((f"hermitian {name} json", argv))
                 out.append((f"hermitian {name} text", ["--format", "text", *argv]))
+    searches = []
+    for name in BOUNDARIES:
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            searches += [(name, random_canonical_form(name, rng).to_json_dict())
+                         for _ in range(SEARCH_FORMS)]
+    searches += [("h9", form) for form in H9_SEARCH_FORMS.values()]
+    for name, form in searches:
+        argv = ["hermitian", "--algebra", name, "--form", json.dumps(form),
+                "--search", "--budget", "16"]
+        out.append((f"search {name} json", argv))
+        out.append((f"search {name} text", ["--format", "text", *argv]))
     out.append(("tables", ["tables"]))
     out += [("verify", ["verify", "--suite", "all", "--seed", str(seed)]) for seed in seeds]
     return out
