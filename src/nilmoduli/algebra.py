@@ -1,4 +1,4 @@
-"""Structure constants, brackets and the exterior calculus of the built-in
+"""Structure constants, brackets and the Nijenhuis tensor of the built-in
 6-dimensional nilpotent Lie algebras.
 
 Conventions.  An algebra is stored through its structure constants c^k_{ij}
@@ -76,31 +76,6 @@ class LieAlgebra:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
         return self.dim == other.dim and np.array_equal(self.c, other.c)
-
-
-@dataclass(frozen=True, eq=False)
-class TwoForm:
-    """Coefficients on the basis e^{ij}, i < j; stored strictly upper."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        m = np.triu(np.asarray(self.coeffs, dtype=float), 1)
-        object.__setattr__(self, "coeffs", m)
-
-    def __getitem__(self, idx):
-        i, j = idx
-        if i < j:
-            return self.coeffs[i, j]
-        if i > j:
-            return -self.coeffs[j, i]
-        return 0.0
-
-    def max_norm(self):
-        return max_norm(self.coeffs)
-
-    def __add__(self, other):
-        return TwoForm(self.coeffs + other.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,13 +281,6 @@ def jacobi_residual(alg):
     return max_norm(cyc)
 
 
-def exterior_derivative(alg, theta):
-    """d(theta) for a covector; (d theta)(e_i, e_j) = -theta([e_i, e_j])."""
-    theta = np.asarray(theta, dtype=float)
-    m = np.einsum("k,kij->ij", theta, alg.c)
-    return TwoForm(np.triu(m, 1))
-
-
 def _bracket_span(b, span):
     """g[k, i, m] = sum_q b[k, i, q] span[q, m]: [e_i, column m of span].
 
@@ -397,15 +365,6 @@ _PAIRING_J.setflags(write=False)
 def standard_pairing_j():
     """Multiplication by sqrt(-1) for the pairing (e1,e2), (e3,e4), (e5,e6)."""
     return _PAIRING_J.copy()
-
-
-def lemma_j_h6():
-    """The integrable J on h6 with Je1 = e4, Je2 = e3, Je5 = e6."""
-    j = np.zeros((DIM, DIM))
-    for src, dst in ((0, 3), (1, 2), (4, 5)):
-        j[dst, src] = 1.0
-        j[src, dst] = -1.0
-    return AlmostComplexStructure(matrix=j, algebra="h6")
 
 
 def require_same_algebra(label_a, label_b):

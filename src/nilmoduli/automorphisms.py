@@ -71,7 +71,10 @@ class Automorphism:
 @dataclass(frozen=True, eq=False)
 class DerivationBasis:
     matrices: np.ndarray  # (k, 6, 6), orthonormal as 36-vectors
-    dimension: int
+
+    @property
+    def dimension(self):
+        return len(self.matrices)
 
 
 def _bracket_defect(alg, m):
@@ -134,7 +137,7 @@ def derivation_algebra(alg):
 
 def _derivation_basis(alg):
     mats = null_space(_derivation_system(alg)).T.reshape(-1, alg.dim, alg.dim)
-    return DerivationBasis(matrices=mats, dimension=mats.shape[0])
+    return DerivationBasis(matrices=mats)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +221,10 @@ def h4_pairing(a, b):
 def realify_complex2(mc):
     """Real 4x4 form of a complex 2x2 matrix for the pairing (e1,e2),(e3,e4)."""
     mc = np.asarray(mc, dtype=complex)
-    out = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = _zblock(mc[i, j])
+    out = np.empty((4, 4))
+    out[0::2, 0::2] = out[1::2, 1::2] = mc.real
+    out[1::2, 0::2] = mc.imag
+    out[0::2, 1::2] = -mc.imag
     return out
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -22,7 +21,7 @@ from . import algebra as al
 from . import automorphisms as auts
 from . import hermitian as hm
 from . import moduli as mo
-from .errors import AlgebraMismatch, CanonicalizationFailed, NilmoduliError, NotSPD, ParseError
+from .errors import CanonicalizationFailed, NilmoduliError, NotSPD, ParseError
 
 SCHEMA = "nilmoduli/1"
 
@@ -52,39 +51,22 @@ def _report(command, inputs, outputs, passed=True, t0=None):
     }
 
 
-def _emit(report, fmt, text_lines=None):
-    if (fmt or "json") == "text" and text_lines is not None:
+def _emit(report, fmt, text_lines):
+    if fmt == "text":
         print("\n".join(text_lines))
     else:
         print(json.dumps(report, sort_keys=True))
 
 
-def _seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("NILMODULI_SEED")
-    return int(env) if env else 0
-
-
-def _form_tag(algebra):
-    """The tag of a form given without one: ``algebra`` itself, or the built-in
-    that a Salamon string names by ``moduli._require_same_basis``'s rule."""
-    if algebra in mo.FORM_TYPES:
-        return algebra
-    for label in mo.FORM_TYPES:
-        try:
-            mo._require_same_basis(label, algebra)
-        except AlgebraMismatch:
-            continue
-        return label
-    return algebra  # names no built-in: form_from_dict reports the unknown tag
-
-
 def _load_form(args):
-    al.get_algebra(args.algebra)  # a malformed Salamon string is a parse error, not a mismatch
+    """The form of ``--form``.  One given without a tag takes ``--algebra``
+    when that is a form tag, else the built-in it names (``moduli._form_label``);
+    a string that names none stays, and ``form_from_dict`` reports the unknown tag."""
+    alg = al.get_algebra(args.algebra)  # a malformed Salamon string: a parse error, no mismatch
     data = json.loads(args.form)
     if isinstance(data, dict) and "tag" not in data:
-        data = {**data, "tag": _form_tag(args.algebra)}
+        tag = args.algebra if args.algebra in mo.FORM_TYPES else mo._form_label(alg)
+        data = {**data, "tag": tag or args.algebra}
     return mo.form_from_dict(data)  # rejects a non-object and names missing parameters
 
 
@@ -162,7 +144,22 @@ def _load_metric(args):
     algebra = data.get("algebra", args.algebra)
     if algebra is None:
         raise ValueError(f"no algebra given; {METRIC_USAGE}")
+    bad = _non_numbers(data["matrix"], "matrix")
+    if bad:
+        raise ValueError("metric entries must be numbers, got " + ", ".join(bad))
     return algebra, np.asarray(data["matrix"], dtype=float)
+
+
+def _non_numbers(value, path):
+    """``path=value`` for each entry of the matrix that is no JSON number, by
+    ``form_from_dict``'s rule (true and "1.5" are none).  A list is walked as
+    the matrix or as a row; one further down is an entry, and named.  A float
+    or int entry is a number and is passed over without a call, so a valid
+    metric costs one call per row, not one per entry."""
+    if isinstance(value, list) and path.count("[") < 2:
+        return [bad for i, v in enumerate(value) if type(v) not in (float, int)
+                for bad in _non_numbers(v, f"{path}[{i}]")]
+    return [] if mo._is_number(value) else [f"{path}={value!r}"]
 
 
 def cmd_canonicalize(args):
@@ -414,7 +411,7 @@ def verify_suite_hermitian(seed):
 
 def cmd_verify(args):
     t0 = time.perf_counter()
-    seed = _seed(args)
+    seed = args.seed
     suites = {
         "algebra": lambda: verify_suite_algebra(seed),
         "moduli": lambda: verify_suite_moduli(seed),
@@ -488,7 +485,7 @@ def build_parser():
 
     p = add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", choices=("all", "algebra", "moduli", "hermitian"), default="all")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -57,9 +57,6 @@ class SolutionTriple:
     c: float
     branch: str  # J1 | J2 | J1+ | J1- | J2+ | J2- | J
 
-    def as_array(self):
-        return np.array([self.a, self.b, self.c])
-
     def check_sphere(self):
         err = abs(self.a ** 2 + self.b ** 2 + self.c ** 2 - 1.0)
         if err > SPHERE_TOL:
@@ -89,13 +86,13 @@ class SolutionSet:
     closed form at this form (``hermitian_search`` is the oracle there).
 
     ``includes_negatives``: for every member J the partner -J is Hermitian
-    as well and is not listed separately.
+    as well and is not listed separately; this holds for every set.
     """
 
     branch: str
     kind: str  # "finite" | "sphere" | "open"
     solutions: tuple = ()
-    includes_negatives: bool = True
+    includes_negatives = True
 
     def to_json_dict(self):
         out = {"branch": self.branch, "kind": self.kind,
@@ -202,14 +199,6 @@ def h5_J(form, branch, triple):
     """Almost Hermitian J1/J2 for the canonical h5 metric (sphere family)."""
     form.validate()
     return _sphere_family_J("h5", form.r, form.s, form.E, form.F, form.G, branch, triple)
-
-
-def h5_eq42_residual(form, a):
-    """Residual of the quadratic a^2 - a*gamma/sqrt(D) + 1 = 0 (J1, F > 0)."""
-    alpha = (math.sqrt(form.r) + math.sqrt(form.s)) / (1.0 + math.sqrt(form.r * form.s))
-    gamma = form.E / alpha + form.G * alpha
-    sd = math.sqrt(form.E * form.G - form.F ** 2)
-    return a * a - a * gamma / sd + 1.0
 
 
 def _table_row_values(E, F, G, w):
@@ -480,7 +469,7 @@ def h9_sigma_family(which, **params):
         gprime = (1.0, -big_f, 1.0, 0.0, big_a)
     elif which == "sigma3":
         a11, a44 = params["a11"], params["a44"]
-        big_a = params.get("A", 1.0)
+        big_a = params["A"]
         if a11 <= 0.0 or a44 <= 0.0 or big_a <= 0.0:
             raise InvalidParams("sigma3 requires a11, a44, A > 0")
         gprime = (a11, 0.0, a44, 0.0, big_a)
@@ -565,10 +554,13 @@ NON_HERMITIAN_RESIDUAL_FLOOR = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    found: bool
-    J: AlmostComplexStructure | None
+    J: AlmostComplexStructure | None  # the first success in start order, or None
     residual: float  # least 2-norm of N_J's 90 rows (_Frames.standard) over the counted starts
     starts_used: int
+
+    @property
+    def found(self):
+        return self.J is not None
 
     def to_json_dict(self):
         return {
@@ -963,4 +955,4 @@ def hermitian_search(alg, metric, budget=64, seed=20210607):
     j_out = None
     if j_found is not None:
         j_out = AlmostComplexStructure(j_found, alg.label, tol=10 * SEARCH_TOL)
-    return SearchResult(j_found is not None, j_out, float(math.sqrt(min(costs))), len(costs))
+    return SearchResult(j_out, float(math.sqrt(min(costs))), len(costs))

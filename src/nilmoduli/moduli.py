@@ -285,6 +285,11 @@ class H9Form(_FormBase):
         _check(self.A > 0.0 and self.B > 0.0 and self.C > 0.0, "h9 requires A, B, C > 0")
 
 
+def _is_number(x):
+    """JSON true/false and numeric strings are no numbers, although float() takes them."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def form_from_dict(data):
     if not isinstance(data, dict):
         raise InvalidForm(f"a form must be an object of its parameters, got {data!r:.40}")
@@ -295,9 +300,7 @@ def form_from_dict(data):
     missing = [name for name in names if name not in data]
     if missing:
         raise InvalidForm(f"{tag} form needs {', '.join(names)}; missing {', '.join(missing)}")
-    # JSON true/false and numeric strings are not numbers, although float() takes them
-    bad = [name for name in names
-           if isinstance(data[name], bool) or not isinstance(data[name], numbers.Real)]
+    bad = [name for name in names if not _is_number(data[name])]
     if bad:
         raise InvalidForm(f"{tag} form parameters must be numbers, got "
                           + ", ".join(f"{name}={data[name]!r}" for name in bad))
@@ -406,18 +409,30 @@ def certificate_bound(g):
     return WITNESS_RTOL * max(1.0, max_norm(g))
 
 
+def _form_label(alg):
+    """The built-in label that the LieAlgebra ``alg`` names, or None: its own
+    label, else that of the built-in with its structure constants, so the
+    parse of "(0,0,0,0,12,13)" names h6, while that of the paper's e-basis h9
+    string names none (its tensor is not h9hat's)."""
+    if alg.label in _FORM_TYPES:
+        return alg.label
+    return next((label for label in _FORM_TYPES if get_algebra(label) == alg), None)
+
+
 def canonicalize(alg, metric):
     """Unique moduli representative of a metric plus a certified witness:
     max|phi^T g_c phi - g| <= certificate_bound(g).  ``Witness.residual``
-    reports the residual, against which a stricter bound can be read."""
+    reports the residual, against which a stricter bound can be read.
+    ``alg`` must name a built-in (``_form_label``)."""
     given = getattr(alg, "label", alg)  # the name the caller gave, for the message
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
-    if alg.label not in _FORM_TYPES:
+    label = _form_label(alg)
+    if label is None:
         raise Unsupported(f"canonical forms exist for the built-ins only, not {given!r}")
     _require_same_basis(metric.algebra, alg)
-    return _FORM_TYPES[alg.label].canonicalize(metric.matrix)
+    return _FORM_TYPES[label].canonicalize(metric.matrix)
 
 
 def _canonicalize_h6(g):
@@ -488,14 +503,10 @@ def _complex_parts(b4):
     j = _PAIRING_J[:4, :4]
     b_inv = 0.5 * (b4 + j.T @ b4 @ j)
     b_anti = 0.5 * (b4 - j.T @ b4 @ j)
-    f = [0, 2]  # complex basis vectors e1, e3
-    h = np.empty((2, 2), dtype=complex)
-    q = np.empty((2, 2), dtype=complex)
-    for k in range(2):
-        jf = j[:, f[k]]
-        for m in range(2):
-            h[k, m] = b_inv[f[k], f[m]] + 1j * (jf @ b_inv[:, f[m]])
-            q[k, m] = b_anti[f[k], f[m]] - 1j * (jf @ b_anti[:, f[m]])
+    # the complex basis is e1, e3, and J e1 = e2, J e3 = e4: rows 0::2 hold the
+    # real parts, rows 1::2 the imaginary ones
+    h = b_inv[0::2, 0::2] + 1j * b_inv[1::2, 0::2]
+    q = b_anti[0::2, 0::2] - 1j * b_anti[1::2, 0::2]
     return h, q
 
 
@@ -584,11 +595,14 @@ class GroupDescriptor:
 
     name: str
     continuous_dim: int
-    finite_order: float
     generators: tuple
     isotropy_basis: np.ndarray
     component_count: int
     notes: str = ""
+
+    @property
+    def finite_order(self):
+        return float(self.component_count) if self.continuous_dim == 0 else INFINITE
 
     def to_json_dict(self):
         return {
@@ -619,8 +633,7 @@ def _blockdiag6(*blocks):
 def _descriptor(name, dim, gens, basis, count, notes=""):
     """``gens`` are tagged Automorphisms and ``basis`` a (k, 6, 6) array,
     both read-only constants."""
-    order = float(count) if dim == 0 else INFINITE
-    return GroupDescriptor(name, dim, order, tuple(gens), basis, count, notes)
+    return GroupDescriptor(name, dim, tuple(gens), basis, count, notes)
 
 
 def _read_only(a):

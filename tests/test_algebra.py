@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nilmoduli import algebra as al
 from nilmoduli.errors import NotNilpotent, ParseError, SingularMatrix
 from nilmoduli.linalg import max_norm
+from paper_reference import lemma_j_h6
 
 BUILTINS = ["h2", "h4", "h5", "h6", "h9", "h9hat"]
 
@@ -180,38 +181,6 @@ def test_jacobi_insensitive_to_single_sign_flips():
 
 
 # ---------------------------------------------------------------------------
-# exterior derivative
-
-
-def test_d_h6_e5():
-    h6 = al.builtin("h6")
-    theta = np.zeros(6)
-    theta[4] = 1.0
-    d = al.exterior_derivative(h6, theta)
-    assert d[0, 1] == 1.0
-    assert max_norm(d.coeffs) == 1.0
-
-
-def test_d_h6_kernel():
-    h6 = al.builtin("h6")
-    for k in range(4):
-        theta = np.zeros(6)
-        theta[k] = 1.0
-        assert al.exterior_derivative(h6, theta).max_norm() == 0.0
-
-
-def test_d_linearity():
-    h6 = al.builtin("h6")
-    t5, t6 = np.zeros(6), np.zeros(6)
-    t5[4] = 1.0
-    t6[5] = 1.0
-    combined = al.exterior_derivative(h6, t5 + t6)
-    separate = al.exterior_derivative(h6, t5) + al.exterior_derivative(h6, t6)
-    assert max_norm(combined.coeffs - separate.coeffs) == 0.0
-    assert combined[0, 1] == 1.0 and combined[0, 2] == 1.0
-
-
-# ---------------------------------------------------------------------------
 # nilpotency
 
 
@@ -261,7 +230,7 @@ def test_not_nilpotent():
 
 def test_lemma_j_h6_integrable():
     h6 = al.builtin("h6")
-    j = al.lemma_j_h6()
+    j = lemma_j_h6()
     assert al.nijenhuis_residual(h6, j) == 0.0
     for i in range(6):
         for k in range(i + 1, 6):
@@ -338,7 +307,7 @@ def test_h4_canonical_abelian_structure():
 
 def test_lemma_j_not_abelian():
     h6 = al.builtin("h6")
-    assert not al.is_abelian_structure(h6, al.lemma_j_h6())
+    assert not al.is_abelian_structure(h6, lemma_j_h6())
 
 
 def test_builtin_constants_are_signs():

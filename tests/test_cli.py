@@ -104,6 +104,26 @@ def test_canonicalize_input_file(tmp_path, capsys):
     assert rep["outputs"]["form"]["tag"] == "h5"
 
 
+def _h6_metric_with(cells):
+    """An h6 metric object: the identity with ``cells`` {(i, j): value} set."""
+    rows = np.eye(6).tolist()
+    for (i, j), value in cells.items():
+        rows[i][j] = value
+    return json.dumps({"algebra": "h6", "matrix": rows})
+
+
+# float() takes "1" and true, which made this metric the identity
+NON_NUMBER_METRIC = _h6_metric_with({(0, 0): "1", (1, 1): True})
+NON_NUMBER_ERROR = ("input error: metric entries must be numbers, "
+                    "got matrix[0][0]='1', matrix[1][1]=True\n")
+
+
+def test_canonicalize_input_file_entries_must_be_numbers(tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    path.write_text(NON_NUMBER_METRIC)
+    assert run_cli(capsys, "canonicalize", "--input", str(path)) == (2, "", NON_NUMBER_ERROR)
+
+
 @pytest.mark.parametrize(
     "argv, needle, names_schema",
     [
@@ -117,6 +137,11 @@ def test_canonicalize_input_file(tmp_path, capsys):
         (("--metric", json.dumps({"algebra": "h7", "matrix": np.eye(6).tolist()})),
          "parse error: unknown algebra 'h7': give a builtin id (h2, h4, h5, h6, h9, h9hat)",
          False),
+        (("--metric", NON_NUMBER_METRIC), "got matrix[0][0]='1', matrix[1][1]=True", False),
+        # below the diagonal too, although Metric reads the upper triangle
+        (("--metric", _h6_metric_with({(5, 4): None})), "numbers, got matrix[5][4]=None", False),
+        (("--metric", _h6_metric_with({(5, 4): {}})), "numbers, got matrix[5][4]={}", False),
+        (("--metric", _h6_metric_with({(0, 0): [1]})), "numbers, got matrix[0][0]=[1]", False),
     ],
 )
 def test_canonicalize_input_errors_exit_2(capsys, argv, needle, names_schema):
@@ -294,12 +319,13 @@ def test_hermitian_search_empty_budget_exit_2(capsys):
         (("isometry", "--algebra", "h6",
           "--form", '{"tag": "h5", "r": 0.5, "s": 0.3, "E": 1.0, "F": 0.1, "G": 2.0}'),
          "algebra tags differ"),
+        # the paper's e-basis h9 string: its tensor is not h9hat's, so it names no built-in
         (("canonicalize", "--metric",
-          json.dumps({"algebra": "(0,0,0,0,12,13)", "matrix": np.eye(6).tolist()})),
+          json.dumps({"algebra": "(0,0,0,0,12,14+25)", "matrix": np.eye(6).tolist()})),
          "built-ins only"),
         (("canonicalize", "--metric",
-          json.dumps({"algebra": "(0,0,0,0,12,13)", "matrix": np.eye(6).tolist()})),
-         "not '(0,0,0,0,12,13)'"),
+          json.dumps({"algebra": "(0,0,0,0,12,14+25)", "matrix": np.eye(6).tolist()})),
+         "not '(0,0,0,0,12,14+25)'"),
         (("hermitian", "--algebra", "h5",
           "--form", '{"tag": "h4", "r": 1, "a": 1, "b": 0.3, "c": 2}'),
          "algebra tags differ: 'h4' vs 'h5'"),
@@ -362,6 +388,25 @@ def test_untagged_form_under_a_builtins_salamon_string_is_that_builtins_form(cap
     form = '{"a": 0.2, "b": 0.6, "E": 1, "F": 0.3, "G": 2}'
     reports = _h2_and_its_salamon_string(capsys, command, form)
     assert reports[1]["inputs"]["form"]["tag"] == "h2"
+
+
+def test_canonicalize_reads_a_salamon_string_as_the_builtin_it_names(capsys):
+    # the rule of an untagged form: h6's Salamon string names h6
+    g = np.diag([1.0, 1, 1, 1, 1, 2]).tolist()
+    salamon = "(0,0,0,0,12,13)"
+    reports = []
+    for argv in (("--algebra", salamon, "--metric", json.dumps({"matrix": g})),
+                 ("--metric", json.dumps({"algebra": salamon, "matrix": g})),
+                 ("--metric", json.dumps({"algebra": "h6", "matrix": g}))):
+        code, out, err = run_cli(capsys, "canonicalize", *argv)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    assert [r["inputs"]["algebra"] for r in reports] == [salamon, salamon, "h6"]
+    assert reports[0]["outputs"] == reports[1]["outputs"] == reports[2]["outputs"]
+    assert reports[0]["outputs"]["form"] == {"tag": "h6", "a": 1.0, "b": 2.0}
+    code, out, _ = run_cli(capsys, "isometry", "--algebra", salamon, "--form", '{"a": 1, "b": 2}')
+    assert code == 0
+    assert json.loads(out)["inputs"]["form"] == {"tag": "h6", "a": 1.0, "b": 2.0}
 
 
 @pytest.mark.parametrize("command", ["isometry", "hermitian"])
@@ -505,13 +550,23 @@ def test_verify_hermitian_suite_fails_on_h2_at_a_zero_bound(capsys, monkeypatch)
     assert all(detail.startswith("InvalidForm('h2 J: ") for _name, detail in suite["failures"])
 
 
-def test_verify_moduli_seeded(capsys, monkeypatch):
-    monkeypatch.setenv("NILMODULI_SEED", "7")
-    code, out, _ = run_cli(capsys, "verify", "--suite", "moduli")
+def test_verify_moduli_seeded(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "moduli", "--seed", "7")
     assert code == 0
     rep = json.loads(out)
     assert rep["inputs"]["seed"] == 7
     assert rep["outputs"]["moduli"]["checked"] == 500
+
+
+def test_verify_seed_defaults_to_zero(capsys, monkeypatch):
+    # the seed comes from --seed alone: the environment does not set it
+    monkeypatch.setenv("NILMODULI_SEED", "7")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "algebra")
+    assert code == 0
+    unseeded = json.loads(out)
+    assert unseeded["inputs"]["seed"] == 0
+    code, out, _ = run_cli(capsys, "verify", "--suite", "algebra", "--seed", "0")
+    assert json.loads(out)["outputs"] == unseeded["outputs"]
 
 
 def test_verify_detects_corrupted_build():

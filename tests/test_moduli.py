@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -424,16 +425,21 @@ def test_canonicalize_rejects_metric_of_another_algebra():
 
 
 def test_canonicalize_rejects_a_custom_algebra_before_comparing_tags():
-    s = "(0,0,0,0,12,13)"
+    # the paper's e-basis h9 string names no built-in: its tensor is not h9hat's
+    e_basis = al.BUILTIN_SALAMON["h9"]
     g = np.diag([1, 1, 1, 1, 2, 3.0])
-    for tag in (s, "h5"):
-        with pytest.raises(Unsupported, match="built-ins only"):
-            mo.canonicalize(s, mo.Metric(tag, g))
-    # h6's Salamon string names h6 in h6's basis
-    form, _witness = mo.canonicalize("h6", mo.Metric(s, g))
-    assert (form.a, form.b) == (2.0, 3.0)
-    with pytest.raises(AlgebraMismatch):
-        mo.canonicalize("h5", mo.Metric(s, g))
+    for tag in (e_basis, "h5"):
+        with pytest.raises(Unsupported, match=re.escape(f"built-ins only, not {e_basis!r}")):
+            mo.canonicalize(e_basis, mo.Metric(tag, g))
+    # h6's Salamon string names h6 in h6's basis, as the algebra and as the tag
+    s = "(0,0,0,0,12,13)"
+    for alg, tag in ((s, s), ("h6", s), (s, "h6"), (al.get_algebra(s), s)):
+        form, witness = mo.canonicalize(alg, mo.Metric(tag, g))
+        assert (form.a, form.b) == (2.0, 3.0)
+        assert witness.automorphism.algebra == "h6"
+    for alg, tag in (("h5", s), (s, "h5")):
+        with pytest.raises(AlgebraMismatch):
+            mo.canonicalize(alg, mo.Metric(tag, g))
 
 
 def test_isometry_group_rejects_a_form_of_another_algebra():
