@@ -5,14 +5,15 @@ Conventions.  An algebra is stored through its structure constants c^k_{ij}
 defined by de^k = sum_{i<j} c^k_{ij} e^{ij}, which by d(theta)(X, Y) =
 -theta([X, Y]) is equivalent to e^k([e_i, e_j]) = -c^k_{ij}.  Both the c
 tensor and the bracket tensor (its negative) are kept antisymmetric in
-(i, j).  The built-ins h2, h4, h5, h6 follow the Salamon strings
+(i, j).  Each built-in is the parse of its string in BUILTIN_SALAMON:
 
     h2 = (0,0,0,0,12,34)        h4 = (0,0,0,0,12,14+23)
     h5 = (0,0,0,0,13+42,14+23)  h6 = (0,0,0,0,12,13)
+    h9hat = (0,0,0,0,21,15+23)
 
-and h9hat is h9 in the hat basis, where the nontrivial brackets are
+h9hat is h9 in the hat basis, where the nontrivial brackets are
 [ê1,ê2] = +ê5, [ê1,ê5] = [ê2,ê3] = -ê6.  ``h9`` is a name for ``h9hat``; the
-paper's Salamon string for h9, (0,0,0,0,12,14+25), is in the e-basis and
+paper's Salamon string for h9, PAPER_H9_SALAMON, is in the e-basis and
 parses to a custom algebra.
 """
 
@@ -33,9 +34,10 @@ BUILTIN_SALAMON = {
     "h4": "(0,0,0,0,12,14+23)",
     "h5": "(0,0,0,0,13+42,14+23)",
     "h6": "(0,0,0,0,12,13)",
-    "h9": "(0,0,0,0,12,14+25)",
+    "h9hat": "(0,0,0,0,21,15+23)",
 }
 BUILTIN_IDS = ("h2", "h4", "h5", "h6", "h9", "h9hat")
+PAPER_H9_SALAMON = "(0,0,0,0,12,14+25)"  # the paper's h9, in the e-basis: no built-in's tensor
 
 # default tolerance of the J^2 = -I check, the abelian test, is_automorphism
 # and matches_theorem_form
@@ -56,7 +58,7 @@ class LieAlgebra:
 
     c: np.ndarray
     label: str = "custom"
-    dim: int = DIM
+    dim = DIM  # a class constant, not a field
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -75,7 +77,7 @@ class LieAlgebra:
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.c, other.c)
+        return np.array_equal(self.c, other.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,34 +111,33 @@ def parse_salamon(text):
     A token such as "42" with the larger index first is the oriented
     product e^{42} = -e^{24} (the paper writes h5 = (0,0,0,0,13+42,14+23)).
     The triangularity convention, both indices of a pair in de^k strictly
-    below k, is enforced; it guarantees nilpotency of valid inputs.
+    below k, is enforced; it guarantees nilpotency of valid inputs.  So is
+    the Jacobi identity, exactly: the constants are integers.
     """
     stripped = text.strip()
     body = stripped[1:-1] if stripped.startswith("(") and stripped.endswith(")") else stripped
     tokens = [t.strip() for t in body.split(",")]
     if len(tokens) != DIM:
-        raise ParseError(f"expected 6 comma-separated tokens, got {len(tokens)}", (0, 0))
+        raise ParseError(f"expected 6 comma-separated tokens, got {len(tokens)}")
     c = np.zeros((DIM, DIM, DIM))
     for k, token in enumerate(tokens):
         if token == "0":
             continue
         if not token:
-            raise ParseError(f"empty token at position {k + 1}", (k, 0))
-        offset = 0
+            raise ParseError(f"empty token at position {k + 1}")
         for part in token.split("+"):
             part = part.strip()
             if not _PAIR_RE.match(part):
-                raise ParseError(f"malformed pair {part!r} in token {k + 1}", (k, offset))
+                raise ParseError(f"malformed pair {part!r} in token {k + 1}")
             i, j = int(part[0]), int(part[1])
             if not (1 <= i <= 6 and 1 <= j <= 6):
-                raise ParseError(f"index out of range in {part!r}", (k, offset))
+                raise ParseError(f"index out of range in {part!r}")
             if i == j:
-                raise ParseError(f"repeated index in pair {part!r}", (k, offset))
+                raise ParseError(f"repeated index in pair {part!r}")
             if max(i, j) > k:  # k is 0-based; need i, j < k+1
                 raise ParseError(
                     f"pair {part!r} in de^{k + 1} violates the triangularity "
-                    "convention (both indices must be < the differential index)",
-                    (k, offset),
+                    "convention (both indices must be < the differential index)"
                 )
             a, b = i - 1, j - 1
             sign = 1.0
@@ -145,8 +146,10 @@ def parse_salamon(text):
                 sign = -1.0
             c[k, a, b] += sign
             c[k, b, a] -= sign
-            offset += len(part) + 1
-    return LieAlgebra(c=c, label="custom")
+    alg = LieAlgebra(c=c, label="custom")
+    if (residual := jacobi_residual(alg)) != 0.0:
+        raise ParseError(f"{stripped!r} is no Lie algebra: its Jacobi residual is {residual:g}")
+    return alg
 
 
 def render_salamon(alg):
@@ -171,25 +174,17 @@ def render_salamon(alg):
 
 @functools.cache
 def builtin(identifier):
-    """One of h2, h4, h5, h6 (Salamon strings above), h9hat, or h9, a name
-    for h9hat.
+    """The parse of BUILTIN_SALAMON[identifier], labelled ``identifier``;
+    ``h9`` is a name for h9hat.
 
     Built on first use; every later call returns the same object, whose
     structure tensor is read-only.
     """
     if identifier == "h9":
         return builtin("h9hat")
-    if identifier == "h9hat":
-        c = np.zeros((DIM, DIM, DIM))
-        # [ê1,ê2] = +ê5, [ê1,ê5] = [ê2,ê3] = -ê6; e^k([e_i,e_j]) = -c^k_{ij}
-        for k, i, j, value in ((4, 0, 1, -1.0), (5, 0, 4, 1.0), (5, 1, 2, 1.0)):
-            c[k, i, j] += value
-            c[k, j, i] -= value
-        alg = LieAlgebra(c=c, label="h9hat")
-    elif identifier in BUILTIN_SALAMON:
-        alg = replace(parse_salamon(BUILTIN_SALAMON[identifier]), label=identifier)
-    else:
+    if identifier not in BUILTIN_SALAMON:
         raise KeyError(f"unknown builtin {identifier!r}; choose from {BUILTIN_IDS}")
+    alg = replace(parse_salamon(BUILTIN_SALAMON[identifier]), label=identifier)
     alg.c.setflags(write=False)
     return alg
 
@@ -218,8 +213,32 @@ def get_algebra(spec):
         return builtin(spec)
     if "," not in spec:
         raise ParseError(f"unknown algebra {spec!r}: give a builtin id "
-                         f"({', '.join(BUILTIN_IDS)}) or a Salamon string", (0, 0))
+                         f"({', '.join(BUILTIN_IDS)}) or a Salamon string")
     return parse_salamon(spec)
+
+
+def builtin_label(spec):
+    """The built-in id that ``spec`` (as for get_algebra) names, or None: its
+    label if that is one ("h9" stays h9), else the built-in with equal structure
+    constants ("(0,0,0,0,12,13)" names h6).  The one recognizer of every layer."""
+    label = getattr(spec, "label", spec)
+    if label in BUILTIN_IDS:
+        return label
+    alg = get_algebra(spec)
+    return next((name for name in BUILTIN_SALAMON if builtin(name) == alg), None)
+
+
+def require_same_algebra(a, b):
+    """AlgebraMismatch unless a and b (tags or algebras) name one algebra: the
+    same label, or equal structure constants ("h9" and h9hat, a Salamon string
+    and the algebra it parses to).  The one agreement rule of every layer."""
+    label_a, label_b = (getattr(x, "label", x) for x in (a, b))
+    try:
+        same = label_a == label_b or get_algebra(a) == get_algebra(b)
+    except ParseError:  # a tag that names no algebra, such as "custom"
+        same = False
+    if not same:
+        raise AlgebraMismatch(f"algebra tags differ: {label_a!r} vs {label_b!r}")
 
 
 # The contractions below are the matmul sequences that
@@ -365,8 +384,3 @@ _PAIRING_J.setflags(write=False)
 def standard_pairing_j():
     """Multiplication by sqrt(-1) for the pairing (e1,e2), (e3,e4), (e5,e6)."""
     return _PAIRING_J.copy()
-
-
-def require_same_algebra(label_a, label_b):
-    if label_a != label_b:
-        raise AlgebraMismatch(f"algebra tags differ: {label_a!r} vs {label_b!r}")

@@ -42,7 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _PAIRING_J, DEFAULT_TOL, DIM, get_algebra, map_values, memo, pullback
+from .algebra import (_PAIRING_J, DEFAULT_TOL, DIM, builtin_label, get_algebra, map_values,
+                      memo, pullback)
 from .errors import DegenerateParams, Unsupported
 from .linalg import det2, max_norm, null_space
 
@@ -537,13 +538,16 @@ _THEOREMS = {
     "h9hat": _AutTheorem(_construct_h9hat, _read_h9hat, _component_h9hat, _reps_h9hat,
                          _sample_h9hat),
 }
+_THEOREMS["h9"] = _THEOREMS["h9hat"]  # "h9" names h9hat, as in moduli._FORM_TYPES
 
 
 def _theorem(alg):
-    """(label, theorem record) of a built-in algebra."""
-    label = get_algebra(alg).label
+    """(label, theorem record) of the built-in that ``alg`` names
+    (``algebra.builtin_label`` of the algebra it resolves to, so "h9" gets h9hat's)."""
+    alg = get_algebra(alg)
+    label = builtin_label(alg)
     if label not in _THEOREMS:
-        raise Unsupported(f"automorphism theorems exist for the built-ins only, not {label!r}")
+        raise Unsupported(f"automorphism theorems exist for the built-ins only, not {alg.label!r}")
     return label, _THEOREMS[label]
 
 

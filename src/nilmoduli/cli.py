@@ -59,14 +59,13 @@ def _emit(report, fmt, text_lines):
 
 
 def _load_form(args):
-    """The form of ``--form``.  One given without a tag takes ``--algebra``
-    when that is a form tag, else the built-in it names (``moduli._form_label``);
-    a string that names none stays, and ``form_from_dict`` reports the unknown tag."""
-    alg = al.get_algebra(args.algebra)  # a malformed Salamon string: a parse error, no mismatch
+    """The form of ``--form``.  One given without a tag takes the built-in
+    that ``--algebra`` names (``algebra.builtin_label``); a string that names
+    none stays, and ``form_from_dict`` reports the unknown tag."""
+    al.get_algebra(args.algebra)  # a malformed Salamon string: a parse error, no mismatch
     data = json.loads(args.form)
     if isinstance(data, dict) and "tag" not in data:
-        tag = args.algebra if args.algebra in mo.FORM_TYPES else mo._form_label(alg)
-        data = {**data, "tag": tag or args.algebra}
+        data = {**data, "tag": al.builtin_label(args.algebra) or args.algebra}
     return mo.form_from_dict(data)  # rejects a non-object and names missing parameters
 
 
@@ -109,7 +108,7 @@ def cmd_describe(args):
     lines += [f"  {s}" for s in brackets]
     lines.append(f"  nilpotency step: {step}")
     lines.append(f"  dim Der = {der_dim}")
-    if alg.label in al.BUILTIN_IDS:
+    if al.builtin_label(alg):
         reps = auts.component_representatives(alg)
         outputs["component_count"] = len(reps)
         lines.append(f"  Aut components: {len(reps)}")
@@ -223,7 +222,7 @@ def _hermitian_outputs(algebra, form):
     """The closed-form Hermitian structures at a canonical form: (JSON
     outputs, text lines).  ``algebra`` and the form's tag must name one
     algebra."""
-    mo._require_same_basis(form.algebra, algebra)
+    al.require_same_algebra(form.algebra, algebra)
     sets = hm.hermitian_structures(form)
     lines = []
     for branch, sset in sets.items():

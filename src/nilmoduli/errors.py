@@ -6,15 +6,8 @@ class NilmoduliError(Exception):
 
 
 class ParseError(NilmoduliError):
-    """Malformed Salamon notation string.
-
-    Carries ``position`` = (token index, offset inside token), both 0-based,
-    so callers can point at the offending character.
-    """
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    """Malformed Salamon notation string, or one whose bracket is no Lie
+    algebra."""
 
 
 class SingularMatrix(NilmoduliError):

@@ -36,11 +36,12 @@ from .algebra import (
     get_algebra,
     is_abelian_structure,
     nijenhuis_tensor,
+    require_same_algebra,
 )
 from .automorphisms import Automorphism
 from .errors import InvalidForm, InvalidParams, InvalidTriple
 from .linalg import cholesky_lower, max_norm
-from .moduli import H9Form, Metric, _require_same_basis, realize
+from .moduli import H9Form, Metric, realize
 
 SPHERE_TOL = 1e-12
 HERMITIAN_RTOL = 1e-12  # the closed-form certificate, relative to J's and g's entries (_certify)
@@ -945,7 +946,7 @@ def hermitian_search(alg, metric, budget=64, seed=20210607):
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
-    _require_same_basis(metric.algebra, alg)
+    require_same_algebra(metric.algebra, alg)
     frames = _Frames(cholesky_lower(metric.matrix), alg.bracket_tensor)
 
     def starts(ks):

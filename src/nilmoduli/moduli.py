@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import automorphisms as auts
-from .algebra import _PAIRING_J, DIM, LieAlgebra, get_algebra, require_same_algebra
+from .algebra import _PAIRING_J, DIM, builtin_label, get_algebra, require_same_algebra
 from .automorphisms import (
     Automorphism,
     H2Params,
@@ -63,7 +63,6 @@ from .errors import (
     CanonicalizationFailed,
     InvalidForm,
     NotSPD,
-    ParseError,
     Unsupported,
 )
 from .linalg import (
@@ -294,9 +293,10 @@ def form_from_dict(data):
     if not isinstance(data, dict):
         raise InvalidForm(f"a form must be an object of its parameters, got {data!r:.40}")
     tag = data.get("tag")
-    if tag not in FORM_TYPES:
+    if not isinstance(tag, str) or tag not in _FORM_TYPES:  # a JSON list is no key
         raise InvalidForm(f"unknown form tag {tag!r}")
-    names = [f.name for f in fields(FORM_TYPES[tag])]
+    form_class = _FORM_TYPES[tag].form
+    names = [f.name for f in fields(form_class)]
     missing = [name for name in names if name not in data]
     if missing:
         raise InvalidForm(f"{tag} form needs {', '.join(names)}; missing {', '.join(missing)}")
@@ -304,7 +304,7 @@ def form_from_dict(data):
     if bad:
         raise InvalidForm(f"{tag} form parameters must be numbers, got "
                           + ", ".join(f"{name}={data[name]!r}" for name in bad))
-    return FORM_TYPES[tag](**{name: float(data[name]) for name in names}).validate()
+    return form_class(**{name: float(data[name]) for name in names}).validate()
 
 
 def _form_type_of(form):
@@ -312,23 +312,6 @@ def _form_type_of(form):
     if ft is None or not isinstance(form, ft.form):
         raise InvalidForm(f"unknown form type {type(form).__name__}")
     return ft
-
-
-def _require_same_basis(a, b):
-    """AlgebraMismatch unless a and b (tags or algebras) name one algebra: the
-    same label, or equal structure constants, so h9 (a name for h9hat) and
-    h9hat count as one, and a Salamon string as the algebra it parses to.
-    The one rule by which an algebra argument and a metric's, form's or
-    automorphism's tag agree."""
-    label_a, label_b = (x.label if isinstance(x, LieAlgebra) else x for x in (a, b))
-    if label_a == label_b:
-        return
-    try:
-        same = get_algebra(a) == get_algebra(b)
-    except ParseError:  # a tag that names no algebra, such as "custom"
-        same = False
-    if not same:
-        require_same_algebra(label_a, label_b)
 
 
 def realize(form):
@@ -356,7 +339,7 @@ def pullback_metric(metric, phi):
     """phi^T g phi for an automorphism phi of the metric's algebra."""
     m = phi.matrix if isinstance(phi, Automorphism) else np.asarray(phi, dtype=float)
     if isinstance(phi, Automorphism):
-        _require_same_basis(metric.algebra, phi.algebra)
+        require_same_algebra(metric.algebra, phi.algebra)
     return Metric(metric.algebra, m.T @ metric.matrix @ m)
 
 
@@ -409,29 +392,19 @@ def certificate_bound(g):
     return WITNESS_RTOL * max(1.0, max_norm(g))
 
 
-def _form_label(alg):
-    """The built-in label that the LieAlgebra ``alg`` names, or None: its own
-    label, else that of the built-in with its structure constants, so the
-    parse of "(0,0,0,0,12,13)" names h6, while that of the paper's e-basis h9
-    string names none (its tensor is not h9hat's)."""
-    if alg.label in _FORM_TYPES:
-        return alg.label
-    return next((label for label in _FORM_TYPES if get_algebra(label) == alg), None)
-
-
 def canonicalize(alg, metric):
     """Unique moduli representative of a metric plus a certified witness:
     max|phi^T g_c phi - g| <= certificate_bound(g).  ``Witness.residual``
     reports the residual, against which a stricter bound can be read.
-    ``alg`` must name a built-in (``_form_label``)."""
+    ``alg`` must name a built-in (``algebra.builtin_label``)."""
     given = getattr(alg, "label", alg)  # the name the caller gave, for the message
     alg = get_algebra(alg)
     if not isinstance(metric, Metric):
         metric = Metric(alg.label, metric)  # shape, finiteness and NotSPD checks
-    label = _form_label(alg)
+    label = builtin_label(alg)
     if label is None:
         raise Unsupported(f"canonical forms exist for the built-ins only, not {given!r}")
-    _require_same_basis(metric.algebra, alg)
+    require_same_algebra(metric.algebra, alg)
     return _FORM_TYPES[label].canonicalize(metric.matrix)
 
 
@@ -630,12 +603,6 @@ def _blockdiag6(*blocks):
     return out
 
 
-def _descriptor(name, dim, gens, basis, count, notes=""):
-    """``gens`` are tagged Automorphisms and ``basis`` a (k, 6, 6) array,
-    both read-only constants."""
-    return GroupDescriptor(name, dim, tuple(gens), basis, count, notes)
-
-
 def _read_only(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -672,10 +639,12 @@ class _CaseRow:
     descriptor: GroupDescriptor
 
 
-def _row(on, off, case, example, *group):
-    """A case row from space-separated strata names and _descriptor's arguments."""
+def _row(on, off, case, example, name, dim, gens, basis, count, notes):
+    """A case row from space-separated strata names and its group: ``gens``
+    are tagged Automorphisms and ``basis`` a (k, 6, 6) array, both read-only
+    constants."""
     return _CaseRow(frozenset(on.split()), frozenset(off.split()), case, example,
-                    _descriptor(*group))
+                    GroupDescriptor(name, dim, tuple(gens), basis, count, notes))
 
 
 @functools.cache
@@ -797,12 +766,12 @@ def _cases_h2():
 
 def isometry_group(alg, form):
     """GroupDescriptor for the isotropy of a canonical metric.  ``alg`` and
-    the form's tag must name one algebra (``_require_same_basis``).  For h5,
-    h6, h4 and h2 it is the descriptor of the case row that matches the
-    form's strata, built once per row; h9's group is the sign flips that fix
-    the form.  Generators and isotropy bases are read-only constants."""
+    the form's tag must name one algebra (``algebra.require_same_algebra``).
+    For h5, h6, h4 and h2 it is the descriptor of the case row that matches
+    the form's strata, built once per row; h9's group is the sign flips that
+    fix the form.  Generators and isotropy bases are read-only constants."""
     ft = _form_type_of(form)
-    _require_same_basis(form.algebra, alg)
+    require_same_algebra(form.algebra, alg)
     form.validate()
     if ft.cases is None:
         return _isometry_h9(form)
@@ -831,8 +800,8 @@ def _isometry_h9(form):
     k = len(form.on_strata())  # the strata D0, E0 and F0
     count = 2 ** k
     name = {0: "trivial", 1: "Z2", 2: "Z2 x Z2", 3: "Z2 x Z2 x Z2"}[k]
-    return _descriptor(name, 0, gens, _NO_BASIS, count,
-                       f"k = {k} null parameters among (D, E, F)")
+    return GroupDescriptor(name, 0, tuple(gens), _NO_BASIS, count,
+                           f"k = {k} null parameters among (D, E, F)")
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +825,6 @@ _FORM_TYPES = {
     "h9hat": _FormType(H9Form, _canonicalize_h9, None),
 }
 _FORM_TYPES["h9"] = _FORM_TYPES["h9hat"]  # a form tagged "h9" is accepted as input
-FORM_TYPES = {label: ft.form for label, ft in _FORM_TYPES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -865,8 +833,11 @@ FORM_TYPES = {label: ft.form for label, ft in _FORM_TYPES.items()}
 
 @dataclass
 class IsometryReport:
-    checks: list
-    passed: bool
+    checks: list  # (name, passed, detail) per check
+
+    @property
+    def passed(self):
+        return all(p for (_n, p, _d) in self.checks)
 
     def to_json_dict(self):
         return {
@@ -983,4 +954,4 @@ def verify_isometry_group(alg, form, desc):
          f"null-space dim {dim} expected {desc.continuous_dim}")
     )
 
-    return IsometryReport(checks, all(p for (_n, p, _d) in checks))
+    return IsometryReport(checks)

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import get_algebra
+from .algebra import builtin_label, get_algebra
 from .moduli import H2Form, H4Form, H5Form, H6Form, H9Form
 
 SPD2_FLOOR = 0.3  # random_spd2 adds this multiple of I, bounding its eigenvalues below
+# random_canonical_form's boundary options per built-in: the one table of them
+BOUNDARIES = {"h5": ("r1", "sr", "sr1", "F0"), "h6": ("ab",), "h4": ("r1", "b0"),
+              "h2": ("a0", "ab", "F0", "EG"), "h9hat": ("zeros",)}
 
 
 def random_spd2(rng):
@@ -21,12 +24,15 @@ def random_spd2(rng):
 
 
 def random_canonical_form(name, rng, boundary=None):
-    """A random form in the canonical slice of an algebra.
-
-    ``boundary`` options: h5: "r1", "sr", "sr1", "F0"; h6: "ab";
-    h4: "r1", "b0"; h2: "a0", "ab", "F0", "EG"; h9hat: "zeros".
+    """A random form in the canonical slice of the built-in that ``name``
+    names (``algebra.builtin_label``), on the case boundary ``boundary``, one
+    of its BOUNDARIES, or off every boundary when None.  An option the
+    built-in lacks raises ValueError before any draw.
     """
-    name = get_algebra(name).label
+    name = builtin_label(get_algebra(name))  # "h9" resolves to h9hat
+    if boundary not in (None, *BOUNDARIES[name]):  # KeyError for no built-in
+        raise ValueError(f"{name} has no boundary option {boundary!r}; "
+                         f"choose from {BOUNDARIES[name]}")
     if name == "h6":
         a, b = np.sort(rng.uniform(0.2, 3.0, 2))
         if boundary == "ab":
@@ -82,4 +88,3 @@ def random_canonical_form(name, rng, boundary=None):
         if boundary == "zeros":
             def_ = def_ * (rng.random(3) < 0.5)
         return H9Form(*map(float, big), *map(float, def_))
-    raise KeyError(name)

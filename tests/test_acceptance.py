@@ -13,7 +13,7 @@ from nilmoduli import automorphisms as au
 from nilmoduli import hermitian as hm
 from nilmoduli import moduli as mo
 from nilmoduli.linalg import max_norm
-from nilmoduli.testsupport import random_canonical_form
+from nilmoduli.testsupport import BOUNDARIES, random_canonical_form
 from paper_reference import h5_eq42_residual, lemma_j_h6
 
 BUILTINS = ["h2", "h4", "h5", "h6", "h9", "h9hat"]
@@ -124,8 +124,8 @@ def test_criterion_06_isometry_classification():
 
 def test_criterion_07_hermitian_tables_sweep():
     rng = np.random.default_rng(808)
-    boundaries5 = (None, "r1", "sr", "sr1", "F0")
-    boundaries4 = (None, "r1", "b0")
+    boundaries5 = (None, *BOUNDARIES["h5"])
+    boundaries4 = (None, *BOUNDARIES["h4"])
     worst = {"nijenhuis": 0.0, "compatibility": 0.0, "involution": 0.0, "eq42": 0.0}
     for i in range(1000):
         form5 = random_canonical_form("h5", rng, boundary=boundaries5[i % 5])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilmoduli import algebra as al
-from nilmoduli.errors import NotNilpotent, ParseError, SingularMatrix
+from nilmoduli.errors import AlgebraMismatch, NotNilpotent, ParseError, SingularMatrix
 from nilmoduli.linalg import max_norm
 from paper_reference import lemma_j_h6
 
@@ -50,17 +50,12 @@ def test_parse_h5_string_with_reversed_pair():
         "(0,0,0,0,0,11)",  # repeated index
         "(0,12,0,0,0,0)",  # triangularity: de^2 from e^{12}
         "(0,0,0,0,0,56)",  # triangularity: de^6 from e^{56}
+        "(0,0,0,0,12+34,15+24)",  # no Lie algebra: d(e^15 + e^24) = -e^134
     ],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         al.parse_salamon(bad)
-
-
-def test_parse_error_position():
-    with pytest.raises(ParseError) as err:
-        al.parse_salamon("(0,0,0,0,12,1)")
-    assert err.value.position == (5, 0)
 
 
 def test_render_round_trip_builtins():
@@ -93,12 +88,44 @@ def test_h9_is_h9hat_in_permuted_basis():
         perm[i, j] = 1.0
     derived = al.change_of_basis(al.builtin("h9hat"), perm)
     # the paper's Salamon string for h9 is in the e-basis
-    assert max_norm(derived.c - al.parse_salamon(al.BUILTIN_SALAMON["h9"]).c) == 0.0
+    assert max_norm(derived.c - al.parse_salamon(al.PAPER_H9_SALAMON).c) == 0.0
 
 
 def test_builtin_unknown():
     with pytest.raises(KeyError):
         al.builtin("h7")
+
+
+def test_every_builtin_is_the_parse_of_its_salamon_string():
+    assert sorted(al.BUILTIN_SALAMON) == ["h2", "h4", "h5", "h6", "h9hat"]
+    for name, text in al.BUILTIN_SALAMON.items():
+        alg = al.builtin(name)
+        assert alg.label == name
+        assert alg.c.tobytes() == al.parse_salamon(text).c.tobytes()
+        assert al.render_salamon(alg) == text
+    assert al.builtin("h9") is al.builtin("h9hat")
+
+
+def test_builtin_label_recognizes_a_builtin_by_label_or_by_tensor():
+    for name in BUILTINS:
+        assert al.builtin_label(name) == name  # h9 stays h9
+    assert al.builtin_label(al.builtin("h9")) == "h9hat"
+    for name, text in al.BUILTIN_SALAMON.items():
+        assert al.builtin_label(text) == name
+        assert al.builtin_label(al.parse_salamon(text)) == name
+    # a built-in's label names it whatever the tensor: tags stay the callers'
+    assert al.builtin_label(al.LieAlgebra(c=al.builtin("h2").c, label="h5")) == "h5"
+    for text in (al.PAPER_H9_SALAMON, "(0,0,0,0,0,0)", "(0,0,0,0,12,13+24)"):
+        assert al.builtin_label(text) is None
+
+
+def test_require_same_algebra_by_label_or_by_tensor():
+    al.require_same_algebra("h9", "h9hat")
+    al.require_same_algebra("(0,0,0,0,12,13)", al.builtin("h6"))
+    al.require_same_algebra("custom", al.LieAlgebra(c=np.zeros((6, 6, 6))))
+    for a, b in (("h5", "h6"), ("custom", "h2"), (al.PAPER_H9_SALAMON, "h9hat")):
+        with pytest.raises(AlgebraMismatch, match="algebra tags differ"):
+            al.require_same_algebra(a, b)
 
 
 # ---------------------------------------------------------------------------

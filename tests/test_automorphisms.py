@@ -295,6 +295,19 @@ def test_representatives_unsupported_for_custom():
         au.component_representatives(al.parse_salamon("(0,0,0,0,0,0)"))
 
 
+def test_theorems_read_a_builtins_salamon_string_as_that_builtin():
+    # one recognizer for every layer: h6's string names h6 here as in canonicalize
+    reps = au.component_representatives("(0,0,0,0,12,13)")
+    assert [(r.algebra, r.component) for r in reps] == [
+        (r.algebra, r.component) for r in au.component_representatives("h6")]
+    with pytest.raises(Unsupported, match="not 'custom'"):
+        au.component_representatives(al.PAPER_H9_SALAMON)
+    # an algebra labelled "h9" names h9hat here as in canonicalize
+    h9 = al.LieAlgebra(c=al.builtin("h9hat").c, label="h9")
+    assert len(au.component_representatives(h9)) == COMPONENT_COUNTS["h9"]
+    mo.canonicalize(h9, np.eye(6))
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_representatives_built_once_and_read_only(name):
     reps = au.component_representatives(name)
@@ -374,14 +387,60 @@ def test_inverse_is_automorphism():
 
 
 def test_exponential_of_derivations():
+    # expm(D), D in Der, is an automorphism of its theorem's form: the
+    # identity component of Aut lies in the theorem's shape, to rounding
+    # (at most 1.7e-14 relative on these draws)
     rng = np.random.default_rng(2)
     for name in BUILTINS:
         alg = al.builtin(name)
         basis = au.derivation_algebra(alg)
         for _ in range(20):
             coeffs = rng.normal(0.0, 0.3, basis.dimension)
-            d = np.einsum("k,kij->ij", coeffs, basis.matrices)
-            assert au.is_automorphism(alg, expm_pade6(d), 1e-8)
+            m = expm_pade6(np.einsum("k,kij->ij", coeffs, basis.matrices))
+            assert au.is_automorphism(alg, m, 1e-8)
+            assert au.theorem_form_defect(alg, m) <= 1e-13 * max(1.0, max_norm(m) ** 2)
+
+
+def _rank(rows):
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(s > 1e-6 * s[0]))
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_CELLS))
+def test_theorem_tangent_at_the_identity_is_der(name):
+    # the tangent of construct(read(.)) at I, by central differences along the
+    # 36 unit directions, is the theorem's tangent space; it has Der's
+    # dimension and joined with Der's basis keeps it, so it is Der.  The
+    # constructors are polynomials of degree <= 3, so the error of a
+    # difference is of order h^2 + eps/h, far below the rank cutoff
+    theorem = au._theorem(name)[1]
+    h = 1e-6
+    tangent = []
+    for unit in np.eye(36).reshape(36, 6, 6):
+        plus = theorem.construct(theorem.read(np.eye(6) + h * unit))
+        minus = theorem.construct(theorem.read(np.eye(6) - h * unit))
+        tangent.append(((plus - minus) / (2 * h)).reshape(-1))
+    der = au.derivation_algebra(name).matrices.reshape(-1, 36)
+    assert _rank(np.array(tangent)) == _rank(np.vstack([tangent, der])) == DER_DIMS[name]
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_CELLS))
+def test_representatives_lie_in_distinct_components(name):
+    # the tag does not change along the paths t -> rep expm(t D), D in Der, so
+    # it is read off the component, and representatives with distinct tags
+    # lie in distinct components: Aut has at least COMPONENT_COUNTS[name] of
+    # them (the theorem claims exactly that many, which this does not show)
+    alg = al.builtin(name)
+    basis = au.derivation_algebra(alg)
+    reps = au.component_representatives(name)
+    assert len({rep.component for rep in reps}) == len(reps) >= COMPONENT_COUNTS[name]
+    rng = np.random.default_rng(5)
+    for rep in reps:
+        assert au.is_automorphism(alg, rep.matrix, 1e-12)
+        for _ in range(4):
+            d = np.einsum("k,kij->ij", rng.normal(0.0, 0.5, basis.dimension), basis.matrices)
+            for t in np.linspace(0.0, 1.0, 11):
+                assert au.component_label(alg, rep.matrix @ expm_pade6(t * d)) == rep.component
 
 
 def test_automorphism_json_round_trip():

@@ -60,6 +60,35 @@ def test_describe_parse_error_exit_code(capsys):
     assert "parse" in err.lower() or "range" in err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ("describe", "(0,0,0,0,12+34,15+24)"),
+    ("canonicalize", "--algebra", "(0,0,0,0,12+34,15+24)", "--metric",
+     json.dumps({"matrix": np.eye(6).tolist()})),
+    ("hermitian", "--algebra", "(0,0,0,0,12+34,15+24)", "--form", '{"tag": "h6", "a": 1, "b": 4}'),
+], ids=["describe", "canonicalize", "hermitian"])
+def test_a_bracket_that_is_no_lie_algebra_exits_2(capsys, argv):
+    # each pair is triangular, but d(e^15 + e^24) = -e^134: Jacobi fails
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("parse error: '(0,0,0,0,12+34,15+24)' is no Lie algebra: "
+                   "its Jacobi residual is 1\n")
+
+
+@pytest.mark.parametrize("name", sorted(al.BUILTIN_SALAMON))
+def test_describe_of_a_builtins_salamon_string_counts_its_components(capsys, name):
+    # one recognizer: the string names the built-in, so describe counts its components
+    reports = []
+    for spec in (name, al.BUILTIN_SALAMON[name]):
+        code, out, _ = run_cli(capsys, "describe", spec)
+        assert code == 0
+        reports.append(json.loads(out)["outputs"])
+    assert reports[1].pop("label") == "custom"
+    assert reports[0].pop("label") == name
+    assert reports[0] == reports[1]
+    assert "component_count" in reports[1]
+
+
 def test_canonicalize_identity(capsys):
     metric = {"algebra": "h6", "matrix": np.eye(6).tolist()}
     code, out, _ = run_cli(capsys, "canonicalize", "--metric", json.dumps(metric))
@@ -347,6 +376,15 @@ def test_exit_2_errors_share_the_input_error_prefix(capsys, argv, needle):
     assert out == ""
     assert err.startswith("input error: ")
     assert needle in err
+
+
+@pytest.mark.parametrize("tag", ["[1]", '{"a": 1}'])
+def test_a_form_tag_that_is_no_string_exits_2(capsys, tag):
+    code, out, err = run_cli(capsys, "isometry", "--algebra", "h6",
+                             "--form", f'{{"tag": {tag}, "a": 1, "b": 4}}')
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: unknown form tag ")
 
 
 @pytest.mark.parametrize("command", ["isometry", "hermitian"])

@@ -79,7 +79,7 @@ def _algebras():
     rng = np.random.default_rng(2024)
     # "h9" names h9hat; the paper's h9 string gives the e-basis algebra, a
     # second 3-step tensor
-    h9 = al.parse_salamon(al.BUILTIN_SALAMON["h9"])
+    h9 = al.parse_salamon(al.PAPER_H9_SALAMON)
     algs = [al.builtin(name) for name in al.BUILTIN_IDS] + [h9]
     algs.append(al.parse_salamon("(0,0,12,13,14+23,34+52)"))
     # dense structure constants

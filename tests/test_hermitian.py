@@ -11,7 +11,7 @@ from nilmoduli import hermitian as hm
 from nilmoduli import moduli as mo
 from nilmoduli.errors import AlgebraMismatch, InvalidForm, InvalidParams, InvalidTriple
 from nilmoduli.linalg import max_norm
-from nilmoduli.testsupport import random_canonical_form
+from nilmoduli.testsupport import BOUNDARIES, random_canonical_form
 from paper_reference import h5_eq42_residual, lemma_j_h6
 
 
@@ -108,7 +108,7 @@ def test_h5_sweep_residuals_and_signs():
     rng = np.random.default_rng(3)
     h5 = al.builtin("h5")
     for trial in range(120):
-        boundary = (None, "r1", "sr", "sr1", "F0")[trial % 5]
+        boundary = (None, *BOUNDARIES["h5"])[trial % 5]
         form = random_canonical_form("h5", rng, boundary=boundary)
         sols = hm.h5_hermitian_solutions(form)
         for branch, sset in sols.items():
@@ -189,7 +189,7 @@ def test_h4_abelian_structure_row():
 def test_h4_sweep_residuals():
     rng = np.random.default_rng(6)
     for trial in range(120):
-        boundary = (None, "r1", "b0")[trial % 3]
+        boundary = (None, *BOUNDARIES["h4"])[trial % 3]
         form = random_canonical_form("h4", rng, boundary=boundary)
         for sset in hm.h4_hermitian_solutions(form).values():
             for sol in sset.solutions:
@@ -1333,7 +1333,7 @@ def test_search_reads_a_salamon_tag_as_the_algebra_it_parses_to():
         assert np.array_equal(tagged.J.matrix, untagged.J.matrix)
     # another custom algebra, another built-in, and h9's Salamon string
     # (in the e-basis, so not h9hat) still mismatch
-    for alg, tag in (("(0,0,0,0,12,34)", s), ("h5", s), ("h9", al.BUILTIN_SALAMON["h9"])):
+    for alg, tag in (("(0,0,0,0,12,34)", s), ("h5", s), ("h9", al.PAPER_H9_SALAMON)):
         with pytest.raises(AlgebraMismatch):
             hm.hermitian_search(alg, mo.Metric(tag, g), budget=1)
 

@@ -16,7 +16,7 @@ from nilmoduli.errors import (
     Unsupported,
 )
 from nilmoduli.linalg import EPS, cholesky_lower, max_norm, null_space, symmetrize
-from nilmoduli.testsupport import random_canonical_form
+from nilmoduli.testsupport import BOUNDARIES, random_canonical_form
 
 ALGEBRAS = ["h6", "h4", "h5", "h2", "h9hat"]
 IDENTITY_FORMS = {
@@ -248,14 +248,7 @@ def test_orbit_invariance(name):
 
 
 @pytest.mark.parametrize(
-    "name,boundary",
-    [
-        ("h5", "r1"), ("h5", "sr"), ("h5", "sr1"), ("h5", "F0"),
-        ("h6", "ab"), ("h4", "r1"), ("h4", "b0"),
-        ("h2", "a0"), ("h2", "ab"), ("h2", "F0"), ("h2", "EG"),
-        ("h9hat", "zeros"),
-    ],
-)
+    "name,boundary", [(name, b) for name, options in BOUNDARIES.items() for b in options])
 def test_orbit_invariance_boundaries(name, boundary):
     rng = np.random.default_rng(12)
     for trial in range(15):
@@ -426,7 +419,7 @@ def test_canonicalize_rejects_metric_of_another_algebra():
 
 def test_canonicalize_rejects_a_custom_algebra_before_comparing_tags():
     # the paper's e-basis h9 string names no built-in: its tensor is not h9hat's
-    e_basis = al.BUILTIN_SALAMON["h9"]
+    e_basis = al.PAPER_H9_SALAMON
     g = np.diag([1, 1, 1, 1, 2, 3.0])
     for tag in (e_basis, "h5"):
         with pytest.raises(Unsupported, match=re.escape(f"built-ins only, not {e_basis!r}")):
@@ -545,10 +538,16 @@ def _isotropy_dimension_loop(alg, g):
     return null_space(system).shape[1]
 
 
-ISOTROPY_BOUNDARIES = {
-    "h5": (None, "r1", "sr", "sr1", "F0"), "h6": (None, "ab"), "h4": (None, "r1", "b0"),
-    "h2": (None, "a0", "ab", "F0", "EG"), "h9hat": (None, "zeros"),
-}
+ISOTROPY_BOUNDARIES = {name: (None, *options) for name, options in BOUNDARIES.items()}
+
+
+def test_sampler_refuses_a_boundary_option_the_algebra_lacks():
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="h6 has no boundary option 'F0'"):
+        random_canonical_form("h6", rng, boundary="F0")
+    # refused before any draw: the next form is a fresh generator's first
+    fresh = random_canonical_form("h6", np.random.default_rng(3))
+    assert random_canonical_form("h6", rng) == fresh
 
 
 def test_isotropy_dimension_matches_loop_reference():
@@ -665,12 +664,6 @@ def _reference_apply(self, params):
     self.phi = self.phi @ f.matrix
 
 
-BOUNDARY_OPTIONS = {
-    "h5": [None, "r1", "sr", "sr1", "F0"], "h6": [None, "ab"], "h4": [None, "r1", "b0"],
-    "h2": [None, "a0", "ab", "F0", "EG"], "h9hat": [None, "zeros"],
-}
-
-
 def _canonicalize_outcome(name, g):
     try:
         form, wit = mo.canonicalize(name, g)
@@ -683,7 +676,7 @@ def _canonicalize_outcome(name, g):
 def test_reduction_bytes_match_step_by_step_reference(name, monkeypatch):
     rng = np.random.default_rng(31)
     inputs = []
-    for boundary in BOUNDARY_OPTIONS[name]:
+    for boundary in ISOTROPY_BOUNDARIES[name]:
         for seed in range(4):
             form = random_canonical_form(name, rng, boundary=boundary)
             g = mo.pullback_metric(mo.realize(form), au.random_automorphism(name, 60 + seed))

@@ -1,10 +1,11 @@
-"""Every parameter with a default in the package is set by some caller.
+"""Every parameter with a default in the package is set by some caller,
+and so is every dataclass field with a default that ``__init__`` takes.
 
 A default that no call overrides is a fixed value: it belongs in one named
 constant of the module that makes the decision, not in a signature.  The
 scan is by name: a call ``f(...)`` or ``obj.f(...)`` counts for every
 function or method ``f``, and a call of a class counts for its
-``__init__``.
+``__init__`` and its dataclass fields.
 """
 
 import ast
@@ -15,6 +16,7 @@ PACKAGE = ROOT / "src" / "nilmoduli"
 CALLERS = ("src", "tests", "perfbench", "tools")
 
 ALLOWED = set()  # hermitian_search's seed is set by the sigma3 search tests
+FIELD_COUNT = 44  # dataclass fields with defaults: a new one raises the count
 
 
 def _defaults(tree):
@@ -40,6 +42,32 @@ def _defaults(tree):
     return out
 
 
+def _field_defaults(tree):
+    """(class name, field, positional index) of every field with a default
+    that a dataclass's ``__init__`` takes; a ``field(init=False)`` takes no
+    argument and holds no position."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
+                for d in cls.decorator_list):
+            continue
+        index = 0
+        for stmt in cls.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            value = stmt.value
+            kws = {}
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                kws = {k.arg: k.value for k in value.keywords}
+                if getattr(kws.get("init"), "value", True) is False:
+                    continue
+            if value is not None and (not kws or {"default", "default_factory"} & set(kws)):
+                out.append((cls.name, stmt.target.id, index))
+            index += 1
+    return out
+
+
 def _init_classes(tree):
     return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
             and any(isinstance(b, ast.FunctionDef) and b.name == "__init__" for b in node.body)]
@@ -61,24 +89,32 @@ def _calls():
 
 
 def scan():
-    """(parameters with defaults, those that no call sets) in the package."""
+    """(parameters with defaults, dataclass fields with defaults, those of
+    either that no call sets) in the package."""
     calls = _calls()
-    found, unset = [], []
+    found, fields, unset = [], [], []
+
+    def check(names, func, param, index):
+        if not any(name in names and (param in kws or None in kws or star
+                                      or (index is not None and count > index))
+                   for name, count, star, kws in calls):
+            unset.append((func, param))
+
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         classes = _init_classes(tree)
         for func, param, index in _defaults(tree):
-            names = classes if func == "__init__" else [func]
             found.append((path.stem, func, param))
-            if not any(name in names and (param in kws or None in kws or star
-                                          or (index is not None and count > index))
-                       for name, count, star, kws in calls):
-                unset.append((func, param))
-    return found, unset
+            check(classes if func == "__init__" else [func], func, param, index)
+        for cls, name, index in _field_defaults(tree):
+            fields.append((path.stem, cls, name))
+            check([cls], cls, name, index)
+    return found, fields, unset
 
 
 def test_every_default_is_set_by_a_caller():
-    found, unset = scan()
+    found, fields, unset = scan()
     # equal, not a subset: an allowed entry that a caller starts to set goes
     assert set(unset) == ALLOWED
-    assert len(found) <= 23
+    assert len(found) <= 21
+    assert len(fields) <= FIELD_COUNT

@@ -12,12 +12,20 @@ parent, this checkout's ``src`` for the change), each looping over
   * ``hermitian --search --budget 16`` on SEARCH_FORMS random canonical
     forms per built-in and seed, and on h9's g_AA (found) and g_AB (none
     found), each as JSON and as text;
+  * ``canonicalize`` on ORBIT_FORMS orbit metrics per built-in and seed (a
+    random canonical form, the boundary options in turn, pulled back by a
+    random automorphism), each at the scales 10^k, k in SCALE_EXPONENTS, as
+    JSON and as text.  The metrics are drawn once, in this checkout, and
+    passed to both sides as JSON, which keeps every float's bits;
+  * ``isometry`` on the same forms, as JSON and as text;
+  * ``describe`` of every built-in id, every built-in's Salamon string,
+    the paper's e-basis h9 string and NON_LIE_STRINGS, as JSON and as text;
   * ``tables``;
   * ``verify --suite all --seed S`` for each seed.
 
 ``wall_time_s`` is dropped from every report before the comparison.  Per
-command, algebra and format it prints how many outputs (stdout and exit
-code) are byte-identical, and the first argv whose output differs.
+command, algebra and format it prints how many outputs (exit code, stdout
+and stderr) are byte-identical, and the first argv whose output differs.
 ``--json FILE`` writes every differing output of both sides.  E.g.
 
     python3 tools/audit_outputs.py --parent /path/to/parent --seeds 0,7 --count 300
@@ -36,26 +44,25 @@ import re
 import subprocess
 import sys
 
-# testsupport.random_canonical_form's boundary options per built-in
-BOUNDARIES = {
-    "h5": ("r1", "sr", "sr1", "F0"),
-    "h4": ("r1", "b0"),
-    "h6": ("ab",),
-    "h2": ("a0", "ab", "F0", "EG"),
-    "h9hat": ("zeros",),
-}
 WALL_TIME = re.compile(r'"wall_time_s": [^,}]+')
 SEARCH_FORMS = 3  # random forms per built-in and seed given to ``hermitian --search``
 # h9's g_AA = diag(1, 1, 1.3^2, 1, 1.3^2, 1) and g_AB = diag(1, 1, 1.1^2, 1, 2.2^2, 1)
 H9_SEARCH_FORMS = {"gAA": {"A": 1.3, "B": 1.3, "C": 1.0, "D": 0.0, "E": 0.0, "F": 0.0},
                    "gAB": {"A": 1.1, "B": 2.2, "C": 1.0, "D": 0.0, "E": 0.0, "F": 0.0}}
+ORBIT_FORMS = 40  # orbit metrics per built-in and seed given to ``canonicalize``
+SCALE_EXPONENTS = range(-6, 7)  # each orbit metric at 10^k times itself
+# triangular brackets whose Jacobi identity fails: d(e^15 + e^24) = -e^134, d(e^34) = e^124
+NON_LIE_STRINGS = ("(0,0,0,0,12+34,15+24)", "(0,0,12,0,0,34)")
 
 
 def _argvs(seeds, count):
     """[(group, argv)] of the audit, in run order."""
     import numpy as np
 
-    from nilmoduli.testsupport import random_canonical_form
+    from nilmoduli.algebra import BUILTIN_IDS, BUILTIN_SALAMON, PAPER_H9_SALAMON
+    from nilmoduli.automorphisms import random_automorphism
+    from nilmoduli.moduli import pullback_metric, realize
+    from nilmoduli.testsupport import BOUNDARIES, random_canonical_form
 
     out = []
     for name, options in BOUNDARIES.items():
@@ -80,23 +87,43 @@ def _argvs(seeds, count):
                 "--search", "--budget", "16"]
         out.append((f"search {name} json", argv))
         out.append((f"search {name} text", ["--format", "text", *argv]))
+    for name, options in BOUNDARIES.items():
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            for i in range(ORBIT_FORMS):
+                boundary = (None, *options)[i % (len(options) + 1)]
+                form = random_canonical_form(name, rng, boundary=boundary)
+                phi = random_automorphism(name, int(rng.integers(0, 2 ** 31)))
+                g = pullback_metric(realize(form), phi).matrix
+                for k in SCALE_EXPONENTS:
+                    metric = json.dumps({"algebra": name, "matrix": (10.0 ** k * g).tolist()})
+                    argv = ["canonicalize", "--metric", metric]
+                    out.append((f"canonicalize {name} json", argv))
+                    out.append((f"canonicalize {name} text", ["--format", "text", *argv]))
+                argv = ["isometry", "--algebra", name, "--form", json.dumps(form.to_json_dict())]
+                out.append((f"isometry {name} json", argv))
+                out.append((f"isometry {name} text", ["--format", "text", *argv]))
+    for spec in (*BUILTIN_IDS, *BUILTIN_SALAMON.values(), PAPER_H9_SALAMON, *NON_LIE_STRINGS):
+        out.append(("describe json", ["describe", spec]))
+        out.append(("describe text", ["--format", "text", "describe", spec]))
     out.append(("tables", ["tables"]))
     out += [("verify", ["verify", "--suite", "all", "--seed", str(seed)]) for seed in seeds]
     return out
 
 
 def _run_all(argvs):
-    """(package file, [[exit code, stdout without wall_time_s]]) of each argv,
-    run in this process."""
+    """(package file, [[exit code, stdout without wall_time_s, stderr]]) of
+    each argv, run in this process."""
     import nilmoduli
     from nilmoduli import cli
 
     results = []
     for argv in argvs:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        results.append([code, WALL_TIME.sub('"wall_time_s": null', out.getvalue())])
+        results.append([code, WALL_TIME.sub('"wall_time_s": null', out.getvalue()),
+                        err.getvalue()])
     return nilmoduli.__file__, results
 
 

@@ -113,7 +113,7 @@ def _items():
     p = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
     j = p @ al.standard_pairing_j() @ np.linalg.inv(p)
     m = au.random_automorphism("h5", 0).matrix
-    h9 = al.parse_salamon(al.BUILTIN_SALAMON["h9"])  # the paper's h9 string, the e-basis tensor
+    h9 = al.parse_salamon(al.PAPER_H9_SALAMON)  # the paper's h9 string, the e-basis tensor
     dense = al.change_of_basis(h9, p)
     g = mo.realize(mo.H5Form(1.0, 1.0, 1.5, 0.0, 1.5)).matrix
 
