@@ -575,13 +575,13 @@ class SearchResult:
 @functools.cache
 def _kernel_layout():
     """Index arrays of the 90 coordinates t[k, i, j], i < j (k-major), of a
-    tensor antisymmetric in (i, j): ``nij_k``, ``nij_i``, ``nij_j`` and the
+    tensor antisymmetric in (i, j): ``nij_i``, ``nij_j`` and the
     flat positions ``nij_t2`` in the (k, i, j) layout and ``nij_t2s`` in its
     (i, j)-swap.  They depend on the dimension only."""
     iu, ju = np.triu_indices(DIM, 1)
     k, i, j = np.repeat(np.arange(DIM), iu.size), np.tile(iu, DIM), np.tile(ju, DIM)
     d2, d = DIM * DIM, DIM
-    layout = SimpleNamespace(nij_k=k, nij_i=i, nij_j=j,
+    layout = SimpleNamespace(nij_i=i, nij_j=j,
                              nij_t2=k * d2 + i * d + j, nij_t2s=k * d2 + j * d + i)
     for arr in vars(layout).values():
         arr.flags.writeable = False  # one layout serves every caller
@@ -639,41 +639,30 @@ def _frame_map():
     (columns 0 .. 17, Psi_r) and r's derivatives along E_1 .. E_6 (columns
     18 a .. 18 a + 17), and S, the 18 x 90 map from r to N_{J0}(b): N = r S.
 
-    N_{J0}(b) is linear in b: ``nijenhuis_tensor`` at J0 on the 90 unit
-    brackets, one call per parity pattern (k, i, j mod 2): J0 maps e_p to
-    +-e_{p xor 1}, so a unit's N stays on its pairs (k // 2, i // 2, j // 2).
-    As N(J0 X, Y) = N(X, J0 Y) = -J0 N(X, Y), the 72 nonzero rows of N are
-    +- copies, four each, of the 18 orthogonal rows N[k, 2p, 2q], p < q: r
-    is twice these rows, so ||r|| = ||N||, Psi_r^T Psi_r = 16 I and
-    S = Psi_r^T N / 16 has entries 0 and +-1/2, at most one per column.
-    A Cayley step Q C(t E) moves b to C^{-1} b(C., C.), whose t-derivative
-    at 0, D_E b = -E b + b(E., .) + b(., E.), is linear in b.  The entries
-    of E are 0 and +-1/2, so every entry of Psi and S is exact.
+    N_{J0}(b) is linear in b: n, ``nijenhuis_tensor`` at J0 on each of the
+    90 unit brackets.  As N(J0 X, Y) = N(X, J0 Y) = -J0 N(X, Y), the 72
+    nonzero rows of N are +- copies, four each, of the 18 orthogonal rows
+    N[k, 2p, 2q], p < q: r is twice these rows, so ||r|| = ||N||,
+    Psi_r^T Psi_r = 16 I and S = Psi_r^T N / 16 has entries 0 and +-1/2, at
+    most one per column.  A Cayley step Q C(t E) moves b to C^{-1} b(C., C.),
+    whose t-derivative at 0, D_E b = -E b + b(E., .) + b(., E.), is linear
+    in b: r's derivative along E_a is r(D_a b) = b M_a Psi_r, the rows of M_a
+    the coordinates of D_a on the units.  The entries of E are 0 and +-1/2,
+    so every entry of Psi and S is exact.
     """
     ix = _kernel_layout()
-    k, i, j = ix.nij_k, ix.nij_i, ix.nij_j
-    units = _tensors(np.eye(k.size))
-    pattern, pairs = 4 * (k % 2) + 2 * (i % 2) + j % 2, 9 * (k // 2) + 3 * (i // 2) + j // 2
-    by_pattern = np.stack([
-        nijenhuis_tensor(LieAlgebra(c=-units[pattern == p].sum(axis=0)), _PAIRING_J).reshape(-1)
-        for p in range(8)])[:, ix.nij_t2]
-    n = np.where(pairs[:, None] == pairs, by_pattern[pattern], 0.0)  # [coordinate, row]
-    r = 2.0 * n[:, (i % 2 == 0) & (j % 2 == 0)]
-    # dr / dtheta_a = r(D_a b) with D_a = -E (x) I (x) I + I (x) E^T (x) I +
-    # I (x) I (x) E^T on b[k, i, j]: its block is r put on the coordinates'
-    # places (y), acted on by D_a^T (E on each slot in turn, as E^T = -E),
-    # then read off as z[k, i, j] - z[k, j, i]
-    e = _tangent_basis()
-    em, side = e.reshape(-1, DIM), (len(e), DIM, DIM, DIM, _FRAME_ROWS)
-    y = np.zeros((DIM ** 3, _FRAME_ROWS))
-    y[ix.nij_t2] = r
-    y = y.reshape(DIM, DIM, DIM, -1)
-    z = (em @ y.reshape(DIM, -1)).reshape(side)
-    z += (em @ y.transpose(1, 0, 2, 3).reshape(DIM, -1)).reshape(side).transpose(0, 2, 1, 3, 4)
-    z += (em @ y.transpose(2, 0, 1, 3).reshape(DIM, -1)).reshape(side).transpose(0, 2, 3, 1, 4)
-    z = z.reshape(len(e), DIM ** 3, -1)
-    psi = np.concatenate([r[None], z[:, ix.nij_t2] - z[:, ix.nij_t2s]])
-    psi = np.ascontiguousarray(psi.transpose(1, 0, 2)).reshape(k.size, -1)
+    units = _tensors(np.eye(ix.nij_t2.size))
+    n = np.stack([nijenhuis_tensor(LieAlgebra(c=-u), _PAIRING_J).reshape(-1)
+                  for u in units])[:, ix.nij_t2]  # [unit, row]
+    r = 2.0 * n[:, (ix.nij_i % 2 == 0) & (ix.nij_j % 2 == 0)]
+    blocks = [r]
+    for e in _tangent_basis():
+        # D_a u = -E_a u + u(E_a., .) + u(., E_a.) of each unit u[k, i, j]; on
+        # the matrices u[k] the last two terms are E_a^T u[k] and u[k] E_a
+        d = e.T @ units + units @ e
+        d -= (e @ units.reshape(len(units), DIM, -1)).reshape(d.shape)
+        blocks.append(d.reshape(len(units), -1)[:, ix.nij_t2] @ r)  # M_a Psi_r
+    psi = np.stack(blocks, axis=1).reshape(len(units), -1)
     s = r.T @ n / 16.0
     psi.flags.writeable = s.flags.writeable = False
     return psi, s

@@ -7,6 +7,7 @@ import pytest
 
 from nilmoduli import algebra as al
 from nilmoduli import automorphisms as au
+from nilmoduli import hermitian as hm
 from nilmoduli import moduli as mo
 from nilmoduli.errors import (
     AlgebraMismatch,
@@ -608,6 +609,15 @@ def test_group_descriptor_json():
 def test_realize_accepts_h5_form_with_tiny_s():
     form = mo.H5Form(0.5, 1e-10, 1e8, 0.0, 2e8)
     assert np.all(np.linalg.eigvalsh(mo.realize(form).matrix) > 0.0)
+
+
+@pytest.mark.xfail(raises=NotSPD, strict=True, reason=(
+    "hermitian_structures(H2Form(0, 1 - 2^-52, 1, 0, 1)), a form validate() accepts, "
+    "raises NotSPD: pivot 4.441e-16 at index 3 below threshold 1.332e-15 (the same "
+    "normwise pivot test)"))
+def test_h2_structures_at_b_one_ulp_below_one():
+    form = mo.H2Form(0.0, 1.0 - 2.0 ** -52, 1.0, 0.0, 1.0).validate()
+    assert hm.hermitian_structures(form)["J"].solutions
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(

@@ -21,6 +21,8 @@ the per-call time over the runs.  The items are
   * the closed-form Hermitian structures: ``h6_hermitian_solutions``,
     ``h2_hermitian_candidates`` on a form with two structures, and
     ``h9_sigma_family("sigma1", ...)``;
+  * the one-time build of the oracle's frame map,
+    ``hermitian._frame_map.__wrapped__()`` (the cache bypassed);
   * the numeric oracle ``hermitian_search`` at budget 64: two exhausting
     g_AB verdicts (a = 1.125, B/A = 0.5 and 2) in one call, and the sigma1
     metric that it finds at start 2;
@@ -31,9 +33,9 @@ the per-call time over the runs.  The items are
     builds its facts and derivation basis anew.
 
 Every name used has the same name and signature in the parent checkout;
-``automorphisms._bracket_defect`` and ``moduli._generated_group`` are
-private, and are timed on both sides because their names and signatures
-did not change.  So the same script times
+``automorphisms._bracket_defect``, ``moduli._generated_group`` and
+``hermitian._frame_map`` are private, and are timed on both sides because
+their names and signatures did not change.  So the same script times
 either checkout: put its ``src`` first on the path, e.g.
 
     PYTHONPATH=src python3 tools/bench_layers.py --label change
@@ -170,6 +172,7 @@ def _items():
          lambda: hm.h2_hermitian_candidates(mo.H2Form(0.2, 0.5, 1.0, 0.3, 2.0)), 200),
         ("hermitian.h9_sigma_family.sigma1",
          lambda: hm.h9_sigma_family("sigma1", A=1.3, E=0.7), 200),
+        ("hermitian.frame_map", hm._frame_map.__wrapped__, 5),
         ("hermitian.search.gAB",
          lambda: [hm.hermitian_search("h9hat", g_ab, budget=64) for g_ab in exhausting], 1),
         ("hermitian.search.sigma1", lambda: hm.hermitian_search("h9hat", sigma1, budget=64), 5),
