@@ -35,7 +35,9 @@ class AlgebraMismatch(NilmoduliError):
 
 
 class InvalidForm(NilmoduliError):
-    """Canonical form parameters violate their range constraints."""
+    """Canonical form parameters violate their range constraints; also a
+    metric of the wrong shape or with non-finite entries, an unknown form
+    tag, and a closed-form Hermitian structure that misses its certificate."""
 
 
 class InvalidTriple(NilmoduliError):
@@ -43,8 +45,8 @@ class InvalidTriple(NilmoduliError):
 
 
 class InvalidParams(NilmoduliError):
-    """Parameters outside their admissible range: of a special family, a
-    search budget or a certificate tolerance."""
+    """Parameters outside their admissible range, of a special family or a
+    search budget; also a Sigma/G' pair that misses its certificate."""
 
 
 class CanonicalizationFailed(NilmoduliError):

@@ -607,14 +607,17 @@ def test_verify_seed_defaults_to_zero(capsys, monkeypatch):
     assert json.loads(out)["outputs"] == unseeded["outputs"]
 
 
-def test_verify_detects_corrupted_build():
+def test_verify_detects_corrupted_build(monkeypatch):
     # a moved structure constant kills the Jacobi gate -> nonzero exit
     h9 = al.builtin("h9")
     c = h9.c.copy()
     c[5, 3, 4] += 1.0
     c[5, 4, 3] -= 1.0
-    corrupted = al.LieAlgebra(c=c, label="h9")
-    checked, failures = cli.verify_suite_algebra(0, algebras=[corrupted])
+    corrupted = al.LieAlgebra(c=c, label="h9hat")
+    builtin = al.builtin
+    monkeypatch.setattr(cli.al, "builtin",
+                        lambda name: corrupted if name == "h9hat" else builtin(name))
+    checked, failures = cli.verify_suite_algebra(0)
     assert failures
 
 
@@ -647,6 +650,18 @@ EVERY_COMMAND = [
     ["tables"],
     ["verify", "--suite", "algebra", "--seed", "0"],
 ]
+
+
+def test_main_builds_every_report(capsys):
+    # exit 1 exactly when the report did not pass; only tables is untimed
+    for argv in EVERY_COMMAND:
+        if argv[0] == "--format":
+            continue
+        code, out, _ = run_cli(capsys, *argv)
+        rep = json.loads(out)
+        assert code == (0 if rep["passed"] else 1)
+        assert rep["command"] == argv[0]
+        assert (rep["wall_time_s"] is None) == (argv[0] == "tables")
 
 
 def _stdout_without_wall_time(capsys):

@@ -116,5 +116,5 @@ def test_every_default_is_set_by_a_caller():
     found, fields, unset = scan()
     # equal, not a subset: an allowed entry that a caller starts to set goes
     assert set(unset) == ALLOWED
-    assert len(found) <= 21
+    assert len(found) <= 18
     assert len(fields) <= FIELD_COUNT

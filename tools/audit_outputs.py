@@ -21,7 +21,12 @@ parent, this checkout's ``src`` for the change), each looping over
   * ``describe`` of every built-in id, every built-in's Salamon string,
     the paper's e-basis h9 string and NON_LIE_STRINGS, as JSON and as text;
   * ``tables``;
-  * ``verify --suite all --seed S`` for each seed.
+  * ``verify --suite all --seed S`` for each seed;
+  * fixed argvs that do not exit 0, as JSON and, where they print a
+    report, as text: ``isometry`` of an h6 form at 1e11 (exit 1), an h5
+    form missing parameters, ``hermitian --search --budget 0``,
+    ``canonicalize`` with no metric and with a string entry (exit 2), h2 at
+    b = 1 - 2^-52 and an h9hat metric with a 1e-20 pivot (exit 3).
 
 ``wall_time_s`` is dropped from every report before the comparison.  Per
 command, algebra and format it prints how many outputs (exit code, stdout
@@ -108,6 +113,21 @@ def _argvs(seeds, count):
         out.append(("describe text", ["--format", "text", "describe", spec]))
     out.append(("tables", ["tables"]))
     out += [("verify", ["verify", "--suite", "all", "--seed", str(seed)]) for seed in seeds]
+    failing = ["isometry", "--algebra", "h6", "--form", '{"a": 1e11, "b": 1e11}']
+    out += [("exit json", failing), ("exit text", ["--format", "text", *failing])]
+    string_entry = np.eye(6).tolist()
+    string_entry[0][5] = "1"
+    h2_form = {"a": 0.0, "b": 1.0 - 2.0 ** -52, "E": 1.0, "F": 0.0, "G": 1.0}
+    h9_metric = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-20]).tolist()
+    out += [("exit json", argv) for argv in (
+        ["isometry", "--algebra", "h5", "--form", '{"r": 0.5, "s": 0.3}'],
+        ["hermitian", "--algebra", "h5", "--form", '{"r": 0.5, "s": 0.3, "E": 1, "F": 0, "G": 2}',
+         "--search", "--budget", "0"],
+        ["canonicalize", "--algebra", "h5"],
+        ["canonicalize", "--metric", json.dumps({"algebra": "h5", "matrix": string_entry})],
+        ["hermitian", "--algebra", "h2", "--form", json.dumps(h2_form)],
+        ["canonicalize", "--metric", json.dumps({"algebra": "h9hat", "matrix": h9_metric})],
+    )]
     return out
 
 
