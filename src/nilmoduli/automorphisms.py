@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -54,12 +54,15 @@ DET_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Automorphism:
+    """An automorphism matrix with the component tag ``component_label`` gives it."""
+
     matrix: np.ndarray
     algebra: str
-    component: int | None = None
+    component: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+        object.__setattr__(self, "component", component_label(self.algebra, self.matrix))
 
     def to_json_dict(self):
         return {
@@ -554,8 +557,7 @@ def _theorem(alg):
 def structured_automorphism(alg, params):
     """Automorphism from the theorem-form parameters of a built-in algebra."""
     label, theorem = _theorem(alg)
-    m = theorem.construct(params)
-    return Automorphism(m, label, theorem.component(m))
+    return Automorphism(theorem.construct(params), label)
 
 
 def component_label(alg, m):
@@ -595,8 +597,7 @@ def component_representatives(alg):
 
 @functools.cache
 def _representatives(label):
-    theorem = _THEOREMS[label]
-    reps = [Automorphism(m, label, theorem.component(m)) for m in theorem.representatives()]
+    reps = [Automorphism(m, label) for m in _THEOREMS[label].representatives()]
     for rep in reps:
         rep.matrix.setflags(write=False)
     return tuple(sorted(reps, key=lambda f: f.component))
@@ -619,5 +620,4 @@ def random_automorphism(alg, seed, component=None):
     reps = component_representatives(alg)
     if component is None:
         component = int(rng.integers(0, len(reps)))
-    m = reps[component].matrix @ base.matrix
-    return Automorphism(m, alg.label, component_label(alg, m))
+    return Automorphism(reps[component].matrix @ base.matrix, alg.label)

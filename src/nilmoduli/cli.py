@@ -110,6 +110,9 @@ def _load_metric(args):
     """(algebra, matrix) of the canonicalize input; ValueError names the schema."""
     if args.input is None and args.metric is None:
         raise ValueError(f"no metric given; {METRIC_USAGE}")
+    if args.input is not None and args.metric is not None:
+        raise ValueError(f"got both --input {args.input!r} and --metric {args.metric!r:.40}; "
+                         f"give one: {METRIC_USAGE}")
     if args.input is not None:
         try:
             with open(args.input) as fh:
@@ -123,6 +126,8 @@ def _load_metric(args):
     algebra = data.get("algebra", args.algebra)
     if algebra is None:
         raise ValueError(f"no algebra given; {METRIC_USAGE}")
+    if args.algebra is not None:
+        al.require_same_algebra(algebra, args.algebra)  # AlgebraMismatch names both
     bad = _non_numbers(data["matrix"], "matrix")
     if bad:
         raise ValueError("metric entries must be numbers, got " + ", ".join(bad))

@@ -4,8 +4,9 @@ with automorphism witnesses, and isometry-group classification.
 Canonical shapes (working bases; hat basis for h9).  The shape is the form
 class's ``cells`` map, parameter -> (i, j): realize() writes each parameter
 into its cell and the mirror (j, i) of the identity, or for h9 into the
-slice factor X of the metric X^T X, and canonicalize() reads its result
-back from the same cells.
+slice factor X of the metric X^T X.  canonicalize() reads its result back
+from the same cells, for h9 by solving x = X phi row by row on g's reverse
+Cholesky factor x, so that h9's witness is exactly in theorem form.
 
   h5:  H5Form.cells (r, s on the diagonal, [[E,F],[F,G]]),  0 < s <= r <= 1, F >= 0
   h6:  H6Form.cells (a, b on the diagonal),                 0 < a <= b
@@ -363,21 +364,17 @@ class _Reduction:
         self.phi = self.phi @ f
 
 
-def _finish(red, form, g_input):
+def _finish(alg_label, form, wit_matrix, g_input):
+    """The snapped form and the witness phi, certified: phi^T realize(form) phi = g."""
     form = form.snapped()
     g_c = realize(form).matrix  # validates the snapped form
-    wit_matrix = np.linalg.inv(red.phi)
     residual = max_norm(wit_matrix.T @ g_c @ wit_matrix - g_input)
     bound = certificate_bound(g_input)
     if residual > bound:
         raise CanonicalizationFailed(
-            f"{red.alg}: witness residual {residual:.3e} exceeds {bound:.3e}", residual
+            f"{alg_label}: witness residual {residual:.3e} exceeds {bound:.3e}", residual
         )
-    witness = Witness(
-        Automorphism(wit_matrix, red.alg, auts.component_label(red.alg, wit_matrix)),
-        residual,
-    )
-    return form, witness
+    return form, Witness(Automorphism(wit_matrix, alg_label), residual)
 
 
 def _kill_commutator_coupling(red, make_params):
@@ -425,7 +422,7 @@ def _canonicalize_h6(g):
     )
     (_l1, _l2), rot = sym_eig2(red.g[4:6, 4:6])
     red.apply(H6Params(At=rot))
-    return _finish(red, _read_cells(H6Form, red.g), g)
+    return _finish(red.alg, _read_cells(H6Form, red.g), np.linalg.inv(red.phi), g)
 
 
 def _canonicalize_h4(g):
@@ -449,7 +446,7 @@ def _canonicalize_h4(g):
     red.apply(H4Params(A=auts.sigma_involution(rot_desc), x=1.0 / math.sqrt(m2)))
     if red.g[4, 5] < 0.0:
         red.apply(H4Params(x=-1.0))
-    return _finish(red, _read_cells(H4Form, red.g), g)
+    return _finish(red.alg, _read_cells(H4Form, red.g), np.linalg.inv(red.phi), g)
 
 
 def _canonicalize_h2(g):
@@ -467,7 +464,7 @@ def _canonicalize_h2(g):
     if "a0" in form.on_strata() and form.F < 0.0:
         red.apply(H2Params(A=((-1.0, 0.0), (0.0, 1.0))))  # reflect the first factor
         form = _read_cells(H2Form, red.g)
-    return _finish(red, form, g)
+    return _finish(red.alg, form, np.linalg.inv(red.phi), g)
 
 
 def _complex_parts(b4):
@@ -509,45 +506,40 @@ def _canonicalize_h5(g):
         red.apply(_h5_move(np.diag([np.exp(1j * theta), 1.0])))
     if red.g[4, 5] < 0.0:
         red.apply(_h5_move(np.eye(2), psi=True))
-    return _finish(red, _read_cells(H5Form, red.g), g)
+    return _finish(red.alg, _read_cells(H5Form, red.g), np.linalg.inv(red.phi), g)
 
 
 def _canonicalize_h9(g):
-    red = _Reduction("h9hat", g)
-    x = reverse_cholesky_lower(red.g)
-    a11, a22, a44 = x[0, 0], x[1, 1], x[3, 3]
-    big_a = x[2, 2] / a11 ** 2
-    big_b = x[4, 4] / (a11 * a22)
-    big_c = x[5, 5] / (a11 ** 2 * a22)
-    a21 = x[1, 0]
+    # g's reverse Cholesky factor x is X_c phi (phi in the identity component),
+    # solved row by row for phi's free entries and X_c's cells; a dependent
+    # entry of phi is read off the constructor once its free entries are known
+    construct = auts._THEOREMS["h9hat"].construct
+    x = reverse_cholesky_lower(g)
+    a11, a21, a22 = x[0, 0], x[1, 0], x[1, 1]
+    a41, a42, a43, a44 = x[3, :4]
+    dep = construct(H9Params(a11=a11, a22=a22, a21=a21))  # a33, a53, a55, a66
+    big_a = x[2, 2] / dep[2, 2]
     a31, a32 = x[2, 0] / big_a, x[2, 1] / big_a
-    a41, a42, a43 = x[3, 0], x[3, 1], x[3, 2]
+    big_b = x[4, 4] / dep[4, 4]
     big_e = x[4, 3] / a44
-    big_d = (x[4, 2] - big_e * a43 + big_b * a11 * a21) / a11 ** 2
+    big_d = (x[4, 2] - big_e * a43 - big_b * dep[4, 2]) / dep[2, 2]
     a51 = (x[4, 0] - big_d * a31 - big_e * a41) / big_b
     a52 = (x[4, 1] - big_d * a32 - big_e * a42) / big_b
-    big_f = (x[5, 4] - big_c * (a22 * a31 - a21 * a32 - a11 * a52)) / (a11 * a22)
-    a64 = x[5, 3] / big_c
-    a63 = (x[5, 2] + big_f * a11 * a21) / big_c
-    a61 = (x[5, 0] - big_f * a51) / big_c
-    a62 = (x[5, 1] - big_f * a52) / big_c
-    phi = H9Params(
+    dep = construct(H9Params(a11=a11, a22=a22, a21=a21, a31=a31, a32=a32, a52=a52))  # a65
+    big_c = x[5, 5] / dep[5, 5]
+    big_f = (x[5, 4] - big_c * dep[5, 4]) / dep[4, 4]
+    phi = construct(H9Params(
         a11=a11, a22=a22, a44=a44, a21=a21, a31=a31, a32=a32,
         a41=a41, a42=a42, a43=a43, a51=a51, a52=a52,
-        a61=a61, a62=a62, a63=a63, a64=a64,
-    )
-    inv = np.linalg.inv(red.construct(phi))
-    red.apply(auts._THEOREMS["h9hat"].read(inv))
-    # sign normalization: components flip (D, E, F) independently
-    sd = -1.0 if big_d < 0 else 1.0
-    se = -1.0 if big_e < 0 else 1.0
-    sf = -1.0 if big_f < 0 else 1.0
-    e1 = sf
-    e2 = sd * sf
-    e3 = sd * se
-    if (e1, e2, e3) != (1.0, 1.0, 1.0):
-        red.apply(H9Params(a11=e1, a22=e2, a44=e3))
-    return _finish(red, _read_cells(H9Form, reverse_cholesky_lower(red.g)), g)
+        a61=(x[5, 0] - big_f * a51) / big_c, a62=(x[5, 1] - big_f * a52) / big_c,
+        a63=(x[5, 2] - big_f * dep[4, 2]) / big_c, a64=x[5, 3] / big_c,
+    ))
+    # the flip s = diag(e1, e2, 1, e3, e1 e2, e2) maps X_c to s X_c s, which
+    # multiplies D, E, F by e1 e2, e1 e2 e3 and e1: these signs make them >= 0
+    sd, se, sf = (-1.0 if v < 0 else 1.0 for v in (big_d, big_e, big_f))
+    flip = construct(H9Params(a11=sf, a22=sd * sf, a44=sd * se))
+    form = H9Form(*(float(v) for v in (big_a, big_b, big_c, abs(big_d), abs(big_e), abs(big_f))))
+    return _finish("h9hat", form, flip @ phi, g)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +602,7 @@ def _read_only(a):
 
 
 def _tagged(alg_label, m):
-    m = _read_only(m)
-    return Automorphism(m, alg_label, auts.component_label(alg_label, m))
+    return Automorphism(_read_only(m), alg_label)
 
 
 def _basis(*mats):

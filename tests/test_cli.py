@@ -171,6 +171,11 @@ def test_canonicalize_input_file_entries_must_be_numbers(tmp_path, capsys):
         (("--metric", _h6_metric_with({(5, 4): None})), "numbers, got matrix[5][4]=None", False),
         (("--metric", _h6_metric_with({(5, 4): {}})), "numbers, got matrix[5][4]={}", False),
         (("--metric", _h6_metric_with({(0, 0): [1]})), "numbers, got matrix[0][0]=[1]", False),
+        # two metrics, or two algebras: neither is picked silently
+        (("--input", "metric.json", "--metric", _h6_metric_with({})),
+         "got both --input 'metric.json' and --metric '{\"algebra\": \"h6\"", True),
+        (("--algebra", "h5", "--metric", _h6_metric_with({})),
+         "algebra tags differ: 'h6' vs 'h5'", False),
     ],
 )
 def test_canonicalize_input_errors_exit_2(capsys, argv, needle, names_schema):
@@ -179,6 +184,16 @@ def test_canonicalize_input_errors_exit_2(capsys, argv, needle, names_schema):
     assert out == ""
     assert needle in err
     assert ('{"algebra": "h5", "matrix":' in err) == names_schema
+
+
+@pytest.mark.parametrize("given, named", [("h9", "h9hat"), ("h9hat", "h9"), ("h6", "h6"),
+                                           ("(0,0,0,0,12,13)", "h6")])
+def test_canonicalize_algebra_may_name_the_metric_algebra_again(capsys, given, named):
+    metric = {"algebra": named, "matrix": np.eye(6).tolist()}
+    code, out, _ = run_cli(capsys, "canonicalize", "--algebra", given,
+                           "--metric", json.dumps(metric))
+    assert code == 0
+    assert json.loads(out)["inputs"]["algebra"] == named
 
 
 def test_canonicalize_reports_the_enforced_certificate_bound(capsys):

@@ -374,8 +374,45 @@ def test_canonicalize_makes_no_2x2_lapack_determinant_or_inverse(monkeypatch, na
         monkeypatch.setattr(np.linalg, fname, counted)
     got, _wit = mo.canonicalize(name, g)
     assert got.on_strata()  # a boundary metric: the stratum snaps ran
-    assert ("inv", (6, 6)) in shapes  # the witness: the counters see the calls
+    if name == "h9hat":
+        # h9's witness is its theorem matrix: no inverse at all
+        assert [s for s in shapes if s[0] == "inv"] == []
+    else:
+        assert ("inv", (6, 6)) in shapes  # the witness: the counters see the calls
     assert [s for s in shapes if s[1][-2:] == (2, 2)] == []
+
+
+def _h9_orbit_metrics():
+    """h9 orbit metrics off and on the ``zeros`` boundary, each at 4^k, k in [-9, 10]."""
+    rng = np.random.default_rng(41)
+    out = []
+    for boundary in (None, "zeros"):
+        for seed in range(6):
+            form = random_canonical_form("h9hat", rng, boundary)
+            g = mo.pullback_metric(mo.realize(form), au.random_automorphism("h9hat", 70 + seed))
+            out += [4.0 ** k * g.matrix for k in range(-9, 11)]
+    return out
+
+
+def test_h9_witness_is_exactly_in_theorem_form():
+    # the witness is the product of two constructor matrices, a sign flip
+    # and phi, so reading its parameters and building it again is exact
+    for g in _h9_orbit_metrics():
+        _form, wit = mo.canonicalize("h9hat", g)
+        assert au.theorem_form_defect("h9hat", wit.automorphism.matrix) == 0.0
+
+
+def test_h9_canonicalize_factors_once_and_inverts_nothing(monkeypatch):
+    calls = []
+    factor, inverse = mo.reverse_cholesky_lower, np.linalg.inv
+    monkeypatch.setattr(mo, "reverse_cholesky_lower",
+                        lambda a: calls.append("reverse_cholesky_lower") or factor(a))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append("inv") or inverse(a))
+    for g in _h9_orbit_metrics()[::7]:
+        metric = mo.Metric("h9hat", g)
+        calls.clear()
+        mo.canonicalize("h9hat", metric)
+        assert calls == ["reverse_cholesky_lower"]
 
 
 def test_canonicalize_h9_via_e_basis_label():
@@ -682,7 +719,8 @@ def _canonicalize_outcome(name, g):
     return repr(form), wit.automorphism.matrix.tobytes(), wit.automorphism.component, wit.residual
 
 
-@pytest.mark.parametrize("name", ALGEBRAS)
+# h9 takes no reduction steps: its witness is built from its theorem at once
+@pytest.mark.parametrize("name", [name for name in ALGEBRAS if name != "h9hat"])
 def test_reduction_bytes_match_step_by_step_reference(name, monkeypatch):
     rng = np.random.default_rng(31)
     inputs = []

@@ -16,7 +16,7 @@ PACKAGE = ROOT / "src" / "nilmoduli"
 CALLERS = ("src", "tests", "perfbench", "tools")
 
 ALLOWED = set()  # hermitian_search's seed is set by the sigma3 search tests
-FIELD_COUNT = 44  # dataclass fields with defaults: a new one raises the count
+FIELD_COUNT = 43  # dataclass fields with defaults: a new one raises the count
 
 
 def _defaults(tree):

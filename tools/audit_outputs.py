@@ -25,7 +25,9 @@ parent, this checkout's ``src`` for the change), each looping over
   * fixed argvs that do not exit 0, as JSON and, where they print a
     report, as text: ``isometry`` of an h6 form at 1e11 (exit 1), an h5
     form missing parameters, ``hermitian --search --budget 0``,
-    ``canonicalize`` with no metric and with a string entry (exit 2), h2 at
+    ``canonicalize`` with no metric, with a string entry, with both
+    ``--input`` and ``--metric`` and with an ``--algebra`` that names
+    another algebra than the metric's (exit 2), h2 at
     b = 1 - 2^-52 and an h9hat metric with a 1e-20 pivot (exit 3).
 
 ``wall_time_s`` is dropped from every report before the comparison.  Per
@@ -119,12 +121,15 @@ def _argvs(seeds, count):
     string_entry[0][5] = "1"
     h2_form = {"a": 0.0, "b": 1.0 - 2.0 ** -52, "E": 1.0, "F": 0.0, "G": 1.0}
     h9_metric = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-20]).tolist()
+    identity = json.dumps({"algebra": "h5", "matrix": np.eye(6).tolist()})
     out += [("exit json", argv) for argv in (
         ["isometry", "--algebra", "h5", "--form", '{"r": 0.5, "s": 0.3}'],
         ["hermitian", "--algebra", "h5", "--form", '{"r": 0.5, "s": 0.3, "E": 1, "F": 0, "G": 2}',
          "--search", "--budget", "0"],
         ["canonicalize", "--algebra", "h5"],
         ["canonicalize", "--metric", json.dumps({"algebra": "h5", "matrix": string_entry})],
+        ["canonicalize", "--input", "metric.json", "--metric", identity],
+        ["canonicalize", "--algebra", "h6", "--metric", identity],
         ["hermitian", "--algebra", "h2", "--form", json.dumps(h2_form)],
         ["canonicalize", "--metric", json.dumps({"algebra": "h9hat", "matrix": h9_metric})],
     )]
